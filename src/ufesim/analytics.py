@@ -9,9 +9,9 @@ as one server contact but is never an unforced error here.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -45,30 +45,157 @@ class PlayerUfeProfile:
 
 
 class _Tally:
+    """One player's counts.
+
+    served[t] and received[t] count the decisive serves this player hit
+    or received whose rally ended on touch t, clamped at max_touch, so
+    the rallies that reached touch t are the suffix sum from t.
+    """
+
     __slots__ = (
         "matches",
         "contacts",
         "ufes",
         "touch_ufes",
-        "touch_opportunities",
+        "served",
+        "received",
         "year_contacts",
         "year_ufes",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, max_touch: int) -> None:
         self.matches: set[str] = set()
         self.contacts = 0
         self.ufes = 0
         self.touch_ufes: Counter[tuple[str, int]] = Counter()
-        self.touch_opportunities: Counter[tuple[str, int]] = Counter()
+        self.served = [0] * (max_touch + 1)
+        self.received = [0] * (max_touch + 1)
         self.year_contacts: Counter[int] = Counter()
         self.year_ufes: Counter[int] = Counter()
 
 
-def _filtered(records: Iterable[ServeRecord], tour: str | None) -> Iterable[ServeRecord]:
-    if tour is None:
-        return records
-    return (r for r in records if r.tour == tour)
+def _suffix_sums(hist: Sequence[int]) -> list[int]:
+    return list(accumulate(reversed(hist)))[::-1]
+
+
+class RecordTally:
+    """Per-player counts from one pass; every statistic is read off them.
+
+    Each decisive record is served by exactly one player, so a
+    tour-level figure is the sum of that figure's player counts.
+    """
+
+    def __init__(self, players: Mapping[str, _Tally], max_touch: int) -> None:
+        self.players = players
+        self.max_touch = max_touch
+
+    def profiles(self) -> dict[str, PlayerUfeProfile]:
+        profiles: dict[str, PlayerUfeProfile] = {}
+        for player, tally in self.players.items():
+            # A touch-t opportunity exists for whoever contacts touch t in
+            # any rally that lasted at least t touches: the server on odd
+            # touches from 3, the receiver on even touches from 2.
+            per_touch = {}
+            for role, hist, start in (
+                (Role.RECEIVER.value, tally.received, 2),
+                (Role.SERVER.value, tally.served, 3),
+            ):
+                reach = _suffix_sums(hist)
+                for t in range(start, self.max_touch + 1, 2):
+                    if reach[t]:
+                        per_touch[(role, t)] = tally.touch_ufes[(role, t)] / reach[t]
+            per_year = {
+                year: tally.year_ufes[year] / contacts
+                for year, contacts in sorted(tally.year_contacts.items())
+                if contacts > 0
+            }
+            profiles[player] = PlayerUfeProfile(
+                player_id=player,
+                matches_played=len(tally.matches),
+                ball_contacts=tally.contacts,
+                unforced_errors=tally.ufes,
+                ufe_rate=tally.ufes / tally.contacts if tally.contacts else 0.0,
+                per_touch_rates=per_touch,
+                per_year_rates=per_year,
+            )
+        return profiles
+
+    def touch_curve(self, role: Role = Role.SERVER) -> list[tuple[int, float]]:
+        """rate(t) = errors committed on touch t / rallies lasting at least
+        t touches.  Server rates live on odd touches from 3, receiver
+        rates on even touches from 2."""
+        served = [0] * (self.max_touch + 1)
+        errs: Counter[tuple[str, int]] = Counter()
+        for tally in self.players.values():
+            for t, n in enumerate(tally.served):
+                served[t] += n
+            errs.update(tally.touch_ufes)
+        reach = _suffix_sums(served)
+        start = 3 if role is Role.SERVER else 2
+        return [
+            (t, errs[(role.value, t)] / reach[t])
+            for t in range(start, self.max_touch + 1, 2)
+            if reach[t]
+        ]
+
+    def year_series(self) -> list[tuple[int, float]]:
+        """UFE-per-contact rate per calendar year, year-unknown records
+        excluded."""
+        contacts: Counter[int] = Counter()
+        errs: Counter[int] = Counter()
+        for tally in self.players.values():
+            contacts.update(tally.year_contacts)
+            errs.update(tally.year_ufes)
+        return [
+            (year, errs[year] / contacts[year]) for year in sorted(contacts) if contacts[year]
+        ]
+
+    def ufe_rate(self) -> float:
+        """UFEs per ball contact over every record tallied."""
+        contacts = sum(t.contacts for t in self.players.values())
+        ufes = sum(t.ufes for t in self.players.values())
+        return ufes / contacts if contacts else 0.0
+
+    def termination_share(self) -> float:
+        """Share of decisive serves that ended on an unforced error."""
+        decisive = sum(sum(t.served) for t in self.players.values())
+        ufes = sum(t.ufes for t in self.players.values())
+        return ufes / decisive if decisive else 0.0
+
+
+def tally_records(
+    records: Iterable[ServeRecord],
+    tour: str | None = None,
+    max_touch: int = DEFAULT_MAX_TOUCH,
+) -> RecordTally:
+    """One pass over the records, counting per player."""
+    tallies: dict[str, _Tally] = defaultdict(lambda: _Tally(max_touch))
+    for rec in records:
+        if tour is not None and rec.tour != tour:
+            continue
+        srv, rcv = tallies[rec.server_id], tallies[rec.receiver_id]
+        srv.matches.add(rec.match_id)
+        rcv.matches.add(rec.match_id)
+        if rec.is_first_serve_fault:
+            continue
+        t_star = rec.terminal_touch
+        srv_contacts, rcv_contacts = touch_exposure(t_star)
+        srv.contacts += srv_contacts
+        rcv.contacts += rcv_contacts
+        if rec.year is not None:
+            srv.year_contacts[rec.year] += srv_contacts
+            rcv.year_contacts[rec.year] += rcv_contacts
+        touch_bin = min(t_star, max_touch)
+        srv.served[touch_bin] += 1
+        rcv.received[touch_bin] += 1
+        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
+            tally = srv if rec.error_committer is Role.SERVER else rcv
+            tally.ufes += 1
+            if rec.year is not None:
+                tally.year_ufes[rec.year] += 1
+            if t_star <= max_touch:
+                tally.touch_ufes[(rec.error_committer.value, t_star)] += 1
+    return RecordTally(dict(tallies), max_touch)
 
 
 def collect_profiles(
@@ -76,58 +203,8 @@ def collect_profiles(
     tour: str | None = None,
     max_touch: int = DEFAULT_MAX_TOUCH,
 ) -> dict[str, PlayerUfeProfile]:
-    """One pass over the records, building a profile per player."""
-    tallies: dict[str, _Tally] = defaultdict(_Tally)
-    for rec in _filtered(records, tour):
-        tallies[rec.server_id].matches.add(rec.match_id)
-        tallies[rec.receiver_id].matches.add(rec.match_id)
-        if rec.is_first_serve_fault:
-            continue
-        t_star = rec.terminal_touch
-        exposure = touch_exposure(t_star)
-        srv, rcv = tallies[rec.server_id], tallies[rec.receiver_id]
-        srv.contacts += exposure.server_contacts
-        rcv.contacts += exposure.receiver_contacts
-        if rec.year is not None:
-            srv.year_contacts[rec.year] += exposure.server_contacts
-            rcv.year_contacts[rec.year] += exposure.receiver_contacts
-        # A touch-t opportunity exists for whoever contacts touch t in
-        # any rally that lasted at least t touches.
-        for t in range(2, min(t_star, max_touch) + 1):
-            side = srv if t % 2 == 1 else rcv
-            role = Role.SERVER.value if t % 2 == 1 else Role.RECEIVER.value
-            side.touch_opportunities[(role, t)] += 1
-        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
-            who = rec.server_id if rec.error_committer is Role.SERVER else rec.receiver_id
-            tally = tallies[who]
-            tally.ufes += 1
-            if rec.year is not None:
-                tally.year_ufes[rec.year] += 1
-            if t_star <= max_touch:
-                tally.touch_ufes[(rec.error_committer.value, t_star)] += 1
-
-    profiles: dict[str, PlayerUfeProfile] = {}
-    for player, tally in tallies.items():
-        per_touch = {
-            key: tally.touch_ufes.get(key, 0) / opportunities
-            for key, opportunities in sorted(tally.touch_opportunities.items())
-            if opportunities > 0
-        }
-        per_year = {
-            year: tally.year_ufes.get(year, 0) / contacts
-            for year, contacts in sorted(tally.year_contacts.items())
-            if contacts > 0
-        }
-        profiles[player] = PlayerUfeProfile(
-            player_id=player,
-            matches_played=len(tally.matches),
-            ball_contacts=tally.contacts,
-            unforced_errors=tally.ufes,
-            ufe_rate=tally.ufes / tally.contacts if tally.contacts else 0.0,
-            per_touch_rates=per_touch,
-            per_year_rates=per_year,
-        )
-    return profiles
+    """A profile per player."""
+    return tally_records(records, tour, max_touch).profiles()
 
 
 def player_ufe_rate(records: Iterable[ServeRecord], player_id: str) -> PlayerUfeProfile:
@@ -143,29 +220,8 @@ def ufe_rate_by_touch(
     role: Role = Role.SERVER,
     max_touch: int = DEFAULT_MAX_TOUCH,
 ) -> list[tuple[int, float]]:
-    """Tour-level UFE rate per touch for one role.
-
-    rate(t) = errors committed on touch t / rallies lasting at least t
-    touches.  Server rates live on odd touches from 3, receiver rates
-    on even touches from 2.
-    """
-    start = 3 if role is Role.SERVER else 2
-    reach: Counter[int] = Counter()
-    errs: Counter[int] = Counter()
-    for rec in _filtered(records, tour):
-        if rec.is_first_serve_fault:
-            continue
-        t_star = rec.terminal_touch
-        for t in range(start, min(t_star, max_touch) + 1):
-            if t % 2 == (1 if role is Role.SERVER else 0):
-                reach[t] += 1
-        if (
-            rec.terminal_kind is TerminalKind.UNFORCED_ERROR
-            and rec.error_committer is role
-            and start <= t_star <= max_touch
-        ):
-            errs[t_star] += 1
-    return [(t, errs.get(t, 0) / reach[t]) for t in sorted(reach)]
+    """Tour-level UFE rate per touch for one role; see RecordTally.touch_curve."""
+    return tally_records(records, tour, max_touch).touch_curve(role)
 
 
 def ufe_rate_by_year(
@@ -173,39 +229,17 @@ def ufe_rate_by_year(
 ) -> list[tuple[int, float]]:
     """Aggregate UFE-per-contact rate per calendar year, year-unknown
     records excluded."""
-    contacts: Counter[int] = Counter()
-    errs: Counter[int] = Counter()
-    for rec in _filtered(records, tour):
-        if rec.is_first_serve_fault or rec.year is None:
-            continue
-        contacts[rec.year] += rec.terminal_touch
-        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
-            errs[rec.year] += 1
-    return [(year, errs.get(year, 0) / contacts[year]) for year in sorted(contacts)]
+    return tally_records(records, tour).year_series()
 
 
 def ufe_termination_share(records: Iterable[ServeRecord], tour: str | None = None) -> float:
     """Share of decisive serves that ended on an unforced error."""
-    decisive = ufes = 0
-    for rec in _filtered(records, tour):
-        if rec.is_first_serve_fault:
-            continue
-        decisive += 1
-        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
-            ufes += 1
-    return ufes / decisive if decisive else 0.0
+    return tally_records(records, tour).termination_share()
 
 
 def tour_ufe_rate(records: Iterable[ServeRecord], tour: str | None = None) -> float:
     """UFEs per ball contact over the whole corpus."""
-    contacts = ufes = 0
-    for rec in _filtered(records, tour):
-        if rec.is_first_serve_fault:
-            continue
-        contacts += rec.terminal_touch
-        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
-            ufes += 1
-    return ufes / contacts if contacts else 0.0
+    return tally_records(records, tour).ufe_rate()
 
 
 def rate_rankings(
@@ -281,17 +315,3 @@ def histogram_to_csv(bins: Sequence[tuple[float, float, int]], path: str | Path)
         ("bin_low_pct", "bin_high_pct", "players"),
         [(f"{lo:.2f}", f"{hi:.2f}", n) for lo, hi, n in bins],
     )
-
-
-def profiles_to_json(profiles: Iterable[PlayerUfeProfile]) -> str:
-    payload = [
-        {
-            "player": p.player_id,
-            "matches": p.matches_played,
-            "ball_contacts": p.ball_contacts,
-            "unforced_errors": p.unforced_errors,
-            "ufe_rate": p.ufe_rate,
-        }
-        for p in sorted(profiles, key=lambda p: p.player_id)
-    ]
-    return json.dumps(payload, indent=2)

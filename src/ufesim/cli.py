@@ -11,30 +11,28 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .analytics import (
-    collect_profiles,
     histogram_bins,
     histogram_to_csv,
     profiles_to_csv,
     rankings_to_csv,
     rate_rankings,
+    tally_records,
     touch_curve_to_csv,
-    tour_ufe_rate,
-    ufe_rate_by_touch,
-    ufe_rate_by_year,
-    ufe_termination_share,
     year_series_to_csv,
 )
 from .counterfactual import default_table, load_table
 from .errors import (
+    AmbiguousPlayerError,
     CsvFormatError,
     DuplicatePointError,
     EmptyPoolError,
+    EndlessMatchError,
     NotationError,
     PlayerNotFoundError,
     TableFormatError,
@@ -73,14 +71,7 @@ class RunManifest:
     created: str
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "dataset_sha256": self.dataset_sha256,
-            "tool_version": self.tool_version,
-            "created": self.created,
-        }
+        return asdict(self)
 
 
 def _file_sha256(path: str | Path) -> str:
@@ -135,7 +126,7 @@ def resolve_player(records, requested: str) -> str:
     if not matches:
         raise PlayerNotFoundError(requested)
     if len(matches) > 1:
-        raise UfesimError(
+        raise AmbiguousPlayerError(
             f"player name {requested!r} is ambiguous: {sorted(matches)}"
         )
     return matches.pop()
@@ -240,7 +231,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    profiles = collect_profiles(records, tour=args.tour)
+    tally = tally_records(records, tour=args.tour)
+    profiles = tally.profiles()
     if not profiles:
         print("warning: no players after filtering", file=sys.stderr)
     eligible = [p for p in profiles.values() if p.matches_played >= args.min_matches]
@@ -253,11 +245,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     profiles_to_csv(profiles.values(), out_dir / "profiles.csv")
     lowest, highest = rate_rankings(profiles.values(), args.min_matches, args.k)
     rankings_to_csv(lowest, highest, out_dir / "rankings.csv")
-    server_curve = ufe_rate_by_touch(records, tour=args.tour, role=Role.SERVER)
-    receiver_curve = ufe_rate_by_touch(records, tour=args.tour, role=Role.RECEIVER)
+    server_curve = tally.touch_curve(Role.SERVER)
+    receiver_curve = tally.touch_curve(Role.RECEIVER)
     touch_curve_to_csv(server_curve, out_dir / "touch_curve_server.csv")
     touch_curve_to_csv(receiver_curve, out_dir / "touch_curve_receiver.csv")
-    series = ufe_rate_by_year(records, tour=args.tour)
+    series = tally.year_series()
     year_series_to_csv(series, out_dir / "year_series.csv")
     bins = histogram_bins(eligible)
     histogram_to_csv(bins, out_dir / "histogram.csv")
@@ -295,8 +287,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             {
                 "players": len(profiles),
                 "eligible_players": len(eligible),
-                "aggregate_ufe_rate": tour_ufe_rate(records, tour=args.tour),
-                "ufe_termination_share": ufe_termination_share(records, tour=args.tour),
+                "aggregate_ufe_rate": tally.ufe_rate(),
+                "ufe_termination_share": tally.termination_share(),
                 "out_dir": str(out_dir),
             },
             indent=2,
@@ -348,6 +340,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         for x in fractions
     ]
+    if args.out:
+        # An output that cannot be written fails now, not after the simulation.
+        open(args.out, "a", encoding="utf-8").close()
     comparison = compare_scenarios(configs, pools, table, n_jobs=args.n_jobs)
 
     print(f"players: A = {player_a}, B = {player_b}  (scope: {scope.value})")
@@ -462,18 +457,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except EmptyPoolError as exc:
-        print(
-            f"error: {exc}; too little head-to-head history, try --scope versus_field",
-            file=sys.stderr,
-        )
+        hint = ""
+        if getattr(args, "scope", None) == PoolScope.HEAD_TO_HEAD.value:
+            hint = "; too little head-to-head history, try --scope versus_field"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_DATA
     except (
         CsvFormatError,
         NotationError,
         DuplicatePointError,
         PlayerNotFoundError,
+        AmbiguousPlayerError,
+        EndlessMatchError,
         TableFormatError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

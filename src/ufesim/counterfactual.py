@@ -36,7 +36,7 @@ _DEFAULT_PROBS: Mapping[int, float] = MappingProxyType(
 
 @dataclass(frozen=True, slots=True)
 class TouchWinTable:
-    """Map touch -> P(server-side player wins the point absent the UFE)."""
+    """Map touch -> P(the error's committer wins the point absent the UFE)."""
 
     prob_by_touch: Mapping[int, float]
 

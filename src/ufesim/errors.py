@@ -50,6 +50,12 @@ class EmptyPoolError(UfesimError):
         super().__init__(msg)
 
 
+class EndlessMatchError(UfesimError):
+    """The pools fix who wins each point by who serves it, and the two
+    servers' points go to different players, so no tiebreak or final set
+    can ever be won by two."""
+
+
 class MatchOverError(UfesimError):
     """A point was applied to a completed match."""
 
@@ -60,6 +66,10 @@ class TouchRangeError(UfesimError):
 
 class PlayerNotFoundError(UfesimError):
     """The requested player does not appear in the record set."""
+
+
+class AmbiguousPlayerError(UfesimError):
+    """The requested name matches more than one player in the record set."""
 
 
 class TableFormatError(UfesimError):

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CsvFormatError, DuplicatePointError, NotationError
 from .notation import parse_shot_notation
-from .records import RawPointRow, ServeRecord, TerminalKind
+from .records import RawPointRow, ServeRecord, TerminalKind, open_csv
 
 REQUIRED_COLUMNS = ("match_id", "Pt", "Svr", "1st", "2nd", "rallyCount")
 _RALLY_COUNT_RE = re.compile(r"^[0-9]+$")
@@ -62,42 +62,22 @@ class IngestReport:
     points_augmented_with_fault_serve: int = 0
 
     def combined(self, other: "IngestReport") -> "IngestReport":
-        return IngestReport(
-            rows_read=self.rows_read + other.rows_read,
-            rows_dropped_bad_rally_count=(
-                self.rows_dropped_bad_rally_count + other.rows_dropped_bad_rally_count
-            ),
-            rows_dropped_bad_notation=(
-                self.rows_dropped_bad_notation + other.rows_dropped_bad_notation
-            ),
-            serve_records_emitted=self.serve_records_emitted + other.serve_records_emitted,
-            points_augmented_with_fault_serve=(
-                self.points_augmented_with_fault_serve
-                + other.points_augmented_with_fault_serve
-            ),
-        )
+        return IngestReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_dropped_bad_rally_count": self.rows_dropped_bad_rally_count,
-            "rows_dropped_bad_notation": self.rows_dropped_bad_notation,
-            "serve_records_emitted": self.serve_records_emitted,
-            "points_augmented_with_fault_serve": self.points_augmented_with_fault_serve,
-        }
+        return asdict(self)
 
 
 def parse_points_file(path: str | Path) -> list[RawPointRow]:
     """Read one charting CSV into raw rows, no notation interpretation.
 
     Raises CsvFormatError for structural problems (missing columns,
-    ragged lines, unusable ids) and DuplicatePointError when the same
-    (match_id, point number) appears twice.
+    ragged lines, unusable ids).  Duplicate points are ingest_files'
+    check, across every file.
     """
     path = Path(path)
     rows: list[RawPointRow] = []
-    seen: set[tuple[str, int]] = set()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_csv(path, encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise CsvFormatError("file has no header row", path=str(path))
@@ -132,10 +112,6 @@ def parse_points_file(path: str | Path) -> list[RawPointRow]:
                 raise CsvFormatError(
                     f"Svr value {raw['Svr']!r} is not 1 or 2", path=str(path), line=line
                 )
-            key = (match_id, point_index)
-            if key in seen:
-                raise DuplicatePointError(match_id, point_index)
-            seen.add(key)
             rows.append(
                 RawPointRow(
                     match_id=match_id,
@@ -145,7 +121,6 @@ def parse_points_file(path: str | Path) -> list[RawPointRow]:
                     first_serve_notation=raw["1st"].strip(),
                     second_serve_notation=raw["2nd"].strip(),
                     rally_count=raw["rallyCount"].strip(),
-                    score_context=(raw.get("Pts") or "").strip(),
                 )
             )
     return rows
@@ -153,14 +128,10 @@ def parse_points_file(path: str | Path) -> list[RawPointRow]:
 
 def clean_rows(rows: Sequence[RawPointRow]) -> tuple[list[RawPointRow], IngestReport]:
     """Drop rows whose rally count is not a plain non-negative integer."""
-    kept: list[RawPointRow] = []
-    dropped = 0
-    for row in rows:
-        if _RALLY_COUNT_RE.match(row.rally_count):
-            kept.append(replace(row, rally_count_value=int(row.rally_count)))
-        else:
-            dropped += 1
-    report = IngestReport(rows_read=len(rows), rows_dropped_bad_rally_count=dropped)
+    kept = [row for row in rows if _RALLY_COUNT_RE.match(row.rally_count)]
+    report = IngestReport(
+        rows_read=len(rows), rows_dropped_bad_rally_count=len(rows) - len(kept)
+    )
     return kept, report
 
 
@@ -186,61 +157,39 @@ def explode_to_serves(
     """One ServeRecord per serve; a present second serve implies the
     first was a fault, and that implied fault is emitted too."""
     records: list[ServeRecord] = []
-    emitted = augmented = dropped = 0
+    augmented = dropped = 0
     for row in rows:
         meta = parse_match_id(row.match_id)
-        if row.second_serve_notation:
-            try:
-                parsed = parse_shot_notation(row.second_serve_notation, 2)
-            except NotationError:
-                dropped += 1
-                continue
+        serve_number = 2 if row.second_serve_notation else 1
+        try:
+            parsed = parse_shot_notation(
+                row.second_serve_notation or row.first_serve_notation, serve_number
+            )
+        except NotationError:
+            dropped += 1
+            continue
+        if serve_number == 2:
             records.append(_fault_record(row, meta))
-            records.append(
-                ServeRecord(
-                    match_id=row.match_id,
-                    server_id=row.server_id,
-                    receiver_id=row.receiver_id,
-                    serve_number=2,
-                    is_first_serve_fault=False,
-                    terminal_touch=parsed.terminal_touch,
-                    terminal_kind=parsed.terminal_kind,
-                    point_winner=parsed.point_winner,
-                    error_committer=parsed.error_committer,
-                    year=meta.year,
-                    tour=meta.tour,
-                )
-            )
-            emitted += 2
             augmented += 1
-        else:
-            try:
-                parsed = parse_shot_notation(row.first_serve_notation, 1)
-            except NotationError:
-                dropped += 1
-                continue
-            records.append(
-                ServeRecord(
-                    match_id=row.match_id,
-                    server_id=row.server_id,
-                    receiver_id=row.receiver_id,
-                    serve_number=1,
-                    is_first_serve_fault=(
-                        parsed.terminal_kind is TerminalKind.FIRST_SERVE_FAULT
-                    ),
-                    terminal_touch=parsed.terminal_touch,
-                    terminal_kind=parsed.terminal_kind,
-                    point_winner=parsed.point_winner,
-                    error_committer=parsed.error_committer,
-                    year=meta.year,
-                    tour=meta.tour,
-                )
+        records.append(
+            ServeRecord(
+                match_id=row.match_id,
+                server_id=row.server_id,
+                receiver_id=row.receiver_id,
+                serve_number=serve_number,
+                is_first_serve_fault=parsed.terminal_kind is TerminalKind.FIRST_SERVE_FAULT,
+                terminal_touch=parsed.terminal_touch,
+                terminal_kind=parsed.terminal_kind,
+                point_winner=parsed.point_winner,
+                error_committer=parsed.error_committer,
+                year=meta.year,
+                tour=meta.tour,
             )
-            emitted += 1
+        )
     report = IngestReport(
         rows_read=len(rows),
         rows_dropped_bad_notation=dropped,
-        serve_records_emitted=emitted,
+        serve_records_emitted=len(records),
         points_augmented_with_fault_serve=augmented,
     )
     return records, report
@@ -261,15 +210,6 @@ def ingest_files(paths: Iterable[str | Path]) -> tuple[list[ServeRecord], Ingest
         cleaned, clean_report = clean_rows(rows)
         records, explode_report = explode_to_serves(cleaned)
         all_records.extend(records)
-        total = total.combined(
-            IngestReport(
-                rows_read=clean_report.rows_read,
-                rows_dropped_bad_rally_count=clean_report.rows_dropped_bad_rally_count,
-                rows_dropped_bad_notation=explode_report.rows_dropped_bad_notation,
-                serve_records_emitted=explode_report.serve_records_emitted,
-                points_augmented_with_fault_serve=(
-                    explode_report.points_augmented_with_fault_serve
-                ),
-            )
-        )
+        # explode_to_serves reads only the rows clean_rows kept.
+        total = total.combined(clean_report).combined(replace(explode_report, rows_read=0))
     return all_records, total

@@ -6,7 +6,6 @@ in versus_field scope each player's serves against anyone qualify.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -128,10 +127,6 @@ def pool_summary(pool_set: ServePoolSet) -> dict:
     return out
 
 
-def pool_summary_json(pool_set: ServePoolSet) -> str:
-    return json.dumps(pool_summary(pool_set), indent=2, sort_keys=True)
-
-
 __all__ = [
     "PoolId",
     "PoolScope",
@@ -140,5 +135,4 @@ __all__ = [
     "sample",
     "select_pool",
     "pool_summary",
-    "pool_summary_json",
 ]

@@ -1,4 +1,4 @@
-"""Serve-level record types and their CSV/JSON serialization.
+"""Serve-level record types and their CSV serialization.
 
 A ServeRecord is one serve event in a normalized form: who served, which
 serve it was, how the point ended (terminal touch and kind) and who won.
@@ -8,7 +8,7 @@ rates survive into the serve pools.
 from __future__ import annotations
 
 import csv
-import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -55,8 +55,6 @@ class RawPointRow:
     first_serve_notation: str
     second_serve_notation: str
     rally_count: str
-    score_context: str = ""
-    rally_count_value: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +133,16 @@ def _role_from_string(s: str) -> Role | None:
     return Role(s)
 
 
+@contextmanager
+def open_csv(path, encoding: str = "utf-8"):
+    """Open a CSV for reading; bytes that do not decode raise CsvFormatError."""
+    try:
+        with open(path, newline="", encoding=encoding) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
+
+
 def write_records_csv(records, path) -> None:
     """Write normalized serve records to CSV (one record per serve)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -148,7 +156,7 @@ def read_records_csv(path) -> list[ServeRecord]:
     """Read records written by write_records_csv."""
     path = Path(path)
     records: list[ServeRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RECORD_FIELDS:
@@ -181,25 +189,3 @@ def read_records_csv(path) -> list[ServeRecord]:
             except (ValueError, KeyError) as exc:
                 raise CsvFormatError(str(exc), path=str(path), line=reader.line_num) from exc
     return records
-
-
-def record_to_dict(rec: ServeRecord) -> dict:
-    return {
-        "match_id": rec.match_id,
-        "server_id": rec.server_id,
-        "receiver_id": rec.receiver_id,
-        "serve_number": rec.serve_number,
-        "is_first_serve_fault": rec.is_first_serve_fault,
-        "terminal_touch": rec.terminal_touch,
-        "terminal_kind": rec.terminal_kind.value,
-        "point_winner": rec.point_winner.value if rec.point_winner else "none",
-        "error_committer": rec.error_committer.value if rec.error_committer else "none",
-        "year": rec.year,
-        "tour": rec.tour,
-    }
-
-
-def write_records_json(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([record_to_dict(r) for r in records], fh, indent=1)
-        fh.write("\n")

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .counterfactual import (
     resolve_removed_ufe,
     should_remove_ufe,
 )
+from .errors import EndlessMatchError
 from .pools import PoolScope, ServePoolSet, sample, select_pool
 from .records import Role, TerminalKind
 from .rng import replicate_stream
@@ -128,18 +130,7 @@ class SimulationSummary:
     se_matches: float
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n_matches": self.n_matches,
-            "pct_points_won_a": self.pct_points_won_a,
-            "pct_games_won_a": self.pct_games_won_a,
-            "pct_sets_won_a": self.pct_sets_won_a,
-            "pct_matches_won_a": self.pct_matches_won_a,
-            "se_points": self.se_points,
-            "se_games": self.se_games,
-            "se_sets": self.se_sets,
-            "se_matches": self.se_matches,
-        }
+        return asdict(self)
 
 
 def simulate_point(
@@ -261,6 +252,43 @@ def summarize(results: Sequence[MatchResult], scenario: str) -> SimulationSummar
     )
 
 
+def _point_winners(pools: ServePoolSet, server: str, reduction_x: float) -> set[str]:
+    """Who can win a point `server` serves, over the records a draw can reach.
+
+    The second-serve pool is reachable only if the first holds a fault,
+    and with x > 0 a removable error by A can go to either player.
+    """
+    first = pools.pools[select_pool(server, 1)]
+    reachable = [first]
+    if any(rec.is_first_serve_fault for rec in first):
+        reachable.append(pools.pools[select_pool(server, 2)])
+    winners: set[str] = set()
+    for rec in chain.from_iterable(reachable):
+        if rec.is_first_serve_fault:
+            continue
+        if reduction_x > 0 and rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
+            committer = server if rec.error_committer is Role.SERVER else other_player(server)
+            if committer == "A":
+                return {"A", "B"}
+        winners.add(server if rec.point_winner is Role.SERVER else other_player(server))
+        if len(winners) == 2:
+            break
+    return winners
+
+
+def _check_match_can_end(pools: ServePoolSet, reduction_x: float) -> None:
+    """Raise EndlessMatchError when every point on A's serve goes to one
+    player and every point on B's serve to the other."""
+    on_a = _point_winners(pools, "A", reduction_x)
+    on_b = _point_winners(pools, "B", reduction_x)
+    if len(on_a) == len(on_b) == 1 and on_a != on_b:
+        names = {"A": pools.player_a, "B": pools.player_b}
+        raise EndlessMatchError(
+            f"every point {pools.player_a} serves goes to {names[on_a.pop()]} and every "
+            f"point {pools.player_b} serves goes to {names[on_b.pop()]}, so no match can end"
+        )
+
+
 def run_simulation(
     config: SimulationConfig,
     pools: ServePoolSet,
@@ -272,6 +300,7 @@ def run_simulation(
     Each replicate owns a random stream derived from (seed, index), so
     the summary is identical for any n_jobs and any execution order.
     """
+    _check_match_can_end(pools, config.reduction_x)
     if table is None:
         table = default_table()
     indices = range(config.n_matches)
@@ -305,18 +334,7 @@ class ScenarioDelta:
     se_matches: float
 
     def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline,
-            "variant": self.variant,
-            "d_points": self.d_points,
-            "d_games": self.d_games,
-            "d_sets": self.d_sets,
-            "d_matches": self.d_matches,
-            "se_points": self.se_points,
-            "se_games": self.se_games,
-            "se_sets": self.se_sets,
-            "se_matches": self.se_matches,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,11 @@ server derivation) so that agreement between the two is meaningful.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
+
+from ufesim.analytics import DEFAULT_MAX_TOUCH, PlayerUfeProfile
+from ufesim.records import Role, TerminalKind
 
 
 def naive_game_winner(points: list[str], *, no_ad: bool = False) -> str | None:
@@ -210,3 +214,131 @@ def game_win_probability_markov(p: Fraction) -> Fraction:
         return p * win_from(s + 1, r) + q * win_from(s, r + 1)
 
     return win_from(0, 0)
+
+
+# Per-metric analytics: one pass over the records per statistic, with
+# touch opportunities counted rally by rally.  The library tallies every
+# statistic in one pass and sums per-player histograms instead.
+
+
+def _filtered(records, tour):
+    if tour is None:
+        return records
+    return (r for r in records if r.tour == tour)
+
+
+def reference_profiles(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
+    """A PlayerUfeProfile per player, counted rally by rally."""
+    tallies = defaultdict(
+        lambda: {
+            "matches": set(),
+            "contacts": 0,
+            "ufes": 0,
+            "touch_ufes": Counter(),
+            "touch_opportunities": Counter(),
+            "year_contacts": Counter(),
+            "year_ufes": Counter(),
+        }
+    )
+    for rec in _filtered(records, tour):
+        tallies[rec.server_id]["matches"].add(rec.match_id)
+        tallies[rec.receiver_id]["matches"].add(rec.match_id)
+        if rec.is_first_serve_fault:
+            continue
+        t_star = rec.terminal_touch
+        server_contacts, receiver_contacts = (t_star + 1) // 2, t_star // 2
+        srv, rcv = tallies[rec.server_id], tallies[rec.receiver_id]
+        srv["contacts"] += server_contacts
+        rcv["contacts"] += receiver_contacts
+        if rec.year is not None:
+            srv["year_contacts"][rec.year] += server_contacts
+            rcv["year_contacts"][rec.year] += receiver_contacts
+        for t in range(2, min(t_star, max_touch) + 1):
+            side = srv if t % 2 == 1 else rcv
+            role = Role.SERVER.value if t % 2 == 1 else Role.RECEIVER.value
+            side["touch_opportunities"][(role, t)] += 1
+        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
+            who = rec.server_id if rec.error_committer is Role.SERVER else rec.receiver_id
+            tally = tallies[who]
+            tally["ufes"] += 1
+            if rec.year is not None:
+                tally["year_ufes"][rec.year] += 1
+            if t_star <= max_touch:
+                tally["touch_ufes"][(rec.error_committer.value, t_star)] += 1
+
+    profiles = {}
+    for player, tally in tallies.items():
+        contacts, ufes = tally["contacts"], tally["ufes"]
+        profiles[player] = PlayerUfeProfile(
+            player_id=player,
+            matches_played=len(tally["matches"]),
+            ball_contacts=contacts,
+            unforced_errors=ufes,
+            ufe_rate=ufes / contacts if contacts else 0.0,
+            per_touch_rates={
+                key: tally["touch_ufes"].get(key, 0) / n
+                for key, n in sorted(tally["touch_opportunities"].items())
+                if n > 0
+            },
+            per_year_rates={
+                year: tally["year_ufes"].get(year, 0) / n
+                for year, n in sorted(tally["year_contacts"].items())
+                if n > 0
+            },
+        )
+    return profiles
+
+
+def reference_touch_curve(records, tour=None, role=Role.SERVER, max_touch=DEFAULT_MAX_TOUCH):
+    """[(t, errors on touch t / rallies lasting at least t)] for one role."""
+    start = 3 if role is Role.SERVER else 2
+    reach = Counter()
+    errs = Counter()
+    for rec in _filtered(records, tour):
+        if rec.is_first_serve_fault:
+            continue
+        t_star = rec.terminal_touch
+        for t in range(start, min(t_star, max_touch) + 1):
+            if t % 2 == (1 if role is Role.SERVER else 0):
+                reach[t] += 1
+        if (
+            rec.terminal_kind is TerminalKind.UNFORCED_ERROR
+            and rec.error_committer is role
+            and start <= t_star <= max_touch
+        ):
+            errs[t_star] += 1
+    return [(t, errs.get(t, 0) / reach[t]) for t in sorted(reach)]
+
+
+def reference_year_series(records, tour=None):
+    contacts = Counter()
+    errs = Counter()
+    for rec in _filtered(records, tour):
+        if rec.is_first_serve_fault or rec.year is None:
+            continue
+        contacts[rec.year] += rec.terminal_touch
+        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
+            errs[rec.year] += 1
+    return [(year, errs.get(year, 0) / contacts[year]) for year in sorted(contacts)]
+
+
+def reference_termination_share(records, tour=None):
+    decisive = ufes = 0
+    for rec in _filtered(records, tour):
+        if rec.is_first_serve_fault:
+            continue
+        decisive += 1
+        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
+            ufes += 1
+    return ufes / decisive if decisive else 0.0
+
+
+def reference_ufe_rate(records, tour=None):
+    contacts = ufes = 0
+    for rec in _filtered(records, tour):
+        if rec.is_first_serve_fault:
+            continue
+        contacts += rec.terminal_touch
+        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
+            ufes += 1
+    return ufes / contacts if contacts else 0.0

@@ -4,8 +4,17 @@ from __future__ import annotations
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
+from oracles import (
+    reference_profiles,
+    reference_termination_share,
+    reference_touch_curve,
+    reference_ufe_rate,
+    reference_year_series,
+)
 from ufesim.analytics import (
     PlayerUfeProfile,
     collect_profiles,
@@ -15,6 +24,7 @@ from ufesim.analytics import (
     profiles_to_csv,
     rankings_to_csv,
     rate_rankings,
+    tally_records,
     touch_curve_to_csv,
     touch_exposure,
     tour_ufe_rate,
@@ -293,3 +303,49 @@ def test_all_rates_bounded():
             assert 0.0 <= rate <= 1.0
     for _, rate in ufe_rate_by_touch(records, role=S):
         assert 0.0 <= rate <= 1.0
+
+
+@st.composite
+def serve_records(draw):
+    """Any valid record among three players, rallies up to touch 20."""
+    server, receiver = draw(st.permutations(["P One", "P Two", "P Three"]))[:2]
+    context = dict(
+        match_id=f"m{draw(st.integers(0, 3))}",
+        year=draw(st.sampled_from([None, 2018, 2019])),
+        tour=draw(st.sampled_from(["ATP", "WTA"])),
+    )
+    kind = draw(st.sampled_from(list(K)))
+    if kind is K.FIRST_SERVE_FAULT:
+        return make_record(server, receiver, kind, 1, None, fault=True, **context)
+    if kind is K.DOUBLE_FAULT:
+        return make_record(server, receiver, kind, 1, R, serve_number=2, **context)
+    serve_number = draw(st.sampled_from([1, 2]))
+    if kind in (K.ACE, K.SERVICE_WINNER):
+        return make_record(server, receiver, kind, 1, S, serve_number=serve_number, **context)
+    touch = draw(st.integers(2, 20))
+    striker = S if touch % 2 else R  # who hit the last touch
+    if kind is K.RALLY_WINNER:
+        return make_record(
+            server, receiver, kind, touch, striker, serve_number=serve_number, **context
+        )
+    opponent = R if striker is S else S
+    return make_record(
+        server, receiver, kind, touch, opponent, committer=striker,
+        serve_number=serve_number, **context,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(serve_records(), max_size=60),
+    tour=st.sampled_from([None, "ATP", "WTA"]),
+    max_touch=st.integers(1, 15),
+)
+def test_tally_matches_per_metric_references(records, tour, max_touch):
+    tally = tally_records(records, tour=tour, max_touch=max_touch)
+    assert tally.profiles() == reference_profiles(records, tour, max_touch)
+    for role in Role:
+        assert tally.touch_curve(role) == reference_touch_curve(records, tour, role, max_touch)
+    assert tally.year_series() == reference_year_series(records, tour)
+    assert tally.ufe_rate() == reference_ufe_rate(records, tour)
+    assert tally.termination_share() == reference_termination_share(records, tour)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_record
+from ufesim import cli
 from ufesim.cli import DATA_DIR_ENV, main
 from ufesim.records import Role, TerminalKind, read_records_csv, write_records_csv
 
@@ -140,6 +141,31 @@ def test_stats_svg_charts(records_csv, tmp_path, capsys):
         assert p.read_text().lstrip().startswith("<svg")
 
 
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys):
+    read = []
+
+    def read_counting(path):
+        read.append(CountingList(read_records_csv(path)))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "read_records_csv", read_counting)
+    code = main(
+        ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"), "--svg"]
+    )
+    assert code == 0
+    assert [records.iterations for records in read] == [1]
+
+
 def test_stats_warns_when_nobody_qualifies(records_csv, tmp_path, capsys):
     code = main(
         ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s")]
@@ -226,7 +252,7 @@ def test_simulate_unknown_player_is_data_error(records_csv, capsys):
     assert "Nobody_Here" in capsys.readouterr().err
 
 
-def test_simulate_ambiguous_player_is_runtime_error(tmp_path, capsys):
+def test_simulate_ambiguous_player_is_data_error(tmp_path, capsys):
     mid = "20190101-M-Testopen-F-Alpha_One-Beta_Two"
     records = [
         make_record("Alpha One", "Beta Two", K.ACE, 1, S, match_id=mid),
@@ -237,7 +263,7 @@ def test_simulate_ambiguous_player_is_runtime_error(tmp_path, capsys):
     code = main(
         ["simulate", "--records", str(path), "--a", "alpha_one", "--b", "Beta_Two"]
     )
-    assert code == 4
+    assert code == 3
     assert "ambiguous" in capsys.readouterr().err
 
 
@@ -257,6 +283,67 @@ def test_simulate_empty_pool_suggests_wider_scope(records_csv, capsys):
     err = capsys.readouterr().err
     assert "A_second" in err
     assert "versus_field" in err
+
+
+def test_simulate_empty_pool_in_field_scope_has_no_scope_hint(records_csv, capsys):
+    code = main(
+        [
+            "simulate",
+            "--records",
+            str(records_csv),
+            "--a",
+            "Gamma_Three",
+            "--b",
+            "Delta_Four",
+            "--scope",
+            "versus_field",
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "A_second" in err
+    assert "--scope" not in err
+
+
+def test_simulate_unwritable_out_fails_before_simulating(
+    records_csv, tmp_path, monkeypatch, capsys
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(cli, "compare_scenarios", must_not_run)
+    code = main(simulate_args(records_csv, "--out", str(tmp_path)))
+    assert code == 3
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_simulate_endless_match_is_data_error(tmp_path, capsys):
+    mid = "20190101-M-Testopen-F-Alpha_One-Beta_Two"
+    records = [
+        make_record(server, receiver, K.ACE, 1, S, serve_number=n, match_id=mid)
+        for server, receiver in (("Alpha One", "Beta Two"), ("Beta Two", "Alpha One"))
+        for n in (1, 2)
+    ]
+    path = tmp_path / "aces.csv"
+    write_records_csv(records, path)
+    code = main(["simulate", "--records", str(path), "--a", "Alpha_One", "--b", "Beta_Two"])
+    assert code == 3
+    assert "no match can end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "list-players"])
+def test_non_utf8_input_is_data_error_naming_the_file(command, tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    # A Latin-1 "Ö" is one byte that UTF-8 cannot decode.
+    path.write_bytes(FIXTURE.read_bytes().replace(b"Alpha_One", b"Alpha_\xd6ne"))
+    if command == "ingest":
+        argv = ["ingest", str(path), "-o", str(tmp_path / "r.csv")]
+    else:
+        argv = ["list-players", "--records", str(path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "UTF-8" in err
 
 
 def test_simulate_bad_scenario_is_usage_error(records_csv, capsys):

@@ -8,9 +8,11 @@ import pytest
 
 from conftest import make_record
 from ufesim.counterfactual import ELIMINATE, HISTORIC, ReductionPolicy, default_table
+from ufesim.errors import EndlessMatchError
 from ufesim.pools import PoolScope, build_pools
 from ufesim.records import Role, TerminalKind
 from ufesim.rng import derive_seed, replicate_stream
+from ufesim.scoring import MatchFormat
 from ufesim.simulate import (
     SimulationConfig,
     binomial_se_pct,
@@ -193,6 +195,67 @@ def test_run_simulation_all_a_summary():
     assert summary.se_points == 0.0
     assert summary.se_matches == 0.0
     assert summary.n_matches == 20
+
+
+def server_wins_all_pools():
+    """Every serve, first or second, is an ace: every game is held."""
+    a, b = "Ann Ace", "Bob Base"
+    records = [
+        make_record(server, receiver, K.ACE, 1, S, serve_number=n)
+        for server, receiver in ((a, b), (b, a))
+        for n in (1, 2)
+    ]
+    return build_pools(records, a, b)
+
+
+def receiver_wins_all_pools():
+    """Every serve is passed at touch 2: every game is broken."""
+    a, b = "Ann Ace", "Bob Base"
+    records = [
+        make_record(server, receiver, K.RALLY_WINNER, 2, R, serve_number=n)
+        for server, receiver in ((a, b), (b, a))
+        for n in (1, 2)
+    ]
+    return build_pools(records, a, b)
+
+
+@pytest.mark.parametrize("pools", [server_wins_all_pools(), receiver_wins_all_pools()])
+@pytest.mark.parametrize("final_set_tiebreak", [True, False])
+def test_run_simulation_rejects_endless_matches(pools, final_set_tiebreak):
+    config = SimulationConfig(
+        n_matches=2, format=MatchFormat(best_of=3, final_set_tiebreak=final_set_tiebreak)
+    )
+    with pytest.raises(EndlessMatchError, match="no match can end"):
+        run_simulation(config, pools, TABLE)
+
+
+def test_removable_errors_let_the_match_end():
+    """B's serves end only in A's unforced errors, which x > 0 may strike."""
+    a, b = "Ann Ace", "Bob Base"
+    records = [
+        make_record(a, b, K.ACE, 1, S),
+        make_record(a, b, K.ACE, 1, S, serve_number=2),
+        make_record(b, a, K.UNFORCED_ERROR, 2, S, committer=R),
+        make_record(b, a, K.UNFORCED_ERROR, 2, S, committer=R, serve_number=2),
+    ]
+    pools = build_pools(records, a, b)
+    with pytest.raises(EndlessMatchError):
+        run_simulation(SimulationConfig(n_matches=2), pools, TABLE)
+    summary = run_simulation(SimulationConfig(n_matches=2, reduction_x=0.5), pools, TABLE)
+    assert summary.n_matches == 2
+
+
+def test_unreachable_second_serves_do_not_count():
+    """A never faults, so A's second-serve pool cannot be drawn."""
+    a, b = "Ann Ace", "Bob Base"
+    records = [
+        make_record(a, b, K.ACE, 1, S),
+        make_record(a, b, K.RALLY_WINNER, 2, R, serve_number=2),
+        make_record(b, a, K.ACE, 1, S),
+        make_record(b, a, K.ACE, 1, S, serve_number=2),
+    ]
+    with pytest.raises(EndlessMatchError):
+        run_simulation(SimulationConfig(n_matches=2), build_pools(records, a, b), TABLE)
 
 
 def test_run_simulation_deterministic(mixed_pools):
