@@ -152,17 +152,21 @@ def _parse_config_value(key: str, value: str):
 def load_config_file(path: str) -> dict:
     """Key = value lines; '#' comments; keys mirror the flag names."""
     settings: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            settings[key] = _parse_config_value(key, value)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        value = value.strip()
+        settings[key] = _parse_config_value(key, value)
     return settings
 
 
@@ -443,7 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="which serves qualify for the pools",
     )
     p_sim.add_argument("--table1", default=None, help="counterfactual table override file")
-    p_sim.add_argument("--n-jobs", dest="n_jobs", type=int, default=1)
+    p_sim.add_argument(
+        "--n-jobs",
+        dest="n_jobs",
+        type=int,
+        default=1,
+        help="recorded in the manifest only; replicates always run serially",
+    )
     p_sim.add_argument("--out", default=None, help="JSON output path")
     p_sim.add_argument("--config", default=None, help="key = value file overriding flags")
     p_sim.set_defaults(func=cmd_simulate)
@@ -456,6 +466,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout left early (as `| head` does): nothing is
+        # wrong with the data.  Point stdout at devnull so the exit flush
+        # cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except EmptyPoolError as exc:
         hint = ""
         if getattr(args, "scope", None) == PoolScope.HEAD_TO_HEAD.value:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -36,9 +36,15 @@ _DEFAULT_PROBS: Mapping[int, float] = MappingProxyType(
 
 @dataclass(frozen=True, slots=True)
 class TouchWinTable:
-    """Map touch -> P(the error's committer wins the point absent the UFE)."""
+    """Map touch -> P(the error's committer wins the point absent the UFE).
+
+    by_touch holds the same probabilities in a tuple indexed by touch
+    (None below MIN_TOUCH), so a lookup is one index at
+    min(t, MAX_TOUCH).
+    """
 
     prob_by_touch: Mapping[int, float]
+    by_touch: tuple[float | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         touches = sorted(self.prob_by_touch)
@@ -50,11 +56,13 @@ class TouchWinTable:
             if not 0.0 < p < 1.0:
                 raise TableFormatError(f"probability at touch {t} must be in (0,1), got {p}")
         object.__setattr__(self, "prob_by_touch", MappingProxyType(dict(self.prob_by_touch)))
+        by_touch = tuple(self.prob_by_touch.get(t) for t in range(MAX_TOUCH + 1))
+        object.__setattr__(self, "by_touch", by_touch)
 
     def lookup(self, t: int) -> float:
         if t < MIN_TOUCH:
             raise TouchRangeError(f"touch must be at least {MIN_TOUCH}, got {t}")
-        return self.prob_by_touch[min(t, MAX_TOUCH)]
+        return self.by_touch[t if t < MAX_TOUCH else MAX_TOUCH]
 
 
 def default_table() -> TouchWinTable:
@@ -124,24 +132,26 @@ def load_table(path: str) -> TouchWinTable:
     estimates are allowed to be noisy.
     """
     probs: dict[int, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise TableFormatError(f"{path}: line {lineno}: expected 'touch probability'")
-            try:
-                t = int(parts[0])
-                p = float(parts[1])
-            except ValueError:
-                raise TableFormatError(
-                    f"{path}: line {lineno}: could not parse {line!r}"
-                ) from None
-            if t in probs:
-                raise TableFormatError(f"{path}: line {lineno}: duplicate touch {t}")
-            probs[t] = p
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise TableFormatError(f"{path}: line {lineno}: expected 'touch probability'")
+        try:
+            t = int(parts[0])
+            p = float(parts[1])
+        except ValueError:
+            raise TableFormatError(f"{path}: line {lineno}: could not parse {line!r}") from None
+        if t in probs:
+            raise TableFormatError(f"{path}: line {lineno}: duplicate touch {t}")
+        probs[t] = p
     try:
         table = TouchWinTable(prob_by_touch=probs)
     except TableFormatError as exc:

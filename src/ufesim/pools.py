@@ -3,12 +3,23 @@
 Serves are grouped by (server, serve number) for one pairing.  In
 head_to_head scope only serves between the two named players qualify;
 in versus_field scope each player's serves against anyone qualify.
+
+A ServePoolSet also compiles every pool, once, into a tuple of point
+codes that the simulator draws from instead of records:
+
+    -1        first-serve fault (redraw from the second-serve pool)
+     0        A wins the point
+     1        B wins the point
+     t >= 2   unforced error by A at touch t; B wins unless it is struck
+
+Index 0 of first_codes/second_codes is A serving, index 1 is B.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import EmptyPoolError
@@ -43,17 +54,51 @@ def select_pool(server: str, serve_number: int) -> PoolId:
         raise ValueError(f"no pool for server={server!r}, serve_number={serve_number}") from None
 
 
+FAULT = -1
+
+
+def _point_code(record: ServeRecord, server: int) -> int:
+    """The point code of one record served by A (server 0) or B (1)."""
+    if record.is_first_serve_fault:
+        return FAULT
+    if record.terminal_kind is TerminalKind.UNFORCED_ERROR:
+        committer = server if record.error_committer is Role.SERVER else 1 - server
+        if committer == 0:
+            return record.terminal_touch
+    return server if record.point_winner is Role.SERVER else 1 - server
+
+
 @dataclass(frozen=True, slots=True)
 class ServePoolSet:
     pools: Mapping[PoolId, tuple[ServeRecord, ...]]
     player_a: str
     player_b: str
     scope: PoolScope
+    first_codes: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    second_codes: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for pid in PoolId:
             if pid not in self.pools:
                 raise EmptyPoolError(pid.value, "pool missing entirely")
+            if not self.pools[pid]:
+                raise EmptyPoolError(pid.value, "pool is empty")
+        # Read-only, so the codes below cannot go stale.
+        frozen = MappingProxyType({pid: tuple(self.pools[pid]) for pid in PoolId})
+        object.__setattr__(self, "pools", frozen)
+        for name, serve_number in (("first_codes", 1), ("second_codes", 2)):
+            pools = (self.pools[select_pool(side, serve_number)] for side in "AB")
+            codes = tuple(
+                tuple(_point_code(rec, server) for rec in pool)
+                for server, pool in enumerate(pools)
+            )
+            object.__setattr__(self, name, codes)
+        if FAULT in self.second_codes[0] or FAULT in self.second_codes[1]:
+            raise ValueError("a second-serve pool cannot hold a first-serve fault")
 
     def size(self, pool_id: PoolId) -> int:
         return len(self.pools[pool_id])
@@ -95,8 +140,6 @@ def build_pools(
 def sample(pool_set: ServePoolSet, pool_id: PoolId, rng: random.Random) -> ServeRecord:
     """Uniform draw with replacement; consumes exactly one rng.random()."""
     pool = pool_set.pools[pool_id]
-    if not pool:
-        raise EmptyPoolError(pool_id.value)
     return pool[int(rng.random() * len(pool))]
 
 

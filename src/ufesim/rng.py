@@ -2,8 +2,8 @@
 
 Each simulation replicate owns an independent stdlib Random seeded from
 SHA-256 over (root seed, replicate index).  Streams therefore do not
-depend on execution order or on how replicates are spread over workers,
-which is what makes parallel runs reproduce serial ones bit for bit.
+depend on execution order: replicate i draws the same numbers whichever
+replicates ran before it.
 """
 from __future__ import annotations
 

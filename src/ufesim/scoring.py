@@ -1,12 +1,16 @@
-"""Tennis scoring state machine.
+"""Tennis scoring: a state machine and a match loop.
 
-Consumes a stream of point winners ('A' or 'B') and tracks points,
-games, sets, serve rotation, and tiebreaks.  Rally content is out of
-scope here; the simulator decides who won each point.
+MatchScore/apply_point consume a stream of point winners ('A' or 'B')
+and track points, games, sets, serve rotation, and tiebreaks.
+play_match plays the same rules as one loop over local counters,
+pulling each point's winner from a callback; the simulator uses it.
+Rally content is out of scope here; the caller decides who won each
+point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import MatchOverError
 
@@ -149,6 +153,90 @@ def _finish_set(score: MatchScore, w: int) -> None:
     if score.sets_won[w] == score.format.sets_to_win:
         score.match_over = True
         score.match_winner = PLAYERS[w]
+
+
+class PlayedMatch(NamedTuple):
+    """Final counters of one match; index 0 is A, 1 is B throughout."""
+
+    points_won: tuple[int, int]
+    games_won: tuple[int, int]
+    sets_won: tuple[int, int]
+    set_scores: tuple[tuple[int, int], ...]
+    winner: int
+
+
+def play_match(fmt: MatchFormat, first_server: int, point: Callable[[int], int]) -> PlayedMatch:
+    """Play one match, calling point(server) for each point's winner.
+
+    Players are indices, 0 for A and 1 for B.  The rules, the serve
+    rotation and every counter agree with new_match/apply_point fed the
+    same winners; the loops just keep them in local ints.
+    """
+    lead = 2 if fmt.ad_scoring else 1  # no-ad: the first to four points wins
+    trigger = fmt.tiebreak_trigger_games
+    target = fmt.tiebreak_target_points
+    sets_to_win = fmt.sets_to_win
+    final_set = fmt.best_of - 1  # sets completed before the final set
+    server = first_server
+    points_a = points_b = 0
+    games, sets = [0, 0], [0, 0]
+    set_scores: list[tuple[int, int]] = []
+    while True:
+        ga = gb = 0
+        set_has_tiebreak = fmt.final_set_tiebreak or sets[0] + sets[1] != final_set
+        while True:
+            a = b = 0
+            if ga == gb == trigger and set_has_tiebreak:
+                opener = server
+                while True:
+                    if point(server):
+                        b += 1
+                        if b >= target and b - a >= 2:
+                            break
+                    else:
+                        a += 1
+                        if a >= target and a - b >= 2:
+                            break
+                    if (a + b) % 2:
+                        server = 1 - server
+                # The tiebreak counts as one game of the rotation.
+                server = 1 - opener
+                points_a += a
+                points_b += b
+                if b > a:
+                    gb += 1
+                else:
+                    ga += 1
+                break
+            while True:
+                if point(server):
+                    b += 1
+                    if b >= 4 and b - a >= lead:
+                        break
+                else:
+                    a += 1
+                    if a >= 4 and a - b >= lead:
+                        break
+            server = 1 - server
+            points_a += a
+            points_b += b
+            if b > a:
+                gb += 1
+                if gb >= trigger and gb - ga >= 2:
+                    break
+            else:
+                ga += 1
+                if ga >= trigger and ga - gb >= 2:
+                    break
+        games[0] += ga
+        games[1] += gb
+        set_scores.append((ga, gb))
+        w = 1 if gb > ga else 0
+        sets[w] += 1
+        if sets[w] == sets_to_win:
+            return PlayedMatch(
+                (points_a, points_b), tuple(games), tuple(sets), tuple(set_scores), w
+            )
 
 
 _POINT_NAMES = ("0", "15", "30", "40")

@@ -2,23 +2,30 @@
 
 One simulated point: draw a serve from the current server's first-serve
 pool; on a fault, draw again from their second-serve pool.  If the
-decisive record is an unforced error by player A, the reduction policy
+decisive serve is an unforced error by player A, the reduction policy
 may strike it, in which case the point is re-resolved from the
-touch-indexed counterfactual table.  Matches are replayed point by
-point through the scoring engine, and replicate summaries carry
+touch-indexed counterfactual table.  Replicate summaries carry
 bootstrap standard errors.
+
+The pools are drawn as the int point codes a ServePoolSet compiles once
+(-1 fault, 0 A wins, 1 B wins, t >= 2 an unforced error by A at touch
+t), and a match is one scoring.play_match loop that pulls each point
+from a closure over those codes.  A point consumes uniforms from the
+replicate stream in a fixed order: one per serve drawn, one removal
+draw for every drawn error by A (whatever x is, x = 0 included), and
+one resolution draw when the error is struck.  Only rng.random() is
+called, and the first server costs one draw under the 'random' policy.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .counterfactual import (
+    MAX_TOUCH,
     ReductionPolicy,
     TouchWinTable,
     default_table,
@@ -26,10 +33,9 @@ from .counterfactual import (
     should_remove_ufe,
 )
 from .errors import EndlessMatchError
-from .pools import PoolScope, ServePoolSet, sample, select_pool
-from .records import Role, TerminalKind
+from .pools import FAULT, PoolScope, ServePoolSet
 from .rng import replicate_stream
-from .scoring import MatchFormat, apply_point, new_match, other_player
+from .scoring import PLAYERS, MatchFormat, play_match
 
 FIRST_SERVER_POLICIES = ("alternate", "fixed_A", "fixed_B", "random")
 
@@ -141,25 +147,19 @@ def simulate_point(
     rng,
 ) -> PointOutcome:
     """Play one point with `server` ('A' or 'B') serving."""
-    record = sample(pools, select_pool(server, 1), rng)
+    side = PLAYERS.index(server)
+    codes = pools.first_codes[side]
+    code = codes[int(rng.random() * len(codes))]
     serve_number = 1
-    if record.is_first_serve_fault:
-        record = sample(pools, select_pool(server, 2), rng)
+    if code < 0:
+        codes = pools.second_codes[side]
+        code = codes[int(rng.random() * len(codes))]
         serve_number = 2
-
-    ufe_by_a = False
-    if record.terminal_kind is TerminalKind.UNFORCED_ERROR:
-        committer = server if record.error_committer is Role.SERVER else other_player(server)
-        if committer == "A":
-            ufe_by_a = True
-            # The removal draw happens for every sampled A error, whatever
-            # x is, so scenarios with the same seed walk the same stream.
-            if should_remove_ufe(policy, rng):
-                winner = resolve_removed_ufe(table, record.terminal_touch, rng)
-                return PointOutcome(winner, serve_number, True, True)
-
-    winner = server if record.point_winner is Role.SERVER else other_player(server)
-    return PointOutcome(winner, serve_number, ufe_by_a, False)
+    if code < 2:
+        return PointOutcome(PLAYERS[code], serve_number, False, False)
+    if should_remove_ufe(policy, rng):
+        return PointOutcome(resolve_removed_ufe(table, code, rng), serve_number, True, True)
+    return PointOutcome("B", serve_number, True, False)
 
 
 def first_server_for(config: SimulationConfig, replicate_index: int, rng) -> str:
@@ -180,25 +180,42 @@ def simulate_match(
     rng,
     replicate_index: int = 0,
 ) -> MatchResult:
-    """Play one full match and tally its counters."""
-    policy = ReductionPolicy(x=config.reduction_x)
-    score = new_match(config.format, first_server_for(config, replicate_index, rng))
+    """Play one full match and tally its counters.
+
+    Draws exactly as simulate_point would, point after point, but keeps
+    everything in local ints: no record, outcome or score object per
+    point.
+    """
+    rand = rng.random
+    x = config.reduction_x
+    by_touch = table.by_touch
+    first_codes, second_codes = pools.first_codes, pools.second_codes
+    first_sizes = (len(first_codes[0]), len(first_codes[1]))
+    second_sizes = (len(second_codes[0]), len(second_codes[1]))
     kept = removed = 0
-    while not score.match_over:
-        outcome = simulate_point(pools, score.current_server, table, policy, rng)
-        if outcome.ufe_by_a:
-            if outcome.ufe_removed:
-                removed += 1
-            else:
-                kept += 1
-        apply_point(score, outcome.winner)
-    assert score.match_winner is not None
+
+    def point(server: int) -> int:
+        nonlocal kept, removed
+        code = first_codes[server][int(rand() * first_sizes[server])]
+        if code < 0:
+            code = second_codes[server][int(rand() * second_sizes[server])]
+        if code < 2:
+            return code
+        # An unforced error by A at touch `code`: B's point unless struck.
+        if rand() < x:
+            removed += 1
+            return 0 if rand() < by_touch[code if code < MAX_TOUCH else MAX_TOUCH] else 1
+        kept += 1
+        return 1
+
+    first_server = PLAYERS.index(first_server_for(config, replicate_index, rng))
+    played = play_match(config.format, first_server, point)
     return MatchResult(
-        points_won=tuple(score.cumulative_points_won),
-        games_won=tuple(score.cumulative_games_won),
-        sets_won=tuple(score.sets_won),
-        set_scores=tuple(score.completed_set_scores),
-        match_winner=score.match_winner,
+        points_won=played.points_won,
+        games_won=played.games_won,
+        sets_won=played.sets_won,
+        set_scores=played.set_scores,
+        match_winner=PLAYERS[played.winner],
         ufes_kept=kept,
         ufes_removed=removed,
     )
@@ -252,37 +269,31 @@ def summarize(results: Sequence[MatchResult], scenario: str) -> SimulationSummar
     )
 
 
-def _point_winners(pools: ServePoolSet, server: str, reduction_x: float) -> set[str]:
-    """Who can win a point `server` serves, over the records a draw can reach.
+def _point_winners(pools: ServePoolSet, server: int, reduction_x: float) -> set[int]:
+    """Who can win a point `server` (0 for A, 1 for B) serves, over the
+    codes a draw can reach.
 
-    The second-serve pool is reachable only if the first holds a fault,
-    and with x > 0 a removable error by A can go to either player.
+    The second-serve codes are reachable only if the first hold a fault,
+    and with x > 0 a removable error by A (code >= 2) can go to either
+    player; with x = 0 it goes to B.
     """
-    first = pools.pools[select_pool(server, 1)]
-    reachable = [first]
-    if any(rec.is_first_serve_fault for rec in first):
-        reachable.append(pools.pools[select_pool(server, 2)])
-    winners: set[str] = set()
-    for rec in chain.from_iterable(reachable):
-        if rec.is_first_serve_fault:
-            continue
-        if reduction_x > 0 and rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
-            committer = server if rec.error_committer is Role.SERVER else other_player(server)
-            if committer == "A":
-                return {"A", "B"}
-        winners.add(server if rec.point_winner is Role.SERVER else other_player(server))
-        if len(winners) == 2:
-            break
+    codes = set(pools.first_codes[server])
+    if FAULT in codes:
+        codes.discard(FAULT)
+        codes.update(pools.second_codes[server])
+    winners = {code for code in codes if code < 2}
+    if len(winners) < len(codes):
+        winners.update((0, 1) if reduction_x > 0 else (1,))
     return winners
 
 
 def _check_match_can_end(pools: ServePoolSet, reduction_x: float) -> None:
     """Raise EndlessMatchError when every point on A's serve goes to one
     player and every point on B's serve to the other."""
-    on_a = _point_winners(pools, "A", reduction_x)
-    on_b = _point_winners(pools, "B", reduction_x)
+    on_a = _point_winners(pools, 0, reduction_x)
+    on_b = _point_winners(pools, 1, reduction_x)
     if len(on_a) == len(on_b) == 1 and on_a != on_b:
-        names = {"A": pools.player_a, "B": pools.player_b}
+        names = (pools.player_a, pools.player_b)
         raise EndlessMatchError(
             f"every point {pools.player_a} serves goes to {names[on_a.pop()]} and every "
             f"point {pools.player_b} serves goes to {names[on_b.pop()]}, so no match can end"
@@ -297,20 +308,14 @@ def run_simulation(
 ) -> SimulationSummary:
     """Run config.n_matches independent replicates and summarize.
 
-    Each replicate owns a random stream derived from (seed, index), so
-    the summary is identical for any n_jobs and any execution order.
+    Each replicate owns a random stream derived from (seed, index).
+    Replicates run serially in index order; n_jobs is accepted for
+    compatibility and changes nothing.
     """
     _check_match_can_end(pools, config.reduction_x)
     if table is None:
         table = default_table()
-    indices = range(config.n_matches)
-    if n_jobs <= 1:
-        results = [_run_replicate(config, pools, table, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as executor:
-            results = list(
-                executor.map(lambda i: _run_replicate(config, pools, table, i), indices)
-            )
+    results = [_run_replicate(config, pools, table, i) for i in range(config.n_matches)]
     return summarize(results, config.scenario)
 
 
@@ -352,7 +357,8 @@ def compare_scenarios(
     """Run several scenarios over the same pools and difference them.
 
     Configs should differ only in reduction_x so the comparison is a
-    clean what-if; every unordered pair gets a delta row.
+    clean what-if; every unordered pair gets a delta row.  n_jobs is
+    passed on to run_simulation, where it changes nothing.
     """
     summaries = tuple(run_simulation(cfg, pools, table, n_jobs=n_jobs) for cfg in configs)
     deltas = []

@@ -10,7 +10,11 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 from ufesim.analytics import DEFAULT_MAX_TOUCH, PlayerUfeProfile
+from ufesim.counterfactual import ReductionPolicy, resolve_removed_ufe, should_remove_ufe
+from ufesim.pools import sample, select_pool
 from ufesim.records import Role, TerminalKind
+from ufesim.scoring import apply_point, new_match, other_player
+from ufesim.simulate import MatchResult, PointOutcome, first_server_for
 
 
 def naive_game_winner(points: list[str], *, no_ad: bool = False) -> str | None:
@@ -342,3 +346,53 @@ def reference_ufe_rate(records, tour=None):
         if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
             ufes += 1
     return ufes / contacts if contacts else 0.0
+
+
+# The simulator as it was before the serve pools were compiled to int
+# codes: one sampled ServeRecord, one PointOutcome and one apply_point
+# per point.  The library must walk the random stream exactly as these do.
+
+
+def reference_simulate_point(pools, server, table, policy, rng):
+    """Play one point with `server` ('A' or 'B') serving."""
+    record = sample(pools, select_pool(server, 1), rng)
+    serve_number = 1
+    if record.is_first_serve_fault:
+        record = sample(pools, select_pool(server, 2), rng)
+        serve_number = 2
+
+    ufe_by_a = False
+    if record.terminal_kind is TerminalKind.UNFORCED_ERROR:
+        committer = server if record.error_committer is Role.SERVER else other_player(server)
+        if committer == "A":
+            ufe_by_a = True
+            if should_remove_ufe(policy, rng):
+                winner = resolve_removed_ufe(table, record.terminal_touch, rng)
+                return PointOutcome(winner, serve_number, True, True)
+
+    winner = server if record.point_winner is Role.SERVER else other_player(server)
+    return PointOutcome(winner, serve_number, ufe_by_a, False)
+
+
+def reference_simulate_match(config, pools, table, rng, replicate_index=0):
+    """Play one full match point by point through the scoring engine."""
+    policy = ReductionPolicy(x=config.reduction_x)
+    score = new_match(config.format, first_server_for(config, replicate_index, rng))
+    kept = removed = 0
+    while not score.match_over:
+        outcome = reference_simulate_point(pools, score.current_server, table, policy, rng)
+        if outcome.ufe_by_a:
+            if outcome.ufe_removed:
+                removed += 1
+            else:
+                kept += 1
+        apply_point(score, outcome.winner)
+    return MatchResult(
+        points_won=tuple(score.cumulative_points_won),
+        games_won=tuple(score.cumulative_games_won),
+        sets_won=tuple(score.sets_won),
+        set_scores=tuple(score.completed_set_scores),
+        match_winner=score.match_winner,
+        ufes_kept=kept,
+        ufes_removed=removed,
+    )

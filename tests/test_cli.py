@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -488,3 +489,45 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ufesim" in proc.stdout
+
+
+def test_list_players_into_a_closed_pipe_exits_quietly(records_csv):
+    # The reader is gone before the command writes, as with `| head -1`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ufesim.cli", "list-players", "--records", str(records_csv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_non_utf8_table_is_data_error_naming_the_file(records_csv, tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_bytes(b"2 0.535 \xd6\n")
+    assert main(simulate_args(records_csv, "--table1", str(table))) == 3
+    err = capsys.readouterr().err
+    assert str(table) in err
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "stats"])
+def test_non_utf8_config_is_usage_error_naming_the_file(command, records_csv, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"seed = 7 # \xd6\n")
+    if command == "simulate":
+        argv = simulate_args(records_csv, "--config", str(cfg))
+    else:
+        argv = ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"),
+                "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err
+    assert "UTF-8" in err

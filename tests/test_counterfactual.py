@@ -146,3 +146,17 @@ def test_load_table_warns_on_broken_pattern(tmp_path):
     with pytest.warns(UserWarning):
         table = load_table(str(path))
     assert table.lookup(4) == 0.51
+
+
+def test_by_touch_indexes_the_table_by_touch():
+    table = default_table()
+    assert table.by_touch[:2] == (None, None)
+    assert {t: table.by_touch[t] for t in EXPECTED} == EXPECTED
+
+
+def test_load_table_rejects_non_utf8_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# \xd6\n2 0.5\n")
+    with pytest.raises(TableFormatError, match="not UTF-8") as excinfo:
+        load_table(str(path))
+    assert str(path) in str(excinfo.value)

@@ -12,6 +12,7 @@ from ufesim.errors import EmptyPoolError
 from ufesim.pools import (
     PoolId,
     PoolScope,
+    ServePoolSet,
     build_pools,
     pool_summary,
     sample,
@@ -170,3 +171,43 @@ def test_pool_summary_counts(mixed_pools):
     assert a_first["first_serve_faults"] == 6
     assert a_first["unforced_errors"] == 5
     assert summary["scope"] == "head_to_head"
+
+
+def test_pools_compile_to_point_codes():
+    a, b = "Ann Ace", "Bob Base"
+    records = [
+        make_record(a, b, K.ACE, 1, Role.SERVER),
+        make_record(a, b, K.FIRST_SERVE_FAULT, 1, None, fault=True),
+        make_record(a, b, K.UNFORCED_ERROR, 5, Role.RECEIVER, committer=Role.SERVER),
+        make_record(a, b, K.UNFORCED_ERROR, 4, Role.SERVER, committer=Role.RECEIVER),
+        make_record(a, b, K.DOUBLE_FAULT, 1, Role.RECEIVER, serve_number=2),
+        make_record(a, b, K.RALLY_WINNER, 3, Role.SERVER, serve_number=2),
+        make_record(b, a, K.UNFORCED_ERROR, 4, Role.SERVER, committer=Role.RECEIVER),
+        make_record(b, a, K.UNFORCED_ERROR, 3, Role.RECEIVER, committer=Role.SERVER),
+        make_record(b, a, K.FORCED_ERROR, 2, Role.SERVER, committer=Role.RECEIVER),
+        make_record(b, a, K.ACE, 1, Role.SERVER, serve_number=2),
+    ]
+    pools = build_pools(records, a, b)
+    # A's own errors keep their touch; B's errors are plain points.
+    assert pools.first_codes == ((0, -1, 5, 0), (4, 0, 1))
+    assert pools.second_codes == ((1, 0), (1,))
+
+
+def test_pool_set_rejects_empty_and_faulty_second_pools(mixed_pools):
+    empty = dict(mixed_pools.pools)
+    empty[PoolId.B_SECOND] = ()
+    with pytest.raises(EmptyPoolError, match="B_second"):
+        ServePoolSet(empty, "Ann Ace", "Bob Base", PoolScope.HEAD_TO_HEAD)
+    faulty = dict(mixed_pools.pools)
+    faulty[PoolId.A_SECOND] = mixed_pools.pools[PoolId.A_FIRST]
+    with pytest.raises(ValueError, match="first-serve fault"):
+        ServePoolSet(faulty, "Ann Ace", "Bob Base", PoolScope.HEAD_TO_HEAD)
+
+
+def test_pool_set_keeps_its_own_read_only_pools(mixed_pools):
+    given = dict(mixed_pools.pools)
+    pools = ServePoolSet(given, "Ann Ace", "Bob Base", PoolScope.HEAD_TO_HEAD)
+    given[PoolId.A_FIRST] = mixed_pools.pools[PoolId.B_FIRST]
+    assert pools.pools[PoolId.A_FIRST] == mixed_pools.pools[PoolId.A_FIRST]
+    with pytest.raises(TypeError):
+        pools.pools[PoolId.A_FIRST] = ()

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from oracles import game_win_probability, game_win_probability_markov, oracle_score_match
 from ufesim.errors import MatchOverError
 from ufesim.scoring import (
+    PLAYERS,
     MatchFormat,
     apply_point,
     current_server,
     new_match,
+    play_match,
     render_point_score,
     render_set_scores,
 )
@@ -256,3 +258,52 @@ def test_game_win_probability_oracles_agree():
         closed = game_win_probability(float(p))
         markov = float(game_win_probability_markov(p))
         assert closed == pytest.approx(markov, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hold=st.floats(0.25, 0.8),
+    best_of=st.sampled_from([3, 5]),
+    ad=st.booleans(),
+    final_tb=st.booleans(),
+    trigger_target=st.sampled_from([(6, 7), (4, 10), (1, 7), (3, 9)]),
+    first=st.sampled_from([0, 1]),
+)
+def test_play_match_agrees_with_apply_point(
+    seed, hold, best_of, ad, final_tb, trigger_target, first
+):
+    trigger, target = trigger_target
+    fmt = MatchFormat(
+        best_of=best_of,
+        ad_scoring=ad,
+        final_set_tiebreak=final_tb,
+        tiebreak_trigger_games=trigger,
+        tiebreak_target_points=target,
+    )
+    rnd = random.Random(seed)
+    points = []
+
+    def point(server):
+        winner = server if rnd.random() < hold else 1 - server
+        points.append((server, winner))
+        return winner
+
+    played = play_match(fmt, first, point)
+
+    score = new_match(fmt, PLAYERS[first])
+    for server, winner in points:
+        assert not score.match_over
+        assert score.current_server == PLAYERS[server]
+        apply_point(score, PLAYERS[winner])
+    assert score.match_over
+    assert played.points_won == tuple(score.cumulative_points_won)
+    assert played.games_won == tuple(score.cumulative_games_won)
+    assert played.sets_won == tuple(score.sets_won)
+    assert played.set_scores == tuple(score.completed_set_scores)
+    assert PLAYERS[played.winner] == score.match_winner
+
+
+def test_play_match_shutout():
+    played = play_match(DEFAULT, 1, lambda server: 0)
+    assert played == ((72, 0), (18, 0), (3, 0), ((6, 0),) * 3, 0)

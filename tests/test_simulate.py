@@ -1,12 +1,19 @@
 """Simulator behavior: point mechanics, replicates, summaries."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
+from oracles import reference_simulate_match, reference_simulate_point
 from ufesim.counterfactual import ELIMINATE, HISTORIC, ReductionPolicy, default_table
 from ufesim.errors import EndlessMatchError
 from ufesim.pools import PoolScope, build_pools
@@ -14,7 +21,9 @@ from ufesim.records import Role, TerminalKind
 from ufesim.rng import derive_seed, replicate_stream
 from ufesim.scoring import MatchFormat
 from ufesim.simulate import (
+    FIRST_SERVER_POLICIES,
     SimulationConfig,
+    _check_match_can_end,
     binomial_se_pct,
     compare_scenarios,
     first_server_for,
@@ -342,3 +351,184 @@ def test_replicate_streams_are_independent():
     seq1 = [r1.random() for _ in range(5)]
     assert seq0 != seq1
     assert seq0 == [replicate_stream(9, 0).random() for _ in range(1)] + seq0[1:]
+
+
+# compare_scenarios on mixed_pools, seed 4242, 150 matches per scenario,
+# x = 0, 0.1, 1: per format, the summaries' eight figures (points, games,
+# sets, matches, then their SEs) and the SHA-256 of the full output.
+# Recorded from the record-by-record simulator; any change to the draw
+# order or the scoring moves them.
+PINNED_FORMATS = [
+    (MatchFormat(), "alternate"),
+    (MatchFormat(best_of=3, ad_scoring=False), "random"),
+    (
+        MatchFormat(tiebreak_trigger_games=4, tiebreak_target_points=10, final_set_tiebreak=False),
+        "fixed_B",
+    ),
+]
+PINNED_OUTPUTS = [
+    (
+        [
+            (50.16055172132036, 50.43475144705416, 50.333333333333336, 52.666666666666664,
+             0.283264910082967, 0.6304307222361121, 2.60470520158688, 4.076672571995359),
+            (51.334696381724825, 52.74254008154885, 58.86666666666667, 65.33333333333333,
+             0.2652380874313092, 0.5934518095116295, 2.342175639512041, 3.885776532336781),
+            (57.38661366084418, 64.49383150103742, 91.1, 98.0,
+             0.2933675149601929, 0.6254034632379458, 1.1964432749057157, 1.143095213298817),
+        ],
+        "f508e911a3ec49fada5bb05dd90b6a391d78d6960e679a293352ba60939d7dba",
+    ),
+    (
+        [
+            (50.1557680700402, 50.22844800854998, 50.88888888888889, 48.66666666666667,
+             0.39107820012328626, 0.9309793042413738, 3.100707009522663, 4.081031097016392),
+            (50.80789297647305, 51.54148880765173, 56.88888888888889, 57.333333333333336,
+             0.39081811246490433, 0.9060366611815149, 3.0822137220596924, 4.038334823680194),
+            (57.73302155425236, 64.53523503743223, 90.66666666666667, 98.0,
+             0.3320032472847603, 0.6892059512508942, 1.3422520503769915, 1.143095213298817),
+        ],
+        "cdccbfe7a7682cc75921b1544058aeec211e487f5e51f6dd30313eeadcccf975",
+    ),
+    (
+        [
+            (49.983357073879496, 49.962137517226665, 49.833333333333336, 46.666666666666664,
+             0.3851330625413588, 0.8550699226835675, 2.687870120881276, 4.073400617738524),
+            (50.896895297784695, 51.42870861851263, 53.93333333333333, 54.666666666666664,
+             0.3351601246900121, 0.7589687673161846, 2.3033807789154417, 4.064662529839529),
+            (58.03201495380849, 65.97934072778631, 91.6, 98.66666666666667,
+             0.32945366773710794, 0.6893227089936563, 1.1335043955649666, 0.9365025558091316),
+        ],
+        "376916e6dafca9819cffcea9b88e2bf3643f4d6949917188417249d2f2020b92",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_FORMATS)))
+def test_compare_scenarios_output_is_pinned(case, mixed_pools):
+    fmt, policy = PINNED_FORMATS[case]
+    configs = [
+        SimulationConfig(
+            n_matches=150, seed=4242, reduction_x=x, format=fmt, first_server_policy=policy
+        )
+        for x in (0.0, 0.1, 1.0)
+    ]
+    comparison = compare_scenarios(configs, mixed_pools)
+    figures, digest = PINNED_OUTPUTS[case]
+    assert [
+        tuple(v for k, v in s.to_dict().items() if k not in ("scenario", "n_matches"))
+        for s in comparison.summaries
+    ] == figures
+    blob = json.dumps(
+        [[s.to_dict() for s in comparison.summaries], [d.to_dict() for d in comparison.deltas]],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+class CountingRandom:
+    """A stream that offers random() alone and counts the draws."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self._rng.random()
+
+
+def _served(server, receiver, serve_number):
+    """Any valid record of one serve between two players."""
+    kinds = [K.ACE, K.SERVICE_WINNER, K.RALLY_WINNER, K.FORCED_ERROR, K.UNFORCED_ERROR]
+    kinds.append(K.FIRST_SERVE_FAULT if serve_number == 1 else K.DOUBLE_FAULT)
+
+    @st.composite
+    def record(draw):
+        kind = draw(st.sampled_from(kinds))
+        if kind is K.FIRST_SERVE_FAULT:
+            return make_record(server, receiver, kind, 1, None, fault=True)
+        if kind is K.DOUBLE_FAULT:
+            return make_record(server, receiver, kind, 1, R, serve_number=2)
+        if kind in (K.ACE, K.SERVICE_WINNER):
+            return make_record(server, receiver, kind, 1, S, serve_number=serve_number)
+        touch = draw(st.integers(2, 14))
+        striker = S if touch % 2 else R
+        opponent = R if striker is S else S
+        if kind is K.RALLY_WINNER:
+            return make_record(server, receiver, kind, touch, striker, serve_number=serve_number)
+        return make_record(
+            server, receiver, kind, touch, opponent, committer=striker, serve_number=serve_number
+        )
+
+    return record()
+
+
+@st.composite
+def random_pools(draw):
+    a, b = "Ann Ace", "Bob Base"
+    records = []
+    for server, receiver in ((a, b), (b, a)):
+        for serve_number in (1, 2):
+            records += draw(st.lists(_served(server, receiver, serve_number), min_size=1,
+                                     max_size=6))
+    return build_pools(records, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pools=random_pools(),
+    x=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    policy=st.sampled_from(FIRST_SERVER_POLICIES),
+    best_of=st.sampled_from([3, 5]),
+    ad=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_match_walks_the_reference_stream(pools, x, policy, best_of, ad, seed):
+    try:
+        _check_match_can_end(pools, x)
+    except EndlessMatchError:
+        assume(False)
+    cfg = SimulationConfig(
+        n_matches=1, reduction_x=x, first_server_policy=policy,
+        format=MatchFormat(best_of=best_of, ad_scoring=ad),
+    )
+    for index in range(2):
+        new, ref = CountingRandom(seed + index), CountingRandom(seed + index)
+        got = simulate_match(cfg, pools, TABLE, new, replicate_index=index)
+        assert got == reference_simulate_match(cfg, pools, TABLE, ref, replicate_index=index)
+        assert new.draws == ref.draws
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pools=random_pools(),
+    x=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    server=st.sampled_from(["A", "B"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_point_walks_the_reference_stream(pools, x, server, seed):
+    policy = ReductionPolicy(x=x)
+    new, ref = CountingRandom(seed), CountingRandom(seed)
+    for _ in range(20):
+        got = simulate_point(pools, server, TABLE, policy, new)
+        assert got == reference_simulate_point(pools, server, TABLE, policy, ref)
+        assert new.draws == ref.draws
+
+
+def test_simulate_match_calls_nothing_per_point_but_the_draw(mixed_pools):
+    """Per point, only the closure over the codes runs: no sample,
+    select_pool, apply_point, simulate_point or PointOutcome."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[(frame.f_globals.get("__name__"), frame.f_code.co_name)] += 1
+
+    cfg = SimulationConfig(n_matches=1, seed=3, reduction_x=0.5)
+    sys.setprofile(profile)
+    try:
+        result = simulate_match(cfg, mixed_pools, TABLE, replicate_stream(3, 0))
+    finally:
+        sys.setprofile(None)
+    assert calls[("ufesim.simulate", "point")] == sum(result.points_won)
+    assert {key for key, n in calls.items() if n > 1} == {("ufesim.simulate", "point")}
