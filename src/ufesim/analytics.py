@@ -5,6 +5,10 @@ ball ceil(t*/2) times and the receiver floor(t*/2) times.  First-serve
 faults are excluded from exposure entirely; the point they belong to is
 represented by its decisive second-serve record.  A double fault counts
 as one server contact but is never an unforced error here.
+
+Every statistic reads a RecordTable (a plain iterable of ServeRecords is
+converted first): tally_records makes one pass over its column values,
+matches_per_player counts distinct (player, match) pairs with numpy.
 """
 from __future__ import annotations
 
@@ -15,8 +19,19 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import PlayerNotFoundError
-from .records import Role, ServeRecord, TerminalKind
+from .records import (
+    KIND_CODES,
+    NONE_CODE,
+    ROLES,
+    RecordTable,
+    Role,
+    ServeRecord,
+    TerminalKind,
+    as_table,
+)
 
 DEFAULT_MAX_TOUCH = 13
 
@@ -64,7 +79,7 @@ class _Tally:
     )
 
     def __init__(self, max_touch: int) -> None:
-        self.matches: set[str] = set()
+        self.matches: set[int] = set()
         self.contacts = 0
         self.ufes = 0
         self.touch_ufes: Counter[tuple[str, int]] = Counter()
@@ -164,38 +179,66 @@ class RecordTally:
 
 
 def tally_records(
-    records: Iterable[ServeRecord],
+    records: RecordTable | Iterable[ServeRecord],
     tour: str | None = None,
     max_touch: int = DEFAULT_MAX_TOUCH,
 ) -> RecordTally:
-    """One pass over the records, counting per player."""
-    tallies: dict[str, _Tally] = defaultdict(lambda: _Tally(max_touch))
-    for rec in records:
-        if tour is not None and rec.tour != tour:
+    """One pass over the records' column values, counting per player."""
+    table = as_table(records)
+    rows = table.tour_rows(tour)
+    columns = (
+        table.match,
+        table.server,
+        table.receiver,
+        table.touch,
+        table.kind,
+        table.committer,
+        table.year,
+    )
+    fault = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
+    ufe = KIND_CODES[TerminalKind.UNFORCED_ERROR]
+    roles = [role.value for role in ROLES]
+    tallies: dict[int, _Tally] = defaultdict(lambda: _Tally(max_touch))
+    for match, server, receiver, t_star, kind, committer, year in zip(
+        *(column[rows].tolist() for column in columns)
+    ):
+        srv, rcv = tallies[server], tallies[receiver]
+        srv.matches.add(match)
+        rcv.matches.add(match)
+        if kind == fault:
             continue
-        srv, rcv = tallies[rec.server_id], tallies[rec.receiver_id]
-        srv.matches.add(rec.match_id)
-        rcv.matches.add(rec.match_id)
-        if rec.is_first_serve_fault:
-            continue
-        t_star = rec.terminal_touch
-        srv_contacts, rcv_contacts = touch_exposure(t_star)
+        # touch_exposure(t_star), inline.
+        srv_contacts, rcv_contacts = (t_star + 1) // 2, t_star // 2
         srv.contacts += srv_contacts
         rcv.contacts += rcv_contacts
-        if rec.year is not None:
-            srv.year_contacts[rec.year] += srv_contacts
-            rcv.year_contacts[rec.year] += rcv_contacts
+        if year != NONE_CODE:
+            srv.year_contacts[year] += srv_contacts
+            rcv.year_contacts[year] += rcv_contacts
         touch_bin = min(t_star, max_touch)
         srv.served[touch_bin] += 1
         rcv.received[touch_bin] += 1
-        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
-            tally = srv if rec.error_committer is Role.SERVER else rcv
+        if kind == ufe:
+            tally = srv if committer == 0 else rcv
             tally.ufes += 1
-            if rec.year is not None:
-                tally.year_ufes[rec.year] += 1
+            if year != NONE_CODE:
+                tally.year_ufes[year] += 1
             if t_star <= max_touch:
-                tally.touch_ufes[(rec.error_committer.value, t_star)] += 1
-    return RecordTally(dict(tallies), max_touch)
+                tally.touch_ufes[(roles[committer], t_star)] += 1
+    players = table.players
+    return RecordTally({players[i]: tally for i, tally in tallies.items()}, max_touch)
+
+
+def matches_per_player(
+    records: RecordTable | Iterable[ServeRecord], tour: str | None = None
+) -> dict[str, int]:
+    """How many distinct matches each player served or received in."""
+    table = as_table(records)
+    rows = table.tour_rows(tour)
+    n_matches = max(len(table.matches), 1)
+    players = np.concatenate([table.server[rows], table.receiver[rows]]).astype(np.int64)
+    pairs = np.unique(players * n_matches + np.tile(table.match[rows], 2))
+    counts = np.bincount(pairs // n_matches, minlength=len(table.players))
+    return {table.players[i]: int(counts[i]) for i in np.flatnonzero(counts)}
 
 
 def collect_profiles(
@@ -248,6 +291,8 @@ def rate_rankings(
     """(lowest k, highest k) rates among players with enough matches."""
     if min_matches < 1:
         raise ValueError("min_matches must be at least 1")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     eligible = [p for p in profiles if p.matches_played >= min_matches]
     lowest = sorted(eligible, key=lambda p: (p.ufe_rate, -p.matches_played, p.player_id))
     highest = sorted(eligible, key=lambda p: (-p.ufe_rate, -p.matches_played, p.player_id))

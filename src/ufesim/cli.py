@@ -7,18 +7,19 @@ fixed default seed which is echoed, never wall-clock seeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .analytics import (
     histogram_bins,
     histogram_to_csv,
+    matches_per_player,
     profiles_to_csv,
     rankings_to_csv,
     rate_rankings,
@@ -40,7 +41,15 @@ from .errors import (
 )
 from .ingest import ingest_files
 from .pools import PoolScope, build_pools, pool_summary
-from .records import Role, read_records_csv, write_records_csv
+from .records import (
+    RecordTable,
+    Role,
+    ServeRecord,
+    as_table,
+    file_sha256,
+    load_records,
+    write_records_csv,
+)
 from .scoring import MatchFormat
 from .simulate import (
     SimulationConfig,
@@ -74,25 +83,22 @@ class RunManifest:
         return asdict(self)
 
 
-def _file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def build_manifest(
     command: str,
     parameters: dict,
     seed: int | None = None,
     dataset_path: str | Path | None = None,
+    dataset_sha256: str | None = None,
 ) -> RunManifest:
+    """The manifest of one run; the dataset digest is dataset_sha256 when
+    the caller already has it, else the SHA-256 of dataset_path."""
+    if dataset_sha256 is None and dataset_path:
+        dataset_sha256 = file_sha256(dataset_path)
     return RunManifest(
         command=command,
         parameters=parameters,
         seed=seed,
-        dataset_sha256=_file_sha256(dataset_path) if dataset_path else None,
+        dataset_sha256=dataset_sha256,
         tool_version=__version__,
         created=datetime.now(timezone.utc).isoformat(),
     )
@@ -115,14 +121,10 @@ def _normalize_name(name: str) -> str:
     return name.replace("_", " ").strip().lower()
 
 
-def resolve_player(records, requested: str) -> str:
+def resolve_player(records: RecordTable | Iterable[ServeRecord], requested: str) -> str:
     """Case-insensitive exact match against names in the records."""
     wanted = _normalize_name(requested)
-    matches = set()
-    for rec in records:
-        for name in (rec.server_id, rec.receiver_id):
-            if _normalize_name(name) == wanted:
-                matches.add(name)
+    matches = {name for name in as_table(records).players if _normalize_name(name) == wanted}
     if not matches:
         raise PlayerNotFoundError(requested)
     if len(matches) > 1:
@@ -216,26 +218,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_list_players(args: argparse.Namespace) -> int:
-    records = read_records_csv(_resolve_data_path(args.records))
-    matches: dict[str, set[str]] = {}
-    for rec in records:
-        if args.tour and rec.tour != args.tour:
-            continue
-        matches.setdefault(rec.server_id, set()).add(rec.match_id)
-        matches.setdefault(rec.receiver_id, set()).add(rec.match_id)
+    table, _ = load_records(_resolve_data_path(args.records))
+    matches = matches_per_player(table, args.tour or None)
     for name in sorted(matches):
-        print(f"{name}\t{len(matches[name])}")
+        print(f"{name}\t{matches[name]}")
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.config:
         _apply_config(args, args.config)
-    records = read_records_csv(_resolve_data_path(args.records))
+    table, dataset_sha256 = load_records(_resolve_data_path(args.records))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tally = tally_records(records, tour=args.tour)
+    tally = tally_records(table, tour=args.tour)
     profiles = tally.profiles()
     if not profiles:
         print("warning: no players after filtering", file=sys.stderr)
@@ -246,8 +243,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    profiles_to_csv(profiles.values(), out_dir / "profiles.csv")
     lowest, highest = rate_rankings(profiles.values(), args.min_matches, args.k)
+    profiles_to_csv(profiles.values(), out_dir / "profiles.csv")
     rankings_to_csv(lowest, highest, out_dir / "rankings.csv")
     server_curve = tally.touch_curve(Role.SERVER)
     receiver_curve = tally.touch_curve(Role.RECEIVER)
@@ -280,7 +277,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "min_matches": args.min_matches,
             "k": args.k,
         },
-        dataset_path=_resolve_data_path(args.records),
+        dataset_sha256=dataset_sha256,
     )
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
@@ -307,12 +304,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.player_a or not args.player_b:
         print("error: --a and --b are required", file=sys.stderr)
         return EXIT_USAGE
-    records_path = _resolve_data_path(args.records)
-    records = read_records_csv(records_path)
-    player_a = resolve_player(records, args.player_a)
-    player_b = resolve_player(records, args.player_b)
+    table, dataset_sha256 = load_records(_resolve_data_path(args.records))
+    player_a = resolve_player(table, args.player_a)
+    player_b = resolve_player(table, args.player_b)
     scope = PoolScope(args.scope)
-    pools = build_pools(records, player_a, player_b, scope)
+    pools = build_pools(table, player_a, player_b, scope)
 
     if args.table1:
         table = load_table(args.table1)
@@ -371,7 +367,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "n_jobs": args.n_jobs,
             },
             seed=args.seed,
-            dataset_path=records_path,
+            dataset_sha256=dataset_sha256,
         )
         payload = {
             "manifest": manifest.to_dict(),

@@ -13,6 +13,9 @@ codes that the simulator draws from instead of records:
      t >= 2   unforced error by A at touch t; B wins unless it is struck
 
 Index 0 of first_codes/second_codes is A serving, index 1 is B.
+
+build_pools selects each pool's rows of a RecordTable with a mask and
+builds ServeRecords for those rows only, in file order.
 """
 from __future__ import annotations
 
@@ -22,8 +25,10 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import EmptyPoolError
-from .records import Role, ServeRecord, TerminalKind
+from .records import RecordTable, Role, ServeRecord, TerminalKind, as_table
 
 
 class PoolId(Enum):
@@ -105,35 +110,34 @@ class ServePoolSet:
 
 
 def build_pools(
-    records: Iterable[ServeRecord],
+    records: RecordTable | Iterable[ServeRecord],
     player_a: str,
     player_b: str,
     scope: PoolScope = PoolScope.HEAD_TO_HEAD,
 ) -> ServePoolSet:
-    """Partition qualifying records into the four pools.
+    """Partition qualifying records into the four pools, in file order.
 
     Raises EmptyPoolError naming the first empty pool; for head-to-head
     pairings with thin history the caller can retry with versus_field.
     """
     if player_a == player_b:
         raise ValueError("player_a and player_b must differ")
-    buckets: dict[PoolId, list[ServeRecord]] = {pid: [] for pid in PoolId}
-    for rec in records:
-        if scope is PoolScope.HEAD_TO_HEAD:
-            pair = {rec.server_id, rec.receiver_id}
-            if pair != {player_a, player_b}:
-                continue
-        if rec.server_id == player_a:
-            side = "A"
-        elif rec.server_id == player_b:
-            side = "B"
-        else:
-            continue
-        buckets[select_pool(side, rec.serve_number)].append(rec)
+    table = as_table(records)
+    ids = {name: i for i, name in enumerate(table.players)}
+    a, b = ids.get(player_a, -1), ids.get(player_b, -1)
+    served_by = {"A": table.server == a, "B": table.server == b}
+    if scope is PoolScope.HEAD_TO_HEAD:
+        served_by["A"] &= table.receiver == b
+        served_by["B"] &= table.receiver == a
+    first = table.serve_number == 1
+    rows = {
+        pid: np.flatnonzero(served_by[side] & (first if number == 1 else ~first))
+        for (side, number), pid in _POOL_FOR.items()
+    }
     for pid in PoolId:
-        if not buckets[pid]:
+        if not rows[pid].size:
             raise EmptyPoolError(pid.value, f"no qualifying serves for {pid.value}")
-    pools = {pid: tuple(recs) for pid, recs in buckets.items()}
+    pools = {pid: tuple(table.to_records(rows[pid])) for pid in PoolId}
     return ServePoolSet(pools=pools, player_a=player_a, player_b=player_b, scope=scope)
 
 

@@ -1,17 +1,34 @@
-"""Serve-level record types and their CSV serialization.
+"""Serve-level record types, their CSV serialization and the records cache.
 
 A ServeRecord is one serve event in a normalized form: who served, which
 serve it was, how the point ended (terminal touch and kind) and who won.
 First-serve faults are records in their own right so that empirical fault
 rates survive into the serve pools.
+
+A RecordTable holds the same records as columns: one numpy array per
+field, with names interned.  load_records reads a records CSV into a
+table through a sidecar cache, `<csv name>.ufesim-cache.npz`, keyed on
+the SHA-256 of the CSV's bytes.  This module is the only one that knows
+the sidecar's layout.
 """
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
+import hashlib
+import os
+import shutil
+import struct
+import tempfile
+import zipfile
+import zlib
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import CsvFormatError
 
@@ -57,6 +74,11 @@ class RawPointRow:
     rally_count: str
 
 
+#: Bounds that let a RecordTable store touch and year in fixed-width ints.
+MAX_TERMINAL_TOUCH = 2**31 - 1
+MAX_YEAR = 9999
+
+
 @dataclass(frozen=True, slots=True)
 class ServeRecord:
     """One serve event with its decoded outcome.
@@ -83,8 +105,12 @@ class ServeRecord:
     def __post_init__(self):
         if self.serve_number not in (1, 2):
             raise ValueError(f"serve_number must be 1 or 2, got {self.serve_number}")
-        if self.terminal_touch < 1:
-            raise ValueError(f"terminal_touch must be >= 1, got {self.terminal_touch}")
+        if not 1 <= self.terminal_touch <= MAX_TERMINAL_TOUCH:
+            raise ValueError(
+                f"terminal_touch must be in 1..{MAX_TERMINAL_TOUCH}, got {self.terminal_touch}"
+            )
+        if self.year is not None and not 0 <= self.year <= MAX_YEAR:
+            raise ValueError(f"year must be in 0..{MAX_YEAR}, got {self.year}")
         if self.server_id == self.receiver_id:
             raise ValueError("server_id and receiver_id must differ")
         is_fault = self.terminal_kind is TerminalKind.FIRST_SERVE_FAULT
@@ -189,3 +215,349 @@ def read_records_csv(path) -> list[ServeRecord]:
             except (ValueError, KeyError) as exc:
                 raise CsvFormatError(str(exc), path=str(path), line=reader.line_num) from exc
     return records
+
+
+#: Column codes.  A kind is its index in KINDS; a role is its index in
+#: ROLES, and -1 stands for None in role, year and tour columns.
+KINDS = tuple(TerminalKind)
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+ROLES = (Role.SERVER, Role.RECEIVER)
+ROLE_CODES = {None: -1, Role.SERVER: 0, Role.RECEIVER: 1}
+NONE_CODE = -1
+
+_FAULT = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
+_UFE = KIND_CODES[TerminalKind.UNFORCED_ERROR]
+_DOUBLE_FAULT = KIND_CODES[TerminalKind.DOUBLE_FAULT]
+_ERROR_CODES = [KIND_CODES[kind] for kind in ERROR_KINDS]
+
+# (column, dtype) in ServeRecord order; id columns index a string table.
+_COLUMNS = (
+    ("match", np.int32),
+    ("server", np.int32),
+    ("receiver", np.int32),
+    ("serve_number", np.int8),
+    ("touch", np.int32),
+    ("kind", np.int8),
+    ("winner", np.int8),
+    ("committer", np.int8),
+    ("year", np.int16),
+    ("tour", np.int32),
+)
+_STRING_TABLES = ("matches", "players", "tours")
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Serve records as read-only columns; row i is the i-th record.
+
+    match, server, receiver and tour are ids into the matches, players and
+    tours tables (server and receiver share players).  serve_number and
+    touch hold the fields' values, kind a KINDS index, winner and
+    committer a ROLES index or -1, year the year or -1, tour an id or -1.
+    is_first_serve_fault is not stored: it is kind == first-serve fault.
+
+    Construction checks every ServeRecord invariant as a vectorised mask,
+    every id's range, and that each string table holds distinct strings
+    that some record uses.
+    """
+
+    match: np.ndarray
+    server: np.ndarray
+    receiver: np.ndarray
+    serve_number: np.ndarray
+    touch: np.ndarray
+    kind: np.ndarray
+    winner: np.ndarray
+    committer: np.ndarray
+    year: np.ndarray
+    tour: np.ndarray
+    matches: tuple[str, ...]
+    players: tuple[str, ...]
+    tours: tuple[str, ...]
+    # The records a table was built from, which to_records hands back.
+    source: list[ServeRecord] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.match)
+        for name, dtype in _COLUMNS:
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.dtype != dtype:
+                raise ValueError(f"column {name} must be a {np.dtype(dtype)} array")
+            if column.shape != (n,):
+                raise ValueError(f"column {name} must have shape ({n},)")
+            column.flags.writeable = False
+        if self.source is not None and len(self.source) != n:
+            raise ValueError(f"source must hold {n} records")
+        for name in _STRING_TABLES:
+            strings = getattr(self, name)
+            if not all(type(s) is str for s in strings) or len(set(strings)) != len(strings):
+                raise ValueError(f"{name} must hold distinct strings")
+        self._check_ids()
+        self._check_invariants()
+
+    def _check_ids(self) -> None:
+        """Every id is in range and every string is used by some row."""
+        for table, columns, low in (
+            (self.matches, (self.match,), 0),
+            (self.players, (self.server, self.receiver), 0),
+            (self.tours, (self.tour,), NONE_CODE),
+        ):
+            # A trailing slot takes the -1s of the tour column.
+            used = np.zeros(len(table) + 1, dtype=bool)
+            for ids in columns:
+                if ids.size and (ids.min() < low or ids.max() >= len(table)):
+                    raise ValueError("an id is out of range")
+                used[ids] = True
+            if not used[:-1].all():
+                raise ValueError("a string table holds a string no record uses")
+
+    def _check_invariants(self) -> None:
+        """The ServeRecord.__post_init__ checks, one mask at a time."""
+        for message, mask in self._broken_rows():
+            if mask.any():
+                raise ValueError(f"row {int(np.flatnonzero(mask)[0])}: {message}")
+
+    def _broken_rows(self) -> Iterator[tuple[str, np.ndarray]]:
+        serve, touch, kind = self.serve_number, self.touch, self.kind
+        winner, committer, year = self.winner, self.committer, self.year
+        yield "serve_number must be 1 or 2", (serve != 1) & (serve != 2)
+        yield "terminal_touch must be >= 1", touch < 1
+        yield "server_id and receiver_id must differ", self.server == self.receiver
+        yield "terminal_kind out of range", (kind < 0) | (kind >= len(KINDS))
+        yield "point_winner out of range", (winner < NONE_CODE) | (winner >= len(ROLES))
+        yield "error_committer out of range", (committer < NONE_CODE) | (
+            committer >= len(ROLES)
+        )
+        fault = kind == _FAULT
+        yield "first-serve fault and missing point_winner must agree", fault != (
+            winner == NONE_CODE
+        )
+        yield "a first-serve fault must have serve_number 1", fault & (serve != 1)
+        has_committer = committer != NONE_CODE
+        yield "error_committer is set exactly for forced/unforced errors", has_committer != (
+            np.isin(kind, _ERROR_CODES)
+        )
+        yield "an error awards the point to the committer's opponent", has_committer & (
+            winner != 1 - committer
+        )
+        yield "error committer must match the parity of the terminal touch", has_committer & (
+            (committer == 0) != (touch % 2 == 1)
+        )
+        yield "unforced errors cannot occur on the serve (touch 1)", (kind == _UFE) & (touch < 2)
+        yield "a double fault is a second serve won by the receiver", (kind == _DOUBLE_FAULT) & (
+            (serve != 2) | (winner != 1)
+        )
+        yield f"year must be -1 or in 0..{MAX_YEAR}", (year < NONE_CODE) | (year > MAX_YEAR)
+
+    def __len__(self) -> int:
+        return len(self.match)
+
+    @classmethod
+    def from_records(cls, records: Iterable[ServeRecord]) -> RecordTable:
+        """Columns for records in iteration order; iterates them once."""
+        records = list(records)
+        matches: dict[str, int] = {}
+        players: dict[str, int] = {}
+        tours: dict[str | None, int] = {None: 0}
+
+        # One generator per column, so no column exists as a Python list.
+        values = {
+            "match": (matches.setdefault(r.match_id, len(matches)) for r in records),
+            "server": (players.setdefault(r.server_id, len(players)) for r in records),
+            "receiver": (players.setdefault(r.receiver_id, len(players)) for r in records),
+            "serve_number": (r.serve_number for r in records),
+            "touch": (r.terminal_touch for r in records),
+            "kind": (KIND_CODES[r.terminal_kind] for r in records),
+            "winner": (ROLE_CODES[r.point_winner] for r in records),
+            "committer": (ROLE_CODES[r.error_committer] for r in records),
+            "year": (NONE_CODE if r.year is None else r.year for r in records),
+            # None holds id 0 while interning; shifting by one gives it -1.
+            "tour": (tours.setdefault(r.tour, len(tours)) - 1 for r in records),
+        }
+        columns = {
+            name: np.fromiter(values[name], dtype=dtype, count=len(records))
+            for name, dtype in _COLUMNS
+        }
+        del tours[None]
+        return cls(
+            **columns,
+            matches=tuple(matches),
+            players=tuple(players),
+            tours=tuple(tours),
+            source=records,
+        )
+
+    def to_records(self, rows: np.ndarray | None = None) -> list[ServeRecord]:
+        """ServeRecords for the given row indices (all rows by default)."""
+        if self.source is not None:
+            return list(self.source) if rows is None else [self.source[i] for i in rows.tolist()]
+        columns = [
+            (getattr(self, name) if rows is None else getattr(self, name)[rows]).tolist()
+            for name, _ in _COLUMNS
+        ]
+        matches, players = self.matches, self.players
+        # Index -1 of these picks the trailing None.
+        roles = (*ROLES, None)
+        tours = (*self.tours, None)
+        return [
+            ServeRecord(
+                match_id=matches[m],
+                server_id=players[s],
+                receiver_id=players[r],
+                serve_number=serve,
+                is_first_serve_fault=kind == _FAULT,
+                terminal_touch=touch,
+                terminal_kind=KINDS[kind],
+                point_winner=roles[winner],
+                error_committer=roles[committer],
+                year=None if year == NONE_CODE else year,
+                tour=tours[tour],
+            )
+            for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(*columns)
+        ]
+
+    def tour_rows(self, tour: str | None) -> np.ndarray | slice:
+        """Index of the rows of one tour; every row when tour is None."""
+        if tour is None:
+            return slice(None)
+        tour_id = self.tours.index(tour) if tour in self.tours else len(self.tours)
+        return self.tour == tour_id
+
+
+def as_table(records: RecordTable | Iterable[ServeRecord]) -> RecordTable:
+    """The table itself, or a table built from an iterable of records."""
+    if isinstance(records, RecordTable):
+        return records
+    return RecordTable.from_records(records)
+
+
+CACHE_VERSION = 1
+CACHE_SUFFIX = ".ufesim-cache.npz"
+
+# What reading a missing, truncated or otherwise corrupt sidecar can raise.
+_UNREADABLE = (
+    EOFError,
+    KeyError,
+    NotImplementedError,
+    OSError,
+    RuntimeError,
+    TypeError,
+    ValueError,
+    struct.error,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex SHA-256 of a file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def cache_path(records_path: str | Path) -> Path:
+    """Where load_records keeps the sidecar of a records CSV."""
+    path = Path(records_path)
+    return path.with_name(path.name + CACHE_SUFFIX)
+
+
+def _encode_strings(strings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # UTF-8 bytes plus offsets: numpy's fixed-width str arrays would drop
+    # trailing NULs.
+    encoded = [s.encode("utf-8") for s in strings]
+    offsets = np.array([0, *accumulate(map(len, encoded))], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def _decode_strings(data: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
+    if data.dtype != np.uint8 or data.ndim != 1 or offsets.dtype != np.int64:
+        raise ValueError("a string table has the wrong dtype")
+    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != data.size:
+        raise ValueError("string offsets do not span the bytes")
+    if (np.diff(offsets) < 0).any():
+        raise ValueError("string offsets decrease")
+    raw = data.tobytes()
+    bounds = offsets.tolist()
+    return tuple(raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
+
+
+def _to_arrays(table: RecordTable, sha256: str) -> dict[str, np.ndarray]:
+    """The sidecar's contents for a table read from a CSV with this digest."""
+    arrays = {"version": np.array(CACHE_VERSION), "sha256": np.array(sha256)}
+    arrays.update((name, getattr(table, name)) for name, _ in _COLUMNS)
+    for name in _STRING_TABLES:
+        arrays[f"{name}_utf8"], arrays[f"{name}_offsets"] = _encode_strings(getattr(table, name))
+    return arrays
+
+
+def _from_arrays(arrays: Mapping[str, np.ndarray], sha256: str) -> RecordTable | None:
+    """The table in a sidecar's contents; None if they are of another
+    version or digest, and an error if they fail a check."""
+    if int(arrays["version"]) != CACHE_VERSION or str(arrays["sha256"]) != sha256:
+        return None
+    return RecordTable(
+        **{name: arrays[name] for name, _ in _COLUMNS},
+        **{
+            name: _decode_strings(arrays[f"{name}_utf8"], arrays[f"{name}_offsets"])
+            for name in _STRING_TABLES
+        },
+    )
+
+
+def _read_sidecar(sidecar: Path, sha256: str) -> RecordTable | None:
+    """The cached table, or None unless the sidecar is readable, of this
+    version, keyed on this digest and passes every check."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            return _from_arrays(npz, sha256)
+    except _UNREADABLE:
+        return None
+
+
+def _write_sidecar(sidecar: Path, arrays: dict[str, np.ndarray], like: Path) -> None:
+    """Replace the sidecar atomically, with the permissions of `like`;
+    a write that fails is dropped."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name + ".", suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        shutil.copymode(like, tmp)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with suppress(OSError):
+            os.unlink(tmp)
+
+
+def load_records(path: str | Path) -> tuple[RecordTable, str]:
+    """The records of a CSV written by write_records_csv, as a table, and
+    the SHA-256 of the CSV's bytes.
+
+    A sidecar keyed on that digest is read when it is valid.  Otherwise
+    the CSV goes through read_records_csv, so errors name file and line,
+    and the sidecar is rewritten if the directory allows.
+    """
+    path = Path(path)
+    before = _identity(path)
+    sha256 = file_sha256(path)
+    sidecar = cache_path(path)
+    table = _read_sidecar(sidecar, sha256)
+    if table is None:
+        arrays = _to_arrays(RecordTable.from_records(read_records_csv(path)), sha256)
+        # A miss returns what a hit would.  That table shares no object
+        # with the parsed records, so all of their memory is freed.
+        table = _from_arrays(arrays, sha256)
+        # Cache only what matches the key: the CSV may change while read.
+        if _identity(path) == before:
+            _write_sidecar(sidecar, arrays, path)
+    return table, sha256
+
+
+def _identity(path: Path) -> tuple[int, int, int, int]:
+    st = path.stat()
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns

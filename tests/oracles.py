@@ -9,9 +9,17 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 
-from ufesim.analytics import DEFAULT_MAX_TOUCH, PlayerUfeProfile
+from ufesim.analytics import (
+    DEFAULT_MAX_TOUCH,
+    PlayerUfeProfile,
+    RecordTally,
+    _Tally,
+    touch_exposure,
+)
+from ufesim.cli import _normalize_name
 from ufesim.counterfactual import ReductionPolicy, resolve_removed_ufe, should_remove_ufe
-from ufesim.pools import sample, select_pool
+from ufesim.errors import AmbiguousPlayerError, PlayerNotFoundError
+from ufesim.pools import PoolId, PoolScope, sample, select_pool
 from ufesim.records import Role, TerminalKind
 from ufesim.scoring import apply_point, new_match, other_player
 from ufesim.simulate import MatchResult, PointOutcome, first_server_for
@@ -346,6 +354,84 @@ def reference_ufe_rate(records, tour=None):
         if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
             ufes += 1
     return ufes / contacts if contacts else 0.0
+
+
+# The record consumers as they were before they read RecordTable
+# columns: one loop over ServeRecord objects each.
+
+
+def reference_resolve_player(records, requested):
+    """Case-insensitive exact match against names in the records."""
+    wanted = _normalize_name(requested)
+    matches = set()
+    for rec in records:
+        for name in (rec.server_id, rec.receiver_id):
+            if _normalize_name(name) == wanted:
+                matches.add(name)
+    if not matches:
+        raise PlayerNotFoundError(requested)
+    if len(matches) > 1:
+        raise AmbiguousPlayerError(f"player name {requested!r} is ambiguous: {sorted(matches)}")
+    return matches.pop()
+
+
+def reference_build_pools(records, player_a, player_b, scope=PoolScope.HEAD_TO_HEAD):
+    """The four pools in file order, as a dict of tuples; empty pools kept."""
+    buckets = {pid: [] for pid in PoolId}
+    for rec in records:
+        if scope is PoolScope.HEAD_TO_HEAD:
+            if {rec.server_id, rec.receiver_id} != {player_a, player_b}:
+                continue
+        if rec.server_id == player_a:
+            side = "A"
+        elif rec.server_id == player_b:
+            side = "B"
+        else:
+            continue
+        buckets[select_pool(side, rec.serve_number)].append(rec)
+    return {pid: tuple(recs) for pid, recs in buckets.items()}
+
+
+def reference_matches_per_player(records, tour=None):
+    """list-players' count: distinct matches per player."""
+    matches = {}
+    for rec in records:
+        if tour and rec.tour != tour:
+            continue
+        matches.setdefault(rec.server_id, set()).add(rec.match_id)
+        matches.setdefault(rec.receiver_id, set()).add(rec.match_id)
+    return {name: len(ids) for name, ids in matches.items()}
+
+
+def reference_tally_records(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
+    """tally_records' one pass, over ServeRecord objects."""
+    tallies = defaultdict(lambda: _Tally(max_touch))
+    for rec in records:
+        if tour is not None and rec.tour != tour:
+            continue
+        srv, rcv = tallies[rec.server_id], tallies[rec.receiver_id]
+        srv.matches.add(rec.match_id)
+        rcv.matches.add(rec.match_id)
+        if rec.is_first_serve_fault:
+            continue
+        t_star = rec.terminal_touch
+        srv_contacts, rcv_contacts = touch_exposure(t_star)
+        srv.contacts += srv_contacts
+        rcv.contacts += rcv_contacts
+        if rec.year is not None:
+            srv.year_contacts[rec.year] += srv_contacts
+            rcv.year_contacts[rec.year] += rcv_contacts
+        touch_bin = min(t_star, max_touch)
+        srv.served[touch_bin] += 1
+        rcv.received[touch_bin] += 1
+        if rec.terminal_kind is TerminalKind.UNFORCED_ERROR:
+            tally = srv if rec.error_committer is Role.SERVER else rcv
+            tally.ufes += 1
+            if rec.year is not None:
+                tally.year_ufes[rec.year] += 1
+            if t_star <= max_touch:
+                tally.touch_ufes[(rec.error_committer.value, t_star)] += 1
+    return RecordTally(dict(tallies), max_touch)
 
 
 # The simulator as it was before the serve pools were compiled to int

@@ -252,6 +252,13 @@ def test_rankings_reject_zero_min_matches():
         rate_rankings([], min_matches=0, k=5)
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_rankings_reject_k_below_one(k):
+    # A negative k used to slice off the last |k| players instead.
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        rate_rankings(collect_profiles(corpus()).values(), min_matches=1, k=k)
+
+
 def test_histogram_bins_clamp_and_count():
     profiles = [
         _profile("Alice", 0.001),   # 0.1% -> first bin

@@ -7,14 +7,25 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 from conftest import make_record
 from ufesim import cli
+from ufesim import records as records_module
+from ufesim.analytics import tally_records
 from ufesim.cli import DATA_DIR_ENV, main
-from ufesim.records import Role, TerminalKind, read_records_csv, write_records_csv
+from ufesim.records import (
+    RecordTable,
+    Role,
+    TerminalKind,
+    cache_path,
+    file_sha256,
+    read_records_csv,
+    write_records_csv,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 K = TerminalKind
@@ -153,18 +164,26 @@ class CountingList(list):
 
 
 def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys):
-    read = []
+    # The records are read and iterated once, into a table, and the
+    # analytics make their one pass over that table.
+    read, tallied = [], []
 
     def read_counting(path):
         read.append(CountingList(read_records_csv(path)))
         return read[-1]
 
-    monkeypatch.setattr(cli, "read_records_csv", read_counting)
+    def tally_counting(table, *args, **kwargs):
+        tallied.append(table)
+        return tally_records(table, *args, **kwargs)
+
+    monkeypatch.setattr(records_module, "read_records_csv", read_counting)
+    monkeypatch.setattr(cli, "tally_records", tally_counting)
     code = main(
         ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"), "--svg"]
     )
     assert code == 0
     assert [records.iterations for records in read] == [1]
+    assert len(tallied) == 1 and isinstance(tallied[0], RecordTable)
 
 
 def test_stats_warns_when_nobody_qualifies(records_csv, tmp_path, capsys):
@@ -386,6 +405,105 @@ def test_simulate_json_output_and_determinism(records_csv, tmp_path, capsys):
     assert all(s["n_matches"] == 40 for s in summaries)
     assert payloads[0]["pools"]["pools"]["A_first"]["size"] == 6
     assert len(payloads[0]["differences"]) == 1
+
+
+class FrozenDatetime(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return cls(2024, 1, 2, 3, 4, 5, tzinfo=tz)
+
+
+def _must_not_read(path):
+    raise AssertionError(f"read_records_csv({path}) on a cache hit")
+
+
+def test_second_simulate_reads_the_cache(records_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+    outputs, stdouts = [], []
+    for name in ("one.json", "two.json"):
+        out = tmp_path / name
+        argv = simulate_args(records_csv, "--scenario", "historic", "--scenario", "eliminate",
+                             "--out", str(out))
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+        stdouts.append(capsys.readouterr().out.replace(name, "OUT"))
+        assert cache_path(records_csv).is_file()
+        monkeypatch.setattr(records_module, "read_records_csv", _must_not_read)
+    assert outputs[0] == outputs[1]
+    assert stdouts[0] == stdouts[1]
+
+
+def _stats_files(records_csv, out_dir):
+    assert main(["stats", "--records", str(records_csv), "--out-dir", str(out_dir), "--svg",
+                 "--min-matches", "1"]) == 0
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def test_corrupt_or_stale_sidecar_changes_no_output(records_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+    sidecar = cache_path(records_csv)
+    clean = _stats_files(records_csv, tmp_path / "clean")
+    good = sidecar.read_bytes()
+    other = tmp_path / "other.csv"
+    write_records_csv([make_record()], other)
+    assert main(["list-players", "--records", str(other)]) == 0
+    for damaged in (b"not a zip", good[: len(good) // 2], cache_path(other).read_bytes()):
+        sidecar.write_bytes(damaged)
+        assert _stats_files(records_csv, tmp_path / "again") == clean
+        assert sidecar.read_bytes() == good
+
+
+def test_stale_sidecar_keeps_csv_errors(records_csv, capsys):
+    assert main(["list-players", "--records", str(records_csv)]) == 0
+    lines = records_csv.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace(",1,", ",9,", 1)  # serve_number on line 3
+    records_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["list-players", "--records", str(records_csv)]) == 3
+    err = capsys.readouterr().err
+    assert str(records_csv) in err and "line 3" in err
+
+
+def test_commands_hash_the_dataset_once(records_csv, tmp_path, monkeypatch, capsys):
+    hashed = []
+
+    def counting(path):
+        hashed.append(path)
+        return file_sha256(path)
+
+    monkeypatch.setattr(records_module, "file_sha256", counting)
+    monkeypatch.setattr(cli, "file_sha256", counting)
+    for _ in range(2):  # a cache miss, then a hit
+        hashed.clear()
+        out = tmp_path / "s"
+        assert main(["stats", "--records", str(records_csv), "--out-dir", str(out)]) == 0
+        assert len(hashed) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dataset_sha256"] == file_sha256(records_csv)
+        hashed.clear()
+        sim = tmp_path / "sim.json"
+        assert main(simulate_args(records_csv, "--out", str(sim))) == 0
+        assert len(hashed) == 1
+        manifest = json.loads(sim.read_text())["manifest"]
+        assert manifest["dataset_sha256"] == file_sha256(records_csv)
+
+
+def test_manifest_takes_a_precomputed_digest(records_csv, monkeypatch):
+    monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+    by_path = cli.build_manifest("stats", {"k": 5}, dataset_path=records_csv)
+    by_digest = cli.build_manifest(
+        "stats", {"k": 5}, dataset_sha256=file_sha256(records_csv)
+    )
+    assert json.dumps(by_path.to_dict(), indent=2) == json.dumps(by_digest.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_stats_k_below_one_is_usage_error(records_csv, tmp_path, capsys, k):
+    out = tmp_path / "s"
+    code = main(["stats", "--records", str(records_csv), "--out-dir", str(out), "--k", k])
+    assert code == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+    assert not (out / "rankings.csv").exists()
 
 
 def test_simulate_multi_scenario_text_differences(records_csv, capsys):

@@ -1,0 +1,473 @@
+"""RecordTable columns, the records cache and the consumers that read them."""
+from __future__ import annotations
+
+import dataclasses
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_record, serve_mix
+from oracles import (
+    reference_build_pools,
+    reference_matches_per_player,
+    reference_resolve_player,
+    reference_tally_records,
+)
+from ufesim import records as records_module
+from ufesim.analytics import matches_per_player, tally_records
+from ufesim.cli import resolve_player
+from ufesim.errors import EmptyPoolError
+from ufesim.pools import PoolId, PoolScope, build_pools
+from ufesim.records import (
+    CACHE_VERSION,
+    KINDS,
+    MAX_YEAR,
+    RecordTable,
+    Role,
+    TerminalKind,
+    cache_path,
+    file_sha256,
+    load_records,
+    read_records_csv,
+    write_records_csv,
+)
+
+K = TerminalKind
+S, R = Role.SERVER, Role.RECEIVER
+
+# The csv module reads NUL characters from Python 3.11 on.
+CSV_READS_NUL = sys.version_info >= (3, 11)
+
+ODD_NAMES = [
+    "Zoë Ångström",
+    "李娜",
+    'Ann, "The Ace"',
+    "Bob's, Base",
+    "line\r\nbreak",
+    "tail\x00",
+    "\x00\x00",
+]
+CSV_NAMES = [n for n in ODD_NAMES if CSV_READS_NUL or "\x00" not in n]
+# Few names, two of which normalise alike, so lookups collide.
+FEW_NAMES = ["Ann Ace", "ann_ace", "Bob Base", "Cy Chip", "Zoë Ångström"]
+
+
+def any_names():
+    alphabet = st.characters(
+        exclude_categories=("Cs",), exclude_characters="" if CSV_READS_NUL else "\x00"
+    )
+    return st.sampled_from(CSV_NAMES) | st.text(alphabet, max_size=6)
+
+
+@st.composite
+def serve_records(draw, names):
+    """Any valid record; rallies up to touch 20."""
+    server, receiver = draw(st.lists(names, min_size=2, max_size=2, unique=True))
+    context = dict(
+        match_id=draw(names),
+        year=draw(st.none() | st.integers(0, MAX_YEAR)),
+        # The CSV reads an empty tour back as None.
+        tour=draw(st.none() | names.filter(bool)),
+    )
+    kind = draw(st.sampled_from(list(K)))
+    if kind is K.FIRST_SERVE_FAULT:
+        return make_record(server, receiver, kind, 1, None, fault=True, **context)
+    if kind is K.DOUBLE_FAULT:
+        return make_record(server, receiver, kind, 1, R, serve_number=2, **context)
+    serve_number = draw(st.sampled_from([1, 2]))
+    if kind in (K.ACE, K.SERVICE_WINNER):
+        return make_record(server, receiver, kind, 1, S, serve_number=serve_number, **context)
+    touch = draw(st.integers(2, 20))
+    striker = S if touch % 2 else R
+    if kind is K.RALLY_WINNER:
+        return make_record(
+            server, receiver, kind, touch, striker, serve_number=serve_number, **context
+        )
+    opponent = R if striker is S else S
+    return make_record(
+        server, receiver, kind, touch, opponent, committer=striker,
+        serve_number=serve_number, **context,
+    )
+
+
+def detached(table: RecordTable) -> RecordTable:
+    """The same columns without the records they came from, as a sidecar
+    hit gives them."""
+    return dataclasses.replace(table, source=None)
+
+
+def _must_not_read(path):
+    raise AssertionError(f"read_records_csv({path}) on a cache hit")
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The paths read_records_csv was called with."""
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_records_csv(path)
+
+    monkeypatch.setattr(records_module, "read_records_csv", counting)
+    return calls
+
+
+def corpus():
+    odd = [
+        make_record(a, b, year=year, tour=tour, match_id=f"{a}|{b}")
+        for a, b in zip(CSV_NAMES, CSV_NAMES[1:])
+        for year, tour in ((None, None), (2019, "ATP"))
+    ]
+    return (
+        serve_mix("Ann Ace", "Bob Base")
+        + serve_mix("Bob Base", "Cy Chip")
+        + serve_mix("Bob Base", "Ann Ace")
+        + odd
+    )
+
+
+@pytest.fixture
+def csv_path(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv(corpus(), path)
+    return path
+
+
+# Round trips
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(serve_records(any_names()), max_size=30))
+def test_round_trip_through_csv_and_sidecar(records):
+    table = RecordTable.from_records(records)
+    assert table.to_records() == records
+    assert detached(table).to_records() == records
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        write_records_csv(records, path)
+        expected = read_records_csv(path)
+        assert expected == records
+        first, sha = load_records(path)
+        assert first.to_records() == expected
+        assert cache_path(path).is_file()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records_module, "read_records_csv", _must_not_read)
+            cached, cached_sha = load_records(path)
+        assert cached.source is None
+        assert cached.to_records() == expected
+        assert sha == cached_sha == file_sha256(path)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(year=None),
+        dict(tour=None),
+        dict(year=None, tour=None),
+        dict(server="Zoë Ångström", receiver="李娜", tour="Тур"),
+        dict(server='Ann, "The Ace"', receiver="Bob's, Base", match_id='m,"1"'),
+        dict(server="tail\x00", receiver="\x00\x00", match_id="m\x00", tour="ATP\x00"),
+    ],
+    ids=["no-year", "no-tour", "neither", "non-ascii", "commas-quotes", "trailing-nul"],
+)
+def test_round_trip_cases(tmp_path, kwargs):
+    records = [make_record(**kwargs), make_record(kind=K.DOUBLE_FAULT, serve_number=2,
+                                                  winner=R, **kwargs)]
+    table = RecordTable.from_records(records)
+    # The sidecar itself, with no CSV in between.
+    sidecar = tmp_path / "direct.npz"
+    arrays = records_module._to_arrays(table, "0" * 64)
+    records_module._write_sidecar(sidecar, arrays, sidecar.parent)
+    assert records_module._read_sidecar(sidecar, "0" * 64).to_records() == records
+    if not CSV_READS_NUL and any("\x00" in str(v) for v in kwargs.values()):
+        pytest.skip("this csv module cannot read NUL")
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    load_records(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records_module, "read_records_csv", _must_not_read)
+        assert load_records(path)[0].to_records() == records
+
+
+def test_empty_records_round_trip(tmp_path, reads):
+    path = tmp_path / "records.csv"
+    write_records_csv([], path)
+    for _ in range(2):
+        table, _ = load_records(path)
+        assert len(table) == 0 and table.to_records() == []
+    assert len(reads) == 1
+
+
+def test_table_columns_are_read_only():
+    table = RecordTable.from_records(corpus())
+    with pytest.raises(ValueError):
+        table.touch[0] = 3
+
+
+# Fallbacks: each must re-read the CSV and give the right records.
+
+
+def test_second_load_is_a_hit(csv_path, reads):
+    first, sha = load_records(csv_path)
+    second, sha2 = load_records(csv_path)
+    assert len(reads) == 1 and sha == sha2
+    assert second.to_records() == first.to_records() == corpus()
+
+
+def test_stale_sidecar_after_the_csv_is_edited(csv_path, reads):
+    load_records(csv_path)
+    edited = corpus()[:-3]
+    write_records_csv(edited, csv_path)
+    table, sha = load_records(csv_path)
+    assert len(reads) == 2
+    assert table.to_records() == edited and sha == file_sha256(csv_path)
+    assert load_records(csv_path)[0].to_records() == edited
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.99])
+def test_truncated_sidecar(csv_path, reads, keep):
+    load_records(csv_path)
+    sidecar = cache_path(csv_path)
+    data = sidecar.read_bytes()
+    sidecar.write_bytes(data[: int(len(data) * keep)])
+    assert load_records(csv_path)[0].to_records() == corpus()
+    assert len(reads) == 2
+    # The miss rewrote a whole sidecar.
+    assert sidecar.read_bytes() == data
+    load_records(csv_path)
+    assert len(reads) == 2
+
+
+@pytest.fixture(scope="module")
+def good_sidecar(tmp_path_factory):
+    path = tmp_path_factory.mktemp("good") / "records.csv"
+    write_records_csv(corpus(), path)
+    load_records(path)
+    return path.read_bytes(), cache_path(path).read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_sidecar_never_changes_the_records(good_sidecar, data):
+    csv_bytes, sidecar_bytes = good_sidecar
+    at = data.draw(st.integers(0, len(sidecar_bytes) - 1))
+    flip = data.draw(st.integers(1, 255))
+    corrupt = bytearray(sidecar_bytes)
+    corrupt[at] ^= flip
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        path.write_bytes(csv_bytes)
+        cache_path(path).write_bytes(bytes(corrupt))
+        assert load_records(path)[0].to_records() == corpus()
+
+
+def _sidecar_arrays(path: Path) -> dict:
+    with np.load(cache_path(path), allow_pickle=False) as npz:
+        return dict(npz)
+
+
+def _save_sidecar(path: Path, arrays: dict) -> None:
+    with open(cache_path(path), "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_sidecar_of_another_version(csv_path, reads):
+    load_records(csv_path)
+    arrays = _sidecar_arrays(csv_path)
+    arrays["version"] = np.array(CACHE_VERSION + 1)
+    _save_sidecar(csv_path, arrays)
+    assert load_records(csv_path)[0].to_records() == corpus()
+    assert len(reads) == 2
+    assert _sidecar_arrays(csv_path)["version"] == CACHE_VERSION
+
+
+TRIPPED: list[str] = []
+
+
+def _trip():
+    TRIPPED.append("unpickled")
+    return "Ann Ace"
+
+
+class Tripwire:
+    """Unpickling this object records that it happened."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+@pytest.mark.parametrize("key", ["players_utf8", "server", "version"])
+def test_sidecar_holding_a_pickled_object_array(csv_path, reads, key):
+    load_records(csv_path)
+    arrays = _sidecar_arrays(csv_path)
+    arrays[key] = np.array([Tripwire(), "x"], dtype=object)
+    _save_sidecar(csv_path, arrays)
+    assert load_records(csv_path)[0].to_records() == corpus()
+    assert len(reads) == 2
+    assert TRIPPED == []
+
+
+def test_read_only_directory(csv_path, reads, monkeypatch):
+    csv_path.parent.chmod(0o555)
+    try:
+        if os.access(csv_path.parent, os.W_OK):
+            # Permission bits do not bind this user (root); refuse the
+            # temp file as a read-only directory would.
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(csv_path.parent))
+
+            monkeypatch.setattr(records_module.tempfile, "mkstemp", refuse)
+        for expected_reads in (1, 2):
+            assert load_records(csv_path)[0].to_records() == corpus()
+            assert len(reads) == expected_reads
+    finally:
+        csv_path.parent.chmod(0o755)
+    assert sorted(p.name for p in csv_path.parent.iterdir()) == ["records.csv"]
+
+
+def test_sidecar_path_taken_by_a_directory(csv_path, reads):
+    cache_path(csv_path).mkdir()
+    for expected_reads in (1, 2):
+        assert load_records(csv_path)[0].to_records() == corpus()
+        assert len(reads) == expected_reads
+    assert sorted(p.name for p in csv_path.parent.iterdir()) == [
+        "records.csv", cache_path(csv_path).name
+    ]
+
+
+# A hit re-checks every invariant, id and key: each breaker breaks one.
+
+
+def _row(arrays, kind):
+    return int(np.flatnonzero(arrays["kind"] == KINDS.index(kind))[0])
+
+
+def _ufe_by_receiver(arrays):
+    ufe = arrays["kind"] == KINDS.index(K.UNFORCED_ERROR)
+    return int(np.flatnonzero(ufe & (arrays["committer"] == 1))[0])
+
+
+def _set(column, row_of, value):
+    def breaker(arrays):
+        arrays[column][row_of(arrays)] = value
+    return breaker
+
+
+BREAKERS = {
+    "serve_number": _set("serve_number", lambda a: 0, 3),
+    "touch": _set("touch", lambda a: 0, 0),
+    "server_is_receiver": lambda a: a["receiver"].__setitem__(0, a["server"][0]),
+    "kind_range": _set("kind", lambda a: 0, len(KINDS)),
+    "winner_range": _set("winner", lambda a: 0, 2),
+    "committer_range": _set("committer", lambda a: 0, -2),
+    "fault_with_winner": _set("winner", lambda a: _row(a, K.FIRST_SERVE_FAULT), 0),
+    "fault_on_second_serve": _set("serve_number", lambda a: _row(a, K.FIRST_SERVE_FAULT), 2),
+    "committer_without_error": _set("committer", lambda a: _row(a, K.ACE), 1),
+    "error_without_committer": _set("committer", _ufe_by_receiver, -1),
+    "error_won_by_committer": _set("winner", _ufe_by_receiver, 1),
+    "committer_parity": _set("touch", _ufe_by_receiver, 5),
+    "ufe_on_the_serve": lambda a: (
+        a["committer"].__setitem__(_ufe_by_receiver(a), 0),
+        a["winner"].__setitem__(_ufe_by_receiver(a), 1),
+        a["touch"].__setitem__(_ufe_by_receiver(a), 1),
+    ),
+    "double_fault_on_first_serve": _set("serve_number", lambda a: _row(a, K.DOUBLE_FAULT), 1),
+    "double_fault_won_by_server": _set("winner", lambda a: _row(a, K.DOUBLE_FAULT), 0),
+    "year_range": _set("year", lambda a: 0, MAX_YEAR + 1),
+    "year_negative": _set("year", lambda a: 0, -2),
+    "match_id_range": lambda a: a["match"].__setitem__(0, a["match"].max() + 1),
+    "player_id_negative": _set("server", lambda a: 0, -1),
+    "tour_id_range": _set("tour", lambda a: 0, -2),
+    "unused_player": lambda a: a.update(
+        players_utf8=np.append(a["players_utf8"], np.frombuffer(b"Ghost", np.uint8)),
+        players_offsets=np.append(a["players_offsets"], a["players_offsets"][-1] + 5),
+    ),
+    "duplicate_tour": lambda a: a.update(
+        tours_utf8=np.frombuffer(b"ATPATP", np.uint8),
+        tours_offsets=np.array([0, 3, 6], np.int64),
+        tour=np.where(a["tour"] >= 0, 0, -1).astype(np.int32),
+    ),
+    "bad_utf8": lambda a: a["matches_utf8"].__setitem__(0, 0xFF),
+    "wide_dtype": lambda a: a.update(touch=a["touch"].astype(np.int64)),
+    "short_column": lambda a: a.update(kind=a["kind"][:-1]),
+    "wrong_sha": lambda a: a.update(sha256=np.array("0" * 64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKERS))
+def test_a_hit_rechecks_every_invariant(csv_path, reads, name):
+    load_records(csv_path)
+    arrays = _sidecar_arrays(csv_path)
+    BREAKERS[name](arrays)
+    _save_sidecar(csv_path, arrays)
+    assert load_records(csv_path)[0].to_records() == corpus()
+    assert len(reads) == 2
+
+
+# Consumers on a table equal their per-record references.
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the references raise the same types
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(serve_records(st.sampled_from(FEW_NAMES)), max_size=60),
+    tour=st.sampled_from([None, "Ann Ace", "Bob Base", "ATP"]),
+    max_touch=st.integers(1, 15),
+    pair=st.lists(st.sampled_from(FEW_NAMES), min_size=2, max_size=2, unique=True),
+    scope=st.sampled_from(list(PoolScope)),
+)
+def test_consumers_match_references(records, tour, max_touch, pair, scope):
+    built = RecordTable.from_records(records)
+    for table in (built, detached(built)):
+        for requested in ("ann ace", "BOB_BASE", "cy chip", "Zoë Ångström", "nobody"):
+            assert _outcome(resolve_player, table, requested) == _outcome(
+                reference_resolve_player, records, requested
+            )
+
+        expected = reference_build_pools(records, *pair, scope)
+        empty = [pid for pid in PoolId if not expected[pid]]
+        if empty:
+            with pytest.raises(EmptyPoolError, match=empty[0].value):
+                build_pools(table, *pair, scope)
+        else:
+            assert dict(build_pools(table, *pair, scope).pools) == expected
+
+        for wanted in (None, "ATP", tour):
+            assert matches_per_player(table, wanted) == reference_matches_per_player(
+                records, wanted
+            )
+
+        tally = tally_records(table, tour, max_touch)
+        reference = reference_tally_records(records, tour, max_touch)
+        assert list(tally.players) == list(reference.players)
+        assert tally.profiles() == reference.profiles()
+        for role in Role:
+            assert tally.touch_curve(role) == reference.touch_curve(role)
+        assert tally.year_series() == reference.year_series()
+        assert tally.ufe_rate() == reference.ufe_rate()
+        assert tally.termination_share() == reference.termination_share()
+
+
+def test_build_pools_rebuilds_records_in_file_order(csv_path):
+    table, _ = load_records(csv_path)
+    cached, _ = load_records(csv_path)
+    assert cached.source is None
+    for scope in PoolScope:
+        pools = build_pools(cached, "Ann Ace", "Bob Base", scope)
+        expected = reference_build_pools(corpus(), "Ann Ace", "Bob Base", scope)
+        assert dict(pools.pools) == expected
+        assert pools.first_codes == build_pools(corpus(), "Ann Ace", "Bob Base", scope).first_codes
