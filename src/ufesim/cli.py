@@ -304,16 +304,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.player_a or not args.player_b:
         print("error: --a and --b are required", file=sys.stderr)
         return EXIT_USAGE
-    table, dataset_sha256 = load_records(_resolve_data_path(args.records))
-    player_a = resolve_player(table, args.player_a)
-    player_b = resolve_player(table, args.player_b)
+    records, dataset_sha256 = load_records(_resolve_data_path(args.records))
+    player_a = resolve_player(records, args.player_a)
+    player_b = resolve_player(records, args.player_b)
     scope = PoolScope(args.scope)
-    pools = build_pools(table, player_a, player_b, scope)
+    pools = build_pools(records, player_a, player_b, scope)
 
     if args.table1:
-        table = load_table(args.table1)
+        touch_table = load_table(args.table1)
     else:
-        table = default_table()
+        touch_table = default_table()
         tours = {rec.tour for pool in pools.pools.values() for rec in pool}
         if "WTA" in tours:
             print(
@@ -343,7 +343,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         # An output that cannot be written fails now, not after the simulation.
         open(args.out, "a", encoding="utf-8").close()
-    comparison = compare_scenarios(configs, pools, table, n_jobs=args.n_jobs)
+    comparison = compare_scenarios(configs, pools, touch_table, n_jobs=args.n_jobs)
 
     print(f"players: A = {player_a}, B = {player_b}  (scope: {scope.value})")
     print(f"seed: {args.seed}")
@@ -448,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_jobs",
         type=int,
         default=1,
-        help="recorded in the manifest only; replicates always run serially",
+        help="recorded in the manifest only: replicates run on every CPU the "
+        "process may use (limit them with taskset), with identical results "
+        "for any count",
     )
     p_sim.add_argument("--out", default=None, help="JSON output path")
     p_sim.add_argument("--config", default=None, help="key = value file overriding flags")

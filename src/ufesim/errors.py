@@ -74,3 +74,7 @@ class AmbiguousPlayerError(UfesimError):
 
 class TableFormatError(UfesimError):
     """A touch-win probability table file could not be loaded."""
+
+
+class WorkerDiedError(UfesimError):
+    """A worker process playing simulation replicates ended abruptly."""

@@ -15,12 +15,25 @@ replicate stream in a fixed order: one per serve drawn, one removal
 draw for every drawn error by A (whatever x is, x = 0 included), and
 one resolution draw when the error is struck.  Only rng.random() is
 called, and the first server costs one draw under the 'random' policy.
+
+Replicates run on every CPU the process may use.  run_simulation and
+compare_scenarios cut each scenario into blocks of at least _MIN_BLOCK
+replicates and, when there are two full blocks or more and two allowed
+CPUs or more, play the blocks in forked worker processes, one worker per
+CPU (os.sched_getaffinity, so `taskset` limits the count).  Replicate i
+always draws from its own stream replicate_stream(seed, i), and a block
+returns only its per-match shares as flat float columns, which are
+joined in index order; so every summary is bit-identical for any number
+of workers, the in-process loop being the one-worker case.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+from array import array
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +45,7 @@ from .counterfactual import (
     resolve_removed_ufe,
     should_remove_ufe,
 )
-from .errors import EndlessMatchError
+from .errors import EndlessMatchError, WorkerDiedError
 from .pools import FAULT, PoolScope, ServePoolSet
 from .rng import replicate_stream
 from .scoring import PLAYERS, MatchFormat, play_match
@@ -241,15 +254,29 @@ def _pct_share(pair: tuple[int, int]) -> float:
     return 100.0 * pair[0] / total if total else 0.0
 
 
-def summarize(results: Sequence[MatchResult], scenario: str) -> SimulationSummary:
-    """Average per-match percentages and attach bootstrap SEs."""
-    n = len(results)
+# Per-match figures of A, one float column each: the points, games and
+# sets shares (percent) and the match win flag (1.0 or 0.0).
+_Columns = tuple[array, array, array, array]
+
+
+def _columns(results: Iterable[MatchResult]) -> _Columns:
+    pts, gms, sts, wins = array("d"), array("d"), array("d"), array("d")
+    for r in results:
+        pts.append(_pct_share(r.points_won))
+        gms.append(_pct_share(r.games_won))
+        sts.append(_pct_share(r.sets_won))
+        wins.append(1.0 if r.match_winner == "A" else 0.0)
+    return pts, gms, sts, wins
+
+
+def _summarize_columns(columns: _Columns, scenario: str) -> SimulationSummary:
+    # Each metric is its own contiguous float64 array, as np.array made
+    # from a list of floats: numpy's pairwise sums, and so the means and
+    # SEs, are then bit-identical to summing that list.
+    pts, gms, sts, wins = (np.array(column, dtype=np.float64) for column in columns)
+    n = len(pts)
     if n < 1:
         raise ValueError("cannot summarize zero matches")
-    pts = np.array([_pct_share(r.points_won) for r in results])
-    gms = np.array([_pct_share(r.games_won) for r in results])
-    sts = np.array([_pct_share(r.sets_won) for r in results])
-    wins = np.array([1.0 if r.match_winner == "A" else 0.0 for r in results])
 
     def se(arr: np.ndarray) -> float:
         return float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -267,6 +294,11 @@ def summarize(results: Sequence[MatchResult], scenario: str) -> SimulationSummar
         se_sets=se(sts),
         se_matches=binomial_se_pct(p_hat, n),
     )
+
+
+def summarize(results: Sequence[MatchResult], scenario: str) -> SimulationSummary:
+    """Average per-match percentages and attach bootstrap SEs."""
+    return _summarize_columns(_columns(results), scenario)
 
 
 def _point_winners(pools: ServePoolSet, server: int, reduction_x: float) -> set[int]:
@@ -300,6 +332,135 @@ def _check_match_can_end(pools: ServePoolSet, reduction_x: float) -> None:
         )
 
 
+# Fewest replicates in one block.  A worker is forked only per full block
+# and per allowed CPU, so a call of fewer than 2 * _MIN_BLOCK matches
+# never forks: below that, starting the pool costs more than it saves.
+_MIN_BLOCK = 1000
+
+
+class _Job(NamedTuple):
+    configs: tuple[SimulationConfig, ...]
+    pools: ServePoolSet
+    table: TouchWinTable
+
+
+def _replicate_block(job: _Job, config_index: int, start: int, stop: int) -> _Columns:
+    """Play replicates start..stop-1 of job.configs[config_index].
+
+    Calls no numpy, so that forked workers never touch numpy's state.
+    """
+    config = job.configs[config_index]
+    return _columns(
+        _run_replicate(config, job.pools, job.table, i) for i in range(start, stop)
+    )
+
+
+def _blocks(n_matches: int) -> list[tuple[int, int]]:
+    """Index ranges cutting 0..n_matches-1 into blocks of at least
+    _MIN_BLOCK replicates (one shorter block when n_matches is smaller)."""
+    k = max(1, n_matches // _MIN_BLOCK)
+    return [(n_matches * j // k, n_matches * (j + 1) // k) for j in range(k)]
+
+
+def _allowed_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# A forked worker's job: set in each worker by the pool initializer, never
+# in the calling process.
+_worker_job: _Job | None = None
+
+
+def _adopt_job(job: _Job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_block(task: tuple[int, int, int]) -> _Columns:
+    return _replicate_block(_worker_job, *task)
+
+
+def _play_forked(job: _Job, workers: int) -> list[_Columns] | None:
+    """Play every block of the job in `workers` forked processes.
+
+    The workers inherit the job at fork time (fork does not pickle the
+    initializer's arguments); each task is a (config index, start, stop)
+    tuple and each result a block's columns.  Returns None when the pool
+    cannot start, so the caller plays in process instead.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    tasks = [
+        (i, start, stop)
+        for i, config in enumerate(job.configs)
+        for start, stop in _blocks(config.n_matches)
+    ]
+    children = set(multiprocessing.active_children())
+    try:
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_job,
+            initargs=(job,),
+        )
+    except OSError:
+        return None
+    try:
+        try:
+            # A fork-context pool forks all its workers in the first submit.
+            futures = [pool.submit(_worker_block, task) for task in tasks]
+        except OSError:
+            # A fork was refused: stop the workers that did start.
+            for child in set(multiprocessing.active_children()) - children:
+                child.terminate()
+                child.join()
+            return None
+        try:
+            blocks = [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            raise WorkerDiedError(f"a replicate worker process died: {exc}") from None
+    finally:
+        # Blocks not yet started are dropped when the wait ends early
+        # (an interrupt, a dead worker).
+        pool.shutdown(cancel_futures=True)
+    played = [_columns(()) for _ in job.configs]
+    for (config_index, _, _), block in zip(tasks, blocks):
+        for column, part in zip(played[config_index], block):
+            column.extend(part)
+    return played
+
+
+def _play(
+    configs: Sequence[SimulationConfig],
+    pools: ServePoolSet,
+    table: TouchWinTable | None,
+) -> list[_Columns]:
+    """Every config's columns, in replicate index order.
+
+    Forks one worker per full block, at most one per allowed CPU; plays
+    in process when that is fewer than two, when the platform cannot
+    fork, when the pool cannot start, or when other threads are running
+    (a fork copies no thread but the caller's, and any lock another
+    thread holds stays held in the child).
+    """
+    for config in configs:
+        _check_match_can_end(pools, config.reduction_x)
+    if table is None:
+        table = default_table()
+    job = _Job(tuple(configs), pools, table)
+    workers = min(_allowed_cpus(), sum(c.n_matches // _MIN_BLOCK for c in configs))
+    if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        played = _play_forked(job, workers)
+        if played is not None:
+            return played
+    return [_replicate_block(job, i, 0, c.n_matches) for i, c in enumerate(configs)]
+
+
 def run_simulation(
     config: SimulationConfig,
     pools: ServePoolSet,
@@ -309,22 +470,27 @@ def run_simulation(
     """Run config.n_matches independent replicates and summarize.
 
     Each replicate owns a random stream derived from (seed, index).
-    Replicates run serially in index order; n_jobs is accepted for
+    Replicates run on every allowed CPU once there are at least two
+    blocks of _MIN_BLOCK of them (see the module docstring); the summary
+    is bit-identical for any number of workers.  Restrict the process's
+    CPUs (`taskset -c 0`) to run serially.  n_jobs is accepted for
     compatibility and changes nothing.
     """
-    _check_match_can_end(pools, config.reduction_x)
-    if table is None:
-        table = default_table()
-    results = [_run_replicate(config, pools, table, i) for i in range(config.n_matches)]
-    return summarize(results, config.scenario)
+    (columns,) = _play([config], pools, table)
+    return _summarize_columns(columns, config.scenario)
 
 
 @dataclass(frozen=True, slots=True)
 class ScenarioDelta:
     """Metric differences of one scenario against a baseline.
 
-    SEs combine the two runs' standard errors in quadrature, which is
-    right for independently seeded replicate sets.
+    SEs combine the two runs' standard errors in quadrature, which would
+    be right for independently seeded replicate sets.  Every scenario
+    reuses the same seeds, though, so the runs are positively correlated
+    and these SEs overstate the paired SE of the difference (at 3,000
+    matches, historic against reduce:0.1, 0.083 against 0.056 for
+    points).  They are kept as they are until the pinned outputs are
+    re-pinned with paired SEs.
     """
 
     baseline: str
@@ -357,10 +523,15 @@ def compare_scenarios(
     """Run several scenarios over the same pools and difference them.
 
     Configs should differ only in reduction_x so the comparison is a
-    clean what-if; every unordered pair gets a delta row.  n_jobs is
-    passed on to run_simulation, where it changes nothing.
+    clean what-if; every unordered pair gets a delta row.  The blocks of
+    every scenario go to one pool of workers, one per allowed CPU, as in
+    run_simulation; the output is bit-identical for any number of
+    workers.  n_jobs is accepted for compatibility and changes nothing.
     """
-    summaries = tuple(run_simulation(cfg, pools, table, n_jobs=n_jobs) for cfg in configs)
+    summaries = tuple(
+        _summarize_columns(columns, cfg.scenario)
+        for cfg, columns in zip(configs, _play(configs, pools, table))
+    )
     deltas = []
     for i in range(len(summaries)):
         for j in range(i + 1, len(summaries)):

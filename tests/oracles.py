@@ -6,8 +6,11 @@ server derivation) so that agreement between the two is meaningful.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+
+import numpy as np
 
 from ufesim.analytics import (
     DEFAULT_MAX_TOUCH,
@@ -22,7 +25,13 @@ from ufesim.errors import AmbiguousPlayerError, PlayerNotFoundError
 from ufesim.pools import PoolId, PoolScope, sample, select_pool
 from ufesim.records import Role, TerminalKind
 from ufesim.scoring import apply_point, new_match, other_player
-from ufesim.simulate import MatchResult, PointOutcome, first_server_for
+from ufesim.simulate import (
+    MatchResult,
+    PointOutcome,
+    SimulationSummary,
+    binomial_se_pct,
+    first_server_for,
+)
 
 
 def naive_game_winner(points: list[str], *, no_ad: bool = False) -> str | None:
@@ -481,4 +490,35 @@ def reference_simulate_match(config, pools, table, rng, replicate_index=0):
         match_winner=score.match_winner,
         ufes_kept=kept,
         ufes_removed=removed,
+    )
+
+
+def reference_summarize(results, scenario):
+    """summarize as it was over a list of MatchResults: one numpy array
+    per metric, built from a list of Python floats."""
+    n = len(results)
+
+    def share(pair):
+        return 100.0 * pair[0] / (pair[0] + pair[1]) if pair[0] + pair[1] else 0.0
+
+    pts = np.array([share(r.points_won) for r in results])
+    gms = np.array([share(r.games_won) for r in results])
+    sts = np.array([share(r.sets_won) for r in results])
+    wins = np.array([1.0 if r.match_winner == "A" else 0.0 for r in results])
+
+    def se(arr):
+        return float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+    p_hat = float(wins.mean())
+    return SimulationSummary(
+        scenario=scenario,
+        n_matches=n,
+        pct_points_won_a=float(pts.mean()),
+        pct_games_won_a=float(gms.mean()),
+        pct_sets_won_a=float(sts.mean()),
+        pct_matches_won_a=100.0 * p_hat,
+        se_points=se(pts),
+        se_games=se(gms),
+        se_sets=se(sts),
+        se_matches=binomial_se_pct(p_hat, n),
     )

@@ -1,23 +1,30 @@
 """Simulator behavior: point mechanics, replicates, summaries."""
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
-from oracles import reference_simulate_match, reference_simulate_point
+from oracles import reference_simulate_match, reference_simulate_point, reference_summarize
+from ufesim import simulate
+from ufesim.cli import main
 from ufesim.counterfactual import ELIMINATE, HISTORIC, ReductionPolicy, default_table
 from ufesim.errors import EndlessMatchError
 from ufesim.pools import PoolScope, build_pools
-from ufesim.records import Role, TerminalKind
+from ufesim.records import Role, TerminalKind, write_records_csv
 from ufesim.rng import derive_seed, replicate_stream
 from ufesim.scoring import MatchFormat
 from ufesim.simulate import (
@@ -272,12 +279,57 @@ def test_run_simulation_deterministic(mixed_pools):
     assert run_simulation(cfg, mixed_pools) == run_simulation(cfg, mixed_pools)
 
 
-def test_run_simulation_parallel_matches_serial(mixed_pools):
+@pytest.fixture
+def allow_cpus(monkeypatch):
+    """allow_cpus(cpus, min_block) sets the CPUs the process may use and
+    the block size; it returns the list of worker pids forked from then on."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def allow(cpus, min_block):
+        monkeypatch.setattr(simulate, "_MIN_BLOCK", min_block)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forked.clear()
+        return forked
+
+    return allow
+
+
+def test_run_simulation_parallel_matches_serial(mixed_pools, allow_cpus):
     cfg = SimulationConfig(n_matches=48, seed=31, reduction_x=0.4)
     serial = run_simulation(cfg, mixed_pools, n_jobs=1)
     four = run_simulation(cfg, mixed_pools, n_jobs=4)
     eight = run_simulation(cfg, mixed_pools, n_jobs=8)
     assert serial == four == eight
+    # 48 replicates in 6 blocks of 8, over 2 and 3 real workers.
+    for workers in (2, 3):
+        forked = allow_cpus(workers, min_block=8)
+        assert run_simulation(cfg, mixed_pools, n_jobs=1) == serial
+        assert len(forked) == workers
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("policy", ["alternate", "random"])
+def test_summarize_of_results_equals_the_column_path(x, policy, mixed_pools, allow_cpus):
+    cfg = SimulationConfig(n_matches=90, seed=17, reduction_x=x, first_server_policy=policy)
+    results = [
+        simulate_match(cfg, mixed_pools, TABLE, replicate_stream(17, i), replicate_index=i)
+        for i in range(cfg.n_matches)
+    ]
+    expected = reference_summarize(results, cfg.scenario)
+    assert summarize(results, cfg.scenario) == expected
+    assert run_simulation(cfg, mixed_pools, TABLE) == expected
+    forked = allow_cpus(2, min_block=30)
+    assert run_simulation(cfg, mixed_pools, TABLE) == expected
+    assert len(forked) == 2
 
 
 def test_summarize_hand_checked():
@@ -403,8 +455,8 @@ PINNED_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("case", range(len(PINNED_FORMATS)))
-def test_compare_scenarios_output_is_pinned(case, mixed_pools):
+def _compare_pinned_case(case, pools):
+    """compare_scenarios on pinned case `case`, checked against its pins."""
     fmt, policy = PINNED_FORMATS[case]
     configs = [
         SimulationConfig(
@@ -412,7 +464,7 @@ def test_compare_scenarios_output_is_pinned(case, mixed_pools):
         )
         for x in (0.0, 0.1, 1.0)
     ]
-    comparison = compare_scenarios(configs, mixed_pools)
+    comparison = compare_scenarios(configs, pools)
     figures, digest = PINNED_OUTPUTS[case]
     assert [
         tuple(v for k, v in s.to_dict().items() if k not in ("scenario", "n_matches"))
@@ -423,6 +475,135 @@ def test_compare_scenarios_output_is_pinned(case, mixed_pools):
         sort_keys=True,
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_FORMATS)))
+def test_compare_scenarios_output_is_pinned(case, mixed_pools):
+    _compare_pinned_case(case, mixed_pools)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", range(len(PINNED_FORMATS)))
+def test_compare_scenarios_pinned_for_any_worker_count(case, workers, mixed_pools, allow_cpus):
+    """The pinned figures again, with each scenario cut into three blocks
+    of 50 and played on 1, 2 or 3 workers (1: nothing is forked)."""
+    forked = allow_cpus(workers, min_block=50)
+    _compare_pinned_case(case, mixed_pools)
+    assert len(forked) == (workers if workers > 1 else 0)
+
+
+def test_blocks_cover_the_replicates_in_order(monkeypatch):
+    monkeypatch.setattr(simulate, "_MIN_BLOCK", 1000)
+    assert simulate._blocks(3000) == [(0, 1000), (1000, 2000), (2000, 3000)]
+    assert simulate._blocks(2999) == [(0, 1499), (1499, 2999)]
+    assert simulate._blocks(100) == [(0, 100)]
+    for n in range(1, 3500, 37):
+        blocks = simulate._blocks(n)
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(stop - start >= min(n, 1000) for start, stop in blocks)
+
+
+@pytest.mark.parametrize("refused_fork", [1, 2])
+def test_refused_fork_plays_in_process(refused_fork, mixed_pools, allow_cpus, monkeypatch):
+    configs = [SimulationConfig(n_matches=150, seed=4242, reduction_x=x) for x in (0.0, 1.0)]
+    expected = compare_scenarios(configs, mixed_pools)
+    forked = allow_cpus(3, min_block=50)
+    counting_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == refused_fork:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert compare_scenarios(configs, mixed_pools) == expected
+    assert len(forked) == refused_fork - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_exits_4_with_one_error_line(
+    two_player_records, tmp_path, allow_cpus, monkeypatch, capfd
+):
+    records = tmp_path / "records.csv"
+    write_records_csv(two_player_records, records)
+    allow_cpus(2, min_block=50)
+    caller = os.getpid()
+
+    def die(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        raise AssertionError("a block was played in process")
+
+    monkeypatch.setattr(simulate, "_replicate_block", die)
+    code = main(["simulate", "--records", str(records), "--a", "Ann Ace", "--b", "Bob Base",
+                 "--n", "100", "--scenario", "historic", "--scenario", "eliminate"])
+    out, err = capfd.readouterr()
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: a replicate worker process died")
+
+
+TESTS_DIR = Path(__file__).resolve().parent
+
+# Runs compare_scenarios on mixed pools in a fresh interpreter with the
+# CPUs and block size given as argv; prints the summaries as JSON, then
+# whether multiprocessing was imported.  An atexit hook appends the pid
+# of every process that runs it to the file named by argv[3].
+CHILD_SCRIPT = """
+import atexit, json, os, sys
+
+from conftest import serve_mix
+from ufesim import simulate
+from ufesim.pools import build_pools
+
+cpus, min_block, exits = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+
+
+def record_exit():
+    with open(exits, "a") as fh:
+        print(os.getpid(), file=fh)
+
+
+atexit.register(record_exit)
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+if len(os.sched_getaffinity(0)) < cpus:
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+simulate._MIN_BLOCK = min_block
+pools = build_pools(serve_mix("Ann Ace", "Bob Base") + serve_mix("Bob Base", "Ann Ace"),
+                    "Ann Ace", "Bob Base")
+configs = [simulate.SimulationConfig(n_matches=150, seed=4242, reduction_x=x)
+           for x in (0.0, 0.1, 1.0)]
+comparison = simulate.compare_scenarios(configs, pools)
+print(json.dumps([s.to_dict() for s in comparison.summaries]))
+print("multiprocessing" in sys.modules)
+"""
+
+
+def _run_child(cpus, min_block, exits):
+    src = str(TESTS_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(TESTS_DIR)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_SCRIPT, str(cpus), str(min_block), str(exits)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summaries, imported = proc.stdout.splitlines()
+    return json.loads(summaries), imported == "True", exits.read_text().split()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+def test_cpu_mask_sets_the_workers_and_only_the_caller_runs_atexit(tmp_path):
+    """Under a one-CPU mask nothing is forked and multiprocessing is never
+    imported; with two CPUs the workers leave without running the
+    caller's atexit hooks (a benchmark's peak-memory hook is one)."""
+    one, imported_one, exits_one = _run_child(1, 50, tmp_path / "one.txt")
+    two, imported_two, exits_two = _run_child(2, 50, tmp_path / "two.txt")
+    assert one == two
+    assert not imported_one and imported_two
+    assert len(exits_one) == len(exits_two) == 1
 
 
 class CountingRandom:
