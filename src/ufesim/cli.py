@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,16 +40,17 @@ from .errors import (
     TableFormatError,
     UfesimError,
 )
-from .ingest import ingest_files
+from .ingest import ingest_table
 from .pools import PoolScope, build_pools, pool_summary
 from .records import (
     RecordTable,
     Role,
     ServeRecord,
     as_table,
+    cache_path,
     file_sha256,
     load_records,
-    write_records_csv,
+    save_records,
 )
 from .scoring import MatchFormat
 from .simulate import (
@@ -203,14 +205,25 @@ def _apply_config(args: argparse.Namespace, path: str) -> None:
             setattr(args, attr, value)
 
 
+def _refuse_overwriting_inputs(paths: list[Path], output: Path) -> None:
+    """ValueError if writing the records CSV or its sidecar would replace
+    one of the input files."""
+    for target in (output, cache_path(output)):
+        for path in paths:
+            with suppress(OSError):  # either may not exist
+                if os.path.samefile(path, target):
+                    raise ValueError(f"output {target} would overwrite the input {path}")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     paths = [_resolve_data_path(p) for p in args.inputs]
-    records, report = ingest_files(paths)
-    write_records_csv(records, args.output)
+    _refuse_overwriting_inputs(paths, Path(args.output))
+    table, report = ingest_table(paths)
+    sha256 = save_records(table, args.output)
     payload = report.to_dict()
     payload["output"] = str(args.output)
     manifest = build_manifest(
-        "ingest", {"inputs": [str(p) for p in paths]}, dataset_path=args.output
+        "ingest", {"inputs": [str(p) for p in paths]}, dataset_sha256=sha256
     )
     payload["manifest"] = manifest.to_dict()
     print(json.dumps(payload, indent=2))

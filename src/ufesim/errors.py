@@ -6,19 +6,23 @@ class UfesimError(Exception):
     """Base class for all ufesim errors."""
 
 
+def _located(message: str, path: str | None, line: int | None) -> str:
+    where = []
+    if path is not None:
+        where.append(str(path))
+    if line is not None:
+        where.append(f"line {line}")
+    prefix = ": ".join(where)
+    return f"{prefix}: {message}" if prefix else message
+
+
 class CsvFormatError(UfesimError):
     """Structural problem in an input CSV: missing column, ragged row, bad field."""
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         self.path = path
         self.line = line
-        where = []
-        if path is not None:
-            where.append(str(path))
-        if line is not None:
-            where.append(f"line {line}")
-        prefix = ": ".join(where)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+        super().__init__(_located(message, path, line))
 
 
 class NotationError(UfesimError):
@@ -31,12 +35,19 @@ class NotationError(UfesimError):
 
 
 class DuplicatePointError(UfesimError):
-    """Two rows claim the same (match_id, point_index)."""
+    """Two rows claim the same (match_id, point_index); path and line
+    locate the repeated row."""
 
-    def __init__(self, match_id: str, point_index: int):
+    def __init__(
+        self, match_id: str, point_index: int, *, path: str | None = None, line: int | None = None
+    ):
         self.match_id = match_id
         self.point_index = point_index
-        super().__init__(f"duplicate point: match_id={match_id!r} point_index={point_index}")
+        self.path = path
+        self.line = line
+        super().__init__(
+            _located(f"duplicate point: match_id={match_id!r} point_index={point_index}", path, line)
+        )
 
 
 class EmptyPoolError(UfesimError):
@@ -66,6 +77,10 @@ class TouchRangeError(UfesimError):
 
 class PlayerNotFoundError(UfesimError):
     """The requested player does not appear in the record set."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"no player named {name!r} in the records")
 
 
 class AmbiguousPlayerError(UfesimError):

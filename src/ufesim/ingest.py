@@ -6,19 +6,38 @@ one record per serve: a row with a second serve implies the first serve
 was a fault, so an augmented fault record is emitted ahead of the
 decisive one.  Rows with a non-numeric rally count or undecodable
 notation are dropped and counted, never repaired.
+
+ingest_table does all of this in one streaming pass over each file:
+every structurally checked row is decoded and appended, as interned ids
+and codes, to typed column buffers that become a RecordTable, so no row
+or record object outlives its line.  parse_points_file, clean_rows,
+explode_to_serves and ingest_files are the same steps one stage at a
+time, built on the same per-row helpers.
 """
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CsvFormatError, DuplicatePointError, NotationError
-from .notation import parse_shot_notation
-from .records import RawPointRow, ServeRecord, TerminalKind, open_csv
+from .notation import ParsedPoint, parse_shot_notation
+from .records import (
+    KIND_CODES,
+    NONE_CODE,
+    ROLE_CODES,
+    RawPointRow,
+    RecordTable,
+    ServeRecord,
+    TerminalKind,
+    column_buffers,
+    open_csv,
+)
 
 REQUIRED_COLUMNS = ("match_id", "Pt", "Svr", "1st", "2nd", "rallyCount")
 _RALLY_COUNT_RE = re.compile(r"^[0-9]+$")
@@ -68,6 +87,189 @@ class IngestReport:
         return asdict(self)
 
 
+# One data row: (line, match_id, point_index, meta, server_id,
+# receiver_id, first serve notation, second serve notation, rallyCount),
+# every text field stripped.
+_Row = tuple[int, str, int, MatchMeta, str, str, str, str, str]
+
+
+def _checked_rows(path: Path) -> Iterator[_Row]:
+    """The data rows of one charting CSV, read as csv.DictReader reads
+    them: a BOM is dropped, blank lines are skipped, and of a repeated
+    header name the last column counts.  Raises CsvFormatError for
+    structural problems (missing columns, ragged lines, unusable ids)."""
+    where = str(path)
+    with open_csv(path, encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("file has no header row", path=where)
+        index = {name: i for i, name in enumerate(header)}
+        for column in REQUIRED_COLUMNS:
+            if column not in index:
+                raise CsvFormatError(f"missing required column {column!r}", path=where)
+        mid, pt, svr, first, second, rally = (index[c] for c in REQUIRED_COLUMNS)
+        # A row may be short of trailing columns that are not required.
+        shortest, widest = max(mid, pt, svr, first, second, rally) + 1, len(header)
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if not shortest <= len(row) <= widest:
+                raise CsvFormatError("wrong number of fields", path=where, line=line)
+            match_id = row[mid].strip()
+            try:
+                meta = parse_match_id(match_id)
+            except ValueError as exc:
+                raise CsvFormatError(str(exc), path=where, line=line) from None
+            try:
+                point_index = int(row[pt])
+            except ValueError:
+                raise CsvFormatError(
+                    f"Pt value {row[pt]!r} is not an integer", path=where, line=line
+                ) from None
+            server = row[svr].strip()
+            if server == "1":
+                server_id, receiver_id = meta.player1, meta.player2
+            elif server == "2":
+                server_id, receiver_id = meta.player2, meta.player1
+            else:
+                raise CsvFormatError(
+                    f"Svr value {row[svr]!r} is not 1 or 2", path=where, line=line
+                )
+            yield (
+                line,
+                match_id,
+                point_index,
+                meta,
+                server_id,
+                receiver_id,
+                row[first].strip(),
+                row[second].strip(),
+                row[rally].strip(),
+            )
+
+
+def _decode_serve(first: str, second: str) -> tuple[int, ParsedPoint] | None:
+    """The decisive serve's number and decoded outcome: the second serve
+    when one was played, else the first.  None if it does not decode."""
+    serve_number = 2 if second else 1
+    try:
+        return serve_number, parse_shot_notation(second or first, serve_number)
+    except NotationError:
+        return None
+
+
+def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport]:
+    """Every file's serve records as one table, in one pass per file.
+
+    Errors come in the order of the staged pipeline: a structural error
+    anywhere in a file before a duplicate point in it (raised when the
+    file ends, naming the repeated row), and both before anything in the
+    next file.  A duplicate of a point in an earlier file counts too.
+    """
+    columns = column_buffers()
+    # Appenders in RecordTable column order.
+    (add_match, add_server, add_receiver, add_serve_number, add_touch,
+     add_kind, add_winner, add_committer, add_year, add_tour) = (
+        buffer.append for buffer in columns.values()
+    )
+    # Ids are interned in RecordTable.from_records' order: matches and
+    # tours by first record; players as servers first, then the names
+    # only ever seen receiving.
+    matches: dict[str, int] = {}
+    servers: dict[str, int] = {}
+    receivers: dict[str, int] = {}
+    tours: dict[str | None, int] = {None: 0}
+    seen: dict[str, set[int]] = {}
+    rows_read = dropped_rally = dropped_notation = augmented = 0
+    # (serve_number, touch, kind, winner, committer) of the first-serve
+    # fault a played second serve implies.
+    implied_fault = (1, 1, KIND_CODES[TerminalKind.FIRST_SERVE_FAULT], NONE_CODE, NONE_CODE)
+    for path in paths:
+        path = Path(path)
+        duplicate: DuplicatePointError | None = None
+        same_player = False
+        for (line, match_id, point_index, meta, server_id, receiver_id,
+             first, second, rally) in _checked_rows(path):
+            rows_read += 1
+            points = seen.get(match_id)
+            if points is None:
+                points = seen[match_id] = set()
+            if point_index in points:
+                if duplicate is None:
+                    duplicate = DuplicatePointError(
+                        match_id, point_index, path=str(path), line=line
+                    )
+                continue
+            points.add(point_index)
+            if duplicate is not None or same_player:
+                continue  # the file fails when it ends; only structure matters now
+            if not _RALLY_COUNT_RE.match(rally):
+                dropped_rally += 1
+                continue
+            decoded = _decode_serve(first, second)
+            if decoded is None:
+                dropped_notation += 1
+                continue
+            if server_id == receiver_id:
+                same_player = True
+                continue
+            serve_number, parsed = decoded
+            decisive = (
+                serve_number,
+                parsed.terminal_touch,
+                KIND_CODES[parsed.terminal_kind],
+                ROLE_CODES[parsed.point_winner],
+                ROLE_CODES[parsed.error_committer],
+            )
+            if serve_number == 2:
+                augmented += 1
+                serves = (implied_fault, decisive)
+            else:
+                serves = (decisive,)
+            m = matches.setdefault(match_id, len(matches))
+            s = servers.setdefault(server_id, len(servers))
+            r = receivers.setdefault(receiver_id, len(receivers))
+            y = NONE_CODE if meta.year is None else meta.year
+            t = tours.setdefault(meta.tour, len(tours)) - 1
+            for serve, touch, kind, winner, committer in serves:
+                add_match(m)
+                add_server(s)
+                add_receiver(r)
+                add_serve_number(serve)
+                add_touch(touch)
+                add_kind(kind)
+                add_winner(winner)
+                add_committer(committer)
+                add_year(y)
+                add_tour(t)
+        if duplicate is not None:
+            raise duplicate
+        if same_player:
+            # What the ServeRecord of that row would raise.
+            raise ValueError("server_id and receiver_id must differ")
+
+    players = dict(servers)
+    for name in receivers:
+        players.setdefault(name, len(players))
+    to_player = np.fromiter(map(players.__getitem__, receivers), np.int32, len(receivers))
+    arrays = {name: np.asarray(buffer) for name, buffer in columns.items()}
+    arrays["receiver"] = to_player[arrays["receiver"]]
+    del tours[None]
+    table = RecordTable(
+        **arrays, matches=tuple(matches), players=tuple(players), tours=tuple(tours)
+    )
+    report = IngestReport(
+        rows_read=rows_read,
+        rows_dropped_bad_rally_count=dropped_rally,
+        rows_dropped_bad_notation=dropped_notation,
+        serve_records_emitted=len(table),
+        points_augmented_with_fault_serve=augmented,
+    )
+    return table, report
+
+
 def parse_points_file(path: str | Path) -> list[RawPointRow]:
     """Read one charting CSV into raw rows, no notation interpretation.
 
@@ -75,55 +277,11 @@ def parse_points_file(path: str | Path) -> list[RawPointRow]:
     ragged lines, unusable ids).  Duplicate points are ingest_files'
     check, across every file.
     """
-    path = Path(path)
-    rows: list[RawPointRow] = []
-    with open_csv(path, encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CsvFormatError("file has no header row", path=str(path))
-        for column in REQUIRED_COLUMNS:
-            if column not in reader.fieldnames:
-                raise CsvFormatError(
-                    f"missing required column {column!r}", path=str(path)
-                )
-        for raw in reader:
-            line = reader.line_num
-            if raw.get(None) is not None or any(
-                raw.get(c) is None for c in REQUIRED_COLUMNS
-            ):
-                raise CsvFormatError("wrong number of fields", path=str(path), line=line)
-            match_id = raw["match_id"].strip()
-            try:
-                meta = parse_match_id(match_id)
-            except ValueError as exc:
-                raise CsvFormatError(str(exc), path=str(path), line=line) from None
-            try:
-                point_index = int(raw["Pt"])
-            except ValueError:
-                raise CsvFormatError(
-                    f"Pt value {raw['Pt']!r} is not an integer", path=str(path), line=line
-                ) from None
-            svr = raw["Svr"].strip()
-            if svr == "1":
-                server_id, receiver_id = meta.player1, meta.player2
-            elif svr == "2":
-                server_id, receiver_id = meta.player2, meta.player1
-            else:
-                raise CsvFormatError(
-                    f"Svr value {raw['Svr']!r} is not 1 or 2", path=str(path), line=line
-                )
-            rows.append(
-                RawPointRow(
-                    match_id=match_id,
-                    point_index=point_index,
-                    server_id=server_id,
-                    receiver_id=receiver_id,
-                    first_serve_notation=raw["1st"].strip(),
-                    second_serve_notation=raw["2nd"].strip(),
-                    rally_count=raw["rallyCount"].strip(),
-                )
-            )
-    return rows
+    return [
+        RawPointRow(match_id, point_index, server_id, receiver_id, first, second, rally)
+        for _, match_id, point_index, _, server_id, receiver_id, first, second, rally
+        in _checked_rows(Path(path))
+    ]
 
 
 def clean_rows(rows: Sequence[RawPointRow]) -> tuple[list[RawPointRow], IngestReport]:
@@ -160,14 +318,11 @@ def explode_to_serves(
     augmented = dropped = 0
     for row in rows:
         meta = parse_match_id(row.match_id)
-        serve_number = 2 if row.second_serve_notation else 1
-        try:
-            parsed = parse_shot_notation(
-                row.second_serve_notation or row.first_serve_notation, serve_number
-            )
-        except NotationError:
+        decoded = _decode_serve(row.first_serve_notation, row.second_serve_notation)
+        if decoded is None:
             dropped += 1
             continue
+        serve_number, parsed = decoded
         if serve_number == 2:
             records.append(_fault_record(row, meta))
             augmented += 1
@@ -196,20 +351,6 @@ def explode_to_serves(
 
 
 def ingest_files(paths: Iterable[str | Path]) -> tuple[list[ServeRecord], IngestReport]:
-    """Full pipeline over several files with cross-file duplicate checks."""
-    all_records: list[ServeRecord] = []
-    total = IngestReport()
-    seen: set[tuple[str, int]] = set()
-    for path in paths:
-        rows = parse_points_file(path)
-        for row in rows:
-            key = (row.match_id, row.point_index)
-            if key in seen:
-                raise DuplicatePointError(row.match_id, row.point_index)
-            seen.add(key)
-        cleaned, clean_report = clean_rows(rows)
-        records, explode_report = explode_to_serves(cleaned)
-        all_records.extend(records)
-        # explode_to_serves reads only the rows clean_rows kept.
-        total = total.combined(clean_report).combined(replace(explode_report, rows_read=0))
-    return all_records, total
+    """ingest_table's records as ServeRecords, in file and row order."""
+    table, report = ingest_table(paths)
+    return table.to_records(), report

@@ -8,8 +8,9 @@ rates survive into the serve pools.
 A RecordTable holds the same records as columns: one numpy array per
 field, with names interned.  load_records reads a records CSV into a
 table through a sidecar cache, `<csv name>.ufesim-cache.npz`, keyed on
-the SHA-256 of the CSV's bytes.  This module is the only one that knows
-the sidecar's layout.
+the SHA-256 of the CSV's bytes; save_records writes a table's CSV and
+its sidecar together.  This module is the only one that knows the
+sidecar's layout.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import struct
 import tempfile
 import zipfile
 import zlib
+from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -137,22 +139,6 @@ class ServeRecord:
 RECORD_FIELDS = [f.name for f in fields(ServeRecord)]
 
 
-def _record_to_strings(rec: ServeRecord) -> list[str]:
-    return [
-        rec.match_id,
-        rec.server_id,
-        rec.receiver_id,
-        str(rec.serve_number),
-        "true" if rec.is_first_serve_fault else "false",
-        str(rec.terminal_touch),
-        rec.terminal_kind.value,
-        rec.point_winner.value if rec.point_winner else "none",
-        rec.error_committer.value if rec.error_committer else "none",
-        "" if rec.year is None else str(rec.year),
-        rec.tour or "",
-    ]
-
-
 def _role_from_string(s: str) -> Role | None:
     if s in ("", "none"):
         return None
@@ -161,21 +147,26 @@ def _role_from_string(s: str) -> Role | None:
 
 @contextmanager
 def open_csv(path, encoding: str = "utf-8"):
-    """Open a CSV for reading; bytes that do not decode raise CsvFormatError."""
+    """Open a CSV for reading; bytes that do not decode, and lines the csv
+    module refuses (a field over its size limit), raise CsvFormatError."""
     try:
         with open(path, newline="", encoding=encoding) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), path=str(path)) from None
 
 
-def write_records_csv(records, path) -> None:
+def write_records_csv(records: RecordTable | Iterable[ServeRecord], path) -> None:
     """Write normalized serve records to CSV (one record per serve)."""
+    table = as_table(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerow(_record_to_strings(rec))
+        # Chunks keep the rows' strings to a fixed number at a time.
+        for start in range(0, len(table), _WRITE_CHUNK):
+            writer.writerows(_csv_rows(table, slice(start, start + _WRITE_CHUNK)))
 
 
 def read_records_csv(path) -> list[ServeRecord]:
@@ -431,6 +422,39 @@ def as_table(records: RecordTable | Iterable[ServeRecord]) -> RecordTable:
     return RecordTable.from_records(records)
 
 
+_WRITE_CHUNK = 4096
+_KIND_NAMES = tuple(kind.value for kind in KINDS)
+# Index -1 picks the trailing "none".
+_ROLE_NAMES = (*(role.value for role in ROLES), "none")
+
+
+def _csv_rows(table: RecordTable, rows: slice) -> Iterator[list[str]]:
+    """The CSV fields of a slice of a table's rows, in RECORD_FIELDS order."""
+    matches, players = table.matches, table.players
+    tours = (*table.tours, "")
+    columns = [getattr(table, name)[rows].tolist() for name, _ in _COLUMNS]
+    for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(*columns):
+        yield [
+            matches[m],
+            players[s],
+            players[r],
+            str(serve),
+            "true" if kind == _FAULT else "false",
+            str(touch),
+            _KIND_NAMES[kind],
+            _ROLE_NAMES[winner],
+            _ROLE_NAMES[committer],
+            "" if year == NONE_CODE else str(year),
+            tours[tour],
+        ]
+
+
+def column_buffers() -> dict[str, array]:
+    """One empty growable buffer per RecordTable column, typed as that
+    column; np.asarray of each is a column RecordTable accepts."""
+    return {name: array(np.dtype(dtype).char) for name, dtype in _COLUMNS}
+
+
 CACHE_VERSION = 1
 CACHE_SUFFIX = ".ufesim-cache.npz"
 
@@ -556,6 +580,22 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
         if _identity(path) == before:
             _write_sidecar(sidecar, arrays, path)
     return table, sha256
+
+
+def save_records(table: RecordTable, path: str | Path) -> str:
+    """Write a table as a records CSV, and its sidecar as load_records
+    would; returns the SHA-256 of the CSV's bytes.
+
+    The sidecar is written only if the CSV is unchanged since the write,
+    and a sidecar that cannot be written is dropped.
+    """
+    path = Path(path)
+    write_records_csv(table, path)
+    written = _identity(path)
+    sha256 = file_sha256(path)
+    if _identity(path) == written:
+        _write_sidecar(cache_path(path), _to_arrays(table, sha256), path)
+    return sha256
 
 
 def _identity(path: Path) -> tuple[int, int, int, int]:

@@ -6,9 +6,13 @@ server derivation) so that agreement between the two is meaningful.
 """
 from __future__ import annotations
 
+import csv
 import math
+import re
 from collections import Counter, defaultdict
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -21,9 +25,24 @@ from ufesim.analytics import (
 )
 from ufesim.cli import _normalize_name
 from ufesim.counterfactual import ReductionPolicy, resolve_removed_ufe, should_remove_ufe
-from ufesim.errors import AmbiguousPlayerError, PlayerNotFoundError
+from ufesim.errors import (
+    AmbiguousPlayerError,
+    CsvFormatError,
+    DuplicatePointError,
+    NotationError,
+    PlayerNotFoundError,
+)
+from ufesim.ingest import REQUIRED_COLUMNS, IngestReport, MatchMeta, parse_match_id
+from ufesim.notation import parse_shot_notation
 from ufesim.pools import PoolId, PoolScope, sample, select_pool
-from ufesim.records import Role, TerminalKind
+from ufesim.records import (
+    RECORD_FIELDS,
+    RawPointRow,
+    Role,
+    ServeRecord,
+    TerminalKind,
+    open_csv,
+)
 from ufesim.scoring import apply_point, new_match, other_player
 from ufesim.simulate import (
     MatchResult,
@@ -522,3 +541,172 @@ def reference_summarize(results, scenario):
         se_sets=se(sts),
         se_matches=binomial_se_pct(p_hat, n),
     )
+
+
+# The staged ingest pipeline and the record-by-record CSV writer as they
+# were before ingest streamed into table columns: parse a whole file
+# into rows, check duplicates, clean, explode, then write record by
+# record.
+
+_RALLY_COUNT_RE = re.compile(r"^[0-9]+$")
+
+
+def _reference_parse_points_file(path):
+    path = Path(path)
+    rows: list[RawPointRow] = []
+    with open_csv(path, encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise CsvFormatError("file has no header row", path=str(path))
+        for column in REQUIRED_COLUMNS:
+            if column not in reader.fieldnames:
+                raise CsvFormatError(
+                    f"missing required column {column!r}", path=str(path)
+                )
+        for raw in reader:
+            line = reader.line_num
+            if raw.get(None) is not None or any(
+                raw.get(c) is None for c in REQUIRED_COLUMNS
+            ):
+                raise CsvFormatError("wrong number of fields", path=str(path), line=line)
+            match_id = raw["match_id"].strip()
+            try:
+                meta = parse_match_id(match_id)
+            except ValueError as exc:
+                raise CsvFormatError(str(exc), path=str(path), line=line) from None
+            try:
+                point_index = int(raw["Pt"])
+            except ValueError:
+                raise CsvFormatError(
+                    f"Pt value {raw['Pt']!r} is not an integer", path=str(path), line=line
+                ) from None
+            svr = raw["Svr"].strip()
+            if svr == "1":
+                server_id, receiver_id = meta.player1, meta.player2
+            elif svr == "2":
+                server_id, receiver_id = meta.player2, meta.player1
+            else:
+                raise CsvFormatError(
+                    f"Svr value {raw['Svr']!r} is not 1 or 2", path=str(path), line=line
+                )
+            rows.append(
+                RawPointRow(
+                    match_id=match_id,
+                    point_index=point_index,
+                    server_id=server_id,
+                    receiver_id=receiver_id,
+                    first_serve_notation=raw["1st"].strip(),
+                    second_serve_notation=raw["2nd"].strip(),
+                    rally_count=raw["rallyCount"].strip(),
+                )
+            )
+    return rows
+
+
+def _reference_clean_rows(rows):
+    kept = [row for row in rows if _RALLY_COUNT_RE.match(row.rally_count)]
+    report = IngestReport(
+        rows_read=len(rows), rows_dropped_bad_rally_count=len(rows) - len(kept)
+    )
+    return kept, report
+
+
+def _reference_fault_record(row: RawPointRow, meta: MatchMeta) -> ServeRecord:
+    return ServeRecord(
+        match_id=row.match_id,
+        server_id=row.server_id,
+        receiver_id=row.receiver_id,
+        serve_number=1,
+        is_first_serve_fault=True,
+        terminal_touch=1,
+        terminal_kind=TerminalKind.FIRST_SERVE_FAULT,
+        point_winner=None,
+        error_committer=None,
+        year=meta.year,
+        tour=meta.tour,
+    )
+
+
+def _reference_explode_to_serves(rows):
+    records: list[ServeRecord] = []
+    augmented = dropped = 0
+    for row in rows:
+        meta = parse_match_id(row.match_id)
+        serve_number = 2 if row.second_serve_notation else 1
+        try:
+            parsed = parse_shot_notation(
+                row.second_serve_notation or row.first_serve_notation, serve_number
+            )
+        except NotationError:
+            dropped += 1
+            continue
+        if serve_number == 2:
+            records.append(_reference_fault_record(row, meta))
+            augmented += 1
+        records.append(
+            ServeRecord(
+                match_id=row.match_id,
+                server_id=row.server_id,
+                receiver_id=row.receiver_id,
+                serve_number=serve_number,
+                is_first_serve_fault=parsed.terminal_kind is TerminalKind.FIRST_SERVE_FAULT,
+                terminal_touch=parsed.terminal_touch,
+                terminal_kind=parsed.terminal_kind,
+                point_winner=parsed.point_winner,
+                error_committer=parsed.error_committer,
+                year=meta.year,
+                tour=meta.tour,
+            )
+        )
+    report = IngestReport(
+        rows_read=len(rows),
+        rows_dropped_bad_notation=dropped,
+        serve_records_emitted=len(records),
+        points_augmented_with_fault_serve=augmented,
+    )
+    return records, report
+
+
+def reference_ingest_files(paths):
+    """Full pipeline over several files with cross-file duplicate checks."""
+    all_records: list[ServeRecord] = []
+    total = IngestReport()
+    seen: set[tuple[str, int]] = set()
+    for path in paths:
+        rows = _reference_parse_points_file(path)
+        for row in rows:
+            key = (row.match_id, row.point_index)
+            if key in seen:
+                raise DuplicatePointError(row.match_id, row.point_index)
+            seen.add(key)
+        cleaned, clean_report = _reference_clean_rows(rows)
+        records, explode_report = _reference_explode_to_serves(cleaned)
+        all_records.extend(records)
+        # explode_to_serves reads only the rows clean_rows kept.
+        total = total.combined(clean_report).combined(replace(explode_report, rows_read=0))
+    return all_records, total
+
+
+def _reference_record_to_strings(rec: ServeRecord) -> list[str]:
+    return [
+        rec.match_id,
+        rec.server_id,
+        rec.receiver_id,
+        str(rec.serve_number),
+        "true" if rec.is_first_serve_fault else "false",
+        str(rec.terminal_touch),
+        rec.terminal_kind.value,
+        rec.point_winner.value if rec.point_winner else "none",
+        rec.error_committer.value if rec.error_committer else "none",
+        "" if rec.year is None else str(rec.year),
+        rec.tour or "",
+    ]
+
+
+def reference_write_records_csv(records, path) -> None:
+    """Write normalized serve records to CSV (one record per serve)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_FIELDS)
+        for rec in records:
+            writer.writerow(_reference_record_to_strings(rec))

@@ -102,8 +102,9 @@ def test_profile_per_touch_and_per_year():
 def test_player_ufe_rate_lookup_and_missing():
     profile = player_ufe_rate(corpus(), "X Xavier")
     assert isinstance(profile, PlayerUfeProfile)
-    with pytest.raises(PlayerNotFoundError):
+    with pytest.raises(PlayerNotFoundError) as exc:
         player_ufe_rate(corpus(), "Nobody Here")
+    assert str(exc.value) == "no player named 'Nobody Here' in the records"
 
 
 def test_simple_rate_example():

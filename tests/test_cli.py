@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_record
+from oracles import reference_ingest_files, reference_write_records_csv
 from ufesim import cli
 from ufesim import records as records_module
 from ufesim.analytics import tally_records
@@ -71,6 +72,78 @@ def test_ingest_duplicate_across_files_is_data_error(tmp_path, capsys):
     code = main(["ingest", str(FIXTURE), str(FIXTURE), "-o", str(tmp_path / "r.csv")])
     assert code == 3
     assert "duplicate" in capsys.readouterr().err.lower()
+
+
+def test_ingest_refuses_to_overwrite_an_input(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_bytes(FIXTURE.read_bytes())
+    sidecar_input = tmp_path / ("r.csv" + records_module.CACHE_SUFFIX)
+    sidecar_input.write_bytes(FIXTURE.read_bytes())
+    for inputs, output in (
+        ([points], points),
+        # The same file under another name.
+        ([FIXTURE, tmp_path / "." / "points.csv"], points),
+        # The output's sidecar would replace the input.
+        ([sidecar_input], tmp_path / "r.csv"),
+    ):
+        before = {p: p.read_bytes() for p in inputs}
+        assert main(["ingest", *map(str, inputs), "-o", str(output)]) == 2
+        assert "would overwrite the input" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in inputs} == before
+    assert not (tmp_path / "r.csv").exists()
+    assert not cache_path(points).exists()
+
+
+def test_failed_ingest_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    code = main(["ingest", str(FIXTURE), str(FIXTURE), "-o", str(out)])
+    assert code == 3
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["list-players", "stats", "simulate"])
+def test_first_command_after_ingest_reads_its_sidecar(command, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "records.csv"
+    assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 0
+    digest = json.loads(capsys.readouterr().out)["manifest"]["dataset_sha256"]
+    assert digest == file_sha256(out)
+    monkeypatch.setattr(records_module, "read_records_csv", _must_not_read)
+    argv = {
+        "list-players": ["list-players", "--records", str(out)],
+        "stats": ["stats", "--records", str(out), "--out-dir", str(tmp_path / "s")],
+        "simulate": simulate_args(out),
+    }[command]
+    assert main(argv) == 0
+    table, sha256 = records_module.load_records(out)
+    monkeypatch.undo()
+    assert sha256 == digest and table.to_records() == read_records_csv(out)
+
+
+def test_ingest_replaces_a_stale_sidecar(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    earlier = tmp_path / "earlier.csv"
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)
+    earlier.write_text("".join(lines[:4]), encoding="utf-8")
+    assert main(["ingest", str(earlier), "-o", str(out)]) == 0
+    stale = cache_path(out).read_bytes()
+    assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 0
+    assert cache_path(out).read_bytes() != stale
+    table = records_module._read_sidecar(cache_path(out), file_sha256(out))
+    assert table.to_records() == read_records_csv(out) and len(table) == 17
+
+
+def test_ingest_with_an_unwritable_sidecar_still_succeeds(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    cache_path(out).mkdir()
+    assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 0
+    want = tmp_path / "want.csv"
+    reference_write_records_csv(reference_ingest_files([FIXTURE])[0], want)
+    assert out.read_bytes() == want.read_bytes()
+    # No temp file is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["records.csv", cache_path(out).name, "want.csv"]
+    )
+    assert list(cache_path(out).iterdir()) == []
 
 
 def test_list_players(records_csv, capsys):
@@ -164,8 +237,9 @@ class CountingList(list):
 
 
 def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys):
-    # The records are read and iterated once, into a table, and the
-    # analytics make their one pass over that table.
+    # On a cache miss the records are read and iterated once, into a
+    # table, and the analytics make their one pass over that table.
+    cache_path(records_csv).unlink()  # ingest wrote it
     read, tallied = [], []
 
     def read_counting(path):
@@ -270,6 +344,12 @@ def test_simulate_unknown_player_is_data_error(records_csv, capsys):
     )
     assert code == 3
     assert "Nobody_Here" in capsys.readouterr().err
+
+
+def test_simulate_unknown_player_message_names_it(records_csv, capsys):
+    argv = ["simulate", "--records", str(records_csv), "--a", "alpha one", "--b", "zed"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: no player named 'zed' in the records\n"
 
 
 def test_simulate_ambiguous_player_is_data_error(tmp_path, capsys):

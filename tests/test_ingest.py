@@ -7,20 +7,26 @@ four points that carry a second serve.
 from __future__ import annotations
 
 import csv
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_ingest_files, reference_write_records_csv
 from ufesim.errors import CsvFormatError, DuplicatePointError
 from ufesim.ingest import (
     IngestReport,
     clean_rows,
     explode_to_serves,
     ingest_files,
+    ingest_table,
     parse_match_id,
     parse_points_file,
 )
-from ufesim.records import Role, TerminalKind
+from ufesim.records import RecordTable, Role, TerminalKind, save_records
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 K = TerminalKind
@@ -109,8 +115,10 @@ def test_duplicate_point_within_file_raises(tmp_path):
         "20210101-M-Cup-F-P_One-P_Two,1,15-0,2,6#,,1\n",
         encoding="utf-8",
     )
-    with pytest.raises(DuplicatePointError):
+    with pytest.raises(DuplicatePointError) as exc:
         ingest_files([path])
+    assert (exc.value.path, exc.value.line) == (str(path), 3)
+    assert f"{path}: line 3: duplicate point" in str(exc.value)
 
 
 def test_clean_rows_drops_bad_rally_counts():
@@ -211,5 +219,266 @@ def test_ingest_is_deterministic():
 def test_duplicate_across_files_raises(tmp_path):
     copy = tmp_path / "copy.csv"
     copy.write_text(FIXTURE.read_text(encoding="utf-8"), encoding="utf-8")
-    with pytest.raises(DuplicatePointError):
+    with pytest.raises(DuplicatePointError) as exc:
         ingest_files([FIXTURE, copy])
+    # The copy's first data row repeats the fixture's.
+    assert (exc.value.path, exc.value.line) == (str(copy), 2)
+    assert (exc.value.match_id, exc.value.point_index) == (
+        "20190705-M-Wimbledon-F-Alpha_One-Beta_Two", 1
+    )
+
+
+# Input semantics of the streaming pass, each as the staged pipeline had
+# them (csv.DictReader's reading of the file).
+
+HEADER = "match_id,Pt,Pts,Svr,1st,2nd,rallyCount\n"
+MATCH = "20210101-M-Cup-F-P_One-P_Two"
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _same_as_reference(paths) -> tuple:
+    records, report = ingest_files(paths)
+    assert (records, report) == reference_ingest_files(paths)
+    return records, report
+
+
+def test_utf8_bom_is_stripped(tmp_path):
+    path = _write(tmp_path / "bom.csv", "\ufeff" + HEADER + f"{MATCH},1,0-0,1,4*,,1\n")
+    records, report = _same_as_reference([path])
+    assert report.rows_read == 1 and records[0].match_id == MATCH
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = _write(
+        tmp_path / "blank.csv",
+        HEADER + "\n" + f"{MATCH},1,0-0,1,4*,,1\n" + "\n\n" + f"{MATCH},2,15-0,1,4*,,1\n\n",
+    )
+    _, report = _same_as_reference([path])
+    assert report.rows_read == 2
+    # A ragged row after blank lines is reported at its own line.
+    bad = _write(tmp_path / "bad.csv", HEADER + "\n\n" + f"{MATCH},1,0-0\n")
+    with pytest.raises(CsvFormatError) as exc:
+        ingest_table([bad])
+    assert (exc.value.path, exc.value.line) == (str(bad), 4)
+
+
+def test_row_with_more_fields_than_the_header(tmp_path):
+    path = _write(
+        tmp_path / "long.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},2,15-0,1,4*,,1,x\n"
+    )
+    with pytest.raises(CsvFormatError, match="wrong number of fields") as exc:
+        ingest_table([path])
+    assert (exc.value.path, exc.value.line) == (str(path), 3)
+
+
+def test_short_row_fails_only_without_a_required_column(tmp_path):
+    # Notes is optional: a row may end before it.
+    header = "match_id,Pt,Svr,1st,2nd,rallyCount,Notes\n"
+    ok = _write(tmp_path / "ok.csv", header + f"{MATCH},1,1,4*,,1\n" + f"{MATCH},2,1,4*,,1,n\n")
+    _, report = _same_as_reference([ok])
+    assert report.serve_records_emitted == 2
+    short = _write(tmp_path / "short.csv", header + f"{MATCH},1,1,4*,\n")
+    with pytest.raises(CsvFormatError, match="wrong number of fields") as exc:
+        ingest_table([short])
+    assert (exc.value.path, exc.value.line) == (str(short), 2)
+
+
+def test_repeated_header_name_takes_the_last_column(tmp_path):
+    path = _write(
+        tmp_path / "twice.csv",
+        "Pt,match_id,Pt,Svr,1st,2nd,rallyCount\n" + f"junk,{MATCH},7,2,4*,,1\n",
+    )
+    records, _ = _same_as_reference([path])
+    assert records[0].server_id == "P Two"
+    with pytest.raises(DuplicatePointError) as exc:
+        ingest_table([path, _write(tmp_path / "again.csv", HEADER + f"{MATCH},7,0-0,1,4*,,1\n")])
+    assert exc.value.point_index == 7
+
+
+def test_structural_error_in_a_file_wins_over_its_duplicate(tmp_path):
+    path = _write(
+        tmp_path / "both.csv",
+        HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},3,0-0,9,4*,,1\n",
+    )
+    with pytest.raises(CsvFormatError, match="Svr") as exc:
+        ingest_table([path])
+    assert exc.value.line == 4
+
+
+def test_duplicate_in_a_file_wins_over_the_next_file(tmp_path):
+    dup = _write(tmp_path / "dup.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" * 2)
+    broken = _write(tmp_path / "broken.csv", "no,header,here\n")
+    with pytest.raises(DuplicatePointError) as exc:
+        ingest_table([dup, broken, tmp_path / "missing.csv"])
+    assert (exc.value.path, exc.value.line) == (str(dup), 3)
+
+
+def test_same_player_on_both_sides_fails_after_the_files_duplicates(tmp_path):
+    same = "20210101-M-Cup-F-P_One-P_One"
+    path = _write(tmp_path / "same.csv", HEADER + f"{same},1,0-0,1,4*,,1\n")
+    with pytest.raises(ValueError, match="server_id and receiver_id must differ"):
+        ingest_table([path])
+    dup = _write(tmp_path / "dup.csv", HEADER + f"{same},1,0-0,1,4*,,1\n" * 2)
+    with pytest.raises(DuplicatePointError):
+        ingest_table([dup])
+    # A row that is dropped is never checked.
+    dropped = _write(tmp_path / "dropped.csv", HEADER + f"{same},1,0-0,1,4*,,x\n")
+    _same_as_reference([dropped])
+
+
+def test_oversized_field_is_a_format_error(tmp_path):
+    path = _write(tmp_path / "huge.csv", HEADER + f'{MATCH},1,"{"x" * 200_000}",1,4*,,1\n')
+    with pytest.raises(CsvFormatError, match="field limit") as exc:
+        ingest_table([path])
+    assert exc.value.path == str(path)
+
+
+def _assert_same_table(table: RecordTable, expected: RecordTable) -> None:
+    for name in ("matches", "players", "tours"):
+        assert getattr(table, name) == getattr(expected, name)
+    for name in ("match", "server", "receiver", "serve_number", "touch", "kind", "winner",
+                 "committer", "year", "tour"):
+        column, want = getattr(table, name), getattr(expected, name)
+        assert column.dtype == want.dtype and column.tolist() == want.tolist()
+
+
+# Random multi-file corpora against the staged pipeline.
+
+PLAYERS = ["Ann_Ace", "Bob", "Zoë_Ångström", "李_娜", "Cy, Jr", 'Di "D"', "O'Neil"]
+NOTATIONS = [
+    "4*", "5#", "6n", "0w", "c4*", "cc5n", "4+f1*", "6f2b3@", "5b1f2n@", "4f1b2#", "4f1*",
+    "5d", "4x", "6g", "4!", "@", "4@", "", "c", "9*", "4f", "4*x", "4nf", "6f2Zb*",
+]
+RALLY_COUNTS = ["1", "12", " 3 ", "0", "2;", "", "x", "1.5", "٣"]
+
+
+@st.composite
+def match_ids(draw):
+    date = draw(st.sampled_from(["20190705", "19990101", "2020", "x2019", "٢٠١٩0101"]))
+    gender = draw(st.sampled_from(["M", "W", "X"]))
+    a, b = draw(st.sampled_from(PLAYERS)), draw(st.sampled_from(PLAYERS))
+    match_id = f"{date}-{gender}-Cup-F-{a}-{b}"
+    if _rarely(draw, 60):
+        match_id = draw(
+            st.sampled_from(["a-b-c", f"{date}-M-Cup-F--{b}", f"²019-M-Cup-F-{a}-{b}"])
+        )
+    return match_id
+
+
+def _rarely(draw, one_in: int) -> bool:
+    # Hypothesis favours the ends of a range and shrinks towards its start.
+    return draw(st.integers(0, one_in - 1)) == one_in // 2
+
+
+@st.composite
+def point_files(draw, ids: list[str], top_point: int):
+    """A charting CSV's bytes: shuffled, repeated and extra columns, blank
+    lines and, rarely, ragged rows, bad fields, a BOM or a byte that is
+    not UTF-8."""
+    columns = ["match_id", "Pt", "Svr", "1st", "2nd", "rallyCount"]
+    columns += draw(st.lists(st.sampled_from(["Pts", "Notes", "Pt", "Svr"]), max_size=2))
+    columns = draw(st.permutations(columns))
+    last = {name: i for i, name in enumerate(columns)}
+    values = dict.fromkeys(columns, "junk")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for _ in range(draw(st.integers(0, 12))):
+        point = draw(st.integers(1, top_point))
+        values |= {
+            "match_id": draw(st.sampled_from(ids)),
+            "Pt": draw(st.sampled_from([str(point), f" {point} ", f"+{point}"])),
+            "Svr": draw(st.sampled_from(["1", "2", " 2 "])),
+            "1st": draw(st.sampled_from(NOTATIONS)),
+            "2nd": draw(st.just("") | st.sampled_from(NOTATIONS)),
+            "rallyCount": draw(st.sampled_from(RALLY_COUNTS)),
+        }
+        if _rarely(draw, 150):
+            values["Pt"] = "x"
+        if _rarely(draw, 150):
+            values["Svr"] = "3"
+        # A repeated column takes junk except where it is last.
+        row = [values[name] if last[name] == i else "junk" for i, name in enumerate(columns)]
+        if _rarely(draw, 150):
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        elif _rarely(draw, 150):
+            row.append("extra")
+        if _rarely(draw, 6):
+            buffer.write("\r\n" if draw(st.booleans()) else "\n")
+        writer.writerow(row)
+    data = buffer.getvalue().encode("utf-8")
+    if _rarely(draw, 10):
+        data = b"\xef\xbb\xbf" + data
+    if _rarely(draw, 60):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def corpora(draw):
+    """One to three files over a shared pool of match ids; a small point
+    range makes duplicates within and across files likely."""
+    ids = draw(st.lists(match_ids(), min_size=1, max_size=4))
+    top_point = draw(st.sampled_from([4, 40, 10_000]))
+    return draw(st.lists(point_files(ids, top_point), min_size=1, max_size=3))
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args), None
+    except (CsvFormatError, DuplicatePointError, ValueError) as exc:
+        return None, exc
+
+
+def _first_duplicate(paths) -> tuple[str, int]:
+    """(path, line) of the first row repeating an earlier point, read
+    with csv.DictReader."""
+    seen = set()
+    for path in paths:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            for raw in reader:
+                key = (raw["match_id"].strip(), int(raw["Pt"]))
+                if key in seen:
+                    return str(path), reader.line_num
+                seen.add(key)
+    raise AssertionError("no duplicate")
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=corpora())
+def test_streaming_pass_matches_the_staged_pipeline(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate(files):
+            paths.append(Path(tmp) / f"points_{i}.csv")
+            paths[-1].write_bytes(data)
+        expected, expected_exc = _raised(reference_ingest_files, paths)
+        got, exc = _raised(ingest_table, paths)
+        event("ingested" if expected_exc is None else type(expected_exc).__name__)
+        if expected_exc is not None:
+            assert type(exc) is type(expected_exc)
+            if isinstance(exc, DuplicatePointError):
+                assert (exc.match_id, exc.point_index) == (
+                    expected_exc.match_id, expected_exc.point_index
+                )
+                assert (exc.path, exc.line) == _first_duplicate(paths)
+            else:
+                assert str(exc) == str(expected_exc)
+                if isinstance(exc, CsvFormatError):
+                    assert (exc.path, exc.line) == (expected_exc.path, expected_exc.line)
+            return
+        assert exc is None
+        (records, report), (table, got_report) = expected, got
+        assert got_report == report
+        assert table.to_records() == records
+        _assert_same_table(table, RecordTable.from_records(records))
+        out, want = Path(tmp) / "records.csv", Path(tmp) / "reference.csv"
+        save_records(table, out)
+        reference_write_records_csv(records, want)
+        assert out.read_bytes() == want.read_bytes()

@@ -18,6 +18,7 @@ from oracles import (
     reference_matches_per_player,
     reference_resolve_player,
     reference_tally_records,
+    reference_write_records_csv,
 )
 from ufesim import records as records_module
 from ufesim.analytics import matches_per_player, tally_records
@@ -35,6 +36,7 @@ from ufesim.records import (
     file_sha256,
     load_records,
     read_records_csv,
+    save_records,
     write_records_csv,
 )
 
@@ -163,6 +165,16 @@ def test_round_trip_through_csv_and_sidecar(records):
         assert cached.source is None
         assert cached.to_records() == expected
         assert sha == cached_sha == file_sha256(path)
+        # The column writer writes what the record-by-record one wrote,
+        # and save_records leaves a sidecar that load_records hits.
+        reference, saved = Path(tmp) / "reference.csv", Path(tmp) / "saved.csv"
+        reference_write_records_csv(records, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        assert save_records(table, saved) == sha
+        assert saved.read_bytes() == reference.read_bytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records_module, "read_records_csv", _must_not_read)
+            assert load_records(saved)[0].to_records() == records
 
 
 @pytest.mark.parametrize(
