@@ -7,15 +7,15 @@ represented by its decisive second-serve record.  A double fault counts
 as one server contact but is never an unforced error here.
 
 Every statistic reads a RecordTable (a plain iterable of ServeRecords is
-converted first): tally_records makes one pass over its column values,
-matches_per_player counts distinct (player, match) pairs with numpy.
+converted first).  tally_records counts each player's matches, contacts,
+errors and touch and year histograms with whole-column numpy bincounts,
+all in integers; matches_per_player shares its distinct (player, match)
+count.
 """
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -25,6 +25,7 @@ from .errors import PlayerNotFoundError
 from .records import (
     KIND_CODES,
     NONE_CODE,
+    ROLE_CODES,
     ROLES,
     RecordTable,
     Role,
@@ -59,77 +60,71 @@ class PlayerUfeProfile:
     per_year_rates: Mapping[int, float]
 
 
-class _Tally:
-    """One player's counts.
-
-    served[t] and received[t] count the decisive serves this player hit
-    or received whose rally ended on touch t, clamped at max_touch, so
-    the rallies that reached touch t are the suffix sum from t.
-    """
-
-    __slots__ = (
-        "matches",
-        "contacts",
-        "ufes",
-        "touch_ufes",
-        "served",
-        "received",
-        "year_contacts",
-        "year_ufes",
-    )
-
-    def __init__(self, max_touch: int) -> None:
-        self.matches: set[int] = set()
-        self.contacts = 0
-        self.ufes = 0
-        self.touch_ufes: Counter[tuple[str, int]] = Counter()
-        self.served = [0] * (max_touch + 1)
-        self.received = [0] * (max_touch + 1)
-        self.year_contacts: Counter[int] = Counter()
-        self.year_ufes: Counter[int] = Counter()
+def _suffix_sums(hist: np.ndarray) -> np.ndarray:
+    """Suffix sums along the last axis: [..., t] counts the bins from t on."""
+    return np.cumsum(hist[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _suffix_sums(hist: Sequence[int]) -> list[int]:
-    return list(accumulate(reversed(hist)))[::-1]
-
-
+@dataclass(frozen=True, eq=False)
 class RecordTally:
-    """Per-player counts from one pass; every statistic is read off them.
+    """Per-player integer counts; every statistic is read off them.
+
+    Row i of each array belongs to players[i].  served[i, t] and
+    received[i, t] count the decisive serves player i hit or received
+    whose rally ended on touch t, clamped at max_touch, so the rallies
+    that reached touch t are the suffix sum from t.  touch_ufes[i, r, t]
+    counts player i's unforced errors in role ROLES[r] on touch
+    t <= max_touch.  year_contacts[i, y] and year_ufes[i, y] count
+    player i's contacts and unforced errors in years[y].
 
     Each decisive record is served by exactly one player, so a
-    tour-level figure is the sum of that figure's player counts.
+    tour-level figure is the sum of that figure's player counts.  Every
+    count is an integer, so each rate is one exact int / int.
     """
 
-    def __init__(self, players: Mapping[str, _Tally], max_touch: int) -> None:
-        self.players = players
-        self.max_touch = max_touch
+    players: tuple[str, ...]
+    max_touch: int
+    matches: np.ndarray
+    contacts: np.ndarray
+    ufes: np.ndarray
+    served: np.ndarray
+    received: np.ndarray
+    touch_ufes: np.ndarray
+    years: tuple[int, ...]
+    year_contacts: np.ndarray
+    year_ufes: np.ndarray
 
     def profiles(self) -> dict[str, PlayerUfeProfile]:
+        # A touch-t opportunity exists for whoever contacts touch t in any
+        # rally that lasted at least t touches: the server on odd touches
+        # from 3, the receiver on even touches from 2.
+        curves = [
+            (Role.RECEIVER, 2, _suffix_sums(self.received).tolist()),
+            (Role.SERVER, 3, _suffix_sums(self.served).tolist()),
+        ]
+        touch_ufes = self.touch_ufes.tolist()
+        year_contacts, year_ufes = self.year_contacts.tolist(), self.year_ufes.tolist()
         profiles: dict[str, PlayerUfeProfile] = {}
-        for player, tally in self.players.items():
-            # A touch-t opportunity exists for whoever contacts touch t in
-            # any rally that lasted at least t touches: the server on odd
-            # touches from 3, the receiver on even touches from 2.
+        for i, (player, matches, contacts, ufes) in enumerate(
+            zip(self.players, self.matches.tolist(), self.contacts.tolist(), self.ufes.tolist())
+        ):
             per_touch = {}
-            for role, hist, start in (
-                (Role.RECEIVER.value, tally.received, 2),
-                (Role.SERVER.value, tally.served, 3),
-            ):
-                reach = _suffix_sums(hist)
+            for role, start, reach in curves:
+                hits, errs = reach[i], touch_ufes[i][ROLE_CODES[role]]
                 for t in range(start, self.max_touch + 1, 2):
-                    if reach[t]:
-                        per_touch[(role, t)] = tally.touch_ufes[(role, t)] / reach[t]
+                    if hits[t]:
+                        per_touch[(role.value, t)] = errs[t] / hits[t]
             per_year = {
-                year: tally.year_ufes[year] / contacts
-                for year, contacts in sorted(tally.year_contacts.items())
-                if contacts > 0
+                year: errs / n
+                for year, n, errs in zip(self.years, year_contacts[i], year_ufes[i])
+                if n > 0
             }
             profiles[player] = PlayerUfeProfile(
                 player_id=player,
-                matches_played=len(tally.matches),
-                ball_contacts=tally.contacts,
-                unforced_errors=tally.ufes,
-                ufe_rate=tally.ufes / tally.contacts if tally.contacts else 0.0,
+                matches_played=matches,
+                ball_contacts=contacts,
+                unforced_errors=ufes,
+                ufe_rate=ufes / contacts if contacts else 0.0,
                 per_touch_rates=per_touch,
                 per_year_rates=per_year,
             )
@@ -139,43 +134,92 @@ class RecordTally:
         """rate(t) = errors committed on touch t / rallies lasting at least
         t touches.  Server rates live on odd touches from 3, receiver
         rates on even touches from 2."""
-        served = [0] * (self.max_touch + 1)
-        errs: Counter[tuple[str, int]] = Counter()
-        for tally in self.players.values():
-            for t, n in enumerate(tally.served):
-                served[t] += n
-            errs.update(tally.touch_ufes)
-        reach = _suffix_sums(served)
+        reach = _suffix_sums(self.served.sum(axis=0)).tolist()
+        errs = self.touch_ufes[:, ROLE_CODES[role]].sum(axis=0).tolist()
         start = 3 if role is Role.SERVER else 2
         return [
-            (t, errs[(role.value, t)] / reach[t])
-            for t in range(start, self.max_touch + 1, 2)
-            if reach[t]
+            (t, errs[t] / reach[t]) for t in range(start, self.max_touch + 1, 2) if reach[t]
         ]
 
     def year_series(self) -> list[tuple[int, float]]:
         """UFE-per-contact rate per calendar year, year-unknown records
         excluded."""
-        contacts: Counter[int] = Counter()
-        errs: Counter[int] = Counter()
-        for tally in self.players.values():
-            contacts.update(tally.year_contacts)
-            errs.update(tally.year_ufes)
-        return [
-            (year, errs[year] / contacts[year]) for year in sorted(contacts) if contacts[year]
-        ]
+        contacts = self.year_contacts.sum(axis=0).tolist()
+        errs = self.year_ufes.sum(axis=0).tolist()
+        return [(year, e / n) for year, n, e in zip(self.years, contacts, errs) if n]
 
     def ufe_rate(self) -> float:
         """UFEs per ball contact over every record tallied."""
-        contacts = sum(t.contacts for t in self.players.values())
-        ufes = sum(t.ufes for t in self.players.values())
+        contacts, ufes = int(self.contacts.sum()), int(self.ufes.sum())
         return ufes / contacts if contacts else 0.0
 
     def termination_share(self) -> float:
         """Share of decisive serves that ended on an unforced error."""
-        decisive = sum(sum(t.served) for t in self.players.values())
-        ufes = sum(t.ufes for t in self.players.values())
+        decisive, ufes = int(self.served.sum()), int(self.ufes.sum())
         return ufes / decisive if decisive else 0.0
+
+
+def _match_counts(
+    match: np.ndarray, server: np.ndarray, receiver: np.ndarray, n_players: int, n_matches: int
+) -> np.ndarray:
+    """Distinct matches each player id served or received in, over the
+    rows of these columns."""
+    n_matches = max(n_matches, 1)
+    distinct = []
+    for players in (server, receiver):
+        keys = players.astype(np.int64)
+        keys *= n_matches
+        keys += match
+        distinct.append(_distinct(keys))
+    pairs = _distinct(np.concatenate(distinct))
+    return np.bincount(pairs // n_matches, minlength=n_players)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, sorted; sorts keys in place.
+
+    Plain np.unique would do, but numpy 2.4 imports numpy.ma inside it
+    to check for a mask: about 18 ms and 1.2 MB of RSS per process.
+    """
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _first_seen(server: np.ndarray, receiver: np.ndarray, n_players: int) -> np.ndarray:
+    """Player ids in the order a walk over the rows meets them, each
+    row's server before its receiver."""
+    end = 2 * len(server)
+    first = np.full(n_players, end, dtype=np.int64)
+    at = np.arange(0, end, 2, dtype=np.int64)
+    np.minimum.at(first, server.astype(np.int64), at)
+    at += 1
+    np.minimum.at(first, receiver.astype(np.int64), at)
+    seen = np.flatnonzero(first < end)
+    return seen[np.argsort(first[seen])]
+
+
+def _side_counts(
+    players: np.ndarray,
+    touch_bin: np.ndarray,
+    year_index: np.ndarray,
+    contacts: np.ndarray,
+    shape: tuple[int, int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side's (touch histogram, contacts per year index) per player
+    id, for the decisive rows that side played in."""
+    n_players, width, n_years = shape
+    ids = players.astype(np.int64)
+    key = ids * width
+    key += touch_bin
+    hist = np.bincount(key, minlength=n_players * width)
+    ids *= n_years
+    ids += year_index
+    year_contacts = np.zeros(n_players * n_years, dtype=np.int64)
+    np.add.at(year_contacts, ids, contacts.astype(np.int64))
+    return hist.reshape(n_players, width), year_contacts.reshape(n_players, n_years)
 
 
 def tally_records(
@@ -183,49 +227,68 @@ def tally_records(
     tour: str | None = None,
     max_touch: int = DEFAULT_MAX_TOUCH,
 ) -> RecordTally:
-    """One pass over the records' column values, counting per player."""
+    """Per-player counts over one tour's rows, as whole-column bincounts.
+
+    Sums run in integers (bincount without weights, np.add.at on int64
+    index and value arrays, its fast path), so each rate stays one exact
+    int / int.  To keep the peak memory low, only the columns a count
+    needs are sliced, and only keys and summed values widen to int64.
+    """
     table = as_table(records)
     rows = table.tour_rows(tour)
-    columns = (
-        table.match,
-        table.server,
-        table.receiver,
-        table.touch,
-        table.kind,
-        table.committer,
-        table.year,
+    n_players, width = len(table.players), max_touch + 1
+    server, receiver = table.server[rows], table.receiver[rows]
+    order = _first_seen(server, receiver, n_players)
+    matches = _match_counts(table.match[rows], server, receiver, n_players, len(table.matches))
+
+    kind = table.kind[rows]
+    decisive = kind != KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
+    kind = kind[decisive]
+    touch = table.touch[rows][decisive]
+    # Year-unknown rows count under NONE_CODE, so a player's year counts
+    # sum to the totals; that column is dropped at the end.
+    years, year_index = np.unique(table.year[rows][decisive], return_inverse=True)
+    shape = (n_players, width, len(years))
+    touch_bin = np.minimum(touch, max_touch)
+    # touch_exposure per row; touch - touch // 2 cannot wrap as (touch + 1) // 2 can.
+    rcv_contacts = touch // 2
+    served, srv_years = _side_counts(
+        server[decisive], touch_bin, year_index, touch - rcv_contacts, shape
     )
-    fault = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
-    ufe = KIND_CODES[TerminalKind.UNFORCED_ERROR]
-    roles = [role.value for role in ROLES]
-    tallies: dict[int, _Tally] = defaultdict(lambda: _Tally(max_touch))
-    for match, server, receiver, t_star, kind, committer, year in zip(
-        *(column[rows].tolist() for column in columns)
-    ):
-        srv, rcv = tallies[server], tallies[receiver]
-        srv.matches.add(match)
-        rcv.matches.add(match)
-        if kind == fault:
-            continue
-        # touch_exposure(t_star), inline.
-        srv_contacts, rcv_contacts = (t_star + 1) // 2, t_star // 2
-        srv.contacts += srv_contacts
-        rcv.contacts += rcv_contacts
-        if year != NONE_CODE:
-            srv.year_contacts[year] += srv_contacts
-            rcv.year_contacts[year] += rcv_contacts
-        touch_bin = min(t_star, max_touch)
-        srv.served[touch_bin] += 1
-        rcv.received[touch_bin] += 1
-        if kind == ufe:
-            tally = srv if committer == 0 else rcv
-            tally.ufes += 1
-            if year != NONE_CODE:
-                tally.year_ufes[year] += 1
-            if t_star <= max_touch:
-                tally.touch_ufes[(roles[committer], t_star)] += 1
-    players = table.players
-    return RecordTally({players[i]: tally for i, tally in tallies.items()}, max_touch)
+    received, year_contacts = _side_counts(
+        receiver[decisive], touch_bin, year_index, rcv_contacts, shape
+    )
+    year_contacts += srv_years
+
+    is_ufe = kind == KIND_CODES[TerminalKind.UNFORCED_ERROR]
+    committer = table.committer[rows][decisive][is_ufe].astype(np.int64)
+    who = np.where(
+        committer == ROLE_CODES[Role.SERVER], server[decisive][is_ufe], receiver[decisive][is_ufe]
+    ).astype(np.int64)
+    year_ufes = np.bincount(
+        who * len(years) + year_index[is_ufe], minlength=n_players * len(years)
+    ).reshape(n_players, len(years))
+    ufe_touch = touch[is_ufe]
+    on_curve = ufe_touch <= max_touch
+    key = (who[on_curve] * len(ROLES) + committer[on_curve]) * width + ufe_touch[on_curve]
+    touch_ufes = np.bincount(key, minlength=n_players * len(ROLES) * width).reshape(
+        n_players, len(ROLES), width
+    )
+
+    known = years != NONE_CODE
+    return RecordTally(
+        players=tuple(table.players[i] for i in order.tolist()),
+        max_touch=max_touch,
+        matches=matches[order],
+        contacts=year_contacts[order].sum(axis=1),
+        ufes=year_ufes[order].sum(axis=1),
+        served=served[order],
+        received=received[order],
+        touch_ufes=touch_ufes[order],
+        years=tuple(years[known].tolist()),
+        year_contacts=year_contacts[order][:, known],
+        year_ufes=year_ufes[order][:, known],
+    )
 
 
 def matches_per_player(
@@ -234,15 +297,18 @@ def matches_per_player(
     """How many distinct matches each player served or received in."""
     table = as_table(records)
     rows = table.tour_rows(tour)
-    n_matches = max(len(table.matches), 1)
-    players = np.concatenate([table.server[rows], table.receiver[rows]]).astype(np.int64)
-    pairs = np.unique(players * n_matches + np.tile(table.match[rows], 2))
-    counts = np.bincount(pairs // n_matches, minlength=len(table.players))
+    counts = _match_counts(
+        table.match[rows],
+        table.server[rows],
+        table.receiver[rows],
+        len(table.players),
+        len(table.matches),
+    )
     return {table.players[i]: int(counts[i]) for i in np.flatnonzero(counts)}
 
 
 def collect_profiles(
-    records: Iterable[ServeRecord],
+    records: RecordTable | Iterable[ServeRecord],
     tour: str | None = None,
     max_touch: int = DEFAULT_MAX_TOUCH,
 ) -> dict[str, PlayerUfeProfile]:
@@ -250,7 +316,9 @@ def collect_profiles(
     return tally_records(records, tour, max_touch).profiles()
 
 
-def player_ufe_rate(records: Iterable[ServeRecord], player_id: str) -> PlayerUfeProfile:
+def player_ufe_rate(
+    records: RecordTable | Iterable[ServeRecord], player_id: str
+) -> PlayerUfeProfile:
     profiles = collect_profiles(records)
     if player_id not in profiles:
         raise PlayerNotFoundError(player_id)
@@ -258,7 +326,7 @@ def player_ufe_rate(records: Iterable[ServeRecord], player_id: str) -> PlayerUfe
 
 
 def ufe_rate_by_touch(
-    records: Iterable[ServeRecord],
+    records: RecordTable | Iterable[ServeRecord],
     tour: str | None = None,
     role: Role = Role.SERVER,
     max_touch: int = DEFAULT_MAX_TOUCH,
@@ -268,19 +336,23 @@ def ufe_rate_by_touch(
 
 
 def ufe_rate_by_year(
-    records: Iterable[ServeRecord], tour: str | None = None
+    records: RecordTable | Iterable[ServeRecord], tour: str | None = None
 ) -> list[tuple[int, float]]:
     """Aggregate UFE-per-contact rate per calendar year, year-unknown
     records excluded."""
     return tally_records(records, tour).year_series()
 
 
-def ufe_termination_share(records: Iterable[ServeRecord], tour: str | None = None) -> float:
+def ufe_termination_share(
+    records: RecordTable | Iterable[ServeRecord], tour: str | None = None
+) -> float:
     """Share of decisive serves that ended on an unforced error."""
     return tally_records(records, tour).termination_share()
 
 
-def tour_ufe_rate(records: Iterable[ServeRecord], tour: str | None = None) -> float:
+def tour_ufe_rate(
+    records: RecordTable | Iterable[ServeRecord], tour: str | None = None
+) -> float:
     """UFEs per ball contact over the whole corpus."""
     return tally_records(records, tour).ufe_rate()
 

@@ -58,6 +58,8 @@ def parse_match_id(match_id: str) -> MatchMeta:
     date, gender, tournament, round, then the two players with
     underscores for spaces.  Tournament and round may themselves not
     contain hyphens, so the last two fields are always the players.
+    Raises ValueError for fewer than six fields, a missing player name,
+    or one player named on both sides.
     """
     parts = match_id.split("-")
     if len(parts) < 6:
@@ -69,6 +71,8 @@ def parse_match_id(match_id: str) -> MatchMeta:
     player2 = parts[-1].replace("_", " ").strip()
     if not player1 or not player2:
         raise ValueError(f"match id {match_id!r} is missing a player name")
+    if player1 == player2:
+        raise ValueError(f"match id {match_id!r} names {player1!r} on both sides")
     return MatchMeta(year=year, tour=tour, player1=player1, player2=player2)
 
 
@@ -189,7 +193,6 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
     for path in paths:
         path = Path(path)
         duplicate: DuplicatePointError | None = None
-        same_player = False
         for (line, match_id, point_index, meta, server_id, receiver_id,
              first, second, rally) in _checked_rows(path):
             rows_read += 1
@@ -203,7 +206,7 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
                     )
                 continue
             points.add(point_index)
-            if duplicate is not None or same_player:
+            if duplicate is not None:
                 continue  # the file fails when it ends; only structure matters now
             if not _RALLY_COUNT_RE.match(rally):
                 dropped_rally += 1
@@ -211,9 +214,6 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
             decoded = _decode_serve(first, second)
             if decoded is None:
                 dropped_notation += 1
-                continue
-            if server_id == receiver_id:
-                same_player = True
                 continue
             serve_number, parsed = decoded
             decisive = (
@@ -246,9 +246,6 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
                 add_tour(t)
         if duplicate is not None:
             raise duplicate
-        if same_player:
-            # What the ServeRecord of that row would raise.
-            raise ValueError("server_id and receiver_id must differ")
 
     players = dict(servers)
     for name in receivers:

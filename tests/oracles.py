@@ -12,17 +12,13 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ufesim.analytics import (
-    DEFAULT_MAX_TOUCH,
-    PlayerUfeProfile,
-    RecordTally,
-    _Tally,
-    touch_exposure,
-)
+from ufesim.analytics import DEFAULT_MAX_TOUCH, PlayerUfeProfile, touch_exposure
 from ufesim.cli import _normalize_name
 from ufesim.counterfactual import ReductionPolicy, resolve_removed_ufe, should_remove_ufe
 from ufesim.errors import (
@@ -257,8 +253,9 @@ def game_win_probability_markov(p: Fraction) -> Fraction:
 
 
 # Per-metric analytics: one pass over the records per statistic, with
-# touch opportunities counted rally by rally.  The library tallies every
-# statistic in one pass and sums per-player histograms instead.
+# touch opportunities counted rally by rally.  The library counts every
+# statistic with whole-column bincounts and sums per-player histograms
+# instead.
 
 
 def _filtered(records, tour):
@@ -431,8 +428,132 @@ def reference_matches_per_player(records, tour=None):
     return {name: len(ids) for name, ids in matches.items()}
 
 
+# The tally as it was before it counted with whole-column bincounts: one
+# _Tally of Python ints, Counters and sets per player, filled record by
+# record.
+
+
+class _Tally:
+    """One player's counts.
+
+    served[t] and received[t] count the decisive serves this player hit
+    or received whose rally ended on touch t, clamped at max_touch, so
+    the rallies that reached touch t are the suffix sum from t.
+    """
+
+    __slots__ = (
+        "matches",
+        "contacts",
+        "ufes",
+        "touch_ufes",
+        "served",
+        "received",
+        "year_contacts",
+        "year_ufes",
+    )
+
+    def __init__(self, max_touch: int) -> None:
+        self.matches: set[int] = set()
+        self.contacts = 0
+        self.ufes = 0
+        self.touch_ufes: Counter[tuple[str, int]] = Counter()
+        self.served = [0] * (max_touch + 1)
+        self.received = [0] * (max_touch + 1)
+        self.year_contacts: Counter[int] = Counter()
+        self.year_ufes: Counter[int] = Counter()
+
+
+def _suffix_sums(hist: Sequence[int]) -> list[int]:
+    return list(accumulate(reversed(hist)))[::-1]
+
+
+class RecordTally:
+    """Per-player counts from one pass; every statistic is read off them.
+
+    Each decisive record is served by exactly one player, so a
+    tour-level figure is the sum of that figure's player counts.
+    """
+
+    def __init__(self, players: Mapping[str, _Tally], max_touch: int) -> None:
+        self.players = players
+        self.max_touch = max_touch
+
+    def profiles(self) -> dict[str, PlayerUfeProfile]:
+        profiles: dict[str, PlayerUfeProfile] = {}
+        for player, tally in self.players.items():
+            # A touch-t opportunity exists for whoever contacts touch t in
+            # any rally that lasted at least t touches: the server on odd
+            # touches from 3, the receiver on even touches from 2.
+            per_touch = {}
+            for role, hist, start in (
+                (Role.RECEIVER.value, tally.received, 2),
+                (Role.SERVER.value, tally.served, 3),
+            ):
+                reach = _suffix_sums(hist)
+                for t in range(start, self.max_touch + 1, 2):
+                    if reach[t]:
+                        per_touch[(role, t)] = tally.touch_ufes[(role, t)] / reach[t]
+            per_year = {
+                year: tally.year_ufes[year] / contacts
+                for year, contacts in sorted(tally.year_contacts.items())
+                if contacts > 0
+            }
+            profiles[player] = PlayerUfeProfile(
+                player_id=player,
+                matches_played=len(tally.matches),
+                ball_contacts=tally.contacts,
+                unforced_errors=tally.ufes,
+                ufe_rate=tally.ufes / tally.contacts if tally.contacts else 0.0,
+                per_touch_rates=per_touch,
+                per_year_rates=per_year,
+            )
+        return profiles
+
+    def touch_curve(self, role: Role = Role.SERVER) -> list[tuple[int, float]]:
+        """rate(t) = errors committed on touch t / rallies lasting at least
+        t touches.  Server rates live on odd touches from 3, receiver
+        rates on even touches from 2."""
+        served = [0] * (self.max_touch + 1)
+        errs: Counter[tuple[str, int]] = Counter()
+        for tally in self.players.values():
+            for t, n in enumerate(tally.served):
+                served[t] += n
+            errs.update(tally.touch_ufes)
+        reach = _suffix_sums(served)
+        start = 3 if role is Role.SERVER else 2
+        return [
+            (t, errs[(role.value, t)] / reach[t])
+            for t in range(start, self.max_touch + 1, 2)
+            if reach[t]
+        ]
+
+    def year_series(self) -> list[tuple[int, float]]:
+        """UFE-per-contact rate per calendar year, year-unknown records
+        excluded."""
+        contacts: Counter[int] = Counter()
+        errs: Counter[int] = Counter()
+        for tally in self.players.values():
+            contacts.update(tally.year_contacts)
+            errs.update(tally.year_ufes)
+        return [
+            (year, errs[year] / contacts[year]) for year in sorted(contacts) if contacts[year]
+        ]
+
+    def ufe_rate(self) -> float:
+        """UFEs per ball contact over every record tallied."""
+        contacts = sum(t.contacts for t in self.players.values())
+        ufes = sum(t.ufes for t in self.players.values())
+        return ufes / contacts if contacts else 0.0
+
+    def termination_share(self) -> float:
+        """Share of decisive serves that ended on an unforced error."""
+        decisive = sum(sum(t.served) for t in self.players.values())
+        ufes = sum(t.ufes for t in self.players.values())
+        return ufes / decisive if decisive else 0.0
+
+
 def reference_tally_records(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
-    """tally_records' one pass, over ServeRecord objects."""
+    """The record-by-record tally, over ServeRecord objects."""
     tallies = defaultdict(lambda: _Tally(max_touch))
     for rec in records:
         if tour is not None and rec.tour != tour:

@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from conftest import make_record
 from oracles import (
     reference_profiles,
+    reference_tally_records,
     reference_termination_share,
     reference_touch_curve,
     reference_ufe_rate,
     reference_year_series,
 )
 from ufesim.analytics import (
+    DEFAULT_MAX_TOUCH,
     PlayerUfeProfile,
     collect_profiles,
     histogram_bins,
     histogram_to_csv,
+    matches_per_player,
     player_ufe_rate,
     profiles_to_csv,
     rankings_to_csv,
@@ -34,7 +37,7 @@ from ufesim.analytics import (
     year_series_to_csv,
 )
 from ufesim.errors import PlayerNotFoundError
-from ufesim.records import Role, TerminalKind
+from ufesim.records import RecordTable, Role, TerminalKind
 
 K = TerminalKind
 S, R = Role.SERVER, Role.RECEIVER
@@ -357,3 +360,113 @@ def test_tally_matches_per_metric_references(records, tour, max_touch):
     assert tally.year_series() == reference_year_series(records, tour)
     assert tally.ufe_rate() == reference_ufe_rate(records, tour)
     assert tally.termination_share() == reference_termination_share(records, tour)
+
+
+# Edge cases of the column tally against the record-by-record one.
+
+
+def _same_as_reference_tally(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
+    tally = tally_records(records, tour, max_touch)
+    if isinstance(records, RecordTable):
+        records = records.to_records()
+    reference = reference_tally_records(records, tour, max_touch)
+    assert tally.players == tuple(reference.players)
+    profiles = tally.profiles()
+    assert profiles == reference.profiles()
+    for p in profiles.values():
+        assert {type(p.matches_played), type(p.ball_contacts), type(p.unforced_errors)} == {int}
+        assert type(p.ufe_rate) is float
+    for role in Role:
+        assert tally.touch_curve(role) == reference.touch_curve(role)
+    assert tally.year_series() == reference.year_series()
+    assert type(tally.ufe_rate()) is float and tally.ufe_rate() == reference.ufe_rate()
+    assert tally.termination_share() == reference.termination_share()
+    assert dict(zip(tally.players, tally.matches.tolist())) == matches_per_player(records, tour)
+    return tally
+
+
+@pytest.mark.parametrize("tour", [None, "ATP"])
+def test_tally_of_an_empty_table(tour):
+    for records in ([], RecordTable.from_records([])):
+        tally = _same_as_reference_tally(records, tour)
+        assert tally.players == () and tally.profiles() == {}
+        assert tally.touch_curve(S) == tally.year_series() == []
+        assert tally.ufe_rate() == tally.termination_share() == 0.0
+
+
+def test_tally_of_a_tour_without_decisive_rows_or_not_in_the_table():
+    records = corpus() + [
+        make_record("W One", "W Two", K.FIRST_SERVE_FAULT, 1, None, fault=True, tour="WTA")
+    ]
+    tally = _same_as_reference_tally(records, "WTA")
+    assert tally.players == ("W One", "W Two")
+    assert [p.ball_contacts for p in tally.profiles().values()] == [0, 0]
+    assert tally.ufe_rate() == tally.termination_share() == 0.0
+    assert _same_as_reference_tally(records, "ITF").players == ()
+    untoured = [make_record("A", "B", K.RALLY_WINNER, 3, S, tour=None)]
+    assert _same_as_reference_tally(untoured, None).players == ("A", "B")
+    assert _same_as_reference_tally(untoured, "ATP").players == ()
+
+
+def test_tally_with_every_year_unknown():
+    records = [make_record(r.server_id, r.receiver_id, r.terminal_kind, r.terminal_touch,
+                           r.point_winner, r.error_committer, r.serve_number,
+                           r.is_first_serve_fault, MID, year=None) for r in corpus()]
+    tally = _same_as_reference_tally(records)
+    assert tally.years == () and tally.year_series() == []
+    assert all(p.per_year_rates == {} for p in tally.profiles().values())
+    assert tally.ufe_rate() == 2 / 11
+
+
+def test_tally_of_a_player_who_only_receives():
+    records = [
+        make_record("A", "B", K.RALLY_WINNER, 4, R),
+        make_record("A", "C", K.UNFORCED_ERROR, 4, S, committer=R),
+        make_record("B", "A", K.ACE, 1, S),
+    ]
+    tally = _same_as_reference_tally(records)
+    c = tally.profiles()["C"]
+    assert (c.matches_played, c.ball_contacts, c.unforced_errors) == (1, 2, 1)
+    assert c.per_touch_rates == {("receiver", 2): 0.0, ("receiver", 4): 1.0}
+
+
+@pytest.mark.parametrize("max_touch", [1, 15])
+def test_tally_at_the_ends_of_max_touch(two_player_records, max_touch):
+    long_rallies = [
+        make_record("Ann Ace", "Bob Base", K.UNFORCED_ERROR, t, R if t % 2 else S,
+                    committer=S if t % 2 else R)
+        for t in range(2, 21)
+    ]
+    tally = _same_as_reference_tally(two_player_records + long_rallies, max_touch=max_touch)
+    assert tally.served.shape == (2, max_touch + 1)
+
+
+def test_tally_of_the_longest_int32_touch():
+    longest = 2**31 - 1  # (touch + 1) // 2 would wrap in int32
+    records = [
+        make_record("A", "B", K.UNFORCED_ERROR, longest, R, committer=S),
+        make_record("B", "A", K.UNFORCED_ERROR, longest - 1, S, committer=R),
+        make_record("A", "B", K.RALLY_WINNER, longest, S),
+    ]
+    table = RecordTable.from_records(records)
+    assert table.touch.max() == longest
+    tally = _same_as_reference_tally(table)
+    assert tally.contacts.tolist() == [2**31 + 2**30 - 1, 2**31 + 2**30 - 3] == [
+        sum(touch_exposure(r.terminal_touch)[r.server_id != player] for r in records)
+        for player in ("A", "B")
+    ]
+    for max_touch in (1, 15):
+        _same_as_reference_tally(table, max_touch=max_touch)
+
+
+def test_tally_meets_players_in_row_order():
+    records = [
+        make_record("D", "E", K.FIRST_SERVE_FAULT, 1, None, fault=True, tour="WTA"),
+        make_record("B", "C", K.ACE, 1, S),
+        make_record("A", "B", K.RALLY_WINNER, 3, S),
+        make_record("C", "F", K.ACE, 1, S, tour="WTA"),
+        make_record("E", "A", K.ACE, 1, S),
+    ]
+    assert _same_as_reference_tally(records).players == ("D", "E", "B", "C", "A", "F")
+    assert _same_as_reference_tally(records, "ATP").players == ("B", "C", "A", "E")
+    assert _same_as_reference_tally(records, "WTA").players == ("D", "E", "C", "F")

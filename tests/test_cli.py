@@ -74,6 +74,20 @@ def test_ingest_duplicate_across_files_is_data_error(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err.lower()
 
 
+def test_ingest_same_player_on_both_sides_is_data_error(tmp_path, capsys):
+    points = tmp_path / "same.csv"
+    points.write_text(
+        "match_id,Pt,Svr,1st,2nd,rallyCount\n20210101-M-Cup-F-P_One-P_One,1,1,4*,,1\n",
+        encoding="utf-8",
+    )
+    assert main(["ingest", str(points), "-o", str(tmp_path / "r.csv")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {points}: line 2: match id '20210101-M-Cup-F-P_One-P_One'"
+        " names 'P One' on both sides\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [points]
+
+
 def test_ingest_refuses_to_overwrite_an_input(tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_bytes(FIXTURE.read_bytes())

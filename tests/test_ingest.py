@@ -317,17 +317,24 @@ def test_duplicate_in_a_file_wins_over_the_next_file(tmp_path):
     assert (exc.value.path, exc.value.line) == (str(dup), 3)
 
 
-def test_same_player_on_both_sides_fails_after_the_files_duplicates(tmp_path):
+def test_same_player_on_both_sides_is_a_format_error_at_its_line(tmp_path):
     same = "20210101-M-Cup-F-P_One-P_One"
-    path = _write(tmp_path / "same.csv", HEADER + f"{same},1,0-0,1,4*,,1\n")
-    with pytest.raises(ValueError, match="server_id and receiver_id must differ"):
-        ingest_table([path])
-    dup = _write(tmp_path / "dup.csv", HEADER + f"{same},1,0-0,1,4*,,1\n" * 2)
-    with pytest.raises(DuplicatePointError):
-        ingest_table([dup])
-    # A row that is dropped is never checked.
-    dropped = _write(tmp_path / "dropped.csv", HEADER + f"{same},1,0-0,1,4*,,x\n")
-    _same_as_reference([dropped])
+    with pytest.raises(ValueError, match="names 'P One' on both sides"):
+        parse_match_id(same)
+    # The row is rejected as it is read: before the file's duplicates,
+    # and even when its rally count would have dropped it.
+    for name, rows in (
+        ("same.csv", f"{MATCH},1,0-0,1,4*,,1\n{same},1,0-0,1,4*,,1\n"),
+        ("dup.csv", f"{MATCH},1,0-0,1,4*,,1\n{same},1,0-0,1,4*,,x\n"
+                    f"{MATCH},1,0-0,1,4*,,1\n"),
+    ):
+        path = _write(tmp_path / name, HEADER + rows)
+        with pytest.raises(CsvFormatError, match="on both sides") as exc:
+            ingest_table([path])
+        assert (exc.value.path, exc.value.line) == (str(path), 3)
+        with pytest.raises(CsvFormatError) as reference:
+            reference_ingest_files([path])
+        assert str(reference.value) == str(exc.value)
 
 
 def test_oversized_field_is_a_format_error(tmp_path):
