@@ -67,6 +67,7 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 DEFAULT_SEED = 20177
+TOURS = ("ATP", "WTA")
 DATA_DIR_ENV = "UFESIM_DATA_DIR"
 
 
@@ -241,6 +242,13 @@ def cmd_list_players(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.config:
         _apply_config(args, args.config)
+    # Usage errors come before anything is read or created.  A config
+    # file's tour has not been through the --tour choices.
+    if args.tour is not None and args.tour not in TOURS:
+        raise ValueError(f"tour must be one of {', '.join(TOURS)}, got {args.tour!r}")
+    for name in ("min_matches", "k"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be at least 1")
     table, dataset_sha256 = load_records(_resolve_data_path(args.records))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,12 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list-players", help="list player names present in the records")
     p_list.add_argument("--records", required=True, help="normalized records CSV")
-    p_list.add_argument("--tour", choices=("ATP", "WTA"), default=None)
+    p_list.add_argument("--tour", choices=TOURS, default=None)
     p_list.set_defaults(func=cmd_list_players)
 
     p_stats = sub.add_parser("stats", help="descriptive unforced-error statistics")
     p_stats.add_argument("--records", required=True)
-    p_stats.add_argument("--tour", choices=("ATP", "WTA"), default=None)
+    p_stats.add_argument("--tour", choices=TOURS, default=None)
     p_stats.add_argument("--min-matches", dest="min_matches", type=int, default=10)
     p_stats.add_argument("--k", type=int, default=5, help="ranking table size")
     p_stats.add_argument("--out-dir", dest="out_dir", default="stats_out")

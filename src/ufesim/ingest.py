@@ -8,11 +8,11 @@ decisive one.  Rows with a non-numeric rally count or undecodable
 notation are dropped and counted, never repaired.
 
 ingest_table does all of this in one streaming pass over each file:
-every structurally checked row is decoded and appended, as interned ids
-and codes, to typed column buffers that become a RecordTable, so no row
-or record object outlives its line.  parse_points_file, clean_rows,
-explode_to_serves and ingest_files are the same steps one stage at a
-time, built on the same per-row helpers.
+every structurally checked row is decoded and its serves' codes added to
+a records.TableBuilder, which interns the ids and becomes a RecordTable,
+so no row or record object outlives its line.  parse_points_file,
+clean_rows, explode_to_serves and ingest_files are the same steps one
+stage at a time, built on the same per-row helpers.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import CsvFormatError, DuplicatePointError, NotationError
 from .notation import ParsedPoint, parse_shot_notation
 from .records import (
@@ -34,8 +32,8 @@ from .records import (
     RawPointRow,
     RecordTable,
     ServeRecord,
+    TableBuilder,
     TerminalKind,
-    column_buffers,
     open_csv,
 )
 
@@ -172,19 +170,8 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
     file ends, naming the repeated row), and both before anything in the
     next file.  A duplicate of a point in an earlier file counts too.
     """
-    columns = column_buffers()
-    # Appenders in RecordTable column order.
-    (add_match, add_server, add_receiver, add_serve_number, add_touch,
-     add_kind, add_winner, add_committer, add_year, add_tour) = (
-        buffer.append for buffer in columns.values()
-    )
-    # Ids are interned in RecordTable.from_records' order: matches and
-    # tours by first record; players as servers first, then the names
-    # only ever seen receiving.
-    matches: dict[str, int] = {}
-    servers: dict[str, int] = {}
-    receivers: dict[str, int] = {}
-    tours: dict[str | None, int] = {None: 0}
+    builder = TableBuilder()
+    add = builder.add
     seen: dict[str, set[int]] = {}
     rows_read = dropped_rally = dropped_notation = augmented = 0
     # (serve_number, touch, kind, winner, committer) of the first-serve
@@ -228,35 +215,11 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
                 serves = (implied_fault, decisive)
             else:
                 serves = (decisive,)
-            m = matches.setdefault(match_id, len(matches))
-            s = servers.setdefault(server_id, len(servers))
-            r = receivers.setdefault(receiver_id, len(receivers))
-            y = NONE_CODE if meta.year is None else meta.year
-            t = tours.setdefault(meta.tour, len(tours)) - 1
-            for serve, touch, kind, winner, committer in serves:
-                add_match(m)
-                add_server(s)
-                add_receiver(r)
-                add_serve_number(serve)
-                add_touch(touch)
-                add_kind(kind)
-                add_winner(winner)
-                add_committer(committer)
-                add_year(y)
-                add_tour(t)
+            add(match_id, server_id, receiver_id, meta.year, meta.tour, serves)
         if duplicate is not None:
             raise duplicate
 
-    players = dict(servers)
-    for name in receivers:
-        players.setdefault(name, len(players))
-    to_player = np.fromiter(map(players.__getitem__, receivers), np.int32, len(receivers))
-    arrays = {name: np.asarray(buffer) for name, buffer in columns.items()}
-    arrays["receiver"] = to_player[arrays["receiver"]]
-    del tours[None]
-    table = RecordTable(
-        **arrays, matches=tuple(matches), players=tuple(players), tours=tuple(tours)
-    )
+    table = builder.build()
     report = IngestReport(
         rows_read=rows_read,
         rows_dropped_bad_rally_count=dropped_rally,

@@ -6,11 +6,16 @@ First-serve faults are records in their own right so that empirical fault
 rates survive into the serve pools.
 
 A RecordTable holds the same records as columns: one numpy array per
-field, with names interned.  load_records reads a records CSV into a
-table through a sidecar cache, `<csv name>.ufesim-cache.npz`, keyed on
-the SHA-256 of the CSV's bytes; save_records writes a table's CSV and
-its sidecar together.  This module is the only one that knows the
-sidecar's layout.
+field, with names interned.  A TableBuilder is the one way to make those
+columns: ingest_table, RecordTable.from_records and a cache miss all add
+points to one, so every table interns its ids in the same order.
+
+load_records reads a records CSV into a table through a sidecar cache,
+`<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
+On a miss the CSV's rows stream into a builder, one ServeRecord at a
+time, and the sidecar is rewritten from the table.  save_records writes
+a table's CSV and its sidecar together.  This module is the only one
+that knows the column layout and the sidecar's.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import zipfile
 import zlib
 from array import array
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
@@ -169,10 +174,11 @@ def write_records_csv(records: RecordTable | Iterable[ServeRecord], path) -> Non
             writer.writerows(_csv_rows(table, slice(start, start + _WRITE_CHUNK)))
 
 
-def read_records_csv(path) -> list[ServeRecord]:
-    """Read records written by write_records_csv."""
+def iter_records_csv(path) -> Iterator[ServeRecord]:
+    """The records of a CSV written by write_records_csv, one row at a
+    time; a row that is not a valid record raises CsvFormatError naming
+    file and line."""
     path = Path(path)
-    records: list[ServeRecord] = []
     with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -188,24 +194,27 @@ def read_records_csv(path) -> list[ServeRecord]:
                     line=reader.line_num,
                 )
             try:
-                records.append(
-                    ServeRecord(
-                        match_id=row[0],
-                        server_id=row[1],
-                        receiver_id=row[2],
-                        serve_number=int(row[3]),
-                        is_first_serve_fault=row[4] == "true",
-                        terminal_touch=int(row[5]),
-                        terminal_kind=TerminalKind(row[6]),
-                        point_winner=_role_from_string(row[7]),
-                        error_committer=_role_from_string(row[8]),
-                        year=int(row[9]) if row[9] else None,
-                        tour=row[10] or None,
-                    )
+                record = ServeRecord(
+                    match_id=row[0],
+                    server_id=row[1],
+                    receiver_id=row[2],
+                    serve_number=int(row[3]),
+                    is_first_serve_fault=row[4] == "true",
+                    terminal_touch=int(row[5]),
+                    terminal_kind=TerminalKind(row[6]),
+                    point_winner=_role_from_string(row[7]),
+                    error_committer=_role_from_string(row[8]),
+                    year=int(row[9]) if row[9] else None,
+                    tour=row[10] or None,
                 )
             except (ValueError, KeyError) as exc:
                 raise CsvFormatError(str(exc), path=str(path), line=reader.line_num) from exc
-    return records
+            yield record
+
+
+def read_records_csv(path) -> list[ServeRecord]:
+    """Read records written by write_records_csv."""
+    return list(iter_records_csv(path))
 
 
 #: Column codes.  A kind is its index in KINDS; a role is its index in
@@ -265,8 +274,6 @@ class RecordTable:
     matches: tuple[str, ...]
     players: tuple[str, ...]
     tours: tuple[str, ...]
-    # The records a table was built from, which to_records hands back.
-    source: list[ServeRecord] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.match)
@@ -277,8 +284,6 @@ class RecordTable:
             if column.shape != (n,):
                 raise ValueError(f"column {name} must have shape ({n},)")
             column.flags.writeable = False
-        if self.source is not None and len(self.source) != n:
-            raise ValueError(f"source must hold {n} records")
         for name in _STRING_TABLES:
             strings = getattr(self, name)
             if not all(type(s) is str for s in strings) or len(set(strings)) != len(strings):
@@ -345,43 +350,23 @@ class RecordTable:
 
     @classmethod
     def from_records(cls, records: Iterable[ServeRecord]) -> RecordTable:
-        """Columns for records in iteration order; iterates them once."""
-        records = list(records)
-        matches: dict[str, int] = {}
-        players: dict[str, int] = {}
-        tours: dict[str | None, int] = {None: 0}
-
-        # One generator per column, so no column exists as a Python list.
-        values = {
-            "match": (matches.setdefault(r.match_id, len(matches)) for r in records),
-            "server": (players.setdefault(r.server_id, len(players)) for r in records),
-            "receiver": (players.setdefault(r.receiver_id, len(players)) for r in records),
-            "serve_number": (r.serve_number for r in records),
-            "touch": (r.terminal_touch for r in records),
-            "kind": (KIND_CODES[r.terminal_kind] for r in records),
-            "winner": (ROLE_CODES[r.point_winner] for r in records),
-            "committer": (ROLE_CODES[r.error_committer] for r in records),
-            "year": (NONE_CODE if r.year is None else r.year for r in records),
-            # None holds id 0 while interning; shifting by one gives it -1.
-            "tour": (tours.setdefault(r.tour, len(tours)) - 1 for r in records),
-        }
-        columns = {
-            name: np.fromiter(values[name], dtype=dtype, count=len(records))
-            for name, dtype in _COLUMNS
-        }
-        del tours[None]
-        return cls(
-            **columns,
-            matches=tuple(matches),
-            players=tuple(players),
-            tours=tuple(tours),
-            source=records,
-        )
+        """Columns for records in iteration order; iterates them once and
+        keeps none of them."""
+        builder = TableBuilder()
+        add = builder.add
+        for r in records:
+            serve = (
+                r.serve_number,
+                r.terminal_touch,
+                KIND_CODES[r.terminal_kind],
+                ROLE_CODES[r.point_winner],
+                ROLE_CODES[r.error_committer],
+            )
+            add(r.match_id, r.server_id, r.receiver_id, r.year, r.tour, (serve,))
+        return builder.build()
 
     def to_records(self, rows: np.ndarray | None = None) -> list[ServeRecord]:
         """ServeRecords for the given row indices (all rows by default)."""
-        if self.source is not None:
-            return list(self.source) if rows is None else [self.source[i] for i in rows.tolist()]
         columns = [
             (getattr(self, name) if rows is None else getattr(self, name)[rows]).tolist()
             for name, _ in _COLUMNS
@@ -413,6 +398,75 @@ class RecordTable:
             return slice(None)
         tour_id = self.tours.index(tour) if tour in self.tours else len(self.tours)
         return self.tour == tour_id
+
+
+class TableBuilder:
+    """Grows the columns of a RecordTable one point at a time.
+
+    add appends one row per serve of a point; build makes the table, and
+    is called once, after the last add.  Ids are interned in one order
+    whoever builds: matches and tours by first row, players as servers
+    first and then the names only ever seen receiving; a missing year or
+    tour is -1.
+    """
+
+    def __init__(self) -> None:
+        self._columns = [array(np.dtype(dtype).char) for _, dtype in _COLUMNS]
+        # Appenders in column order.
+        self._appenders = tuple(column.append for column in self._columns)
+        self._matches: dict[str, int] = {}
+        self._servers: dict[str, int] = {}
+        self._receivers: dict[str, int] = {}
+        self._tours: dict[str, int] = {}
+
+    def add(
+        self,
+        match_id: str,
+        server_id: str,
+        receiver_id: str,
+        year: int | None,
+        tour: str | None,
+        serves: Iterable[tuple[int, int, int, int, int]],
+    ) -> None:
+        """One row per serve of a point, in order; a serve is its
+        (serve_number, touch, kind, winner, committer) column codes."""
+        matches, servers, receivers = self._matches, self._servers, self._receivers
+        m = matches.setdefault(match_id, len(matches))
+        s = servers.setdefault(server_id, len(servers))
+        # A receiver id indexes the receivers until build maps it to a player.
+        r = receivers.setdefault(receiver_id, len(receivers))
+        y = NONE_CODE if year is None else year
+        t = NONE_CODE if tour is None else self._tours.setdefault(tour, len(self._tours))
+        (add_match, add_server, add_receiver, add_serve_number, add_touch,
+         add_kind, add_winner, add_committer, add_year, add_tour) = self._appenders
+        for serve_number, touch, kind, winner, committer in serves:
+            add_match(m)
+            add_server(s)
+            add_receiver(r)
+            add_serve_number(serve_number)
+            add_touch(touch)
+            add_kind(kind)
+            add_winner(winner)
+            add_committer(committer)
+            add_year(y)
+            add_tour(t)
+
+    def build(self) -> RecordTable:
+        """The table of every row added, checked as RecordTable checks."""
+        players = dict(self._servers)
+        for name in self._receivers:
+            players.setdefault(name, len(players))
+        columns = {name: np.asarray(column) for (name, _), column in zip(_COLUMNS, self._columns)}
+        to_player = np.fromiter(
+            map(players.__getitem__, self._receivers), np.int32, len(self._receivers)
+        )
+        columns["receiver"] = to_player[columns["receiver"]]
+        return RecordTable(
+            **columns,
+            matches=tuple(self._matches),
+            players=tuple(players),
+            tours=tuple(self._tours),
+        )
 
 
 def as_table(records: RecordTable | Iterable[ServeRecord]) -> RecordTable:
@@ -447,12 +501,6 @@ def _csv_rows(table: RecordTable, rows: slice) -> Iterator[list[str]]:
             "" if year == NONE_CODE else str(year),
             tours[tour],
         ]
-
-
-def column_buffers() -> dict[str, array]:
-    """One empty growable buffer per RecordTable column, typed as that
-    column; np.asarray of each is a column RecordTable accepts."""
-    return {name: array(np.dtype(dtype).char) for name, dtype in _COLUMNS}
 
 
 CACHE_VERSION = 1
@@ -535,7 +583,8 @@ def _read_sidecar(sidecar: Path, sha256: str) -> RecordTable | None:
     """The cached table, or None unless the sidecar is readable, of this
     version, keyed on this digest and passes every check."""
     try:
-        with np.load(sidecar, allow_pickle=False) as npz:
+        # np.load leaves a file it opened unclosed when that is no zip.
+        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             return _from_arrays(npz, sha256)
     except _UNREADABLE:
         return None
@@ -563,8 +612,9 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     the SHA-256 of the CSV's bytes.
 
     A sidecar keyed on that digest is read when it is valid.  Otherwise
-    the CSV goes through read_records_csv, so errors name file and line,
-    and the sidecar is rewritten if the directory allows.
+    the CSV's rows stream through iter_records_csv, so errors name file
+    and line, into the table's columns, and the sidecar is rewritten if
+    the directory allows.
     """
     path = Path(path)
     before = _identity(path)
@@ -572,13 +622,11 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     sidecar = cache_path(path)
     table = _read_sidecar(sidecar, sha256)
     if table is None:
-        arrays = _to_arrays(RecordTable.from_records(read_records_csv(path)), sha256)
-        # A miss returns what a hit would.  That table shares no object
-        # with the parsed records, so all of their memory is freed.
-        table = _from_arrays(arrays, sha256)
+        # Each row's record is dropped once its codes are in the columns.
+        table = RecordTable.from_records(iter_records_csv(path))
         # Cache only what matches the key: the CSV may change while read.
         if _identity(path) == before:
-            _write_sidecar(sidecar, arrays, path)
+            _write_sidecar(sidecar, _to_arrays(table, sha256), path)
     return table, sha256
 
 

@@ -1,10 +1,14 @@
 """Shared record and pool factories for the test suite."""
 from __future__ import annotations
 
+import io
+
+import numpy as np
 import pytest
 
+from ufesim import records as records_module
 from ufesim.pools import PoolScope, ServePoolSet, build_pools
-from ufesim.records import Role, ServeRecord, TerminalKind
+from ufesim.records import RecordTable, Role, ServeRecord, TerminalKind
 
 K = TerminalKind
 S, R = Role.SERVER, Role.RECEIVER
@@ -72,3 +76,20 @@ def mixed_pools(two_player_records) -> ServePoolSet:
     return build_pools(
         two_player_records, "Ann Ace", "Bob Base", PoolScope.HEAD_TO_HEAD
     )
+
+
+def assert_same_table(table: RecordTable, expected: RecordTable) -> None:
+    """Equal string tables, and columns of equal dtype and values."""
+    for name in ("matches", "players", "tours"):
+        assert getattr(table, name) == getattr(expected, name)
+    for name in ("match", "server", "receiver", "serve_number", "touch", "kind", "winner",
+                 "committer", "year", "tour"):
+        column, want = getattr(table, name), getattr(expected, name)
+        assert column.dtype == want.dtype and column.tolist() == want.tolist()
+
+
+def sidecar_bytes(table: RecordTable, sha256: str) -> bytes:
+    """The bytes of the sidecar that caches a table under this digest."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **records_module._to_arrays(table, sha256))
+    return buffer.getvalue()

@@ -32,8 +32,12 @@ from ufesim.ingest import REQUIRED_COLUMNS, IngestReport, MatchMeta, parse_match
 from ufesim.notation import parse_shot_notation
 from ufesim.pools import PoolId, PoolScope, sample, select_pool
 from ufesim.records import (
+    KIND_CODES,
+    NONE_CODE,
     RECORD_FIELDS,
+    ROLE_CODES,
     RawPointRow,
+    RecordTable,
     Role,
     ServeRecord,
     TerminalKind,
@@ -831,3 +835,54 @@ def reference_write_records_csv(records, path) -> None:
         writer.writerow(RECORD_FIELDS)
         for rec in records:
             writer.writerow(_reference_record_to_strings(rec))
+
+
+# RecordTable.from_records as it was before every table was built by one
+# TableBuilder: one generator per column, each interning its own ids.
+
+_REFERENCE_COLUMNS = (
+    ("match", np.int32),
+    ("server", np.int32),
+    ("receiver", np.int32),
+    ("serve_number", np.int8),
+    ("touch", np.int32),
+    ("kind", np.int8),
+    ("winner", np.int8),
+    ("committer", np.int8),
+    ("year", np.int16),
+    ("tour", np.int32),
+)
+
+
+def reference_from_records(records) -> RecordTable:
+    """Columns for records in iteration order; iterates them once."""
+    records = list(records)
+    matches: dict[str, int] = {}
+    players: dict[str, int] = {}
+    tours: dict[str | None, int] = {None: 0}
+
+    # One generator per column, so no column exists as a Python list.
+    values = {
+        "match": (matches.setdefault(r.match_id, len(matches)) for r in records),
+        "server": (players.setdefault(r.server_id, len(players)) for r in records),
+        "receiver": (players.setdefault(r.receiver_id, len(players)) for r in records),
+        "serve_number": (r.serve_number for r in records),
+        "touch": (r.terminal_touch for r in records),
+        "kind": (KIND_CODES[r.terminal_kind] for r in records),
+        "winner": (ROLE_CODES[r.point_winner] for r in records),
+        "committer": (ROLE_CODES[r.error_committer] for r in records),
+        "year": (NONE_CODE if r.year is None else r.year for r in records),
+        # None holds id 0 while interning; shifting by one gives it -1.
+        "tour": (tours.setdefault(r.tour, len(tours)) - 1 for r in records),
+    }
+    columns = {
+        name: np.fromiter(values[name], dtype=dtype, count=len(records))
+        for name, dtype in _REFERENCE_COLUMNS
+    }
+    del tours[None]
+    return RecordTable(
+        **columns,
+        matches=tuple(matches),
+        players=tuple(players),
+        tours=tuple(tours),
+    )

@@ -24,6 +24,7 @@ from ufesim.records import (
     TerminalKind,
     cache_path,
     file_sha256,
+    iter_records_csv,
     read_records_csv,
     write_records_csv,
 )
@@ -121,7 +122,7 @@ def test_first_command_after_ingest_reads_its_sidecar(command, tmp_path, monkeyp
     assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 0
     digest = json.loads(capsys.readouterr().out)["manifest"]["dataset_sha256"]
     assert digest == file_sha256(out)
-    monkeypatch.setattr(records_module, "read_records_csv", _must_not_read)
+    monkeypatch.setattr(records_module, "iter_records_csv", _must_not_read)
     argv = {
         "list-players": ["list-players", "--records", str(out)],
         "stats": ["stats", "--records", str(out), "--out-dir", str(tmp_path / "s")],
@@ -240,37 +241,29 @@ def test_stats_svg_charts(records_csv, tmp_path, capsys):
         assert p.read_text().lstrip().startswith("<svg")
 
 
-class CountingList(list):
-    """A list that counts how often it is iterated."""
-
-    iterations = 0
-
-    def __iter__(self):
-        self.iterations += 1
-        return super().__iter__()
-
-
 def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys):
-    # On a cache miss the records are read and iterated once, into a
-    # table, and the analytics make their one pass over that table.
+    # On a cache miss the CSV's rows stream once into a table, and the
+    # analytics make their one pass over that table.
     cache_path(records_csv).unlink()  # ingest wrote it
     read, tallied = [], []
 
     def read_counting(path):
-        read.append(CountingList(read_records_csv(path)))
-        return read[-1]
+        read.append(0)
+        for record in iter_records_csv(path):
+            read[-1] += 1
+            yield record
 
     def tally_counting(table, *args, **kwargs):
         tallied.append(table)
         return tally_records(table, *args, **kwargs)
 
-    monkeypatch.setattr(records_module, "read_records_csv", read_counting)
+    monkeypatch.setattr(records_module, "iter_records_csv", read_counting)
     monkeypatch.setattr(cli, "tally_records", tally_counting)
     code = main(
         ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"), "--svg"]
     )
     assert code == 0
-    assert [records.iterations for records in read] == [1]
+    assert read == [17]
     assert len(tallied) == 1 and isinstance(tallied[0], RecordTable)
 
 
@@ -301,6 +294,46 @@ def test_stats_config_overrides_flags(records_csv, tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["eligible_players"] == 4
+
+
+@pytest.mark.parametrize("tour", ["XYZ", "atp", ""])
+def test_stats_config_tour_outside_the_choices_is_usage_error(records_csv, tmp_path, capsys,
+                                                              tour):
+    cfg = tmp_path / "stats.cfg"
+    cfg.write_text(f"tour = {tour}\n")
+    out = tmp_path / "s"
+    code = main(["stats", "--records", str(records_csv), "--out-dir", str(out),
+                 "--config", str(cfg)])
+    assert code == 2
+    assert f"tour must be one of ATP, WTA, got {tour!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_config_tour_filters_like_the_flag(records_csv, tmp_path, capsys):
+    cfg = tmp_path / "stats.cfg"
+    cfg.write_text("tour = WTA\n")
+    assert main(["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"),
+                 "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["players"] == 2
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["parameters"]["tour"] == "WTA"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--min-matches", "0"], "min_matches must be at least 1"),
+        (["--k", "0"], "k must be at least 1"),
+    ],
+)
+def test_stats_usage_error_creates_nothing(records_csv, tmp_path, capsys, flags, message):
+    cache_path(records_csv).unlink()  # a read would write it again
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "new" / "dir"
+    code = main(["stats", "--records", str(records_csv), "--out-dir", str(out), *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def simulate_args(records_csv, *extra):
@@ -508,7 +541,7 @@ class FrozenDatetime(datetime):
 
 
 def _must_not_read(path):
-    raise AssertionError(f"read_records_csv({path}) on a cache hit")
+    raise AssertionError(f"iter_records_csv({path}) on a cache hit")
 
 
 def test_second_simulate_reads_the_cache(records_csv, tmp_path, monkeypatch, capsys):
@@ -522,7 +555,7 @@ def test_second_simulate_reads_the_cache(records_csv, tmp_path, monkeypatch, cap
         outputs.append(out.read_bytes())
         stdouts.append(capsys.readouterr().out.replace(name, "OUT"))
         assert cache_path(records_csv).is_file()
-        monkeypatch.setattr(records_module, "read_records_csv", _must_not_read)
+        monkeypatch.setattr(records_module, "iter_records_csv", _must_not_read)
     assert outputs[0] == outputs[1]
     assert stdouts[0] == stdouts[1]
 

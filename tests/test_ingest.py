@@ -15,7 +15,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_ingest_files, reference_write_records_csv
+from conftest import assert_same_table, sidecar_bytes
+from oracles import (
+    reference_from_records,
+    reference_ingest_files,
+    reference_write_records_csv,
+)
 from ufesim.errors import CsvFormatError, DuplicatePointError
 from ufesim.ingest import (
     IngestReport,
@@ -26,7 +31,15 @@ from ufesim.ingest import (
     parse_match_id,
     parse_points_file,
 )
-from ufesim.records import RecordTable, Role, TerminalKind, save_records
+from ufesim.records import (
+    RecordTable,
+    Role,
+    TerminalKind,
+    cache_path,
+    file_sha256,
+    load_records,
+    save_records,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 K = TerminalKind
@@ -344,15 +357,6 @@ def test_oversized_field_is_a_format_error(tmp_path):
     assert exc.value.path == str(path)
 
 
-def _assert_same_table(table: RecordTable, expected: RecordTable) -> None:
-    for name in ("matches", "players", "tours"):
-        assert getattr(table, name) == getattr(expected, name)
-    for name in ("match", "server", "receiver", "serve_number", "touch", "kind", "winner",
-                 "committer", "year", "tour"):
-        column, want = getattr(table, name), getattr(expected, name)
-        assert column.dtype == want.dtype and column.tolist() == want.tolist()
-
-
 # Random multi-file corpora against the staged pipeline.
 
 PLAYERS = ["Ann_Ace", "Bob", "Zoë_Ångström", "李_娜", "Cy, Jr", 'Di "D"', "O'Neil"]
@@ -484,8 +488,43 @@ def test_streaming_pass_matches_the_staged_pipeline(files):
         (records, report), (table, got_report) = expected, got
         assert got_report == report
         assert table.to_records() == records
-        _assert_same_table(table, RecordTable.from_records(records))
+        assert_same_table(table, RecordTable.from_records(records))
         out, want = Path(tmp) / "records.csv", Path(tmp) / "reference.csv"
         save_records(table, out)
         reference_write_records_csv(records, want)
         assert out.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=corpora())
+def test_every_builder_matches_the_reference_from_records(files):
+    # from_records, ingest_table and a cache miss all build through one
+    # TableBuilder; each must give the columns, string tables and sidecar
+    # of the column-by-column reference.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate(files):
+            paths.append(Path(tmp) / f"points_{i}.csv")
+            paths[-1].write_bytes(data)
+        ingested, exc = _raised(reference_ingest_files, paths)
+        event("ingested" if exc is None else "refused")
+        if exc is not None:
+            return
+        records = ingested[0]
+        csv_path = Path(tmp) / "records.csv"
+        reference_write_records_csv(records, csv_path)
+        sha256 = file_sha256(csv_path)
+        expected = reference_from_records(records)
+        want = sidecar_bytes(expected, sha256)
+        missed, missed_sha = load_records(csv_path)
+        assert missed_sha == sha256 and cache_path(csv_path).read_bytes() == want
+        built = {
+            "from_records": RecordTable.from_records(records),
+            "ingest_table": ingest_table(paths)[0],
+            "cache miss": missed,
+        }
+        for name, table in built.items():
+            assert_same_table(table, expected)
+            saved = Path(tmp) / f"{name}.csv"
+            assert save_records(table, saved) == sha256, name
+            assert cache_path(saved).read_bytes() == want, name

@@ -93,9 +93,13 @@ def test_singleton_pool_always_returns_it(mixed_pools):
         make_record("Bob Base", "Ann Ace", K.ACE, 1, Role.SERVER),
         make_record("Bob Base", "Ann Ace", K.ACE, 1, Role.SERVER, serve_number=2),
     ], "Ann Ace", "Bob Base")
+    # The pool holds a record equal to the one given (a table keeps no
+    # record objects), and sampling always returns that pool's object.
+    assert singleton.pools[PoolId.A_FIRST] == (record,)
+    only = singleton.pools[PoolId.A_FIRST][0]
     rng = random.Random(1)
     for _ in range(50):
-        assert sample(singleton, PoolId.A_FIRST, rng) is record
+        assert sample(singleton, PoolId.A_FIRST, rng) is only
 
 
 def test_sampling_is_uniform_within_four_sd():

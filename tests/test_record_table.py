@@ -1,7 +1,6 @@
 """RecordTable columns, the records cache and the consumers that read them."""
 from __future__ import annotations
 
-import dataclasses
 import os
 import sys
 import tempfile
@@ -12,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, serve_mix
+from conftest import assert_same_table, make_record, serve_mix, sidecar_bytes
 from oracles import (
     reference_build_pools,
+    reference_from_records,
     reference_matches_per_player,
     reference_resolve_player,
     reference_tally_records,
@@ -34,6 +34,7 @@ from ufesim.records import (
     TerminalKind,
     cache_path,
     file_sha256,
+    iter_records_csv,
     load_records,
     read_records_csv,
     save_records,
@@ -98,26 +99,20 @@ def serve_records(draw, names):
     )
 
 
-def detached(table: RecordTable) -> RecordTable:
-    """The same columns without the records they came from, as a sidecar
-    hit gives them."""
-    return dataclasses.replace(table, source=None)
-
-
 def _must_not_read(path):
-    raise AssertionError(f"read_records_csv({path}) on a cache hit")
+    raise AssertionError(f"iter_records_csv({path}) on a cache hit")
 
 
 @pytest.fixture
 def reads(monkeypatch):
-    """The paths read_records_csv was called with."""
+    """The paths a cache miss streamed rows from."""
     calls = []
 
     def counting(path):
         calls.append(path)
-        return read_records_csv(path)
+        return iter_records_csv(path)
 
-    monkeypatch.setattr(records_module, "read_records_csv", counting)
+    monkeypatch.setattr(records_module, "iter_records_csv", counting)
     return calls
 
 
@@ -150,7 +145,6 @@ def csv_path(tmp_path):
 def test_round_trip_through_csv_and_sidecar(records):
     table = RecordTable.from_records(records)
     assert table.to_records() == records
-    assert detached(table).to_records() == records
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
         write_records_csv(records, path)
@@ -160,9 +154,8 @@ def test_round_trip_through_csv_and_sidecar(records):
         assert first.to_records() == expected
         assert cache_path(path).is_file()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(records_module, "read_records_csv", _must_not_read)
+            mp.setattr(records_module, "iter_records_csv", _must_not_read)
             cached, cached_sha = load_records(path)
-        assert cached.source is None
         assert cached.to_records() == expected
         assert sha == cached_sha == file_sha256(path)
         # The column writer writes what the record-by-record one wrote,
@@ -173,7 +166,7 @@ def test_round_trip_through_csv_and_sidecar(records):
         assert save_records(table, saved) == sha
         assert saved.read_bytes() == reference.read_bytes()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(records_module, "read_records_csv", _must_not_read)
+            mp.setattr(records_module, "iter_records_csv", _must_not_read)
             assert load_records(saved)[0].to_records() == records
 
 
@@ -204,8 +197,49 @@ def test_round_trip_cases(tmp_path, kwargs):
     write_records_csv(records, path)
     load_records(path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(records_module, "read_records_csv", _must_not_read)
+        mp.setattr(records_module, "iter_records_csv", _must_not_read)
         assert load_records(path)[0].to_records() == records
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(serve_records(any_names()), max_size=30))
+def test_from_records_and_a_miss_match_the_reference(records):
+    expected = reference_from_records(records)
+    assert_same_table(RecordTable.from_records(records), expected)
+    assert_same_table(RecordTable.from_records(iter(records)), expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        write_records_csv(records, path)
+        table, sha256 = load_records(path)
+        assert_same_table(table, expected)
+        assert cache_path(path).read_bytes() == sidecar_bytes(expected, sha256)
+
+
+def test_a_miss_streams_each_row_once_and_keeps_no_record(csv_path, monkeypatch):
+    pulls, handed, held = [], [], []
+
+    def streaming(path):
+        pulls.append(path)
+        for record in iter_records_csv(path):
+            handed.append(record)
+            yield record
+        # Every row is in the columns now.  Only `handed` (and the
+        # argument of getrefcount) may hold any record but the last.
+        for i in range(len(handed) - 1):
+            held.append(sys.getrefcount(handed[i]))
+
+    def no_list(path):
+        raise AssertionError(f"read_records_csv({path}) on a cache miss")
+
+    def no_decode(arrays, sha256):
+        raise AssertionError("a cache miss decoded sidecar arrays")
+
+    monkeypatch.setattr(records_module, "iter_records_csv", streaming)
+    monkeypatch.setattr(records_module, "read_records_csv", no_list)
+    monkeypatch.setattr(records_module, "_from_arrays", no_decode)
+    table, _ = load_records(csv_path)
+    assert pulls == [csv_path] and handed == corpus() and len(table) == len(corpus())
+    assert set(held) == {2}
 
 
 def test_empty_records_round_trip(tmp_path, reads):
@@ -443,41 +477,39 @@ def _outcome(fn, *args):
     scope=st.sampled_from(list(PoolScope)),
 )
 def test_consumers_match_references(records, tour, max_touch, pair, scope):
-    built = RecordTable.from_records(records)
-    for table in (built, detached(built)):
-        for requested in ("ann ace", "BOB_BASE", "cy chip", "Zoë Ångström", "nobody"):
-            assert _outcome(resolve_player, table, requested) == _outcome(
-                reference_resolve_player, records, requested
-            )
+    table = RecordTable.from_records(records)
+    for requested in ("ann ace", "BOB_BASE", "cy chip", "Zoë Ångström", "nobody"):
+        assert _outcome(resolve_player, table, requested) == _outcome(
+            reference_resolve_player, records, requested
+        )
 
-        expected = reference_build_pools(records, *pair, scope)
-        empty = [pid for pid in PoolId if not expected[pid]]
-        if empty:
-            with pytest.raises(EmptyPoolError, match=empty[0].value):
-                build_pools(table, *pair, scope)
-        else:
-            assert dict(build_pools(table, *pair, scope).pools) == expected
+    expected = reference_build_pools(records, *pair, scope)
+    empty = [pid for pid in PoolId if not expected[pid]]
+    if empty:
+        with pytest.raises(EmptyPoolError, match=empty[0].value):
+            build_pools(table, *pair, scope)
+    else:
+        assert dict(build_pools(table, *pair, scope).pools) == expected
 
-        for wanted in (None, "ATP", tour):
-            assert matches_per_player(table, wanted) == reference_matches_per_player(
-                records, wanted
-            )
+    for wanted in (None, "ATP", tour):
+        assert matches_per_player(table, wanted) == reference_matches_per_player(
+            records, wanted
+        )
 
-        tally = tally_records(table, tour, max_touch)
-        reference = reference_tally_records(records, tour, max_touch)
-        assert list(tally.players) == list(reference.players)
-        assert tally.profiles() == reference.profiles()
-        for role in Role:
-            assert tally.touch_curve(role) == reference.touch_curve(role)
-        assert tally.year_series() == reference.year_series()
-        assert tally.ufe_rate() == reference.ufe_rate()
-        assert tally.termination_share() == reference.termination_share()
+    tally = tally_records(table, tour, max_touch)
+    reference = reference_tally_records(records, tour, max_touch)
+    assert list(tally.players) == list(reference.players)
+    assert tally.profiles() == reference.profiles()
+    for role in Role:
+        assert tally.touch_curve(role) == reference.touch_curve(role)
+    assert tally.year_series() == reference.year_series()
+    assert tally.ufe_rate() == reference.ufe_rate()
+    assert tally.termination_share() == reference.termination_share()
 
 
 def test_build_pools_rebuilds_records_in_file_order(csv_path):
-    table, _ = load_records(csv_path)
+    load_records(csv_path)
     cached, _ = load_records(csv_path)
-    assert cached.source is None
     for scope in PoolScope:
         pools = build_pools(cached, "Ann Ace", "Bob Base", scope)
         expected = reference_build_pools(corpus(), "Ann Ace", "Bob Base", scope)
