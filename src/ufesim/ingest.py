@@ -10,7 +10,9 @@ notation are dropped and counted, never repaired.
 ingest_table does all of this in one streaming pass over each file:
 every structurally checked row is decoded and its serves' codes added to
 a records.TableBuilder, which interns the ids and becomes a RecordTable,
-so no row or record object outlives its line.  parse_points_file,
+so no row or record object outlives its line.  Decoding a row is one
+notation.scan_notation call and one lookup: a point's serves depend only
+on its serve number, terminal mark and touch.  parse_points_file,
 clean_rows, explode_to_serves and ingest_files are the same steps one
 stage at a time, built on the same per-row helpers.
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CsvFormatError, DuplicatePointError, NotationError
-from .notation import ParsedPoint, parse_shot_notation
+from .notation import ParsedPoint, parse_shot_notation, point_outcome, scan_notation
 from .records import (
     KIND_CODES,
     NONE_CODE,
@@ -63,7 +65,8 @@ def parse_match_id(match_id: str) -> MatchMeta:
     if len(parts) < 6:
         raise ValueError(f"match id {match_id!r} has {len(parts)} hyphen-separated fields")
     date_part, gender = parts[0], parts[1]
-    year = int(date_part[:4]) if len(date_part) >= 4 and date_part[:4].isdigit() else None
+    # isdecimal accepts exactly the digits int() reads ('²' is a digit, not a decimal).
+    year = int(date_part[:4]) if len(date_part) >= 4 and date_part[:4].isdecimal() else None
     tour = {"M": "ATP", "W": "WTA"}.get(gender)
     player1 = parts[-2].replace("_", " ").strip()
     player2 = parts[-1].replace("_", " ").strip()
@@ -162,6 +165,28 @@ def _decode_serve(first: str, second: str) -> tuple[int, ParsedPoint] | None:
         return None
 
 
+# (serve_number, touch, kind, winner, committer) of the first-serve fault
+# a played second serve implies.
+_IMPLIED_FAULT = (1, 1, KIND_CODES[TerminalKind.FIRST_SERVE_FAULT], NONE_CODE, NONE_CODE)
+
+
+def _point_serves(
+    serve_number: int, mark: str | None, touch: int
+) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The column codes of a point's serves, given its decisive serve's
+    number and scan_notation's (mark, touch): after a second serve, the
+    implied first-serve fault comes first."""
+    parsed = point_outcome(serve_number, mark, touch)
+    decisive = (
+        serve_number,
+        parsed.terminal_touch,
+        KIND_CODES[parsed.terminal_kind],
+        ROLE_CODES[parsed.point_winner],
+        ROLE_CODES[parsed.error_committer],
+    )
+    return (_IMPLIED_FAULT, decisive) if serve_number == 2 else (decisive,)
+
+
 def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport]:
     """Every file's serve records as one table, in one pass per file.
 
@@ -173,10 +198,9 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
     builder = TableBuilder()
     add = builder.add
     seen: dict[str, set[int]] = {}
+    # A point's serves depend only on (serve_number, mark, touch).
+    point_serves: dict[tuple[int, str | None, int], tuple] = {}
     rows_read = dropped_rally = dropped_notation = augmented = 0
-    # (serve_number, touch, kind, winner, committer) of the first-serve
-    # fault a played second serve implies.
-    implied_fault = (1, 1, KIND_CODES[TerminalKind.FIRST_SERVE_FAULT], NONE_CODE, NONE_CODE)
     for path in paths:
         path = Path(path)
         duplicate: DuplicatePointError | None = None
@@ -198,23 +222,18 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
             if not _RALLY_COUNT_RE.match(rally):
                 dropped_rally += 1
                 continue
-            decoded = _decode_serve(first, second)
-            if decoded is None:
+            # The decisive serve: the second when one was played.
+            serve_number = 2 if second else 1
+            try:
+                key = (serve_number, *scan_notation(second or first))
+            except NotationError:
                 dropped_notation += 1
                 continue
-            serve_number, parsed = decoded
-            decisive = (
-                serve_number,
-                parsed.terminal_touch,
-                KIND_CODES[parsed.terminal_kind],
-                ROLE_CODES[parsed.point_winner],
-                ROLE_CODES[parsed.error_committer],
-            )
+            serves = point_serves.get(key)
+            if serves is None:
+                serves = point_serves[key] = _point_serves(*key)
             if serve_number == 2:
                 augmented += 1
-                serves = (implied_fault, decisive)
-            else:
-                serves = (decisive,)
             add(match_id, server_id, receiver_id, meta.year, meta.tour, serves)
         if duplicate is not None:
             raise duplicate

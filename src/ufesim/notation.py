@@ -18,9 +18,16 @@ in a terminal marker.  Reference key (MCP charting convention):
 
 The serve is touch 1, so the parity of the terminal touch identifies the
 player who hit the final ball: odd touches belong to the server.
+
+One compiled pattern, built from the key, decides whether a notation is
+accepted; the touch is then 1 plus the number of its rally-shot letters.
+The outcome depends only on the serve number, the terminal mark and that
+touch.  A notation the pattern rejects is walked character by character,
+only to say what is wrong and where (NotationError's message and offset).
 """
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import NotationError
@@ -33,6 +40,25 @@ SHOT_ANNOTATIONS = frozenset("0123789")
 SHOT_MODIFIERS = frozenset("+-=;")
 ERROR_DETAILS = frozenset("nwdxe!")
 TERMINALS = frozenset("*@#")
+
+
+def _one_of(chars: frozenset[str]) -> str:
+    return "[" + "".join(map(re.escape, sorted(chars))) + "]"
+
+
+# The key as the walk reads it.  The '+' after the direction is taken
+# whenever it is there, and a rally cannot open with a fault letter, so
+# no backtracking makes "4+nf*" a rally.  Group 1 is the terminal mark,
+# None for a serve fault.
+_ACCEPTED = re.compile(
+    rf"c*{_one_of(SERVE_DIRECTIONS)}(?:\+|(?!\+))"
+    rf"(?:{_one_of(FAULT_LETTERS)}+"
+    rf"|(?!{_one_of(FAULT_LETTERS)})"
+    rf"{_one_of(RALLY_SHOTS | SHOT_ANNOTATIONS | SHOT_MODIFIERS | ERROR_DETAILS)}*"
+    rf"({_one_of(TERMINALS)}))"
+)
+# bytes.translate deletes these three times faster than str.translate.
+_RALLY_SHOT_BYTES = "".join(sorted(RALLY_SHOTS)).encode()
 
 
 class ParsedPoint(NamedTuple):
@@ -56,7 +82,27 @@ def parse_shot_notation(notation: str, serve_number: int) -> ParsedPoint:
     """
     if serve_number not in (1, 2):
         raise ValueError(f"serve_number must be 1 or 2, got {serve_number}")
+    return point_outcome(serve_number, *scan_notation(notation))
+
+
+def scan_notation(notation: str) -> tuple[str | None, int]:
+    """The terminal mark and touch of one serve's notation.
+
+    The mark is '*', '#' or '@', or None for a serve fault (touch 1).
+    Raises NotationError for anything outside the key above.
+    """
     s = notation.strip()
+    accepted = _ACCEPTED.fullmatch(s)
+    if accepted is not None:
+        mark = accepted.group(1)
+        touch = 1 + len(s) - len(s.encode().translate(None, _RALLY_SHOT_BYTES))
+        if mark != "@" or touch > 1:  # the walk rejects an '@' on the serve
+            return mark, touch
+    return _walk(notation, s)
+
+
+def _walk(notation: str, s: str) -> tuple[str | None, int]:
+    """scan_notation one character at a time, for the error it raises."""
     if not s:
         raise NotationError("empty notation", notation=notation, offset=0)
 
@@ -80,9 +126,7 @@ def parse_shot_notation(notation: str, serve_number: int) -> ParsedPoint:
             raise NotationError(
                 f"unexpected {s[i]!r} after a serve fault", notation=notation, offset=i
             )
-        if serve_number == 1:
-            return ParsedPoint(1, TerminalKind.FIRST_SERVE_FAULT, None, None)
-        return ParsedPoint(1, TerminalKind.DOUBLE_FAULT, None, Role.RECEIVER)
+        return None, 1
 
     touch = 1
     while i < len(s):
@@ -92,7 +136,11 @@ def parse_shot_notation(notation: str, serve_number: int) -> ParsedPoint:
                 raise NotationError(
                     f"characters after terminal marker {ch!r}", notation=notation, offset=i + 1
                 )
-            return _terminal(ch, touch, notation, i)
+            if ch == "@" and touch == 1:
+                raise NotationError(
+                    "unforced error marker on the serve itself", notation=notation, offset=i
+                )
+            return ch, touch
         if ch in RALLY_SHOTS:
             touch += 1
         elif ch in SHOT_ANNOTATIONS or ch in SHOT_MODIFIERS or ch in ERROR_DETAILS:
@@ -104,7 +152,13 @@ def parse_shot_notation(notation: str, serve_number: int) -> ParsedPoint:
     raise NotationError("missing terminal marker", notation=notation, offset=len(s))
 
 
-def _terminal(mark: str, touch: int, notation: str, offset: int) -> ParsedPoint:
+def point_outcome(serve_number: int, mark: str | None, touch: int) -> ParsedPoint:
+    """The outcome of a serve whose notation scan_notation read as
+    (mark, touch)."""
+    if mark is None:
+        if serve_number == 1:
+            return ParsedPoint(1, TerminalKind.FIRST_SERVE_FAULT, None, None)
+        return ParsedPoint(1, TerminalKind.DOUBLE_FAULT, None, Role.RECEIVER)
     if mark == "*":
         if touch == 1:
             return ParsedPoint(1, TerminalKind.ACE, None, Role.SERVER)
@@ -114,10 +168,6 @@ def _terminal(mark: str, touch: int, notation: str, offset: int) -> ParsedPoint:
             return ParsedPoint(1, TerminalKind.SERVICE_WINNER, None, Role.SERVER)
         who = _committer(touch)
         return ParsedPoint(touch, TerminalKind.FORCED_ERROR, who, opponent_role(who))
-    # '@'
-    if touch == 1:
-        raise NotationError(
-            "unforced error marker on the serve itself", notation=notation, offset=offset
-        )
+    # '@', never on the serve itself
     who = _committer(touch)
     return ParsedPoint(touch, TerminalKind.UNFORCED_ERROR, who, opponent_role(who))

@@ -10,6 +10,10 @@ field, with names interned.  A TableBuilder is the one way to make those
 columns: ingest_table, RecordTable.from_records and a cache miss all add
 points to one, so every table interns its ids in the same order.
 
+write_records_csv writes a table as the records CSV, byte for byte what
+csv.writer would write (UTF-8, CRLF, minimal quoting): csv.writer quotes
+each distinct string once, and each line is one formatted string.
+
 load_records reads a records CSV into a table through a sidecar cache,
 `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
 On a miss the CSV's rows stream into a builder, one ServeRecord at a
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 import shutil
 import struct
@@ -164,14 +169,50 @@ def open_csv(path, encoding: str = "utf-8"):
 
 
 def write_records_csv(records: RecordTable | Iterable[ServeRecord], path) -> None:
-    """Write normalized serve records to CSV (one record per serve)."""
+    """Write normalized serve records to CSV (one record per serve).
+
+    The bytes are csv.writer's: UTF-8, CRLF line ends, minimal quoting.
+    Each distinct match, player and tour string is quoted once by
+    csv.writer; every other field never needs quoting, so each line is
+    one f-string.
+    """
     table = as_table(records)
+    matches = _csv_fields(table.matches)
+    players = _csv_fields(table.players)
+    # Index -1 of tours, and key -1 of years, give a missing value's empty field.
+    tours = (*_csv_fields(table.tours), "")
+    years = {year: str(year) for year in np.unique(table.year).tolist()}
+    years[NONE_CODE] = ""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        # Chunks keep the rows' strings to a fixed number at a time.
+        csv.writer(fh).writerow(RECORD_FIELDS)
+        # Chunks keep the columns' Python values to a fixed number at a
+        # time, and writelines one line: joining a chunk's lines first
+        # raised ingest's peak RSS by 0.8 MB.
         for start in range(0, len(table), _WRITE_CHUNK):
-            writer.writerows(_csv_rows(table, slice(start, start + _WRITE_CHUNK)))
+            rows = slice(start, start + _WRITE_CHUNK)
+            fh.writelines(
+                f"{matches[m]},{players[s]},{players[r]},{serve},{_FAULT_FIELDS[kind]},"
+                f"{touch},{_KIND_NAMES[kind]},{_ROLE_NAMES[winner]},{_ROLE_NAMES[committer]},"
+                f"{years[year]},{tours[tour]}\r\n"
+                for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(
+                    *(getattr(table, name)[rows].tolist() for name, _ in _COLUMNS)
+                )
+            )
+
+
+def _csv_fields(strings: tuple[str, ...]) -> list[str]:
+    """Each string as csv.writer writes it as a field of a longer row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    fields = []
+    for s in strings:
+        buffer.seek(0)
+        buffer.truncate()
+        # A second field, so that an empty string is not quoted as a row
+        # of one empty field would be.
+        writer.writerow((s, ""))
+        fields.append(buffer.getvalue()[:-3])  # drop ",\r\n"
+    return fields
 
 
 def iter_records_csv(path) -> Iterator[ServeRecord]:
@@ -478,29 +519,9 @@ def as_table(records: RecordTable | Iterable[ServeRecord]) -> RecordTable:
 
 _WRITE_CHUNK = 4096
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
+_FAULT_FIELDS = tuple("true" if code == _FAULT else "false" for code in range(len(KINDS)))
 # Index -1 picks the trailing "none".
 _ROLE_NAMES = (*(role.value for role in ROLES), "none")
-
-
-def _csv_rows(table: RecordTable, rows: slice) -> Iterator[list[str]]:
-    """The CSV fields of a slice of a table's rows, in RECORD_FIELDS order."""
-    matches, players = table.matches, table.players
-    tours = (*table.tours, "")
-    columns = [getattr(table, name)[rows].tolist() for name, _ in _COLUMNS]
-    for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(*columns):
-        yield [
-            matches[m],
-            players[s],
-            players[r],
-            str(serve),
-            "true" if kind == _FAULT else "false",
-            str(touch),
-            _KIND_NAMES[kind],
-            _ROLE_NAMES[winner],
-            _ROLE_NAMES[committer],
-            "" if year == NONE_CODE else str(year),
-            tours[tour],
-        ]
 
 
 CACHE_VERSION = 1

@@ -29,19 +29,22 @@ from ufesim.errors import (
     PlayerNotFoundError,
 )
 from ufesim.ingest import REQUIRED_COLUMNS, IngestReport, MatchMeta, parse_match_id
-from ufesim.notation import parse_shot_notation
+from ufesim.notation import ParsedPoint
 from ufesim.pools import PoolId, PoolScope, sample, select_pool
 from ufesim.records import (
     KIND_CODES,
+    KINDS,
     NONE_CODE,
     RECORD_FIELDS,
     ROLE_CODES,
+    ROLES,
     RawPointRow,
     RecordTable,
     Role,
     ServeRecord,
     TerminalKind,
     open_csv,
+    opponent_role,
 )
 from ufesim.scoring import apply_point, new_match, other_player
 from ufesim.simulate import (
@@ -668,6 +671,99 @@ def reference_summarize(results, scenario):
     )
 
 
+# parse_shot_notation as it was before one compiled pattern decided which
+# notations are accepted: a walk over the characters.
+
+SERVE_DIRECTIONS = frozenset("0456")
+FAULT_LETTERS = frozenset("nwdxge!")
+RALLY_SHOTS = frozenset("fbrsvzopuylmhijktq")
+SHOT_ANNOTATIONS = frozenset("0123789")
+SHOT_MODIFIERS = frozenset("+-=;")
+ERROR_DETAILS = frozenset("nwdxe!")
+TERMINALS = frozenset("*@#")
+
+
+def _reference_committer(touch: int) -> Role:
+    # Odd touches are the server's contacts, even touches the receiver's.
+    return Role.SERVER if touch % 2 == 1 else Role.RECEIVER
+
+
+def reference_parse_shot_notation(notation: str, serve_number: int) -> ParsedPoint:
+    """Decode one serve's notation into (touch, kind, committer, winner).
+
+    serve_number tells fault handling apart: a bare fault is a
+    first_serve_fault for serve 1 and a double_fault for serve 2.
+    Raises NotationError for anything outside the key above.
+    """
+    if serve_number not in (1, 2):
+        raise ValueError(f"serve_number must be 1 or 2, got {serve_number}")
+    s = notation.strip()
+    if not s:
+        raise NotationError("empty notation", notation=notation, offset=0)
+
+    i = 0
+    while i < len(s) and s[i] == "c":  # lets replay the same serve; skip them
+        i += 1
+    if i >= len(s):
+        raise NotationError("nothing after let marks", notation=notation, offset=i)
+    if s[i] not in SERVE_DIRECTIONS:
+        raise NotationError(
+            f"expected a serve direction digit, found {s[i]!r}", notation=notation, offset=i
+        )
+    i += 1
+    if i < len(s) and s[i] == "+":  # serve-and-volley intent
+        i += 1
+
+    if i < len(s) and s[i] in FAULT_LETTERS:
+        while i < len(s) and s[i] in FAULT_LETTERS:
+            i += 1
+        if i != len(s):
+            raise NotationError(
+                f"unexpected {s[i]!r} after a serve fault", notation=notation, offset=i
+            )
+        if serve_number == 1:
+            return ParsedPoint(1, TerminalKind.FIRST_SERVE_FAULT, None, None)
+        return ParsedPoint(1, TerminalKind.DOUBLE_FAULT, None, Role.RECEIVER)
+
+    touch = 1
+    while i < len(s):
+        ch = s[i]
+        if ch in TERMINALS:
+            if i != len(s) - 1:
+                raise NotationError(
+                    f"characters after terminal marker {ch!r}", notation=notation, offset=i + 1
+                )
+            return _reference_terminal(ch, touch, notation, i)
+        if ch in RALLY_SHOTS:
+            touch += 1
+        elif ch in SHOT_ANNOTATIONS or ch in SHOT_MODIFIERS or ch in ERROR_DETAILS:
+            pass
+        else:
+            raise NotationError(f"unrecognized shot code {ch!r}", notation=notation, offset=i)
+        i += 1
+
+    raise NotationError("missing terminal marker", notation=notation, offset=len(s))
+
+
+def _reference_terminal(mark: str, touch: int, notation: str, offset: int) -> ParsedPoint:
+    if mark == "*":
+        if touch == 1:
+            return ParsedPoint(1, TerminalKind.ACE, None, Role.SERVER)
+        return ParsedPoint(touch, TerminalKind.RALLY_WINNER, None, _reference_committer(touch))
+    if mark == "#":
+        if touch == 1:
+            return ParsedPoint(1, TerminalKind.SERVICE_WINNER, None, Role.SERVER)
+        who = _reference_committer(touch)
+        return ParsedPoint(touch, TerminalKind.FORCED_ERROR, who, opponent_role(who))
+    # '@'
+    if touch == 1:
+        raise NotationError(
+            "unforced error marker on the serve itself", notation=notation, offset=offset
+        )
+    who = _reference_committer(touch)
+    return ParsedPoint(touch, TerminalKind.UNFORCED_ERROR, who, opponent_role(who))
+
+
 # The staged ingest pipeline and the record-by-record CSV writer as they
 # were before ingest streamed into table columns: parse a whole file
 # into rows, check duplicates, clean, explode, then write record by
@@ -759,7 +855,7 @@ def _reference_explode_to_serves(rows):
         meta = parse_match_id(row.match_id)
         serve_number = 2 if row.second_serve_notation else 1
         try:
-            parsed = parse_shot_notation(
+            parsed = reference_parse_shot_notation(
                 row.second_serve_notation or row.first_serve_notation, serve_number
             )
         except NotationError:
@@ -829,12 +925,49 @@ def _reference_record_to_strings(rec: ServeRecord) -> list[str]:
 
 
 def reference_write_records_csv(records, path) -> None:
-    """Write normalized serve records to CSV (one record per serve)."""
+    """write_records_csv as it was before it formatted its own lines:
+    csv.writer over every row's fields, taken from a RecordTable's
+    columns in chunks, or record by record from any other iterable."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerow(_reference_record_to_strings(rec))
+        if not isinstance(records, RecordTable):
+            for rec in records:
+                writer.writerow(_reference_record_to_strings(rec))
+            return
+        # Chunks keep the rows' strings to a fixed number at a time.
+        for start in range(0, len(records), _REFERENCE_WRITE_CHUNK):
+            writer.writerows(
+                _reference_csv_rows(records, slice(start, start + _REFERENCE_WRITE_CHUNK))
+            )
+
+
+_REFERENCE_WRITE_CHUNK = 4096
+_REFERENCE_FAULT = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
+_KIND_NAMES = tuple(kind.value for kind in KINDS)
+# Index -1 picks the trailing "none".
+_ROLE_NAMES = (*(role.value for role in ROLES), "none")
+
+
+def _reference_csv_rows(table: RecordTable, rows: slice):
+    """The CSV fields of a slice of a table's rows, in RECORD_FIELDS order."""
+    matches, players = table.matches, table.players
+    tours = (*table.tours, "")
+    columns = [getattr(table, name)[rows].tolist() for name, _ in _REFERENCE_COLUMNS]
+    for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(*columns):
+        yield [
+            matches[m],
+            players[s],
+            players[r],
+            str(serve),
+            "true" if kind == _REFERENCE_FAULT else "false",
+            str(touch),
+            _KIND_NAMES[kind],
+            _ROLE_NAMES[winner],
+            _ROLE_NAMES[committer],
+            "" if year == NONE_CODE else str(year),
+            tours[tour],
+        ]
 
 
 # RecordTable.from_records as it was before every table was built by one

@@ -89,6 +89,19 @@ def test_ingest_same_player_on_both_sides_is_data_error(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [points]
 
 
+def test_ingest_records_a_year_int_cannot_read_as_unknown(tmp_path, capsys):
+    points = tmp_path / "years.csv"
+    points.write_text(
+        "match_id,Pt,Svr,1st,2nd,rallyCount\n²²²²0101-M-X-F-A_B-C_D,1,1,4*,,1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "r.csv"
+    assert main(["ingest", str(points), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (record,) = read_records_csv(out)
+    assert record.year is None and record.match_id == "²²²²0101-M-X-F-A_B-C_D"
+
+
 def test_ingest_refuses_to_overwrite_an_input(tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_bytes(FIXTURE.read_bytes())

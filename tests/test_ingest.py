@@ -350,6 +350,22 @@ def test_same_player_on_both_sides_is_a_format_error_at_its_line(tmp_path):
         assert str(reference.value) == str(exc.value)
 
 
+def test_a_date_int_cannot_read_is_an_unknown_year(tmp_path):
+    # '²' is a digit to str.isdigit but int() cannot read it; Arabic-Indic
+    # digits are decimals, and int() reads them.
+    superscript = "²²²²0101-M-X-F-A_B-C_D"
+    assert parse_match_id(superscript).year is None
+    assert parse_match_id("٢٠١٩0101-M-X-F-A_B-C_D").year == 2019
+    path = _write(tmp_path / "years.csv", HEADER + f"{superscript},1,0-0,1,4*,,1\n")
+    table, report = ingest_table([path])
+    assert report.serve_records_emitted == 1
+    (record,) = table.to_records()
+    assert (record.year, record.tour, record.server_id) == (None, "ATP", "A B")
+    out = tmp_path / "records.csv"
+    save_records(table, out)
+    assert out.read_text(encoding="utf-8").splitlines()[1].endswith(",,ATP")
+
+
 def test_oversized_field_is_a_format_error(tmp_path):
     path = _write(tmp_path / "huge.csv", HEADER + f'{MATCH},1,"{"x" * 200_000}",1,4*,,1\n')
     with pytest.raises(CsvFormatError, match="field limit") as exc:

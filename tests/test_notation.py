@@ -8,7 +8,10 @@ assign the error to whoever hit the final ball (odd touch: server).
 from __future__ import annotations
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_parse_shot_notation
 from ufesim.errors import NotationError
 from ufesim.notation import ParsedPoint, parse_shot_notation
 from ufesim.records import Role, TerminalKind
@@ -116,3 +119,75 @@ def test_lets_do_not_change_the_decode():
 def test_serve_number_must_be_one_or_two():
     with pytest.raises(ValueError):
         parse_shot_notation("4*", 3)
+
+
+# Where a pattern could backtrack into an answer the walk never gives.
+BACKTRACK_GOLDEN = [
+    # The '+' is serve-and-volley, so 'n' opens a fault that 'f' breaks;
+    # a pattern skipping the '+' would read a rally "+nf*".
+    (("4+nf*", 1), ("unexpected 'f' after a serve fault", 3)),
+    (("4++f*", 1), (2, K.RALLY_WINNER, None, R)),
+    (("4+*", 1), (1, K.ACE, None, S)),
+    (("4@", 1), ("unforced error marker on the serve itself", 1)),
+    (("c4n", 1), (1, K.FIRST_SERVE_FAULT, None, None)),
+    (("c4n", 2), (1, K.DOUBLE_FAULT, None, R)),
+]
+
+
+def _decode(parse, notation, serve_number):
+    """A ParsedPoint, or (message, offset) of the NotationError raised."""
+    try:
+        return parse(notation, serve_number)
+    except NotationError as exc:
+        assert exc.notation == notation
+        return str(exc), exc.offset
+
+
+@pytest.mark.parametrize(("args", "expected"), BACKTRACK_GOLDEN)
+def test_backtracking_golden(args, expected):
+    notation, serve_number = args
+    got = _decode(parse_shot_notation, notation, serve_number)
+    if isinstance(got, ParsedPoint):
+        assert got == ParsedPoint(*expected)
+    else:
+        message, offset = expected
+        assert got == (f"{message} (notation {notation!r}, offset {offset})", offset)
+    assert got == _decode(reference_parse_shot_notation, notation, serve_number)
+
+
+KEY = "c0456+nwdxge!fbrsvzopuylmhijktq123789-=;*@#"
+STRAY = " \t\n\r\x0b\x0c\x85\xa0\u3000\x00CZ~é²٣"
+
+
+def _mostly(draw, usual, odd):
+    return draw(odd) if draw(st.integers(0, 7)) == 0 else draw(usual)
+
+
+@st.composite
+def shaped_notations(draw):
+    """Lets, a direction, maybe '+', a body and a terminal, each part now
+    and then off the key, so that many strings are accepted and the rest
+    fail near acceptance."""
+    body = KEY[5:-3]
+    return "".join([
+        _mostly(draw, st.just(""), st.text(STRAY[:9], max_size=2)),
+        draw(st.text("c", max_size=2)),
+        _mostly(draw, st.sampled_from("0456"), st.text(KEY + STRAY, max_size=1)),
+        draw(st.text("+", max_size=2)),
+        _mostly(draw, st.text(body, max_size=8), st.text(body + STRAY, max_size=8)),
+        _mostly(draw, st.sampled_from("*@#"), st.text(KEY, max_size=2)),
+        _mostly(draw, st.just(""), st.text(STRAY[:9], max_size=2)),
+    ])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    notation=shaped_notations() | st.text(KEY + STRAY, max_size=12),
+    serve_number=st.sampled_from([1, 2]),
+)
+@example(notation="4+nf*", serve_number=1)
+@example(notation="4++f*", serve_number=2)
+def test_pattern_decodes_as_the_walk(notation, serve_number):
+    got = _decode(parse_shot_notation, notation, serve_number)
+    event("accepted" if isinstance(got, ParsedPoint) else "rejected")
+    assert got == _decode(reference_parse_shot_notation, notation, serve_number)

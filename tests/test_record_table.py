@@ -1,6 +1,7 @@
 """RecordTable columns, the records cache and the consumers that read them."""
 from __future__ import annotations
 
+import csv
 import os
 import sys
 import tempfile
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_table, make_record, serve_mix, sidecar_bytes
@@ -168,6 +169,52 @@ def test_round_trip_through_csv_and_sidecar(records):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(records_module, "iter_records_csv", _must_not_read)
             assert load_records(saved)[0].to_records() == records
+
+
+# The records CSV's bytes
+
+# Every character the csv module quotes for, at the edges and inside.
+WRITER_NAMES = [
+    "", " ", " edge ", ",", "a,b", '"', 'say "hi"', "\r", "\n", "a\r\nb", "Zoë Ångström",
+    "李娜", "tail\x00", "\x00",
+]
+
+
+def writer_names():
+    return st.sampled_from(WRITER_NAMES) | st.text(
+        st.characters(exclude_categories=("Cs",)) | st.sampled_from(',"\r\n \x00'), max_size=6
+    )
+
+
+def _csv_bytes(write, records, path: Path) -> bytes | type[csv.Error]:
+    try:
+        write(records, path)
+    except csv.Error:  # NUL before Python 3.11
+        return csv.Error
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(serve_records(writer_names()), max_size=30))
+@example(records=[])
+def test_writer_matches_the_csv_writer_reference(records):
+    table = RecordTable.from_records(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        want = _csv_bytes(reference_write_records_csv, table, Path(tmp) / "want.csv")
+        assert _csv_bytes(write_records_csv, table, Path(tmp) / "table.csv") == want
+        assert _csv_bytes(write_records_csv, records, Path(tmp) / "records.csv") == want
+        assert _csv_bytes(reference_write_records_csv, records, Path(tmp) / "rows.csv") == want
+
+
+def test_writer_matches_the_reference_across_chunks(tmp_path):
+    # Over two 4,096-line chunks, with years and tours present and missing.
+    records = corpus() * (2 * 4096 // len(corpus()) + 1)
+    table = RecordTable.from_records(records)
+    assert len(table) > 2 * 4096
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    reference_write_records_csv(table, want)
+    write_records_csv(table, got)
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize(
