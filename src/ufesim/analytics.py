@@ -32,6 +32,7 @@ from .records import (
     ServeRecord,
     TerminalKind,
     as_table,
+    distinct,
 )
 
 DEFAULT_MAX_TOUCH = 13
@@ -165,27 +166,14 @@ def _match_counts(
     """Distinct matches each player id served or received in, over the
     rows of these columns."""
     n_matches = max(n_matches, 1)
-    distinct = []
+    per_side = []
     for players in (server, receiver):
         keys = players.astype(np.int64)
         keys *= n_matches
         keys += match
-        distinct.append(_distinct(keys))
-    pairs = _distinct(np.concatenate(distinct))
+        per_side.append(distinct(keys))
+    pairs = distinct(np.concatenate(per_side))
     return np.bincount(pairs // n_matches, minlength=n_players)
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of keys, sorted; sorts keys in place.
-
-    Plain np.unique would do, but numpy 2.4 imports numpy.ma inside it
-    to check for a mask: about 18 ms and 1.2 MB of RSS per process.
-    """
-    keys.sort()
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
 
 
 def _first_seen(server: np.ndarray, receiver: np.ndarray, n_players: int) -> np.ndarray:

@@ -22,12 +22,14 @@ player who hit the final ball: odd touches belong to the server.
 One compiled pattern, built from the key, decides whether a notation is
 accepted; the touch is then 1 plus the number of its rally-shot letters.
 The outcome depends only on the serve number, the terminal mark and that
-touch.  A notation the pattern rejects is walked character by character,
-only to say what is wrong and where (NotationError's message and offset).
+touch, so point_outcome memoizes it.  A notation the pattern rejects is
+walked character by character, only to say what is wrong and where
+(NotationError's message and offset).
 """
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotationError
@@ -152,9 +154,14 @@ def _walk(notation: str, s: str) -> tuple[str | None, int]:
     raise NotationError("missing terminal marker", notation=notation, offset=len(s))
 
 
+@lru_cache(maxsize=1024)
 def point_outcome(serve_number: int, mark: str | None, touch: int) -> ParsedPoint:
     """The outcome of a serve whose notation scan_notation read as
-    (mark, touch)."""
+    (mark, touch).
+
+    Memoized: the outcome is immutable and charted touches are few, so
+    a decode reuses one ParsedPoint per (serve_number, mark, touch).
+    """
     if mark is None:
         if serve_number == 1:
             return ParsedPoint(1, TerminalKind.FIRST_SERVE_FAULT, None, None)

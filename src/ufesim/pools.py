@@ -13,6 +13,7 @@ codes that the simulator draws from instead of records:
      t >= 2   unforced error by A at touch t; B wins unless it is struck
 
 Index 0 of first_codes/second_codes is A serving, index 1 is B.
+max_code is the highest code in any pool.
 
 build_pools selects each pool's rows of a RecordTable with a mask and
 builds ServeRecords for those rows only, in file order.
@@ -85,6 +86,7 @@ class ServePoolSet:
     second_codes: tuple[tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
+    max_code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for pid in PoolId:
@@ -104,6 +106,7 @@ class ServePoolSet:
             object.__setattr__(self, name, codes)
         if FAULT in self.second_codes[0] or FAULT in self.second_codes[1]:
             raise ValueError("a second-serve pool cannot hold a first-serve fault")
+        object.__setattr__(self, "max_code", max(map(max, self.first_codes + self.second_codes)))
 
     def size(self, pool_id: PoolId) -> int:
         return len(self.pools[pool_id])

@@ -181,7 +181,7 @@ def write_records_csv(records: RecordTable | Iterable[ServeRecord], path) -> Non
     players = _csv_fields(table.players)
     # Index -1 of tours, and key -1 of years, give a missing value's empty field.
     tours = (*_csv_fields(table.tours), "")
-    years = {year: str(year) for year in np.unique(table.year).tolist()}
+    years = {year: str(year) for year in distinct(table.year.copy()).tolist()}
     years[NONE_CODE] = ""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(RECORD_FIELDS)
@@ -515,6 +515,19 @@ def as_table(records: RecordTable | Iterable[ServeRecord]) -> RecordTable:
     if isinstance(records, RecordTable):
         return records
     return RecordTable.from_records(records)
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, sorted; sorts keys in place.
+
+    Plain np.unique would do, but numpy 2.4 imports numpy.ma inside it
+    to check for a mask: about 18 ms and 1.2 MB of RSS per process.
+    """
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 _WRITE_CHUNK = 4096

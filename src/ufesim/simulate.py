@@ -9,12 +9,16 @@ bootstrap standard errors.
 
 The pools are drawn as the int point codes a ServePoolSet compiles once
 (-1 fault, 0 A wins, 1 B wins, t >= 2 an unforced error by A at touch
-t), and a match is one scoring.play_match loop that pulls each point
-from a closure over those codes.  A point consumes uniforms from the
-replicate stream in a fixed order: one per serve drawn, one removal
-draw for every drawn error by A (whatever x is, x = 0 included), and
-one resolution draw when the error is struck.  Only rng.random() is
-called, and the first server costs one draw under the 'random' policy.
+t).  Every match is played by one kernel, _play_match: the scoring
+rules as loops over local int counters, with the point draw written out
+inside the game and tiebreak loops, so that a point calls no Python
+function.  simulate_match wraps its counters in a MatchResult; a
+replicate block appends each match's shares straight to its columns.
+A point consumes uniforms from the replicate stream in a fixed order:
+one per serve drawn, one removal draw for every drawn error by A
+(whatever x is, x = 0 included), and one resolution draw when the error
+is struck.  Only rng.random() is called, and the first server costs one
+draw under the 'random' policy.
 
 Replicates run on every CPU the process may use.  run_simulation and
 compare_scenarios cut each scenario into blocks of at least _MIN_BLOCK
@@ -48,7 +52,7 @@ from .counterfactual import (
 from .errors import EndlessMatchError, WorkerDiedError
 from .pools import FAULT, PoolScope, ServePoolSet
 from .rng import replicate_stream
-from .scoring import PLAYERS, MatchFormat, play_match
+from .scoring import PLAYERS, MatchFormat
 
 FIRST_SERVER_POLICIES = ("alternate", "fixed_A", "fixed_B", "random")
 
@@ -199,49 +203,152 @@ def simulate_match(
     everything in local ints: no record, outcome or score object per
     point.
     """
-    rand = rng.random
-    x = config.reduction_x
-    by_touch = table.by_touch
-    first_codes, second_codes = pools.first_codes, pools.second_codes
-    first_sizes = (len(first_codes[0]), len(first_codes[1]))
-    second_sizes = (len(second_codes[0]), len(second_codes[1]))
-    kept = removed = 0
-
-    def point(server: int) -> int:
-        nonlocal kept, removed
-        code = first_codes[server][int(rand() * first_sizes[server])]
-        if code < 0:
-            code = second_codes[server][int(rand() * second_sizes[server])]
-        if code < 2:
-            return code
-        # An unforced error by A at touch `code`: B's point unless struck.
-        if rand() < x:
-            removed += 1
-            return 0 if rand() < by_touch[code if code < MAX_TOUCH else MAX_TOUCH] else 1
-        kept += 1
-        return 1
-
     first_server = PLAYERS.index(first_server_for(config, replicate_index, rng))
-    played = play_match(config.format, first_server, point)
-    return MatchResult(
-        points_won=played.points_won,
-        games_won=played.games_won,
-        sets_won=played.sets_won,
-        set_scores=played.set_scores,
-        match_winner=PLAYERS[played.winner],
-        ufes_kept=kept,
-        ufes_removed=removed,
+    points, games, sets, set_scores, winner, kept, removed = _play_match(
+        config.format, first_server, config.reduction_x, *_pool_draws(pools, table), rng.random
+    )
+    return MatchResult(points, games, sets, set_scores, PLAYERS[winner], kept, removed)
+
+
+def _pool_draws(pools: ServePoolSet, table: TouchWinTable) -> tuple:
+    """_play_match's pool arguments: both servers' first- and second-serve
+    codes, the pool sizes as floats, and the chance that A wins a point
+    whose error at each code is struck.
+
+    A float size indexes as the int one: int(u * 2410.0) == int(u * 2410)
+    for any size below 2**53.
+    """
+    first, second = pools.first_codes, pools.second_codes
+    by_touch = table.by_touch
+    return (
+        first,
+        second,
+        (float(len(first[0])), float(len(first[1]))),
+        (float(len(second[0])), float(len(second[1]))),
+        [by_touch[min(code, MAX_TOUCH)] for code in range(pools.max_code + 1)],
     )
 
 
-def _run_replicate(
-    config: SimulationConfig,
-    pools: ServePoolSet,
-    table: TouchWinTable,
-    index: int,
-) -> MatchResult:
-    rng = replicate_stream(config.seed, index)
-    return simulate_match(config, pools, table, rng, replicate_index=index)
+def _play_match(
+    fmt: MatchFormat,
+    server: int,
+    x: float,
+    first_codes: tuple[tuple[int, ...], tuple[int, ...]],
+    second_codes: tuple[tuple[int, ...], tuple[int, ...]],
+    first_sizes: tuple[float, float],
+    second_sizes: tuple[float, float],
+    struck_wins: list[float | None],
+    rand,
+) -> tuple:
+    """Play one match from the point codes; players are 0 for A, 1 for B.
+
+    Returns (points, games, sets, set_scores, winner, ufes_kept,
+    ufes_removed), each pair A's count first.  The rules, the serve
+    rotation and every counter agree with new_match/apply_point fed the
+    same winners, and each point draws as simulate_point does; the
+    point draw is written out in the tiebreak and the game loop so that
+    a point calls no Python function.
+    """
+    lead = 2 if fmt.ad_scoring else 1  # no-ad: the first to four points wins
+    trigger = fmt.tiebreak_trigger_games
+    target = fmt.tiebreak_target_points
+    sets_to_win = fmt.sets_to_win
+    final_set = fmt.best_of - 1  # sets completed before the final set
+    final_set_tiebreak = fmt.final_set_tiebreak
+    points_a = points_b = games_a = games_b = sets_a = sets_b = kept = removed = 0
+    set_scores = []
+    while True:
+        ga = gb = 0
+        set_has_tiebreak = final_set_tiebreak or sets_a + sets_b != final_set
+        while True:
+            a = b = 0
+            if ga == gb == trigger and set_has_tiebreak:
+                opener = server
+                while True:
+                    code = first_codes[server][int(rand() * first_sizes[server])]
+                    if code < 0:
+                        code = second_codes[server][int(rand() * second_sizes[server])]
+                    if code > 1:
+                        # An unforced error by A at touch `code`: B's point unless struck.
+                        if rand() < x:
+                            removed += 1
+                            code = 0 if rand() < struck_wins[code] else 1
+                        else:
+                            kept += 1
+                            code = 1
+                    if code:
+                        b += 1
+                        if b >= target and b - a >= 2:
+                            break
+                    else:
+                        a += 1
+                        if a >= target and a - b >= 2:
+                            break
+                    if (a + b) % 2:
+                        server = 1 - server
+                # The tiebreak counts as one game of the rotation.
+                server = 1 - opener
+                points_a += a
+                points_b += b
+                if b > a:
+                    gb += 1
+                else:
+                    ga += 1
+                break
+            firsts, n_firsts = first_codes[server], first_sizes[server]
+            seconds, n_seconds = second_codes[server], second_sizes[server]
+            while True:
+                code = firsts[int(rand() * n_firsts)]
+                if code < 0:
+                    code = seconds[int(rand() * n_seconds)]
+                if code > 1:
+                    if rand() < x:
+                        removed += 1
+                        code = 0 if rand() < struck_wins[code] else 1
+                    else:
+                        kept += 1
+                        code = 1
+                if code:
+                    b += 1
+                    if b >= 4 and b - a >= lead:
+                        break
+                else:
+                    a += 1
+                    if a >= 4 and a - b >= lead:
+                        break
+            server = 1 - server
+            points_a += a
+            points_b += b
+            if b > a:
+                gb += 1
+                if gb >= trigger and gb - ga >= 2:
+                    break
+            else:
+                ga += 1
+                if ga >= trigger and ga - gb >= 2:
+                    break
+        games_a += ga
+        games_b += gb
+        set_scores.append((ga, gb))
+        if gb > ga:
+            sets_b += 1
+            if sets_b == sets_to_win:
+                winner = 1
+                break
+        else:
+            sets_a += 1
+            if sets_a == sets_to_win:
+                winner = 0
+                break
+    return (
+        (points_a, points_b),
+        (games_a, games_b),
+        (sets_a, sets_b),
+        tuple(set_scores),
+        winner,
+        kept,
+        removed,
+    )
 
 
 def binomial_se_pct(p_hat: float, n: int) -> float:
@@ -347,12 +454,25 @@ class _Job(NamedTuple):
 def _replicate_block(job: _Job, config_index: int, start: int, stop: int) -> _Columns:
     """Play replicates start..stop-1 of job.configs[config_index].
 
+    Appends each match's shares straight from _play_match's counters.
     Calls no numpy, so that forked workers never touch numpy's state.
     """
     config = job.configs[config_index]
-    return _columns(
-        _run_replicate(config, job.pools, job.table, i) for i in range(start, stop)
-    )
+    fmt, x, seed = config.format, config.reduction_x, config.seed
+    draws = _pool_draws(job.pools, job.table)
+    pts, gms, sts, wins = columns = _columns(())
+    for i in range(start, stop):
+        rng = replicate_stream(seed, i)
+        first_server = PLAYERS.index(first_server_for(config, i, rng))
+        (pa, pb), (ga, gb), (sa, sb), _, winner, _, _ = _play_match(
+            fmt, first_server, x, *draws, rng.random
+        )
+        # A played match has a point, a game and a set: no total is 0.
+        pts.append(100.0 * pa / (pa + pb))
+        gms.append(100.0 * ga / (ga + gb))
+        sts.append(100.0 * sa / (sa + sb))
+        wins.append(1.0 if winner == 0 else 0.0)
+    return columns
 
 
 def _blocks(n_matches: int) -> list[tuple[int, int]]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_parse_shot_notation
 from ufesim.errors import NotationError
-from ufesim.notation import ParsedPoint, parse_shot_notation
+from ufesim.notation import ParsedPoint, parse_shot_notation, point_outcome
 from ufesim.records import Role, TerminalKind
 
 S, R = Role.SERVER, Role.RECEIVER
@@ -114,6 +114,14 @@ def test_lets_do_not_change_the_decode():
     plain = parse_shot_notation("4f8b2f1n@", 1)
     with_lets = parse_shot_notation("c4f8b2f1n@", 1)
     assert plain == with_lets
+
+
+def test_one_outcome_per_serve_mark_and_touch():
+    """point_outcome is memoized: notations that share a serve number,
+    terminal mark and touch share one ParsedPoint."""
+    first = parse_shot_notation("4f8b2f1n@", 1)
+    assert parse_shot_notation("c6+r3s1v@", 1) is first
+    assert first == point_outcome.__wrapped__(1, "@", 4)
 
 
 def test_serve_number_must_be_one_or_two():

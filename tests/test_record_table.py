@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -215,6 +216,26 @@ def test_writer_matches_the_reference_across_chunks(tmp_path):
     reference_write_records_csv(table, want)
     write_records_csv(table, got)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_writer_does_not_import_numpy_ma(tmp_path):
+    """The writer finds the distinct years without np.unique, which under
+    numpy 2.4 imports numpy.ma in every ingest process (about 18 ms)."""
+    script = (
+        "import sys\n"
+        "from conftest import make_record\n"
+        "from ufesim.records import write_records_csv\n"
+        "write_records_csv([make_record(year=2019), make_record(year=None)], sys.argv[1])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "records.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
-from oracles import reference_simulate_match, reference_simulate_point, reference_summarize
+from oracles import (
+    game_win_probability,
+    reference_simulate_match,
+    reference_simulate_point,
+    reference_summarize,
+)
 from ufesim import simulate
 from ufesim.cli import main
 from ufesim.counterfactual import ELIMINATE, HISTORIC, ReductionPolicy, default_table
@@ -655,6 +660,30 @@ def random_pools(draw):
     return build_pools(records, a, b)
 
 
+def _return_point_chance(pools, server, x):
+    """Chance that the receiver wins a point `server` (0 for A, 1 for B)
+    serves: a fault takes the second pool's average, and an error by A
+    goes to A only when it is struck and then resolved for A."""
+
+    def to_receiver(code):
+        if code < 2:
+            return float(code != server)
+        a_wins = x * TABLE.lookup(code)
+        return a_wins if server == 1 else 1.0 - a_wins
+
+    seconds = pools.second_codes[server]
+    on_second = sum(map(to_receiver, seconds)) / len(seconds)
+    firsts = pools.first_codes[server]
+    return sum(on_second if code < 0 else to_receiver(code) for code in firsts) / len(firsts)
+
+
+def _break_chance(q, ad):
+    """Chance that the receiver wins a game, winning each point with q."""
+    if ad:
+        return 1.0 - game_win_probability(1.0 - q)
+    return sum(math.comb(7, k) * q**k * (1.0 - q) ** (7 - k) for k in range(4, 8))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     pools=random_pools(),
@@ -662,22 +691,67 @@ def random_pools(draw):
     policy=st.sampled_from(FIRST_SERVER_POLICIES),
     best_of=st.sampled_from([3, 5]),
     ad=st.booleans(),
+    final_tb=st.booleans(),
+    trigger=st.integers(1, 6),
+    target=st.integers(7, 10),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_simulate_match_walks_the_reference_stream(pools, x, policy, best_of, ad, seed):
+def test_simulate_match_walks_the_reference_stream(
+    pools, x, policy, best_of, ad, final_tb, trigger, target, seed
+):
+    """simulate_match against new_match/apply_point fed reference points:
+    the same counters and the same draws, tiebreaks and advantage final
+    sets included."""
     try:
         _check_match_can_end(pools, x)
     except EndlessMatchError:
         assume(False)
+    if not final_tb:
+        # An advantage set ends only on a break: keep it to a few hundred games.
+        breaks = [_break_chance(_return_point_chance(pools, s, x), ad) for s in (0, 1)]
+        assume(max(breaks) >= 0.01)
     cfg = SimulationConfig(
         n_matches=1, reduction_x=x, first_server_policy=policy,
-        format=MatchFormat(best_of=best_of, ad_scoring=ad),
+        format=MatchFormat(
+            best_of=best_of, ad_scoring=ad, final_set_tiebreak=final_tb,
+            tiebreak_trigger_games=trigger, tiebreak_target_points=target,
+        ),
     )
     for index in range(2):
         new, ref = CountingRandom(seed + index), CountingRandom(seed + index)
         got = simulate_match(cfg, pools, TABLE, new, replicate_index=index)
         assert got == reference_simulate_match(cfg, pools, TABLE, ref, replicate_index=index)
         assert new.draws == ref.draws
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pools=random_pools(),
+    x=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    policy=st.sampled_from(FIRST_SERVER_POLICIES),
+    start=st.integers(0, 5),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replicate_block_columns_are_simulate_match_columns(
+    pools, x, policy, start, count, seed
+):
+    """A block's columns equal _columns over simulate_match called per
+    replicate on that replicate's stream."""
+    try:
+        _check_match_can_end(pools, x)
+    except EndlessMatchError:
+        assume(False)
+    cfg = SimulationConfig(
+        n_matches=start + count, seed=seed, reduction_x=x, first_server_policy=policy
+    )
+    block = simulate._replicate_block(
+        simulate._Job((cfg,), pools, TABLE), 0, start, start + count
+    )
+    assert block == simulate._columns(
+        simulate_match(cfg, pools, TABLE, replicate_stream(seed, i), replicate_index=i)
+        for i in range(start, start + count)
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -697,19 +771,32 @@ def test_simulate_point_walks_the_reference_stream(pools, x, server, seed):
 
 
 def test_simulate_match_calls_nothing_per_point_but_the_draw(mixed_pools):
-    """Per point, only the closure over the codes runs: no sample,
-    select_pool, apply_point, simulate_point or PointOutcome."""
+    """A match calls no Python function per point, game or set: under a
+    profiler no Python function runs more than once per match, whether
+    simulate_match or a replicate block plays it."""
     calls = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             calls[(frame.f_globals.get("__name__"), frame.f_code.co_name)] += 1
 
-    cfg = SimulationConfig(n_matches=1, seed=3, reduction_x=0.5)
+    cfg = SimulationConfig(n_matches=3, seed=3, reduction_x=0.5, first_server_policy="random")
     sys.setprofile(profile)
     try:
         result = simulate_match(cfg, mixed_pools, TABLE, replicate_stream(3, 0))
     finally:
         sys.setprofile(None)
-    assert calls[("ufesim.simulate", "point")] == sum(result.points_won)
-    assert {key for key, n in calls.items() if n > 1} == {("ufesim.simulate", "point")}
+    assert result.ufes_kept and result.ufes_removed
+    assert calls[("ufesim.simulate", "_play_match")] == 1
+    assert {key for key, n in calls.items() if n > 1} == set()
+
+    calls.clear()
+    job = simulate._Job((cfg,), mixed_pools, TABLE)
+    sys.setprofile(profile)
+    try:
+        columns = simulate._replicate_block(job, 0, 0, cfg.n_matches)
+    finally:
+        sys.setprofile(None)
+    assert len(columns[0]) == cfg.n_matches
+    assert calls[("ufesim.simulate", "_play_match")] == cfg.n_matches
+    assert {key for key, n in calls.items() if n > cfg.n_matches} == set()
