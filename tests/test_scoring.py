@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import game_win_probability, game_win_probability_markov, oracle_score_match
 from ufesim.errors import MatchOverError
 from ufesim.scoring import (
+    PLAYERS,
     MatchFormat,
     apply_point,
     current_server,
@@ -17,6 +18,7 @@ from ufesim.scoring import (
     render_point_score,
     render_set_scores,
 )
+from ufesim.simulate import _play_match
 
 DEFAULT = MatchFormat()
 
@@ -256,3 +258,80 @@ def test_game_win_probability_oracles_agree():
         closed = game_win_probability(float(p))
         markov = float(game_win_probability_markov(p))
         assert closed == pytest.approx(markov, abs=1e-12)
+
+
+# Server 0's first-serve pool holds code 0 (A wins) then 1, server 1's holds
+# 1 (B wins) twice then 0: a uniform below 0.5 is a hold either way, and the
+# pool size each uniform is scaled by names the server of that point.
+_HOLD_CODES = ((0, 1), (1, 1, 0, 0))
+_HOLD_SIZES = (2.0, 4.0)
+
+
+class _Uniform(float):
+    """A uniform that logs which server's pool it was scaled by."""
+
+    def __new__(cls, value, servers):
+        self = super().__new__(cls, value)
+        self.servers = servers
+        return self
+
+    def __mul__(self, size):
+        self.servers.append(_HOLD_SIZES.index(size))
+        return float(self) * size
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hold=st.floats(0.25, 0.8),
+    best_of=st.sampled_from([3, 5]),
+    ad=st.booleans(),
+    final_tb=st.booleans(),
+    trigger_target=st.sampled_from([(6, 7), (4, 10), (1, 7), (3, 9)]),
+    first=st.sampled_from([0, 1]),
+)
+def test_play_match_agrees_with_apply_point(
+    seed, hold, best_of, ad, final_tb, trigger_target, first
+):
+    """The simulator's match loop serves and scores as apply_point does."""
+    trigger, target = trigger_target
+    fmt = MatchFormat(
+        best_of=best_of,
+        ad_scoring=ad,
+        final_set_tiebreak=final_tb,
+        tiebreak_trigger_games=trigger,
+        tiebreak_target_points=target,
+    )
+    rnd = random.Random(seed)
+    servers, holds = [], []
+
+    def rand():
+        holds.append(rnd.random() < hold)
+        return _Uniform(0.25 if holds[-1] else 0.75, servers)
+
+    played = _play_match(
+        fmt, first, 0.0, _HOLD_CODES, _HOLD_CODES, _HOLD_SIZES, _HOLD_SIZES, [], rand
+    )
+
+    assert len(servers) == len(holds)
+    score = new_match(fmt, PLAYERS[first])
+    for server, held in zip(servers, holds):
+        assert not score.match_over
+        assert score.current_server == PLAYERS[server]
+        apply_point(score, PLAYERS[server if held else 1 - server])
+    assert score.match_over
+    points, games, sets, set_scores, winner, kept, removed = played
+    assert points == tuple(score.cumulative_points_won)
+    assert games == tuple(score.cumulative_games_won)
+    assert sets == tuple(score.sets_won)
+    assert set_scores == tuple(score.completed_set_scores)
+    assert PLAYERS[winner] == score.match_winner
+    assert kept == removed == 0
+
+
+def test_play_match_shutout():
+    a_wins = ((0,), (0,))
+    played = _play_match(
+        DEFAULT, 1, 0.0, a_wins, a_wins, (1.0, 1.0), (1.0, 1.0), [], random.random
+    )
+    assert played == ((72, 0), (18, 0), (3, 0), ((6, 0),) * 3, 0, 0, 0)
