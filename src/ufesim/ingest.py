@@ -12,9 +12,13 @@ every structurally checked row is decoded and its serves' codes added to
 a records.TableBuilder, which interns the ids and becomes a RecordTable,
 so no row or record object outlives its line.  Decoding a row is one
 notation.scan_notation call and one lookup: a point's serves depend only
-on its serve number, terminal mark and touch.  parse_points_file,
-clean_rows, explode_to_serves and ingest_files are the same steps one
-stage at a time, built on the same per-row helpers.
+on its serve number, terminal mark and touch.
+
+parse_points_file, clean_rows and explode_to_serves are the same steps
+one stage at a time, on the same per-row helpers: explode_to_serves
+adds each row's codes to a TableBuilder of its own, and its table's
+to_records makes the ServeRecords it returns.  ingest_files is
+ingest_table's records as ServeRecords.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CsvFormatError, DuplicatePointError, NotationError
-from .notation import ParsedPoint, parse_shot_notation, point_outcome, scan_notation
+from .notation import point_outcome, scan_notation
 from .records import (
     KIND_CODES,
     NONE_CODE,
@@ -155,16 +159,6 @@ def _checked_rows(path: Path) -> Iterator[_Row]:
             )
 
 
-def _decode_serve(first: str, second: str) -> tuple[int, ParsedPoint] | None:
-    """The decisive serve's number and decoded outcome: the second serve
-    when one was played, else the first.  None if it does not decode."""
-    serve_number = 2 if second else 1
-    try:
-        return serve_number, parse_shot_notation(second or first, serve_number)
-    except NotationError:
-        return None
-
-
 # (serve_number, touch, kind, winner, committer) of the first-serve fault
 # a played second serve implies.
 _IMPLIED_FAULT = (1, 1, KIND_CODES[TerminalKind.FIRST_SERVE_FAULT], NONE_CODE, NONE_CODE)
@@ -272,54 +266,29 @@ def clean_rows(rows: Sequence[RawPointRow]) -> tuple[list[RawPointRow], IngestRe
     return kept, report
 
 
-def _fault_record(row: RawPointRow, meta: MatchMeta) -> ServeRecord:
-    return ServeRecord(
-        match_id=row.match_id,
-        server_id=row.server_id,
-        receiver_id=row.receiver_id,
-        serve_number=1,
-        is_first_serve_fault=True,
-        terminal_touch=1,
-        terminal_kind=TerminalKind.FIRST_SERVE_FAULT,
-        point_winner=None,
-        error_committer=None,
-        year=meta.year,
-        tour=meta.tour,
-    )
-
-
 def explode_to_serves(
     rows: Sequence[RawPointRow],
 ) -> tuple[list[ServeRecord], IngestReport]:
     """One ServeRecord per serve; a present second serve implies the
-    first was a fault, and that implied fault is emitted too."""
-    records: list[ServeRecord] = []
+    first was a fault, and that implied fault is emitted too.  Each row
+    is decoded to the column codes ingest_table adds."""
+    builder = TableBuilder()
     augmented = dropped = 0
     for row in rows:
         meta = parse_match_id(row.match_id)
-        decoded = _decode_serve(row.first_serve_notation, row.second_serve_notation)
-        if decoded is None:
+        # The decisive serve: the second when one was played.
+        second = row.second_serve_notation
+        serve_number = 2 if second else 1
+        try:
+            mark, touch = scan_notation(second or row.first_serve_notation)
+        except NotationError:
             dropped += 1
             continue
-        serve_number, parsed = decoded
         if serve_number == 2:
-            records.append(_fault_record(row, meta))
             augmented += 1
-        records.append(
-            ServeRecord(
-                match_id=row.match_id,
-                server_id=row.server_id,
-                receiver_id=row.receiver_id,
-                serve_number=serve_number,
-                is_first_serve_fault=parsed.terminal_kind is TerminalKind.FIRST_SERVE_FAULT,
-                terminal_touch=parsed.terminal_touch,
-                terminal_kind=parsed.terminal_kind,
-                point_winner=parsed.point_winner,
-                error_committer=parsed.error_committer,
-                year=meta.year,
-                tour=meta.tour,
-            )
-        )
+        builder.add(row.match_id, row.server_id, row.receiver_id, meta.year, meta.tour,
+                    _point_serves(serve_number, mark, touch))
+    records = builder.build().to_records()
     report = IngestReport(
         rows_read=len(rows),
         rows_dropped_bad_notation=dropped,

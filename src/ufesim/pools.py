@@ -20,7 +20,6 @@ builds ServeRecords for those rows only, in file order.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -144,12 +143,6 @@ def build_pools(
     return ServePoolSet(pools=pools, player_a=player_a, player_b=player_b, scope=scope)
 
 
-def sample(pool_set: ServePoolSet, pool_id: PoolId, rng: random.Random) -> ServeRecord:
-    """Uniform draw with replacement; consumes exactly one rng.random()."""
-    pool = pool_set.pools[pool_id]
-    return pool[int(rng.random() * len(pool))]
-
-
 def pool_summary(pool_set: ServePoolSet) -> dict:
     """Diagnostic counts per pool: size, fault rate, UFE share."""
     out: dict = {
@@ -182,7 +175,6 @@ __all__ = [
     "PoolScope",
     "ServePoolSet",
     "build_pools",
-    "sample",
     "select_pool",
     "pool_summary",
 ]

@@ -6,9 +6,12 @@ First-serve faults are records in their own right so that empirical fault
 rates survive into the serve pools.
 
 A RecordTable holds the same records as columns: one numpy array per
-field, with names interned.  A TableBuilder is the one way to make those
-columns: ingest_table, RecordTable.from_records and a cache miss all add
-points to one, so every table interns its ids in the same order.
+field, with names interned and kinds and roles as small int codes.  A
+TableBuilder is the one way to make those columns: ingest_table,
+RecordTable.from_records and the CSV reader all add points to one, so
+every table interns its ids in the same order.  RecordTable's vectorised
+checks are the one check of records read from a file, and
+RecordTable.to_records is the one place records become ServeRecords.
 
 write_records_csv writes a table as the records CSV, byte for byte what
 csv.writer would write (UTF-8, CRLF, minimal quoting): csv.writer quotes
@@ -16,10 +19,12 @@ each distinct string once, and each line is one formatted string.
 
 load_records reads a records CSV into a table through a sidecar cache,
 `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
-On a miss the CSV's rows stream into a builder, one ServeRecord at a
-time, and the sidecar is rewritten from the table.  save_records writes
-a table's CSV and its sidecar together.  This module is the only one
-that knows the column layout and the sidecar's.
+On a miss each row's fields are mapped straight to column codes (kind
+and role by lookup, numbers by int()), and the sidecar is rewritten
+from the table.  read_records_csv is the same read as ServeRecords,
+with no sidecar.  save_records writes a table's CSV and its sidecar
+together.  This module is the only one that knows the column layout and
+the sidecar's.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -149,12 +154,6 @@ class ServeRecord:
 RECORD_FIELDS = [f.name for f in fields(ServeRecord)]
 
 
-def _role_from_string(s: str) -> Role | None:
-    if s in ("", "none"):
-        return None
-    return Role(s)
-
-
 @contextmanager
 def open_csv(path, encoding: str = "utf-8"):
     """Open a CSV for reading; bytes that do not decode, and lines the csv
@@ -215,49 +214,6 @@ def _csv_fields(strings: tuple[str, ...]) -> list[str]:
     return fields
 
 
-def iter_records_csv(path) -> Iterator[ServeRecord]:
-    """The records of a CSV written by write_records_csv, one row at a
-    time; a row that is not a valid record raises CsvFormatError naming
-    file and line."""
-    path = Path(path)
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RECORD_FIELDS:
-            raise CsvFormatError(
-                f"unexpected header {header!r}; expected {RECORD_FIELDS!r}", path=str(path), line=1
-            )
-        for row in reader:
-            if len(row) != len(RECORD_FIELDS):
-                raise CsvFormatError(
-                    f"expected {len(RECORD_FIELDS)} fields, got {len(row)}",
-                    path=str(path),
-                    line=reader.line_num,
-                )
-            try:
-                record = ServeRecord(
-                    match_id=row[0],
-                    server_id=row[1],
-                    receiver_id=row[2],
-                    serve_number=int(row[3]),
-                    is_first_serve_fault=row[4] == "true",
-                    terminal_touch=int(row[5]),
-                    terminal_kind=TerminalKind(row[6]),
-                    point_winner=_role_from_string(row[7]),
-                    error_committer=_role_from_string(row[8]),
-                    year=int(row[9]) if row[9] else None,
-                    tour=row[10] or None,
-                )
-            except (ValueError, KeyError) as exc:
-                raise CsvFormatError(str(exc), path=str(path), line=reader.line_num) from exc
-            yield record
-
-
-def read_records_csv(path) -> list[ServeRecord]:
-    """Read records written by write_records_csv."""
-    return list(iter_records_csv(path))
-
-
 #: Column codes.  A kind is its index in KINDS; a role is its index in
 #: ROLES, and -1 stands for None in role, year and tour columns.
 KINDS = tuple(TerminalKind)
@@ -285,6 +241,15 @@ _COLUMNS = (
     ("tour", np.int32),
 )
 _STRING_TABLES = ("matches", "players", "tours")
+
+
+class BrokenRowError(ValueError):
+    """A RecordTable row breaks a record invariant."""
+
+    def __init__(self, row: int, reason: str) -> None:
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,10 +314,15 @@ class RecordTable:
                 raise ValueError("a string table holds a string no record uses")
 
     def _check_invariants(self) -> None:
-        """The ServeRecord.__post_init__ checks, one mask at a time."""
-        for message, mask in self._broken_rows():
-            if mask.any():
-                raise ValueError(f"row {int(np.flatnonzero(mask)[0])}: {message}")
+        """The ServeRecord.__post_init__ checks, one mask at a time; an
+        error names the first row that breaks any of them."""
+        broken = [
+            (int(np.flatnonzero(mask)[0]), message)
+            for message, mask in self._broken_rows()
+            if mask.any()
+        ]
+        if broken:
+            raise BrokenRowError(*min(broken, key=lambda b: b[0]))
 
     def _broken_rows(self) -> Iterator[tuple[str, np.ndarray]]:
         serve, touch, kind = self.serve_number, self.touch, self.kind
@@ -535,6 +505,76 @@ _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _FAULT_FIELDS = tuple("true" if code == _FAULT else "false" for code in range(len(KINDS)))
 # Index -1 picks the trailing "none".
 _ROLE_NAMES = (*(role.value for role in ROLES), "none")
+_KIND_BY_NAME = {name: code for code, name in enumerate(_KIND_NAMES)}
+# A role field reads "" as none too.
+_ROLE_BY_NAME = {role.value: code for code, role in enumerate(ROLES)} | {
+    "none": NONE_CODE, "": NONE_CODE
+}
+
+
+def _read_table(path: Path) -> RecordTable:
+    """The table of a CSV written by write_records_csv, each row's fields
+    mapped straight to column codes.
+
+    A row that is not a valid record raises CsvFormatError naming file
+    and line: a row that cannot be coded as it is read, and a row that
+    RecordTable's checks reject once every row is in.
+    """
+    where = str(path)
+    builder = TableBuilder()
+    add = builder.add
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RECORD_FIELDS:
+            raise CsvFormatError(
+                f"unexpected header {header!r}; expected {RECORD_FIELDS!r}", path=where, line=1
+            )
+        for row in reader:
+            if len(row) != len(RECORD_FIELDS):
+                raise CsvFormatError(
+                    f"expected {len(RECORD_FIELDS)} fields, got {len(row)}",
+                    path=where,
+                    line=reader.line_num,
+                )
+            (match_id, server_id, receiver_id, serve, fault, touch, kind, winner, committer,
+             year, tour) = row
+            try:
+                kind = _KIND_BY_NAME[kind]
+                if (fault == "true") != (kind == _FAULT):
+                    raise ValueError("is_first_serve_fault must agree with terminal_kind")
+                year = int(year) if year else None
+                if year is not None and year < 0:
+                    raise ValueError(f"year must be in 0..{MAX_YEAR}, got {year}")
+                codes = (int(serve), int(touch), kind, _ROLE_BY_NAME[winner],
+                         _ROLE_BY_NAME[committer])
+                # A value too wide for its column overflows here.
+                add(match_id, server_id, receiver_id, year, tour or None, (codes,))
+            except KeyError as exc:
+                raise CsvFormatError(
+                    f"unknown value {exc.args[0]!r}", path=where, line=reader.line_num
+                ) from None
+            except (ValueError, OverflowError) as exc:
+                raise CsvFormatError(str(exc), path=where, line=reader.line_num) from None
+    try:
+        return builder.build()
+    except BrokenRowError as exc:
+        raise CsvFormatError(exc.reason, path=where, line=_line_of_row(path, exc.row)) from None
+
+
+def _line_of_row(path: Path, row: int) -> int:
+    """The line on which data row `row` of a records CSV ends; a quoted
+    field may span lines, so the CSV is read again up to that row."""
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        next(islice(reader, row + 1, None), None)  # past the header and the rows before
+        return reader.line_num
+
+
+def read_records_csv(path) -> list[ServeRecord]:
+    """The records of a CSV written by write_records_csv; a row that is
+    not a valid record raises CsvFormatError naming file and line."""
+    return _read_table(Path(path)).to_records()
 
 
 CACHE_VERSION = 1
@@ -646,9 +686,9 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     the SHA-256 of the CSV's bytes.
 
     A sidecar keyed on that digest is read when it is valid.  Otherwise
-    the CSV's rows stream through iter_records_csv, so errors name file
-    and line, into the table's columns, and the sidecar is rewritten if
-    the directory allows.
+    each of the CSV's rows is coded into the table's columns, so errors
+    name file and line, and the sidecar is rewritten if the directory
+    allows.
     """
     path = Path(path)
     before = _identity(path)
@@ -656,8 +696,7 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     sidecar = cache_path(path)
     table = _read_sidecar(sidecar, sha256)
     if table is None:
-        # Each row's record is dropped once its codes are in the columns.
-        table = RecordTable.from_records(iter_records_csv(path))
+        table = _read_table(path)
         # Cache only what matches the key: the CSV may change while read.
         if _identity(path) == before:
             _write_sidecar(sidecar, _to_arrays(table, sha256), path)

@@ -154,23 +154,6 @@ def _finish_set(score: MatchScore, w: int) -> None:
         score.match_winner = PLAYERS[w]
 
 
-_POINT_NAMES = ("0", "15", "30", "40")
-
-
-def render_point_score(score: MatchScore) -> str:
-    """Human form of the in-game score, server's points first."""
-    a, b = score.points_in_game
-    s = (a, b) if score.current_server == "A" else (b, a)
-    if score.in_tiebreak:
-        return f"{s[0]}-{s[1]}"
-    if a == b and a >= 3:
-        return "deuce"
-    if max(a, b) >= 4:
-        lead = "A" if a > b else "B"
-        return f"ad {'in' if lead == score.current_server else 'out'}"
-    return f"{_POINT_NAMES[s[0]]}-{_POINT_NAMES[s[1]]}"
-
-
 def render_set_scores(score: MatchScore) -> str:
     """Completed sets plus the set in progress, as '6-4 3-6 2-1'."""
     parts = [f"{x}-{y}" for x, y in score.completed_set_scores]

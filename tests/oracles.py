@@ -30,7 +30,7 @@ from ufesim.errors import (
 )
 from ufesim.ingest import REQUIRED_COLUMNS, IngestReport, MatchMeta, parse_match_id
 from ufesim.notation import ParsedPoint
-from ufesim.pools import PoolId, PoolScope, sample, select_pool
+from ufesim.pools import PoolId, PoolScope, select_pool
 from ufesim.records import (
     KIND_CODES,
     KINDS,
@@ -597,10 +597,13 @@ def reference_tally_records(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
 
 def reference_simulate_point(pools, server, table, policy, rng):
     """Play one point with `server` ('A' or 'B') serving."""
-    record = sample(pools, select_pool(server, 1), rng)
+    # A uniform draw with replacement: exactly one rng.random() each.
+    pool = pools.pools[select_pool(server, 1)]
+    record = pool[int(rng.random() * len(pool))]
     serve_number = 1
     if record.is_first_serve_fault:
-        record = sample(pools, select_pool(server, 2), rng)
+        pool = pools.pools[select_pool(server, 2)]
+        record = pool[int(rng.random() * len(pool))]
         serve_number = 2
 
     ufe_by_a = False

@@ -24,7 +24,6 @@ from ufesim.records import (
     TerminalKind,
     cache_path,
     file_sha256,
-    iter_records_csv,
     read_records_csv,
     write_records_csv,
 )
@@ -135,7 +134,7 @@ def test_first_command_after_ingest_reads_its_sidecar(command, tmp_path, monkeyp
     assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 0
     digest = json.loads(capsys.readouterr().out)["manifest"]["dataset_sha256"]
     assert digest == file_sha256(out)
-    monkeypatch.setattr(records_module, "iter_records_csv", _must_not_read)
+    monkeypatch.setattr(records_module, "_read_table", _must_not_read)
     argv = {
         "list-players": ["list-players", "--records", str(out)],
         "stats": ["stats", "--records", str(out), "--out-dir", str(tmp_path / "s")],
@@ -255,22 +254,22 @@ def test_stats_svg_charts(records_csv, tmp_path, capsys):
 
 
 def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys):
-    # On a cache miss the CSV's rows stream once into a table, and the
+    # On a cache miss the CSV is read once into a table, and the
     # analytics make their one pass over that table.
     cache_path(records_csv).unlink()  # ingest wrote it
     read, tallied = [], []
+    read_table = records_module._read_table
 
     def read_counting(path):
-        read.append(0)
-        for record in iter_records_csv(path):
-            read[-1] += 1
-            yield record
+        table = read_table(path)
+        read.append(len(table))
+        return table
 
     def tally_counting(table, *args, **kwargs):
         tallied.append(table)
         return tally_records(table, *args, **kwargs)
 
-    monkeypatch.setattr(records_module, "iter_records_csv", read_counting)
+    monkeypatch.setattr(records_module, "_read_table", read_counting)
     monkeypatch.setattr(cli, "tally_records", tally_counting)
     code = main(
         ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"), "--svg"]
@@ -554,7 +553,7 @@ class FrozenDatetime(datetime):
 
 
 def _must_not_read(path):
-    raise AssertionError(f"iter_records_csv({path}) on a cache hit")
+    raise AssertionError(f"_read_table({path}) on a cache hit")
 
 
 def test_second_simulate_reads_the_cache(records_csv, tmp_path, monkeypatch, capsys):
@@ -568,7 +567,7 @@ def test_second_simulate_reads_the_cache(records_csv, tmp_path, monkeypatch, cap
         outputs.append(out.read_bytes())
         stdouts.append(capsys.readouterr().out.replace(name, "OUT"))
         assert cache_path(records_csv).is_file()
-        monkeypatch.setattr(records_module, "iter_records_csv", _must_not_read)
+        monkeypatch.setattr(records_module, "_read_table", _must_not_read)
     assert outputs[0] == outputs[1]
     assert stdouts[0] == stdouts[1]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -504,6 +505,17 @@ def test_streaming_pass_matches_the_staged_pipeline(files):
         (records, report), (table, got_report) = expected, got
         assert got_report == report
         assert table.to_records() == records
+        # The staged functions, file by file, give the same records and counts.
+        staged, staged_report = [], IngestReport()
+        for path in paths:
+            kept, clean_report = clean_rows(parse_points_file(path))
+            emitted, explode_report = explode_to_serves(kept)
+            assert explode_report.rows_read == len(kept)
+            staged += emitted
+            staged_report = staged_report.combined(clean_report).combined(
+                replace(explode_report, rows_read=0)
+            )
+        assert staged == records and staged_report == report
         assert_same_table(table, RecordTable.from_records(records))
         out, want = Path(tmp) / "records.csv", Path(tmp) / "reference.csv"
         save_records(table, out)

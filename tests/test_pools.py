@@ -1,9 +1,5 @@
-"""Pool construction, the pool map, and uniform sampling."""
+"""Pool construction and the pool map."""
 from __future__ import annotations
-
-import math
-import random
-from collections import Counter
 
 import pytest
 
@@ -15,7 +11,6 @@ from ufesim.pools import (
     ServePoolSet,
     build_pools,
     pool_summary,
-    sample,
     select_pool,
 )
 from ufesim.records import Role, TerminalKind
@@ -94,52 +89,8 @@ def test_singleton_pool_always_returns_it(mixed_pools):
         make_record("Bob Base", "Ann Ace", K.ACE, 1, Role.SERVER, serve_number=2),
     ], "Ann Ace", "Bob Base")
     # The pool holds a record equal to the one given (a table keeps no
-    # record objects), and sampling always returns that pool's object.
+    # record objects).
     assert singleton.pools[PoolId.A_FIRST] == (record,)
-    only = singleton.pools[PoolId.A_FIRST][0]
-    rng = random.Random(1)
-    for _ in range(50):
-        assert sample(singleton, PoolId.A_FIRST, rng) is only
-
-
-def test_sampling_is_uniform_within_four_sd():
-    a, b = "Ann Ace", "Bob Base"
-    distinct = [
-        make_record(a, b, K.RALLY_WINNER, 2 + (i % 2), Role.RECEIVER if i % 2 == 0 else Role.SERVER,
-                    match_id=f"2019010{i}-M-T-F-Ann_Ace-Bob_Base")
-        for i in range(10)
-    ]
-    fillers = [
-        make_record(a, b, K.ACE, 1, Role.SERVER, serve_number=2),
-        make_record(b, a, K.ACE, 1, Role.SERVER),
-        make_record(b, a, K.ACE, 1, Role.SERVER, serve_number=2),
-    ]
-    pools = build_pools(distinct + fillers, a, b)
-    rng = random.Random(424242)
-    n = 100_000
-    counts = Counter(id(sample(pools, PoolId.A_FIRST, rng)) for _ in range(n))
-    expected = n / 10
-    sd = math.sqrt(n * 0.1 * 0.9)
-    assert len(counts) == 10
-    for c in counts.values():
-        assert abs(c - expected) <= 4 * sd
-
-
-def test_sampling_is_deterministic_under_seed(mixed_pools):
-    draws1 = [sample(mixed_pools, PoolId.B_FIRST, random.Random(7)) for _ in range(1)]
-    rng_a, rng_b = random.Random(123), random.Random(123)
-    seq_a = [sample(mixed_pools, PoolId.A_FIRST, rng_a) for _ in range(200)]
-    seq_b = [sample(mixed_pools, PoolId.A_FIRST, rng_b) for _ in range(200)]
-    assert seq_a == seq_b
-    assert draws1  # draws happen at all
-
-
-def test_sampled_records_are_the_pooled_objects(mixed_pools):
-    rng = random.Random(3)
-    pool = mixed_pools.pools[PoolId.A_FIRST]
-    for _ in range(100):
-        rec = sample(mixed_pools, PoolId.A_FIRST, rng)
-        assert any(rec is candidate for candidate in pool)
 
 
 def test_pool_ufe_rate_matches_raw_records(two_player_records, mixed_pools):

@@ -36,7 +36,6 @@ from ufesim.records import (
     TerminalKind,
     cache_path,
     file_sha256,
-    iter_records_csv,
     load_records,
     read_records_csv,
     save_records,
@@ -102,19 +101,20 @@ def serve_records(draw, names):
 
 
 def _must_not_read(path):
-    raise AssertionError(f"iter_records_csv({path}) on a cache hit")
+    raise AssertionError(f"_read_table({path}) on a cache hit")
 
 
 @pytest.fixture
 def reads(monkeypatch):
-    """The paths a cache miss streamed rows from."""
+    """The paths a cache miss read the CSV of."""
     calls = []
+    read_table = records_module._read_table
 
     def counting(path):
         calls.append(path)
-        return iter_records_csv(path)
+        return read_table(path)
 
-    monkeypatch.setattr(records_module, "iter_records_csv", counting)
+    monkeypatch.setattr(records_module, "_read_table", counting)
     return calls
 
 
@@ -156,7 +156,7 @@ def test_round_trip_through_csv_and_sidecar(records):
         assert first.to_records() == expected
         assert cache_path(path).is_file()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(records_module, "iter_records_csv", _must_not_read)
+            mp.setattr(records_module, "_read_table", _must_not_read)
             cached, cached_sha = load_records(path)
         assert cached.to_records() == expected
         assert sha == cached_sha == file_sha256(path)
@@ -168,7 +168,7 @@ def test_round_trip_through_csv_and_sidecar(records):
         assert save_records(table, saved) == sha
         assert saved.read_bytes() == reference.read_bytes()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(records_module, "iter_records_csv", _must_not_read)
+            mp.setattr(records_module, "_read_table", _must_not_read)
             assert load_records(saved)[0].to_records() == records
 
 
@@ -265,7 +265,7 @@ def test_round_trip_cases(tmp_path, kwargs):
     write_records_csv(records, path)
     load_records(path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(records_module, "iter_records_csv", _must_not_read)
+        mp.setattr(records_module, "_read_table", _must_not_read)
         assert load_records(path)[0].to_records() == records
 
 
@@ -283,18 +283,11 @@ def test_from_records_and_a_miss_match_the_reference(records):
         assert cache_path(path).read_bytes() == sidecar_bytes(expected, sha256)
 
 
-def test_a_miss_streams_each_row_once_and_keeps_no_record(csv_path, monkeypatch):
-    pulls, handed, held = [], [], []
-
-    def streaming(path):
-        pulls.append(path)
-        for record in iter_records_csv(path):
-            handed.append(record)
-            yield record
-        # Every row is in the columns now.  Only `handed` (and the
-        # argument of getrefcount) may hold any record but the last.
-        for i in range(len(handed) - 1):
-            held.append(sys.getrefcount(handed[i]))
+def test_a_miss_streams_each_row_once_and_keeps_no_record(csv_path, reads, monkeypatch):
+    # A miss reads the CSV once and codes each row straight into the
+    # columns: it constructs no ServeRecord at all.
+    def no_record(*args, **kwargs):
+        raise AssertionError("a cache miss constructed a ServeRecord")
 
     def no_list(path):
         raise AssertionError(f"read_records_csv({path}) on a cache miss")
@@ -302,12 +295,12 @@ def test_a_miss_streams_each_row_once_and_keeps_no_record(csv_path, monkeypatch)
     def no_decode(arrays, sha256):
         raise AssertionError("a cache miss decoded sidecar arrays")
 
-    monkeypatch.setattr(records_module, "iter_records_csv", streaming)
+    monkeypatch.setattr(records_module, "ServeRecord", no_record)
     monkeypatch.setattr(records_module, "read_records_csv", no_list)
     monkeypatch.setattr(records_module, "_from_arrays", no_decode)
     table, _ = load_records(csv_path)
-    assert pulls == [csv_path] and handed == corpus() and len(table) == len(corpus())
-    assert set(held) == {2}
+    monkeypatch.undo()
+    assert reads == [csv_path] and table.to_records() == corpus()
 
 
 def test_empty_records_round_trip(tmp_path, reads):

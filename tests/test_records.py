@@ -1,14 +1,19 @@
 """ServeRecord invariants and CSV round trips."""
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from conftest import make_record
+from ufesim.cli import main
 from ufesim.errors import CsvFormatError
 from ufesim.records import (
     Role,
     ServeRecord,
     TerminalKind,
+    cache_path,
+    load_records,
     read_records_csv,
     write_records_csv,
 )
@@ -71,15 +76,79 @@ def test_read_rejects_wrong_header(tmp_path):
         read_records_csv(path)
 
 
-def test_read_reports_line_numbers(tmp_path, two_player_records):
+# (field index, value) that make the second data row of an ace, served
+# by Ann Ace to Bob Base, an invalid record.
+BAD_FIELDS = {
+    "serve-number-9": (3, "9"),
+    "year-negative": (9, "-1"),
+    "touch-too-wide": (5, "2147483648"),
+    "serve-number-too-wide": (3, "300"),
+    "unknown-kind": (6, "smash"),
+    "unknown-role": (7, "left"),
+    "fault-flag-disagrees": (4, "true"),
+    "server-is-receiver": (2, "Ann Ace"),
+}
+
+
+def _write_bad_row(path, bad: str, crlf_name: bool) -> int:
+    """Write two aces, the second broken as BAD_FIELDS[bad] says; returns
+    its line.  A quoted CRLF in the first row's server name moves it a
+    line down."""
+    first = make_record(server="line\r\nbreak", match_id="m1") if crlf_name else make_record()
+    write_records_csv([first, make_record()], path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    index, value = BAD_FIELDS[bad]
+    rows[2][index] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return 4 if crlf_name else 3
+
+
+def _error_location(read, path) -> tuple[str, int] | None:
+    """(path, line) of the CsvFormatError that read(path) raises; None
+    if it raises none."""
+    try:
+        read(path)
+    except CsvFormatError as exc:
+        return exc.path, exc.line
+    return None
+
+
+def test_read_reports_line_numbers(tmp_path, capsys):
+    # Every bad row, also after a quoted CRLF; one comparison names each
+    # case that fails.
+    got, want = {}, {}
+    for bad in sorted(BAD_FIELDS):
+        for crlf_name in (False, True):
+            path = tmp_path / f"{bad}-{'crlf' if crlf_name else 'plain'}.csv"
+            line = _write_bad_row(path, bad, crlf_name)
+            code = main(["list-players", "--records", str(path)])
+            got[path.name] = (
+                _error_location(read_records_csv, path),
+                _error_location(load_records, path),
+                cache_path(path).exists(),
+                code,
+                f"{path}: line {line}: " in capsys.readouterr().err,
+            )
+            want[path.name] = ((str(path), line), (str(path), line), False, 3, True)
+    assert got == want
+
+
+def test_a_bad_csv_names_its_first_bad_row(tmp_path):
+    # The later row breaks a check that runs first on the columns.
     path = tmp_path / "records.csv"
-    write_records_csv(two_player_records[:2], path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[2] = lines[2].replace("1,", "9,", 1)  # corrupt serve_number on data line 2
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(CsvFormatError) as exc:
-        read_records_csv(path)
-    assert "line 3" in str(exc.value)
+    write_records_csv([make_record()] * 3, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][2] = rows[2][1]  # server is receiver
+    rows[3][3] = "9"  # serve number
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    for read in (read_records_csv, load_records):
+        with pytest.raises(CsvFormatError) as exc:
+            read(path)
+        assert exc.value.line == 3
 
 
 def test_parsing_same_file_twice_is_identical(tmp_path, two_player_records):

@@ -15,7 +15,6 @@ from ufesim.scoring import (
     apply_point,
     current_server,
     new_match,
-    render_point_score,
     render_set_scores,
 )
 from ufesim.simulate import _play_match
@@ -59,11 +58,11 @@ def test_deuce_needs_two_clear_points():
     score = new_match(DEFAULT, "A")
     for w in ["A", "A", "A", "B", "B", "B"]:
         apply_point(score, w)
-    assert render_point_score(score) == "deuce"
+    assert score.points_in_game == [3, 3]
     apply_point(score, "A")
-    assert render_point_score(score) == "ad in"
+    assert score.points_in_game == [4, 3]
     apply_point(score, "B")
-    assert render_point_score(score) == "deuce"
+    assert score.points_in_game == [4, 4]
     apply_point(score, "A")
     apply_point(score, "A")
     assert score.games_in_set == [1, 0]
