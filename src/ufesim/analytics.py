@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PlayerNotFoundError
 from .records import (
     KIND_CODES,
     NONE_CODE,
@@ -302,15 +301,6 @@ def collect_profiles(
 ) -> dict[str, PlayerUfeProfile]:
     """A profile per player."""
     return tally_records(records, tour, max_touch).profiles()
-
-
-def player_ufe_rate(
-    records: RecordTable | Iterable[ServeRecord], player_id: str
-) -> PlayerUfeProfile:
-    profiles = collect_profiles(records)
-    if player_id not in profiles:
-        raise PlayerNotFoundError(player_id)
-    return profiles[player_id]
 
 
 def ufe_rate_by_touch(

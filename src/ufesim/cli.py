@@ -335,8 +335,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         touch_table = load_table(args.table1)
     else:
         touch_table = default_table()
-        tours = {rec.tour for pool in pools.pools.values() for rec in pool}
-        if "WTA" in tours:
+        if any("WTA" in pool.tours for pool in pools.pools.values()):
             print(
                 "warning: the default counterfactual table was estimated from "
                 "ATP rallies; pass --table1 to override for WTA pairings",

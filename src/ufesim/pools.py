@@ -4,8 +4,9 @@ Serves are grouped by (server, serve number) for one pairing.  In
 head_to_head scope only serves between the two named players qualify;
 in versus_field scope each player's serves against anyone qualify.
 
-A ServePoolSet also compiles every pool, once, into a tuple of point
-codes that the simulator draws from instead of records:
+Each pool is a RecordTable.  A ServePoolSet also compiles every pool,
+once, from its columns into a tuple of point codes that the simulator
+draws from instead of records:
 
     -1        first-serve fault (redraw from the second-serve pool)
      0        A wins the point
@@ -16,7 +17,7 @@ Index 0 of first_codes/second_codes is A serving, index 1 is B.
 max_code is the highest code in any pool.
 
 build_pools selects each pool's rows of a RecordTable with a mask and
-builds ServeRecords for those rows only, in file order.
+takes those rows, in file order, as the pool's table.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import EmptyPoolError
-from .records import RecordTable, Role, ServeRecord, TerminalKind, as_table
+from .records import KIND_CODES, RecordTable, ServeRecord, TerminalKind, as_table
 
 
 class PoolId(Enum):
@@ -61,21 +62,26 @@ def select_pool(server: str, serve_number: int) -> PoolId:
 
 FAULT = -1
 
+_FAULT_KIND = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
+_UFE_KIND = KIND_CODES[TerminalKind.UNFORCED_ERROR]
 
-def _point_code(record: ServeRecord, server: int) -> int:
-    """The point code of one record served by A (server 0) or B (1)."""
-    if record.is_first_serve_fault:
-        return FAULT
-    if record.terminal_kind is TerminalKind.UNFORCED_ERROR:
-        committer = server if record.error_committer is Role.SERVER else 1 - server
-        if committer == 0:
-            return record.terminal_touch
-    return server if record.point_winner is Role.SERVER else 1 - server
+
+def _point_codes(pool: RecordTable, server: int) -> tuple[int, ...]:
+    """The point code of each row of a pool served by A (server 0) or B
+    (1); role code r of a row belongs to player r ^ server."""
+    by_a = (pool.kind == _UFE_KIND) & (pool.committer == server)
+    codes = np.where(by_a, pool.touch, pool.winner ^ server)
+    codes[pool.kind == _FAULT_KIND] = FAULT
+    return tuple(codes.tolist())
 
 
 @dataclass(frozen=True, slots=True)
 class ServePoolSet:
-    pools: Mapping[PoolId, tuple[ServeRecord, ...]]
+    """The four pools of one pairing, each a RecordTable, and their point
+    codes.  A pool may be given as a table or as any iterable of
+    ServeRecords."""
+
+    pools: Mapping[PoolId, RecordTable]
     player_a: str
     player_b: str
     scope: PoolScope
@@ -88,20 +94,18 @@ class ServePoolSet:
     max_code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        tables = {}
         for pid in PoolId:
             if pid not in self.pools:
                 raise EmptyPoolError(pid.value, "pool missing entirely")
-            if not self.pools[pid]:
+            tables[pid] = as_table(self.pools[pid])
+            if not tables[pid]:
                 raise EmptyPoolError(pid.value, "pool is empty")
         # Read-only, so the codes below cannot go stale.
-        frozen = MappingProxyType({pid: tuple(self.pools[pid]) for pid in PoolId})
-        object.__setattr__(self, "pools", frozen)
+        object.__setattr__(self, "pools", MappingProxyType(tables))
         for name, serve_number in (("first_codes", 1), ("second_codes", 2)):
-            pools = (self.pools[select_pool(side, serve_number)] for side in "AB")
-            codes = tuple(
-                tuple(_point_code(rec, server) for rec in pool)
-                for server, pool in enumerate(pools)
-            )
+            pools = (tables[select_pool(side, serve_number)] for side in "AB")
+            codes = tuple(_point_codes(pool, server) for server, pool in enumerate(pools))
             object.__setattr__(self, name, codes)
         if FAULT in self.second_codes[0] or FAULT in self.second_codes[1]:
             raise ValueError("a second-serve pool cannot hold a first-serve fault")
@@ -139,7 +143,7 @@ def build_pools(
     for pid in PoolId:
         if not rows[pid].size:
             raise EmptyPoolError(pid.value, f"no qualifying serves for {pid.value}")
-    pools = {pid: tuple(table.to_records(rows[pid])) for pid in PoolId}
+    pools = {pid: table.take(rows[pid]) for pid in PoolId}
     return ServePoolSet(pools=pools, player_a=player_a, player_b=player_b, scope=scope)
 
 
@@ -152,20 +156,14 @@ def pool_summary(pool_set: ServePoolSet) -> dict:
         "pools": {},
     }
     for pid in PoolId:
-        recs = pool_set.pools[pid]
-        n = len(recs)
-        faults = sum(1 for r in recs if r.is_first_serve_fault)
-        ufes = sum(1 for r in recs if r.terminal_kind is TerminalKind.UNFORCED_ERROR)
-        server_ufes = sum(
-            1
-            for r in recs
-            if r.terminal_kind is TerminalKind.UNFORCED_ERROR and r.error_committer is Role.SERVER
-        )
+        pool = pool_set.pools[pid]
+        ufe = pool.kind == _UFE_KIND
+        # Role code 0 is the server.
         out["pools"][pid.value] = {
-            "size": n,
-            "first_serve_faults": faults,
-            "unforced_errors": ufes,
-            "unforced_errors_by_server": server_ufes,
+            "size": len(pool),
+            "first_serve_faults": int(np.count_nonzero(pool.kind == _FAULT_KIND)),
+            "unforced_errors": int(np.count_nonzero(ufe)),
+            "unforced_errors_by_server": int(np.count_nonzero(ufe & (pool.committer == 0))),
         }
     return out
 

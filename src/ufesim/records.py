@@ -12,6 +12,8 @@ RecordTable.from_records and the CSV reader all add points to one, so
 every table interns its ids in the same order.  RecordTable's vectorised
 checks are the one check of records read from a file, and
 RecordTable.to_records is the one place records become ServeRecords.
+RecordTable.take cuts a table of some rows out of a table, with string
+tables cut down to what those rows use; each serve pool is one.
 
 write_records_csv writes a table as the records CSV, byte for byte what
 csv.writer would write (UTF-8, CRLF, minimal quoting): csv.writer quotes
@@ -59,9 +61,6 @@ class TerminalKind(Enum):
     DOUBLE_FAULT = "double_fault"
     FIRST_SERVE_FAULT = "first_serve_fault"
 
-
-#: Kinds that decide a point (everything except a first-serve fault).
-DECISIVE_KINDS = frozenset(k for k in TerminalKind if k is not TerminalKind.FIRST_SERVE_FAULT)
 
 #: Rally-error kinds, the only kinds that carry an error committer.
 ERROR_KINDS = frozenset({TerminalKind.FORCED_ERROR, TerminalKind.UNFORCED_ERROR})
@@ -240,7 +239,9 @@ _COLUMNS = (
     ("year", np.int16),
     ("tour", np.int32),
 )
-_STRING_TABLES = ("matches", "players", "tours")
+# Each string table and the id columns that index it.
+_ID_COLUMNS = {"matches": ("match",), "players": ("server", "receiver"), "tours": ("tour",)}
+_STRING_TABLES = tuple(_ID_COLUMNS)
 
 
 class BrokenRowError(ValueError):
@@ -299,18 +300,13 @@ class RecordTable:
 
     def _check_ids(self) -> None:
         """Every id is in range and every string is used by some row."""
-        for table, columns, low in (
-            (self.matches, (self.match,), 0),
-            (self.players, (self.server, self.receiver), 0),
-            (self.tours, (self.tour,), NONE_CODE),
-        ):
-            # A trailing slot takes the -1s of the tour column.
-            used = np.zeros(len(table) + 1, dtype=bool)
-            for ids in columns:
-                if ids.size and (ids.min() < low or ids.max() >= len(table)):
-                    raise ValueError("an id is out of range")
-                used[ids] = True
-            if not used[:-1].all():
+        for name, columns in _ID_COLUMNS.items():
+            strings = getattr(self, name)
+            ids = [getattr(self, column) for column in columns]
+            low = NONE_CODE if name == "tours" else 0
+            if any(i.size and (i.min() < low or i.max() >= len(strings)) for i in ids):
+                raise ValueError("an id is out of range")
+            if not _used(strings, ids)[:-1].all():
                 raise ValueError("a string table holds a string no record uses")
 
     def _check_invariants(self) -> None:
@@ -376,12 +372,9 @@ class RecordTable:
             add(r.match_id, r.server_id, r.receiver_id, r.year, r.tour, (serve,))
         return builder.build()
 
-    def to_records(self, rows: np.ndarray | None = None) -> list[ServeRecord]:
-        """ServeRecords for the given row indices (all rows by default)."""
-        columns = [
-            (getattr(self, name) if rows is None else getattr(self, name)[rows]).tolist()
-            for name, _ in _COLUMNS
-        ]
+    def to_records(self) -> list[ServeRecord]:
+        """A ServeRecord per row, in row order."""
+        columns = [getattr(self, name).tolist() for name, _ in _COLUMNS]
         matches, players = self.matches, self.players
         # Index -1 of these picks the trailing None.
         roles = (*ROLES, None)
@@ -402,6 +395,22 @@ class RecordTable:
             )
             for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(*columns)
         ]
+
+    def take(self, rows: np.ndarray) -> RecordTable:
+        """The table of the given row indices, in their order; a row may
+        repeat.  Each string table keeps the strings those rows use, in
+        its order, and a missing tour stays -1."""
+        columns = {name: getattr(self, name)[rows] for name, _ in _COLUMNS}
+        strings = {}
+        for name, id_columns in _ID_COLUMNS.items():
+            table = getattr(self, name)
+            kept = _used(table, [columns[column] for column in id_columns])[:-1]
+            # The new id of each old one; index -1 maps -1 to itself.
+            new_ids = np.append(np.cumsum(kept, dtype=np.int32) - 1, np.int32(NONE_CODE))
+            for column in id_columns:
+                columns[column] = new_ids[columns[column]]
+            strings[name] = tuple(s for s, keep in zip(table, kept.tolist()) if keep)
+        return RecordTable(**columns, **strings)
 
     def tour_rows(self, tour: str | None) -> np.ndarray | slice:
         """Index of the rows of one tour; every row when tour is None."""
@@ -478,6 +487,15 @@ class TableBuilder:
             players=tuple(players),
             tours=tuple(self._tours),
         )
+
+
+def _used(strings: tuple[str, ...], ids: Iterable[np.ndarray]) -> np.ndarray:
+    """Which strings some id points at, and a last slot for the -1s of
+    the tour column."""
+    used = np.zeros(len(strings) + 1, dtype=bool)
+    for column in ids:
+        used[column] = True
+    return used
 
 
 def as_table(records: RecordTable | Iterable[ServeRecord]) -> RecordTable:

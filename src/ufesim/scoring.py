@@ -76,10 +76,6 @@ def new_match(fmt: MatchFormat, initial_server: str = "A") -> MatchScore:
     return MatchScore(format=fmt, current_server=initial_server)
 
 
-def current_server(score: MatchScore) -> str:
-    return score.current_server
-
-
 def apply_point(score: MatchScore, winner: str) -> None:
     """Record one point for `winner`, updating every counter in place."""
     if score.match_over:
@@ -152,12 +148,3 @@ def _finish_set(score: MatchScore, w: int) -> None:
     if score.sets_won[w] == score.format.sets_to_win:
         score.match_over = True
         score.match_winner = PLAYERS[w]
-
-
-def render_set_scores(score: MatchScore) -> str:
-    """Completed sets plus the set in progress, as '6-4 3-6 2-1'."""
-    parts = [f"{x}-{y}" for x, y in score.completed_set_scores]
-    if not score.match_over:
-        ga, gb = score.games_in_set
-        parts.append(f"{ga}-{gb}")
-    return " ".join(parts)

@@ -30,7 +30,7 @@ from ufesim.errors import (
 )
 from ufesim.ingest import REQUIRED_COLUMNS, IngestReport, MatchMeta, parse_match_id
 from ufesim.notation import ParsedPoint
-from ufesim.pools import PoolId, PoolScope, select_pool
+from ufesim.pools import FAULT, PoolId, PoolScope, select_pool
 from ufesim.records import (
     KIND_CODES,
     KINDS,
@@ -424,6 +424,38 @@ def reference_build_pools(records, player_a, player_b, scope=PoolScope.HEAD_TO_H
     return {pid: tuple(recs) for pid, recs in buckets.items()}
 
 
+def reference_point_code(record, server):
+    """The point code of one record served by A (server 0) or B (1)."""
+    if record.is_first_serve_fault:
+        return FAULT
+    if record.terminal_kind is TerminalKind.UNFORCED_ERROR:
+        committer = server if record.error_committer is Role.SERVER else 1 - server
+        if committer == 0:
+            return record.terminal_touch
+    return server if record.point_winner is Role.SERVER else 1 - server
+
+
+def reference_pool_summary(pools, player_a, player_b, scope):
+    """pool_summary's counts over a dict of pools of records."""
+    out = {"player_a": player_a, "player_b": player_b, "scope": scope.value, "pools": {}}
+    for pid in PoolId:
+        recs = pools[pid]
+        faults = sum(1 for r in recs if r.is_first_serve_fault)
+        ufes = sum(1 for r in recs if r.terminal_kind is TerminalKind.UNFORCED_ERROR)
+        server_ufes = sum(
+            1
+            for r in recs
+            if r.terminal_kind is TerminalKind.UNFORCED_ERROR and r.error_committer is Role.SERVER
+        )
+        out["pools"][pid.value] = {
+            "size": len(recs),
+            "first_serve_faults": faults,
+            "unforced_errors": ufes,
+            "unforced_errors_by_server": server_ufes,
+        }
+    return out
+
+
 def reference_matches_per_player(records, tour=None):
     """list-players' count: distinct matches per player."""
     matches = {}
@@ -598,11 +630,11 @@ def reference_tally_records(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
 def reference_simulate_point(pools, server, table, policy, rng):
     """Play one point with `server` ('A' or 'B') serving."""
     # A uniform draw with replacement: exactly one rng.random() each.
-    pool = pools.pools[select_pool(server, 1)]
+    pool = pools.pools[select_pool(server, 1)].to_records()
     record = pool[int(rng.random() * len(pool))]
     serve_number = 1
     if record.is_first_serve_fault:
-        pool = pools.pools[select_pool(server, 2)]
+        pool = pools.pools[select_pool(server, 2)].to_records()
         record = pool[int(rng.random() * len(pool))]
         serve_number = 2
 

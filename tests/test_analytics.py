@@ -23,7 +23,6 @@ from ufesim.analytics import (
     histogram_bins,
     histogram_to_csv,
     matches_per_player,
-    player_ufe_rate,
     profiles_to_csv,
     rankings_to_csv,
     rate_rankings,
@@ -36,7 +35,6 @@ from ufesim.analytics import (
     ufe_termination_share,
     year_series_to_csv,
 )
-from ufesim.errors import PlayerNotFoundError
 from ufesim.records import RecordTable, Role, TerminalKind
 
 K = TerminalKind
@@ -100,14 +98,6 @@ def test_profile_per_touch_and_per_year():
     assert x.per_touch_rates[("receiver", 2)] == 0.5
     assert x.per_touch_rates[("receiver", 4)] == 0.0
     assert x.per_year_rates == {2019: pytest.approx(2 / 7)}
-
-
-def test_player_ufe_rate_lookup_and_missing():
-    profile = player_ufe_rate(corpus(), "X Xavier")
-    assert isinstance(profile, PlayerUfeProfile)
-    with pytest.raises(PlayerNotFoundError) as exc:
-        player_ufe_rate(corpus(), "Nobody Here")
-    assert str(exc.value) == "no player named 'Nobody Here' in the records"
 
 
 def test_simple_rate_example():

@@ -48,9 +48,9 @@ def test_build_pools_partitions_by_server_and_serve_number():
     assert pools.size(PoolId.B_SECOND) == 1
     total = sum(pools.size(pid) for pid in PoolId)
     assert total == len(records)
-    for rec in pools.pools[PoolId.A_FIRST]:
+    for rec in pools.pools[PoolId.A_FIRST].to_records():
         assert rec.server_id == a and rec.serve_number == 1
-    for rec in pools.pools[PoolId.B_SECOND]:
+    for rec in pools.pools[PoolId.B_SECOND].to_records():
         assert rec.server_id == b and rec.serve_number == 2
 
 
@@ -60,7 +60,7 @@ def test_head_to_head_excludes_other_opponents(two_player_records):
     total = sum(pools.size(pid) for pid in PoolId)
     assert total == len(two_player_records)
     for pid in PoolId:
-        for rec in pools.pools[pid]:
+        for rec in pools.pools[pid].to_records():
             assert {rec.server_id, rec.receiver_id} == {"Ann Ace", "Bob Base"}
 
 
@@ -82,7 +82,7 @@ def test_empty_pool_error_names_the_pool(two_player_records):
 
 
 def test_singleton_pool_always_returns_it(mixed_pools):
-    record = mixed_pools.pools[PoolId.A_FIRST][0]
+    record = mixed_pools.pools[PoolId.A_FIRST].to_records()[0]
     singleton = build_pools([record] * 1 + [
         make_record("Ann Ace", "Bob Base", K.ACE, 1, Role.SERVER, serve_number=2),
         make_record("Bob Base", "Ann Ace", K.ACE, 1, Role.SERVER),
@@ -90,7 +90,7 @@ def test_singleton_pool_always_returns_it(mixed_pools):
     ], "Ann Ace", "Bob Base")
     # The pool holds a record equal to the one given (a table keeps no
     # record objects).
-    assert singleton.pools[PoolId.A_FIRST] == (record,)
+    assert singleton.pools[PoolId.A_FIRST].to_records() == [record]
 
 
 def test_pool_ufe_rate_matches_raw_records(two_player_records, mixed_pools):
@@ -115,7 +115,7 @@ def test_pool_ufe_rate_matches_raw_records(two_player_records, mixed_pools):
                     ufes += 1
         return ufes, contacts
 
-    pooled = [rec for pid in PoolId for rec in mixed_pools.pools[pid]]
+    pooled = [rec for pid in PoolId for rec in mixed_pools.pools[pid].to_records()]
     assert a_ufes_and_contacts(pooled) == a_ufes_and_contacts(two_player_records)
 
 

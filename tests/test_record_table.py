@@ -18,6 +18,8 @@ from oracles import (
     reference_build_pools,
     reference_from_records,
     reference_matches_per_player,
+    reference_point_code,
+    reference_pool_summary,
     reference_resolve_player,
     reference_tally_records,
     reference_write_records_csv,
@@ -26,11 +28,12 @@ from ufesim import records as records_module
 from ufesim.analytics import matches_per_player, tally_records
 from ufesim.cli import resolve_player
 from ufesim.errors import EmptyPoolError
-from ufesim.pools import PoolId, PoolScope, build_pools
+from ufesim.pools import PoolId, PoolScope, ServePoolSet, build_pools, pool_summary, select_pool
 from ufesim.records import (
     CACHE_VERSION,
     KINDS,
     MAX_YEAR,
+    NONE_CODE,
     RecordTable,
     Role,
     TerminalKind,
@@ -318,6 +321,52 @@ def test_table_columns_are_read_only():
         table.touch[0] = 3
 
 
+# take: a table of some rows
+
+
+def _used_strings(records):
+    """The strings the records use, by string table."""
+    return {
+        "matches": {r.match_id for r in records},
+        "players": {r.server_id for r in records} | {r.receiver_id for r in records},
+        "tours": {r.tour for r in records} - {None},
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(serve_records(st.sampled_from(FEW_NAMES)), max_size=30), data=st.data())
+def test_take_selects_rows_in_order(records, data):
+    table = RecordTable.from_records(records)
+    rows = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=40) if records
+                     else st.just([]))
+    part = table.take(np.array(rows, dtype=np.intp))
+    selected = [records[i] for i in rows]
+    assert part.to_records() == selected
+    for name, used in _used_strings(selected).items():
+        assert getattr(part, name) == tuple(s for s in getattr(table, name) if s in used)
+
+
+def test_take_repeats_rows_cuts_the_string_tables_and_keeps_a_missing_tour():
+    records = corpus()
+    table = RecordTable.from_records(records)
+    missing = next(i for i, r in enumerate(records) if r.tour is None and r.year is None)
+    rows = [missing, 0, missing]
+    part = table.take(np.array(rows))
+    selected = [records[i] for i in rows]
+    assert part.to_records() == selected
+    assert part.tour.tolist() == [NONE_CODE, 0, NONE_CODE]
+    assert part.year.tolist() == [NONE_CODE, 2019, NONE_CODE]
+    assert part.tours == ("ATP",) and len(part.players) < len(table.players)
+    for name, used in _used_strings(selected).items():
+        assert getattr(part, name) == tuple(s for s in getattr(table, name) if s in used)
+
+
+def test_take_of_no_rows_is_an_empty_table():
+    part = RecordTable.from_records(corpus()).take(np.array([], dtype=np.intp))
+    assert len(part) == 0 and part.to_records() == []
+    assert part.matches == part.players == part.tours == ()
+
+
 # Fallbacks: each must re-read the CSV and give the right records.
 
 
@@ -550,7 +599,7 @@ def test_consumers_match_references(records, tour, max_touch, pair, scope):
         with pytest.raises(EmptyPoolError, match=empty[0].value):
             build_pools(table, *pair, scope)
     else:
-        assert dict(build_pools(table, *pair, scope).pools) == expected
+        _assert_pools_match_references(build_pools(table, *pair, scope), expected)
 
     for wanted in (None, "ATP", tour):
         assert matches_per_player(table, wanted) == reference_matches_per_player(
@@ -568,11 +617,45 @@ def test_consumers_match_references(records, tour, max_touch, pair, scope):
     assert tally.termination_share() == reference.termination_share()
 
 
+def _assert_pools_match_references(pools, expected):
+    """A pool set against the reference pools of records: the pools'
+    records, their point codes and pool_summary."""
+    assert {pid: tuple(pool.to_records()) for pid, pool in pools.pools.items()} == expected
+    first, second = (
+        tuple(
+            tuple(reference_point_code(rec, server) for rec in expected[select_pool(side, number)])
+            for server, side in enumerate("AB")
+        )
+        for number in (1, 2)
+    )
+    assert (pools.first_codes, pools.second_codes) == (first, second)
+    assert pools.max_code == max(max(codes) for codes in first + second)
+    assert pool_summary(pools) == reference_pool_summary(
+        expected, pools.player_a, pools.player_b, pools.scope
+    )
+
+
 def test_build_pools_rebuilds_records_in_file_order(csv_path):
     load_records(csv_path)
     cached, _ = load_records(csv_path)
     for scope in PoolScope:
         pools = build_pools(cached, "Ann Ace", "Bob Base", scope)
         expected = reference_build_pools(corpus(), "Ann Ace", "Bob Base", scope)
-        assert dict(pools.pools) == expected
+        _assert_pools_match_references(pools, expected)
         assert pools.first_codes == build_pools(corpus(), "Ann Ace", "Bob Base", scope).first_codes
+
+
+def test_pool_set_of_records_equals_build_pools_over_their_table():
+    records = corpus()
+    built = build_pools(RecordTable.from_records(records), "Ann Ace", "Bob Base")
+    given = ServePoolSet(
+        pools={pid: tuple(pool.to_records()) for pid, pool in built.pools.items()},
+        player_a="Ann Ace",
+        player_b="Bob Base",
+        scope=PoolScope.HEAD_TO_HEAD,
+    )
+    assert all(isinstance(pool, RecordTable) for pool in given.pools.values())
+    assert (given.first_codes, given.second_codes, given.max_code) == (
+        built.first_codes, built.second_codes, built.max_code
+    )
+    assert pool_summary(given) == pool_summary(built)

@@ -13,9 +13,7 @@ from ufesim.scoring import (
     PLAYERS,
     MatchFormat,
     apply_point,
-    current_server,
     new_match,
-    render_set_scores,
 )
 from ufesim.simulate import _play_match
 
@@ -31,7 +29,7 @@ def play(winners, fmt=DEFAULT, first_server="A"):
     for w in winners:
         if score.match_over:
             break
-        servers.append(current_server(score))
+        servers.append(score.current_server)
         apply_point(score, w)
         consumed += 1
     return score, servers, consumed
@@ -124,7 +122,7 @@ def test_tiebreak_serve_rotation_one_then_pairs():
     # Game 13 would be A's; A opens the tiebreak.
     seen = []
     for w in ["A", "B"] * 6:
-        seen.append(current_server(score))
+        seen.append(score.current_server)
         apply_point(score, w)
     assert seen == ["A", "B", "B", "A", "A", "B", "B", "A", "A", "B", "B", "A"]
 
@@ -243,11 +241,12 @@ def test_totals_conserve_applied_points():
     assert sum(score.cumulative_points_won) == n
 
 
-def test_render_set_scores_shows_progress():
+def test_set_scores_show_progress():
     score = new_match(DEFAULT, "A")
     for _ in range(24):
         apply_point(score, "A")
-    assert render_set_scores(score) == "6-0 0-0"
+    assert score.completed_set_scores == [(6, 0)]
+    assert score.games_in_set == [0, 0]
 
 
 def test_game_win_probability_oracles_agree():
