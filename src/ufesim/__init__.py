@@ -5,182 +5,124 @@ a what-if policy strikes some share of one player's unforced errors
 and re-resolves those points from a touch-indexed win-probability
 table, so the gap between scenarios prices the errors in expected
 points, games, sets, and matches.
+
+Importing the package loads none of its modules.  Each public name is
+imported from its module on first access (PEP 562), so a command that
+needs the records and the analytics never loads the simulator.
 """
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .analytics import (
-    PlayerUfeProfile,
-    RecordTally,
-    TouchExposure,
-    collect_profiles,
-    histogram_bins,
-    matches_per_player,
-    rate_rankings,
-    tally_records,
-    touch_exposure,
-    tour_ufe_rate,
-    ufe_rate_by_touch,
-    ufe_rate_by_year,
-    ufe_termination_share,
-)
-from .counterfactual import (
-    ELIMINATE,
-    HISTORIC,
-    ReductionPolicy,
-    TouchWinTable,
-    default_table,
-    load_table,
-    prob_win_if_no_ufe,
-    resolve_removed_ufe,
-    should_remove_ufe,
-)
-from .errors import (
-    AmbiguousPlayerError,
-    CsvFormatError,
-    DuplicatePointError,
-    EmptyPoolError,
-    EndlessMatchError,
-    MatchOverError,
-    NotationError,
-    PlayerNotFoundError,
-    TableFormatError,
-    TouchRangeError,
-    UfesimError,
-)
-from .ingest import (
-    IngestReport,
-    clean_rows,
-    explode_to_serves,
-    ingest_files,
-    ingest_table,
-    parse_match_id,
-    parse_points_file,
-)
-from .notation import ParsedPoint, parse_shot_notation
-from .pools import (
-    PoolId,
-    PoolScope,
-    ServePoolSet,
-    build_pools,
-    pool_summary,
-    select_pool,
-)
-from .records import (
-    RawPointRow,
-    RecordTable,
-    Role,
-    ServeRecord,
-    TerminalKind,
-    load_records,
-    read_records_csv,
-    save_records,
-    write_records_csv,
-)
-from .rng import derive_seed, replicate_stream
-from .scoring import (
-    MatchFormat,
-    MatchScore,
-    apply_point,
-    new_match,
-)
-from .simulate import (
-    MatchResult,
-    PointOutcome,
-    ScenarioComparison,
-    ScenarioDelta,
-    SimulationConfig,
-    SimulationSummary,
-    binomial_se_pct,
-    compare_scenarios,
-    format_comparison,
-    format_summary_table,
-    parse_scenario,
-    run_simulation,
-    simulate_match,
-    simulate_point,
-    summarize,
-)
+# Each public name, by the module that defines it.
+_EXPORTS: dict[str, str] = {
+    name: module
+    for module, names in {
+        "analytics": (
+            "PlayerUfeProfile",
+            "RecordTally",
+            "TouchExposure",
+            "collect_profiles",
+            "histogram_bins",
+            "matches_per_player",
+            "rate_rankings",
+            "tally_records",
+            "touch_exposure",
+            "tour_ufe_rate",
+            "ufe_rate_by_touch",
+            "ufe_rate_by_year",
+            "ufe_termination_share",
+        ),
+        "counterfactual": (
+            "ELIMINATE",
+            "HISTORIC",
+            "ReductionPolicy",
+            "TouchWinTable",
+            "default_table",
+            "load_table",
+            "prob_win_if_no_ufe",
+            "resolve_removed_ufe",
+            "should_remove_ufe",
+        ),
+        "errors": (
+            "AmbiguousPlayerError",
+            "CsvFormatError",
+            "DuplicatePointError",
+            "EmptyPoolError",
+            "EndlessMatchError",
+            "MatchOverError",
+            "NotationError",
+            "PlayerNotFoundError",
+            "TableFormatError",
+            "TouchRangeError",
+            "UfesimError",
+        ),
+        "ingest": (
+            "IngestReport",
+            "clean_rows",
+            "explode_to_serves",
+            "ingest_files",
+            "ingest_table",
+            "parse_match_id",
+            "parse_points_file",
+        ),
+        "notation": ("ParsedPoint", "parse_shot_notation"),
+        "pools": (
+            "PoolId",
+            "PoolScope",
+            "ServePoolSet",
+            "build_pools",
+            "pool_summary",
+            "select_pool",
+        ),
+        "records": (
+            "RawPointRow",
+            "RecordTable",
+            "Role",
+            "ServeRecord",
+            "TerminalKind",
+            "load_records",
+            "read_records_csv",
+            "save_records",
+            "write_records_csv",
+        ),
+        "rng": ("derive_seed", "replicate_stream"),
+        "scoring": ("MatchFormat", "MatchScore", "apply_point", "new_match"),
+        "simulate": (
+            "MatchResult",
+            "PointOutcome",
+            "ScenarioComparison",
+            "ScenarioDelta",
+            "SimulationConfig",
+            "SimulationSummary",
+            "binomial_se_pct",
+            "compare_scenarios",
+            "format_comparison",
+            "format_summary_table",
+            "parse_scenario",
+            "run_simulation",
+            "simulate_match",
+            "simulate_point",
+            "summarize",
+        ),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "__version__",
-    "AmbiguousPlayerError",
-    "CsvFormatError",
-    "DuplicatePointError",
-    "ELIMINATE",
-    "EmptyPoolError",
-    "EndlessMatchError",
-    "HISTORIC",
-    "IngestReport",
-    "MatchFormat",
-    "MatchOverError",
-    "MatchResult",
-    "MatchScore",
-    "NotationError",
-    "ParsedPoint",
-    "PlayerNotFoundError",
-    "PlayerUfeProfile",
-    "PointOutcome",
-    "PoolId",
-    "PoolScope",
-    "RawPointRow",
-    "RecordTable",
-    "RecordTally",
-    "ReductionPolicy",
-    "Role",
-    "ScenarioComparison",
-    "ScenarioDelta",
-    "ServePoolSet",
-    "ServeRecord",
-    "SimulationConfig",
-    "SimulationSummary",
-    "TableFormatError",
-    "TerminalKind",
-    "TouchExposure",
-    "TouchRangeError",
-    "TouchWinTable",
-    "UfesimError",
-    "apply_point",
-    "binomial_se_pct",
-    "build_pools",
-    "clean_rows",
-    "collect_profiles",
-    "compare_scenarios",
-    "default_table",
-    "derive_seed",
-    "explode_to_serves",
-    "format_comparison",
-    "format_summary_table",
-    "histogram_bins",
-    "ingest_files",
-    "ingest_table",
-    "load_records",
-    "load_table",
-    "matches_per_player",
-    "new_match",
-    "parse_match_id",
-    "parse_points_file",
-    "parse_scenario",
-    "parse_shot_notation",
-    "pool_summary",
-    "prob_win_if_no_ufe",
-    "rate_rankings",
-    "read_records_csv",
-    "save_records",
-    "replicate_stream",
-    "resolve_removed_ufe",
-    "run_simulation",
-    "select_pool",
-    "should_remove_ufe",
-    "simulate_match",
-    "simulate_point",
-    "summarize",
-    "tally_records",
-    "touch_exposure",
-    "tour_ufe_rate",
-    "ufe_rate_by_touch",
-    "ufe_rate_by_year",
-    "ufe_termination_share",
-    "write_records_csv",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name: str):
+    """Import a public name from its module on first access and keep it."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 usage problems, 3 input/data problems,
 4 runtime failures.  Every randomized command runs from an explicit or
 fixed default seed which is echoed, never wall-clock seeded.
+
+At module level this file imports only the standard library, the
+version and the error types.  Each command imports the modules it runs
+once its usage checks pass, so `--version` or a usage error loads no
+numpy, and `list-players` never loads the simulator.
 """
 from __future__ import annotations
 
@@ -14,21 +19,9 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
-from .analytics import (
-    histogram_bins,
-    histogram_to_csv,
-    matches_per_player,
-    profiles_to_csv,
-    rankings_to_csv,
-    rate_rankings,
-    tally_records,
-    touch_curve_to_csv,
-    year_series_to_csv,
-)
-from .counterfactual import default_table, load_table
 from .errors import (
     AmbiguousPlayerError,
     CsvFormatError,
@@ -40,26 +33,9 @@ from .errors import (
     TableFormatError,
     UfesimError,
 )
-from .ingest import ingest_table
-from .pools import PoolScope, build_pools, pool_summary
-from .records import (
-    RecordTable,
-    Role,
-    ServeRecord,
-    as_table,
-    cache_path,
-    file_sha256,
-    load_records,
-    save_records,
-)
-from .scoring import MatchFormat
-from .simulate import (
-    SimulationConfig,
-    compare_scenarios,
-    format_comparison,
-    parse_scenario,
-)
-from .svg import bar_chart, line_chart
+
+if TYPE_CHECKING:
+    from .records import RecordTable, ServeRecord
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,6 +72,8 @@ def build_manifest(
     """The manifest of one run; the dataset digest is dataset_sha256 when
     the caller already has it, else the SHA-256 of dataset_path."""
     if dataset_sha256 is None and dataset_path:
+        from .records import file_sha256
+
         dataset_sha256 = file_sha256(dataset_path)
     return RunManifest(
         command=command,
@@ -126,6 +104,8 @@ def _normalize_name(name: str) -> str:
 
 def resolve_player(records: RecordTable | Iterable[ServeRecord], requested: str) -> str:
     """Case-insensitive exact match against names in the records."""
+    from .records import as_table
+
     wanted = _normalize_name(requested)
     matches = {name for name in as_table(records).players if _normalize_name(name) == wanted}
     if not matches:
@@ -209,6 +189,8 @@ def _apply_config(args: argparse.Namespace, path: str) -> None:
 def _refuse_overwriting_inputs(paths: list[Path], output: Path) -> None:
     """ValueError if writing the records CSV or its sidecar would replace
     one of the input files."""
+    from .records import cache_path
+
     for target in (output, cache_path(output)):
         for path in paths:
             with suppress(OSError):  # either may not exist
@@ -219,6 +201,9 @@ def _refuse_overwriting_inputs(paths: list[Path], output: Path) -> None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     paths = [_resolve_data_path(p) for p in args.inputs]
     _refuse_overwriting_inputs(paths, Path(args.output))
+    from .ingest import ingest_table
+    from .records import save_records
+
     table, report = ingest_table(paths)
     sha256 = save_records(table, args.output)
     payload = report.to_dict()
@@ -232,6 +217,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_list_players(args: argparse.Namespace) -> int:
+    from .analytics import matches_per_player
+    from .records import load_records
+
     table, _ = load_records(_resolve_data_path(args.records))
     matches = matches_per_player(table, args.tour or None)
     for name in sorted(matches):
@@ -249,6 +237,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for name in ("min_matches", "k"):
         if getattr(args, name) < 1:
             raise ValueError(f"{name} must be at least 1")
+    from .analytics import (
+        histogram_bins,
+        histogram_to_csv,
+        profiles_to_csv,
+        rankings_to_csv,
+        rate_rankings,
+        tally_records,
+        touch_curve_to_csv,
+        year_series_to_csv,
+    )
+    from .records import Role, load_records
+
     table, dataset_sha256 = load_records(_resolve_data_path(args.records))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,6 +277,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     histogram_to_csv(bins, out_dir / "histogram.csv")
 
     if args.svg:
+        from .svg import bar_chart, line_chart
+
         (out_dir / "touch_curve_server.svg").write_text(
             line_chart(server_curve, "Server UFE rate by touch"), encoding="utf-8"
         )
@@ -325,6 +327,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.player_a or not args.player_b:
         print("error: --a and --b are required", file=sys.stderr)
         return EXIT_USAGE
+    from .counterfactual import default_table, load_table
+    from .pools import PoolScope, build_pools, pool_summary
+    from .records import load_records
+    from .scoring import MatchFormat
+    from .simulate import (
+        SimulationConfig,
+        compare_scenarios,
+        format_comparison,
+        parse_scenario,
+    )
+
     records, dataset_sha256 = load_records(_resolve_data_path(args.records))
     player_a = resolve_player(records, args.player_a)
     player_b = resolve_player(records, args.player_b)
@@ -494,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except EmptyPoolError as exc:
         hint = ""
-        if getattr(args, "scope", None) == PoolScope.HEAD_TO_HEAD.value:
+        if getattr(args, "scope", None) == "head_to_head":
             hint = "; too little head-to-head history, try --scope versus_field"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_DATA

@@ -14,8 +14,10 @@ import pytest
 
 from conftest import make_record
 from oracles import reference_ingest_files, reference_write_records_csv
+from ufesim import analytics as analytics_module
 from ufesim import cli
 from ufesim import records as records_module
+from ufesim import simulate as simulate_module
 from ufesim.analytics import tally_records
 from ufesim.cli import DATA_DIR_ENV, main
 from ufesim.records import (
@@ -270,7 +272,7 @@ def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys)
         return tally_records(table, *args, **kwargs)
 
     monkeypatch.setattr(records_module, "_read_table", read_counting)
-    monkeypatch.setattr(cli, "tally_records", tally_counting)
+    monkeypatch.setattr(analytics_module, "tally_records", tally_counting)
     code = main(
         ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"), "--svg"]
     )
@@ -470,7 +472,7 @@ def test_simulate_unwritable_out_fails_before_simulating(
     def must_not_run(*args, **kwargs):
         raise AssertionError("simulation started")
 
-    monkeypatch.setattr(cli, "compare_scenarios", must_not_run)
+    monkeypatch.setattr(simulate_module, "compare_scenarios", must_not_run)
     code = main(simulate_args(records_csv, "--out", str(tmp_path)))
     assert code == 3
     assert str(tmp_path) in capsys.readouterr().err
@@ -611,7 +613,6 @@ def test_commands_hash_the_dataset_once(records_csv, tmp_path, monkeypatch, caps
         return file_sha256(path)
 
     monkeypatch.setattr(records_module, "file_sha256", counting)
-    monkeypatch.setattr(cli, "file_sha256", counting)
     for _ in range(2):  # a cache miss, then a hit
         hashed.clear()
         out = tmp_path / "s"
