@@ -118,17 +118,20 @@ def resolve_player(records: RecordTable | Iterable[ServeRecord], requested: str)
 
 
 def _parse_config_value(key: str, value: str):
-    booleans = {"ad_scoring", "final_set_tiebreak"}
-    integers = {"n", "seed", "best_of", "n_jobs", "min_matches", "k"}
-    if key in booleans:
+    if key not in _CONFIG_TO_ATTR:
+        raise ValueError(f"unknown config key {key!r}")
+    if key in ("ad_scoring", "final_set_tiebreak"):
         low = value.lower()
         if low in ("true", "yes", "1", "on"):
             return True
         if low in ("false", "no", "0", "off"):
             return False
         raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
-    if key in integers:
-        return int(value)
+    if key in ("n", "seed", "best_of", "n_jobs", "min_matches", "k"):
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r} expects an integer, got {value!r}") from None
     if key == "scenarios":
         return [token.strip() for token in value.split(",") if token.strip()]
     return value
@@ -150,8 +153,10 @@ def load_config_file(path: str) -> dict:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        settings[key] = _parse_config_value(key, value)
+        try:
+            settings[key] = _parse_config_value(key, value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return settings
 
 
@@ -179,11 +184,8 @@ _CONFIG_TO_ATTR = {
 def _apply_config(args: argparse.Namespace, path: str) -> None:
     # Config file entries override whatever the flags said.
     for key, value in load_config_file(path).items():
-        attr = _CONFIG_TO_ATTR.get(key)
-        if attr is None:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        if hasattr(args, attr):
-            setattr(args, attr, value)
+        if hasattr(args, _CONFIG_TO_ATTR[key]):
+            setattr(args, _CONFIG_TO_ATTR[key], value)
 
 
 def _refuse_overwriting_inputs(paths: list[Path], output: Path) -> None:

@@ -13,7 +13,9 @@ every table interns its ids in the same order.  RecordTable's vectorised
 checks are the one check of records read from a file, and
 RecordTable.to_records is the one place records become ServeRecords.
 RecordTable.take cuts a table of some rows out of a table, with string
-tables cut down to what those rows use; each serve pool is one.
+tables cut down to what those rows use and no check run again; each
+serve pool is one.  _record_rules states the rules between a record's
+fields once, over column codes, for ServeRecord and RecordTable alike.
 
 write_records_csv writes a table as the records CSV, byte for byte what
 csv.writer would write (UTF-8, CRLF, minimal quoting): csv.writer quotes
@@ -62,10 +64,6 @@ class TerminalKind(Enum):
     FIRST_SERVE_FAULT = "first_serve_fault"
 
 
-#: Rally-error kinds, the only kinds that carry an error committer.
-ERROR_KINDS = frozenset({TerminalKind.FORCED_ERROR, TerminalKind.UNFORCED_ERROR})
-
-
 class Role(Enum):
     """Role of a player within one point, relative to the record's server."""
 
@@ -103,7 +101,8 @@ class ServeRecord:
     aces, service winners, faults and double faults.  point_winner and
     error_committer are roles relative to this record's server; both are
     None for first-serve faults, and error_committer is set only for rally
-    errors (forced/unforced).
+    errors (forced/unforced).  Construction checks each field's domain,
+    then _record_rules, the rules between fields that RecordTable checks.
     """
 
     match_id: str
@@ -129,25 +128,18 @@ class ServeRecord:
             raise ValueError(f"year must be in 0..{MAX_YEAR}, got {self.year}")
         if self.server_id == self.receiver_id:
             raise ValueError("server_id and receiver_id must differ")
-        is_fault = self.terminal_kind is TerminalKind.FIRST_SERVE_FAULT
-        if is_fault != self.is_first_serve_fault or is_fault != (self.point_winner is None):
-            raise ValueError(
-                "first_serve_fault flag, kind and missing point_winner must agree"
-            )
-        if is_fault and self.serve_number != 1:
-            raise ValueError("a first-serve fault must have serve_number 1")
-        if (self.error_committer is not None) != (self.terminal_kind in ERROR_KINDS):
-            raise ValueError("error_committer is set exactly for forced/unforced errors")
-        if self.error_committer is not None:
-            if self.point_winner is not opponent_role(self.error_committer):
-                raise ValueError("an error awards the point to the committer's opponent")
-            if (self.error_committer is Role.SERVER) != (self.terminal_touch % 2 == 1):
-                raise ValueError("error committer must match the parity of the terminal touch")
-        if self.terminal_kind is TerminalKind.UNFORCED_ERROR and self.terminal_touch < 2:
-            raise ValueError("unforced errors cannot occur on the serve (touch 1)")
-        if self.terminal_kind is TerminalKind.DOUBLE_FAULT:
-            if self.serve_number != 2 or self.point_winner is not Role.RECEIVER:
-                raise ValueError("a double fault is a second serve won by the receiver")
+        if not isinstance(self.terminal_kind, TerminalKind):
+            raise ValueError(f"terminal_kind must be a TerminalKind, got {self.terminal_kind!r}")
+        for name in ("point_winner", "error_committer"):
+            if not isinstance(getattr(self, name), (Role, type(None))):
+                raise ValueError(f"{name} must be a Role or None, got {getattr(self, name)!r}")
+        if self.is_first_serve_fault != (self.terminal_kind is TerminalKind.FIRST_SERVE_FAULT):
+            raise ValueError(_FLAG_RULE)
+        kind = KIND_CODES[self.terminal_kind]
+        roles = ROLE_CODES[self.point_winner], ROLE_CODES[self.error_committer]
+        for message, broken in _record_rules(self.serve_number, self.terminal_touch, kind, *roles):
+            if broken:
+                raise ValueError(message)
 
 
 RECORD_FIELDS = [f.name for f in fields(ServeRecord)]
@@ -222,9 +214,31 @@ ROLE_CODES = {None: -1, Role.SERVER: 0, Role.RECEIVER: 1}
 NONE_CODE = -1
 
 _FAULT = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
+_FORCED = KIND_CODES[TerminalKind.FORCED_ERROR]
 _UFE = KIND_CODES[TerminalKind.UNFORCED_ERROR]
 _DOUBLE_FAULT = KIND_CODES[TerminalKind.DOUBLE_FAULT]
-_ERROR_CODES = [KIND_CODES[kind] for kind in ERROR_KINDS]
+_FLAG_RULE = "is_first_serve_fault must agree with terminal_kind"
+
+
+def _record_rules(serve, touch, kind, winner, committer) -> Iterator[tuple[str, bool]]:
+    """Each rule between a record's fields as (message, broken), over one
+    record's codes or whole columns: only operators ints and arrays share."""
+    fault, has_committer = kind == _FAULT, committer != NONE_CODE
+    error = (kind == _FORCED) | (kind == _UFE)
+    yield "first-serve fault and missing point_winner must agree", fault != (winner == NONE_CODE)
+    yield "a first-serve fault must have serve_number 1", fault & (serve != 1)
+    yield "error_committer is set exactly for forced/unforced errors", has_committer != error
+    yield "an error awards the point to the committer's opponent", has_committer & (
+        winner != 1 - committer
+    )
+    yield "error committer must match the parity of the terminal touch", has_committer & (
+        (committer == 0) != (touch % 2 == 1)
+    )
+    yield "unforced errors cannot occur on the serve (touch 1)", (kind == _UFE) & (touch < 2)
+    yield "a double fault is a second serve won by the receiver", (kind == _DOUBLE_FAULT) & (
+        (serve != 2) | (winner != 1)
+    )
+
 
 # (column, dtype) in ServeRecord order; id columns index a string table.
 _COLUMNS = (
@@ -263,7 +277,7 @@ class RecordTable:
     committer a ROLES index or -1, year the year or -1, tour an id or -1.
     is_first_serve_fault is not stored: it is kind == first-serve fault.
 
-    Construction checks every ServeRecord invariant as a vectorised mask,
+    Construction checks each column's codes and _record_rules as masks,
     every id's range, and that each string table holds distinct strings
     that some record uses.
     """
@@ -310,8 +324,7 @@ class RecordTable:
                 raise ValueError("a string table holds a string no record uses")
 
     def _check_invariants(self) -> None:
-        """The ServeRecord.__post_init__ checks, one mask at a time; an
-        error names the first row that breaks any of them."""
+        """The row masks; an error names the first row that breaks any."""
         broken = [
             (int(np.flatnonzero(mask)[0]), message)
             for message, mask in self._broken_rows()
@@ -328,28 +341,8 @@ class RecordTable:
         yield "server_id and receiver_id must differ", self.server == self.receiver
         yield "terminal_kind out of range", (kind < 0) | (kind >= len(KINDS))
         yield "point_winner out of range", (winner < NONE_CODE) | (winner >= len(ROLES))
-        yield "error_committer out of range", (committer < NONE_CODE) | (
-            committer >= len(ROLES)
-        )
-        fault = kind == _FAULT
-        yield "first-serve fault and missing point_winner must agree", fault != (
-            winner == NONE_CODE
-        )
-        yield "a first-serve fault must have serve_number 1", fault & (serve != 1)
-        has_committer = committer != NONE_CODE
-        yield "error_committer is set exactly for forced/unforced errors", has_committer != (
-            np.isin(kind, _ERROR_CODES)
-        )
-        yield "an error awards the point to the committer's opponent", has_committer & (
-            winner != 1 - committer
-        )
-        yield "error committer must match the parity of the terminal touch", has_committer & (
-            (committer == 0) != (touch % 2 == 1)
-        )
-        yield "unforced errors cannot occur on the serve (touch 1)", (kind == _UFE) & (touch < 2)
-        yield "a double fault is a second serve won by the receiver", (kind == _DOUBLE_FAULT) & (
-            (serve != 2) | (winner != 1)
-        )
+        yield "error_committer out of range", (committer < NONE_CODE) | (committer >= len(ROLES))
+        yield from _record_rules(serve, touch, kind, winner, committer)
         yield f"year must be -1 or in 0..{MAX_YEAR}", (year < NONE_CODE) | (year > MAX_YEAR)
 
     def __len__(self) -> int:
@@ -399,7 +392,7 @@ class RecordTable:
     def take(self, rows: np.ndarray) -> RecordTable:
         """The table of the given row indices, in their order; a row may
         repeat.  Each string table keeps the strings those rows use, in
-        its order, and a missing tour stays -1."""
+        its order, and a missing tour stays -1; checked rows are not re-checked."""
         columns = {name: getattr(self, name)[rows] for name, _ in _COLUMNS}
         strings = {}
         for name, id_columns in _ID_COLUMNS.items():
@@ -410,7 +403,11 @@ class RecordTable:
             for column in id_columns:
                 columns[column] = new_ids[columns[column]]
             strings[name] = tuple(s for s, keep in zip(table, kept.tolist()) if keep)
-        return RecordTable(**columns, **strings)
+        for column in columns.values():
+            column.flags.writeable = False
+        part = object.__new__(RecordTable)
+        part.__dict__.update(columns, **strings)
+        return part
 
     def tour_rows(self, tour: str | None) -> np.ndarray | slice:
         """Index of the rows of one tour; every row when tour is None."""
@@ -560,7 +557,7 @@ def _read_table(path: Path) -> RecordTable:
             try:
                 kind = _KIND_BY_NAME[kind]
                 if (fault == "true") != (kind == _FAULT):
-                    raise ValueError("is_first_serve_fault must agree with terminal_kind")
+                    raise ValueError(_FLAG_RULE)
                 year = int(year) if year else None
                 if year is not None and year < 0:
                     raise ValueError(f"year must be in 0..{MAX_YEAR}, got {year}")

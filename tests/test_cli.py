@@ -776,16 +776,35 @@ def test_non_utf8_table_is_data_error_naming_the_file(records_csv, tmp_path, cap
     assert "UTF-8" in err
 
 
+def _config_argv(command, records_csv, tmp_path, cfg):
+    if command == "simulate":
+        return simulate_args(records_csv, "--config", str(cfg))
+    return ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"),
+            "--config", str(cfg)]
+
+
 @pytest.mark.parametrize("command", ["simulate", "stats"])
 def test_non_utf8_config_is_usage_error_naming_the_file(command, records_csv, tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"seed = 7 # \xd6\n")
-    if command == "simulate":
-        argv = simulate_args(records_csv, "--config", str(cfg))
-    else:
-        argv = ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"),
-                "--config", str(cfg)]
-    assert main(argv) == 2
+    assert main(_config_argv(command, records_csv, tmp_path, cfg)) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "stats"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed = abc", "config key 'seed' expects an integer, got 'abc'"),
+        ("ad_scoring = maybe", "config key 'ad_scoring' expects a boolean, got 'maybe'"),
+    ],
+)
+def test_config_value_error_names_file_and_line(command, line, message, records_csv, tmp_path,
+                                                capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# overrides\n{line}\n")
+    assert main(_config_argv(command, records_csv, tmp_path, cfg)) == 2
+    assert f"error: {cfg}: line 2: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,11 @@ def test_take_selects_rows_in_order(records, data):
     assert part.to_records() == selected
     for name, used in _used_strings(selected).items():
         assert getattr(part, name) == tuple(s for s in getattr(table, name) if s in used)
+    # take checks nothing; its columns are read-only, and the checked
+    # constructor accepts the same fields.
+    values = {f.name: getattr(part, f.name) for f in fields(RecordTable)}
+    assert not any(v.flags.writeable for v in values.values() if isinstance(v, np.ndarray))
+    assert_same_table(part, RecordTable(**values))
 
 
 def test_take_repeats_rows_cuts_the_string_tables_and_keeps_a_missing_tour():

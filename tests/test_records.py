@@ -2,13 +2,20 @@
 from __future__ import annotations
 
 import csv
+from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import make_record
 from ufesim.cli import main
+from ufesim import records as records_module
 from ufesim.errors import CsvFormatError
 from ufesim.records import (
+    KINDS,
+    MAX_TERMINAL_TOUCH,
+    ROLES,
+    RecordTable,
     Role,
     ServeRecord,
     TerminalKind,
@@ -52,6 +59,87 @@ def test_invalid_records_rejected(kwargs):
 def test_server_must_differ_from_receiver():
     with pytest.raises(ValueError):
         make_record(server="Same Name", receiver="Same Name")
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("terminal_kind", dict(kind="ace", winner="server")),
+        ("point_winner", dict(winner="server")),
+        ("error_committer", dict(kind=K.UNFORCED_ERROR, touch=2, committer="receiver")),
+    ],
+)
+def test_kind_and_roles_must_be_enum_members(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        make_record(**kwargs)
+
+
+# ServeRecord and a one-row RecordTable agree on every combination of codes.
+
+RULE_MESSAGES = [message for message, _ in records_module._record_rules(1, 1, 0, 0, -1)]
+
+
+def _one_row_table(serve, touch, kind, winner, committer, year=2019, same_player=False):
+    """The table of one row of these codes, served by Ann to Bob (or to
+    Ann); its error message, or None if it is valid."""
+    def column(value, dtype):
+        return np.array([value], dtype=dtype)
+    try:
+        RecordTable(
+            match=column(0, np.int32), server=column(0, np.int32),
+            receiver=column(0 if same_player else 1, np.int32),
+            serve_number=column(serve, np.int8), touch=column(touch, np.int32),
+            kind=column(kind, np.int8), winner=column(winner, np.int8),
+            committer=column(committer, np.int8), year=column(year, np.int16),
+            tour=column(0, np.int32),
+            matches=("m",), players=("Ann",) if same_player else ("Ann", "Bob"), tours=("ATP",),
+        )
+    except ValueError as exc:
+        return getattr(exc, "reason", str(exc))
+    return None
+
+
+def _record_of_codes(serve, touch, kind, winner, committer, year=2019, same_player=False):
+    """The ServeRecord of the same codes, a code out of its domain passed
+    as the bare int; its error message, or None if it is valid."""
+    def role(code):
+        return None if code == -1 else ROLES[code] if code in (0, 1) else code
+    try:
+        make_record(
+            serve_number=serve, touch=touch,
+            kind=KINDS[kind] if 0 <= kind < len(KINDS) else kind,
+            fault=kind == KINDS.index(K.FIRST_SERVE_FAULT),
+            winner=role(winner), committer=role(committer), year=year,
+            receiver="Ann Ace" if same_player else "Bob Base",
+        )
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_record_and_table_agree_on_every_code_combination():
+    # Every rule a table reports, ServeRecord reports in the same words.
+    disagree, rules_seen = {}, set()
+    touches = [0, 1, 2, 3, 4, 5, MAX_TERMINAL_TOUCH]
+    kinds = range(-1, len(KINDS) + 1)
+    for codes in product(range(4), touches, kinds, range(-2, 3), range(-2, 3)):
+        table, record = _one_row_table(*codes), _record_of_codes(*codes)
+        if table in RULE_MESSAGES:
+            rules_seen.add(table)
+        if (table is None) != (record is None) or (table in RULE_MESSAGES and record != table):
+            disagree[codes] = (table, record)
+    assert disagree == {}
+    assert rules_seen == set(RULE_MESSAGES)
+    # Year and players, on a valid ace and on a double fault on the first serve.
+    for codes, year, same_player in product([(1, 1, 0, 0, -1), (1, 1, 5, 1, -1)],
+                                            [-2, -1, 0, 2019, 9999, 10000], [False, True]):
+        table = _one_row_table(*codes, year, same_player)
+        record = _record_of_codes(*codes, year, same_player)
+        if year == -1 and table is None:
+            # -1 is the table's code for a missing year.
+            assert record is not None and _record_of_codes(*codes, None, same_player) is None
+        else:
+            assert (table is None) == (record is None), (codes, year, same_player)
 
 
 def test_csv_round_trip(tmp_path, two_player_records):
