@@ -6,8 +6,13 @@ fixed default seed which is echoed, never wall-clock seeded.
 
 At module level this file imports only the standard library, the
 version and the error types.  Each command imports the modules it runs
-once its usage checks pass, so `--version` or a usage error loads no
-numpy, and `list-players` never loads the simulator.
+only when it gets to them, so `--version`, a config error or a missing
+`--a` loads no numpy, and `list-players` never loads the simulator.
+
+build_parser declares each setting once: a `stats` or `simulate`
+`--config` line sets one of the command's options by its dest, read
+with the flag's type and choices, and any other key is a usage error.
+`simulate --out` never replaces one of the command's input files.
 """
 from __future__ import annotations
 
@@ -15,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -117,29 +121,41 @@ def resolve_player(records: RecordTable | Iterable[ServeRecord], requested: str)
     return matches.pop()
 
 
-def _parse_config_value(key: str, value: str):
-    if key not in _CONFIG_TO_ATTR:
-        raise ValueError(f"unknown config key {key!r}")
-    if key in ("ad_scoring", "final_set_tiebreak"):
-        low = value.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
-    if key in ("n", "seed", "best_of", "n_jobs", "min_matches", "k"):
+_SWITCH_WORDS = {"true": True, "yes": True, "1": True, "on": True,
+                 "false": False, "no": False, "0": False, "off": False}
+
+
+def _read_setting(key: str, option: argparse.Action, text: str):
+    """One config value, read as the option reads its flag."""
+    if option.nargs == 0:  # a store_true or store_false flag
+        if text.lower() not in _SWITCH_WORDS:
+            raise ValueError(f"config key {key!r} expects a boolean, got {text!r}")
+        return _SWITCH_WORDS[text.lower()]
+    value = text
+    if option.type is not None:
         try:
-            return int(value)
-        except ValueError:
-            raise ValueError(f"config key {key!r} expects an integer, got {value!r}") from None
-    if key == "scenarios":
-        return [token.strip() for token in value.split(",") if token.strip()]
+            value = option.type(text)
+        except ValueError:  # int is the only option type
+            raise ValueError(f"config key {key!r} expects an integer, got {text!r}") from None
+    if option.choices is not None and value not in option.choices:
+        choices = ", ".join(map(str, option.choices))
+        raise ValueError(f"{key} must be one of {choices}, got {text!r}")
     return value
 
 
-def load_config_file(path: str) -> dict:
-    """Key = value lines; '#' comments; keys mirror the flag names."""
-    settings: dict = {}
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Override the flags with the `key = value` lines of args.config.
+
+    Each key is the setting name (dest) of one of the command's options,
+    and its value is read as that option reads its flag; a repeatable
+    option takes a comma list.  '#' starts a comment."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option.dest: option
+        for option in commands.choices[args.command]._actions
+        if option.dest not in ("help", "config")
+    }
+    path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -149,63 +165,44 @@ def load_config_file(path: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
+        key, equals, text = line.partition("=")
+        key, text = key.strip().lower(), text.strip()
         try:
-            settings[key] = _parse_config_value(key, value.strip())
+            if not equals:
+                raise ValueError("expected 'key = value'")
+            if key not in options:
+                raise ValueError(f"unknown config key {key!r} for {args.command}")
+            option = options[key]
+            if isinstance(option, argparse._AppendAction):
+                tokens = [token.strip() for token in text.split(",") if token.strip()]
+                setattr(args, key, [_read_setting(key, option, token) for token in tokens])
+            else:
+                setattr(args, key, _read_setting(key, option, text))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return settings
 
 
-_CONFIG_TO_ATTR = {
-    "records": "records",
-    "a": "player_a",
-    "b": "player_b",
-    "n": "n_matches",
-    "seed": "seed",
-    "scenarios": "scenario",
-    "best_of": "best_of",
-    "ad_scoring": "ad_scoring",
-    "final_set_tiebreak": "final_set_tiebreak",
-    "first_server": "first_server",
-    "scope": "scope",
-    "table1": "table1",
-    "n_jobs": "n_jobs",
-    "out": "out",
-    "min_matches": "min_matches",
-    "k": "k",
-    "tour": "tour",
-}
+def _same_file(path, other) -> bool:
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # one of them does not exist yet
+        return Path(path).resolve() == Path(other).resolve()
 
 
-def _apply_config(args: argparse.Namespace, path: str) -> None:
-    # Config file entries override whatever the flags said.
-    for key, value in load_config_file(path).items():
-        if hasattr(args, _CONFIG_TO_ATTR[key]):
-            setattr(args, _CONFIG_TO_ATTR[key], value)
-
-
-def _refuse_overwriting_inputs(paths: list[Path], output: Path) -> None:
-    """ValueError if writing the records CSV or its sidecar would replace
-    one of the input files."""
-    from .records import cache_path
-
-    for target in (output, cache_path(output)):
-        for path in paths:
-            with suppress(OSError):  # either may not exist
-                if os.path.samefile(path, target):
-                    raise ValueError(f"output {target} would overwrite the input {path}")
+def _refuse_overwriting_inputs(inputs: list, outputs: list[Path]) -> None:
+    """ValueError if writing one of the outputs would replace one of the inputs."""
+    for target in outputs:
+        for path in inputs:
+            if _same_file(path, target):
+                raise ValueError(f"output {target} would overwrite the input {path}")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     paths = [_resolve_data_path(p) for p in args.inputs]
-    _refuse_overwriting_inputs(paths, Path(args.output))
     from .ingest import ingest_table
-    from .records import save_records
+    from .records import cache_path, save_records
 
+    _refuse_overwriting_inputs(paths, [Path(args.output), cache_path(args.output)])
     table, report = ingest_table(paths)
     sha256 = save_records(table, args.output)
     payload = report.to_dict()
@@ -230,12 +227,7 @@ def cmd_list_players(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.config:
-        _apply_config(args, args.config)
-    # Usage errors come before anything is read or created.  A config
-    # file's tour has not been through the --tour choices.
-    if args.tour is not None and args.tour not in TOURS:
-        raise ValueError(f"tour must be one of {', '.join(TOURS)}, got {args.tour!r}")
+    # Usage errors come before anything is read or created.
     for name in ("min_matches", "k"):
         if getattr(args, name) < 1:
             raise ValueError(f"{name} must be at least 1")
@@ -324,26 +316,41 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config:
-        _apply_config(args, args.config)
-    if not args.player_a or not args.player_b:
-        print("error: --a and --b are required", file=sys.stderr)
-        return EXIT_USAGE
+    # Usage errors come before anything is read or created.
+    if not args.a or not args.b:
+        raise ValueError("--a and --b are required")
+    records_path = _resolve_data_path(args.records)
     from .counterfactual import default_table, load_table
     from .pools import PoolScope, build_pools, pool_summary
-    from .records import load_records
+    from .records import cache_path, load_records
     from .scoring import MatchFormat
-    from .simulate import (
-        SimulationConfig,
-        compare_scenarios,
-        format_comparison,
-        parse_scenario,
-    )
+    from .simulate import SimulationConfig, compare_scenarios, format_comparison, parse_scenario
 
-    records, dataset_sha256 = load_records(_resolve_data_path(args.records))
-    player_a = resolve_player(records, args.player_a)
-    player_b = resolve_player(records, args.player_b)
+    if args.out:
+        inputs = [records_path, cache_path(records_path), args.table1, args.config]
+        _refuse_overwriting_inputs([path for path in inputs if path], [Path(args.out)])
     scope = PoolScope(args.scope)
+    fmt = MatchFormat(
+        best_of=args.best_of,
+        ad_scoring=args.ad_scoring,
+        final_set_tiebreak=args.final_set_tiebreak,
+    )
+    tokens = args.scenarios or ["historic"]
+    configs = [
+        SimulationConfig(
+            n_matches=args.n,
+            seed=args.seed,
+            reduction_x=parse_scenario(token),
+            format=fmt,
+            first_server_policy=args.first_server,
+            pool_scope=scope,
+        )
+        for token in tokens
+    ]
+
+    records, dataset_sha256 = load_records(records_path)
+    player_a = resolve_player(records, args.a)
+    player_b = resolve_player(records, args.b)
     pools = build_pools(records, player_a, player_b, scope)
 
     if args.table1:
@@ -357,24 +364,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    fmt = MatchFormat(
-        best_of=args.best_of,
-        ad_scoring=args.ad_scoring,
-        final_set_tiebreak=args.final_set_tiebreak,
-    )
-    tokens = args.scenario or ["historic"]
-    fractions = [parse_scenario(token) for token in tokens]
-    configs = [
-        SimulationConfig(
-            n_matches=args.n_matches,
-            seed=args.seed,
-            reduction_x=x,
-            format=fmt,
-            first_server_policy=args.first_server,
-            pool_scope=scope,
-        )
-        for x in fractions
-    ]
     if args.out:
         # An output that cannot be written fails now, not after the simulation.
         open(args.out, "a", encoding="utf-8").close()
@@ -392,7 +381,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "player_a": player_a,
                 "player_b": player_b,
                 "scenarios": tokens,
-                "n_matches": args.n_matches,
+                "n_matches": args.n,
                 "best_of": args.best_of,
                 "ad_scoring": args.ad_scoring,
                 "final_set_tiebreak": args.final_set_tiebreak,
@@ -436,26 +425,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="descriptive unforced-error statistics")
     p_stats.add_argument("--records", required=True)
     p_stats.add_argument("--tour", choices=TOURS, default=None)
-    p_stats.add_argument("--min-matches", dest="min_matches", type=int, default=10)
+    p_stats.add_argument("--min-matches", type=int, default=10)
     p_stats.add_argument("--k", type=int, default=5, help="ranking table size")
-    p_stats.add_argument("--out-dir", dest="out_dir", default="stats_out")
+    p_stats.add_argument("--out-dir", default="stats_out")
     p_stats.add_argument("--svg", action="store_true", help="also render SVG charts")
     p_stats.add_argument("--config", default=None, help="key = value file overriding flags")
     p_stats.set_defaults(func=cmd_stats)
 
     p_sim = sub.add_parser("simulate", help="bootstrap what-if match simulation")
     p_sim.add_argument("--records", required=True)
-    p_sim.add_argument("--a", dest="player_a", help="player mapped to A (errors removable)")
-    p_sim.add_argument("--b", dest="player_b", help="player mapped to B")
+    p_sim.add_argument("--a", help="player mapped to A (errors removable)")
+    p_sim.add_argument("--b", help="player mapped to B")
     p_sim.add_argument(
         "--scenario",
+        dest="scenarios",
         action="append",
         default=None,
         help="historic, eliminate, or reduce:<x>; repeatable (default historic)",
     )
-    p_sim.add_argument("--n", dest="n_matches", type=int, default=3000)
+    p_sim.add_argument("--n", type=int, default=3000)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--best-of", dest="best_of", type=int, choices=(3, 5), default=5)
+    p_sim.add_argument("--best-of", type=int, choices=(3, 5), default=5)
     p_sim.add_argument(
         "--no-ad", dest="ad_scoring", action="store_false", help="no-ad game scoring"
     )
@@ -467,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--first-server",
-        dest="first_server",
         choices=("alternate", "fixed_A", "fixed_B", "random"),
         default="alternate",
     )
@@ -480,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--table1", default=None, help="counterfactual table override file")
     p_sim.add_argument(
         "--n-jobs",
-        dest="n_jobs",
         type=int,
         default=1,
         help="recorded in the manifest only: replicates run on every CPU the "
@@ -498,6 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            _apply_config(args, parser)
         return args.func(args)
     except BrokenPipeError:
         # The reader of stdout left early (as `| head` does): nothing is

@@ -103,6 +103,8 @@ class ServeRecord:
     None for first-serve faults, and error_committer is set only for rally
     errors (forced/unforced).  Construction checks each field's domain,
     then _record_rules, the rules between fields that RecordTable checks.
+    serve_number, terminal_touch and year (unless None) must be ints: a
+    numpy integer counts, a bool does not.
     """
 
     match_id: str
@@ -118,6 +120,11 @@ class ServeRecord:
     tour: str | None = None
 
     def __post_init__(self):
+        for name in ("serve_number", "terminal_touch", "year"):
+            value = getattr(self, name)
+            if type(value) is not int and not isinstance(value, np.integer):
+                if value is not None or name != "year":
+                    raise ValueError(f"{name} must be an int, got {value!r}")
         if self.serve_number not in (1, 2):
             raise ValueError(f"serve_number must be 1 or 2, got {self.serve_number}")
         if not 1 <= self.terminal_touch <= MAX_TERMINAL_TOUCH:

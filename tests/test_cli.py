@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main()."""
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -31,6 +32,8 @@ from ufesim.records import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
+# A valid --table1 file.
+TABLE1 = "2 0.53\n3 0.60\n4 0.55\n5 0.59\n6 0.56\n7 0.58\n8 0.57\n9 0.575\n10 0.57\n"
 K = TerminalKind
 S, R = Role.SERVER, Role.RECEIVER
 
@@ -478,6 +481,45 @@ def test_simulate_unwritable_out_fails_before_simulating(
     assert str(tmp_path) in capsys.readouterr().err
 
 
+def test_simulate_refuses_to_overwrite_an_input(records_csv, tmp_path, monkeypatch, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text(TABLE1)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n = 24\n")
+    cache_path(records_csv).unlink()  # a read would write it again
+    monkeypatch.setattr(records_module, "_read_table", _must_not_read)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    # The records CSV under another name, its sidecar (not yet written),
+    # the table and the config.
+    for out in (tmp_path / "." / "records.csv", cache_path(records_csv), table, cfg):
+        argv = simulate_args(records_csv, "--table1", str(table), "--config", str(cfg),
+                             "--out", str(out))
+        assert main(argv) == 2
+        assert f"output {out} would overwrite the input" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--n", "0"], "", "n_matches must be positive"),
+        (["--scenario", "bogus"], "", "unknown scenario 'bogus'"),
+        ([], "scope = bogus", "scope must be one of head_to_head, versus_field, got 'bogus'"),
+        ([], "best_of = 4", "best_of must be one of 3, 5, got '4'"),
+    ],
+)
+def test_simulate_usage_error_reads_and_creates_nothing(records_csv, tmp_path, capsys, flags,
+                                                        config, message):
+    cache_path(records_csv).unlink()  # a read would write it again
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(config)
+    before = sorted(tmp_path.rglob("*"))
+    argv = simulate_args(records_csv, *flags, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_simulate_endless_match_is_data_error(tmp_path, capsys):
     mid = "20190101-M-Testopen-F-Alpha_One-Beta_Two"
     records = [
@@ -680,9 +722,7 @@ def test_simulate_unknown_config_key_is_usage_error(records_csv, tmp_path, capsy
 
 def test_simulate_table_override(records_csv, tmp_path, capsys):
     table = tmp_path / "table.txt"
-    table.write_text(
-        "2 0.53\n3 0.60\n4 0.55\n5 0.59\n6 0.56\n7 0.58\n8 0.57\n9 0.575\n10 0.57\n"
-    )
+    table.write_text(TABLE1)
     assert main(simulate_args(records_csv, "--table1", str(table))) == 0
     capsys.readouterr()
 
@@ -793,12 +833,15 @@ def test_non_utf8_config_is_usage_error_naming_the_file(command, records_csv, tm
     assert "UTF-8" in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "stats"])
+# Each command is given value errors for keys of its own.
 @pytest.mark.parametrize(
-    "line, message",
+    "line, message, command",
     [
-        ("seed = abc", "config key 'seed' expects an integer, got 'abc'"),
-        ("ad_scoring = maybe", "config key 'ad_scoring' expects a boolean, got 'maybe'"),
+        ("seed = abc", "config key 'seed' expects an integer, got 'abc'", "simulate"),
+        ("ad_scoring = maybe", "config key 'ad_scoring' expects a boolean, got 'maybe'",
+         "simulate"),
+        ("min_matches = abc", "config key 'min_matches' expects an integer, got 'abc'", "stats"),
+        ("svg = maybe", "config key 'svg' expects a boolean, got 'maybe'", "stats"),
     ],
 )
 def test_config_value_error_names_file_and_line(command, line, message, records_csv, tmp_path,
@@ -808,3 +851,90 @@ def test_config_value_error_names_file_and_line(command, line, message, records_
     assert main(_config_argv(command, records_csv, tmp_path, cfg)) == 2
     assert f"error: {cfg}: line 2: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [("stats", "seed", 7), ("simulate", "min_matches", 2)]
+)
+def test_config_key_of_another_command_is_usage_error(command, key, value, records_csv,
+                                                      tmp_path, monkeypatch, capsys):
+    cache_path(records_csv).unlink()  # a read would write it again
+    monkeypatch.setattr(records_module, "_read_table", _must_not_read)
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(f"# {command} does not take {key}\n{key} = {value}\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(_config_argv(command, records_csv, tmp_path, cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 2: unknown config key {key!r} for {command}\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def _options(command):
+    (commands,) = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    return [a for a in commands.choices[command]._actions if a.dest not in ("help", "config")]
+
+
+# A value for each option, unlike the one the base run gives it where the
+# outputs would show the difference.
+OPTION_VALUES = {
+    "stats": {
+        "records": "copy.csv",
+        "tour": "WTA",
+        "min_matches": 1,
+        "k": 2,
+        "out_dir": "other_dir",
+        "svg": True,
+    },
+    "simulate": {
+        "records": "copy.csv",
+        "a": "ALPHA one",
+        "b": "beta_two",
+        "scenarios": ["historic", "reduce:0.5"],
+        "n": 24,
+        "seed": 7,
+        "best_of": 3,
+        "ad_scoring": False,
+        "final_set_tiebreak": False,
+        "first_server": "random",
+        "scope": "versus_field",
+        "table1": "table.txt",
+        "n_jobs": 2,
+        "out": "other.json",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command in OPTION_VALUES for option in _options(command)],
+    ids=lambda value: getattr(value, "dest", value),
+)
+def test_config_line_and_flag_give_the_same_outputs(command, option, records_csv, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(records_csv, "copy.csv")
+    Path("table.txt").write_text(TABLE1)
+    value = OPTION_VALUES[command][option.dest]
+    if command == "simulate":
+        base = simulate_args(records_csv, "--out", "sim.json")
+    else:
+        base = ["stats", "--records", str(records_csv), "--out-dir", "s"]
+    out = Path(value if option.dest in ("out", "out_dir") else base[-1])
+    if option.nargs == 0:
+        flag, line = [option.option_strings[0]], "yes" if value else "no"
+    elif isinstance(value, list):
+        flag = [arg for token in value for arg in (option.option_strings[0], token)]
+        line = ", ".join(value)
+    else:
+        flag, line = [option.option_strings[0], str(value)], str(value)
+    Path("run.cfg").write_text(f"{option.dest} = {line}\n")
+    outputs = []
+    for argv in (base + flag, base + ["--config", "run.cfg"]):
+        assert main(argv) == 0
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        outputs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in files}))
+        shutil.rmtree(out) if out.is_dir() else out.unlink()
+    assert outputs[0] == outputs[1]

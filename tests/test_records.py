@@ -74,6 +74,32 @@ def test_kind_and_roles_must_be_enum_members(field, kwargs):
         make_record(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("serve_number", dict(serve_number=1.0)),
+        ("serve_number", dict(serve_number=True)),
+        ("serve_number", dict(serve_number=None)),
+        ("terminal_touch", dict(kind=K.UNFORCED_ERROR, touch=4.0, committer=Role.RECEIVER)),
+        ("terminal_touch", dict(touch=True)),
+        ("year", dict(year=2019.0, match_id="20190101-M-X-F-A-B")),
+        ("year", dict(year=np.float64(2019), match_id="20190101-M-X-F-A-B")),
+    ],
+)
+def test_count_fields_must_be_ints(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+        make_record(**kwargs)
+
+
+def test_numpy_integers_count_as_ints():
+    rec = make_record(
+        kind=K.UNFORCED_ERROR, touch=np.int32(4), committer=Role.RECEIVER,
+        serve_number=np.int8(2), year=np.int16(2019),
+    )
+    assert RecordTable.from_records([rec]).to_records() == [rec]
+    assert make_record(year=None).year is None
+
+
 # ServeRecord and a one-row RecordTable agree on every combination of codes.
 
 RULE_MESSAGES = [message for message, _ in records_module._record_rules(1, 1, 0, 0, -1)]
