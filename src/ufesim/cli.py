@@ -12,7 +12,8 @@ only when it gets to them, so `--version`, a config error or a missing
 build_parser declares each setting once: a `stats` or `simulate`
 `--config` line sets one of the command's options by its dest, read
 with the flag's type and choices, and any other key is a usage error.
-`simulate --out` never replaces one of the command's input files.
+Neither `stats` nor `simulate --out` ever replaces one of the command's
+input files, and a failed `simulate` leaves no `--out` file it created.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -197,6 +199,23 @@ def _refuse_overwriting_inputs(inputs: list, outputs: list[Path]) -> None:
                 raise ValueError(f"output {target} would overwrite the input {path}")
 
 
+@contextmanager
+def _claimed_output(path: str | None):
+    """Open path (unless None) for appending, so that an output that cannot
+    be written fails before the work; if the work fails, a file this made
+    is removed and one that was there is left as it was."""
+    created = path is not None and not os.path.lexists(path)
+    if path is not None:
+        open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     paths = [_resolve_data_path(p) for p in args.inputs]
     from .ingest import ingest_table
@@ -226,11 +245,23 @@ def cmd_list_players(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The files stats writes into --out-dir, and the charts --svg adds.
+STATS_OUTPUTS = ("profiles.csv", "rankings.csv", "touch_curve_server.csv",
+                 "touch_curve_receiver.csv", "year_series.csv", "histogram.csv", "manifest.json")
+STATS_CHARTS = ("touch_curve_server.svg", "touch_curve_receiver.svg", "year_series.svg",
+                "histogram.svg")
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     # Usage errors come before anything is read or created.
     for name in ("min_matches", "k"):
         if getattr(args, name) < 1:
             raise ValueError(f"{name} must be at least 1")
+    records_path = _resolve_data_path(args.records)
+    out_dir = Path(args.out_dir)
+    out = {name: out_dir / name for name in STATS_OUTPUTS + (STATS_CHARTS if args.svg else ())}
+    inputs = [path for path in (records_path, args.config) if path]
+    _refuse_overwriting_inputs(inputs, list(out.values()))
     from .analytics import (
         histogram_bins,
         histogram_to_csv,
@@ -243,8 +274,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     from .records import Role, load_records
 
-    table, dataset_sha256 = load_records(_resolve_data_path(args.records))
-    out_dir = Path(args.out_dir)
+    table, dataset_sha256 = load_records(records_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tally = tally_records(table, tour=args.tour)
@@ -259,32 +289,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
 
     lowest, highest = rate_rankings(profiles.values(), args.min_matches, args.k)
-    profiles_to_csv(profiles.values(), out_dir / "profiles.csv")
-    rankings_to_csv(lowest, highest, out_dir / "rankings.csv")
+    profiles_to_csv(profiles.values(), out["profiles.csv"])
+    rankings_to_csv(lowest, highest, out["rankings.csv"])
     server_curve = tally.touch_curve(Role.SERVER)
     receiver_curve = tally.touch_curve(Role.RECEIVER)
-    touch_curve_to_csv(server_curve, out_dir / "touch_curve_server.csv")
-    touch_curve_to_csv(receiver_curve, out_dir / "touch_curve_receiver.csv")
+    touch_curve_to_csv(server_curve, out["touch_curve_server.csv"])
+    touch_curve_to_csv(receiver_curve, out["touch_curve_receiver.csv"])
     series = tally.year_series()
-    year_series_to_csv(series, out_dir / "year_series.csv")
+    year_series_to_csv(series, out["year_series.csv"])
     bins = histogram_bins(eligible)
-    histogram_to_csv(bins, out_dir / "histogram.csv")
+    histogram_to_csv(bins, out["histogram.csv"])
 
     if args.svg:
         from .svg import bar_chart, line_chart
 
-        (out_dir / "touch_curve_server.svg").write_text(
-            line_chart(server_curve, "Server UFE rate by touch"), encoding="utf-8"
+        charts = (
+            line_chart(server_curve, "Server UFE rate by touch"),
+            line_chart(receiver_curve, "Receiver UFE rate by touch"),
+            line_chart(series, "UFE rate by year"),
+            bar_chart(bins, "Players by UFE rate (%)"),
         )
-        (out_dir / "touch_curve_receiver.svg").write_text(
-            line_chart(receiver_curve, "Receiver UFE rate by touch"), encoding="utf-8"
-        )
-        (out_dir / "year_series.svg").write_text(
-            line_chart(series, "UFE rate by year"), encoding="utf-8"
-        )
-        (out_dir / "histogram.svg").write_text(
-            bar_chart(bins, "Players by UFE rate (%)"), encoding="utf-8"
-        )
+        for name, chart in zip(STATS_CHARTS, charts):
+            out[name].write_text(chart, encoding="utf-8")
 
     manifest = build_manifest(
         "stats",
@@ -296,7 +322,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         },
         dataset_sha256=dataset_sha256,
     )
-    (out_dir / "manifest.json").write_text(
+    out["manifest.json"].write_text(
         json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
     )
 
@@ -364,42 +390,41 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    if args.out:
-        # An output that cannot be written fails now, not after the simulation.
-        open(args.out, "a", encoding="utf-8").close()
-    comparison = compare_scenarios(configs, pools, touch_table, n_jobs=args.n_jobs)
+    # An output that cannot be written fails now, not after the simulation.
+    with _claimed_output(args.out):
+        comparison = compare_scenarios(configs, pools, touch_table)
+        if args.out:
+            manifest = build_manifest(
+                "simulate",
+                {
+                    "records": str(args.records),
+                    "player_a": player_a,
+                    "player_b": player_b,
+                    "scenarios": tokens,
+                    "n_matches": args.n,
+                    "best_of": args.best_of,
+                    "ad_scoring": args.ad_scoring,
+                    "final_set_tiebreak": args.final_set_tiebreak,
+                    "first_server": args.first_server,
+                    "scope": scope.value,
+                    "table1": args.table1,
+                    "n_jobs": args.n_jobs,
+                },
+                seed=args.seed,
+                dataset_sha256=dataset_sha256,
+            )
+            payload = {
+                "manifest": manifest.to_dict(),
+                "pools": pool_summary(pools),
+                "summaries": [s.to_dict() for s in comparison.summaries],
+                "differences": [d.to_dict() for d in comparison.deltas],
+            }
+            Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
     print(f"players: A = {player_a}, B = {player_b}  (scope: {scope.value})")
     print(f"seed: {args.seed}")
     print(format_comparison(comparison))
-
     if args.out:
-        manifest = build_manifest(
-            "simulate",
-            {
-                "records": str(args.records),
-                "player_a": player_a,
-                "player_b": player_b,
-                "scenarios": tokens,
-                "n_matches": args.n,
-                "best_of": args.best_of,
-                "ad_scoring": args.ad_scoring,
-                "final_set_tiebreak": args.final_set_tiebreak,
-                "first_server": args.first_server,
-                "scope": scope.value,
-                "table1": args.table1,
-                "n_jobs": args.n_jobs,
-            },
-            seed=args.seed,
-            dataset_sha256=dataset_sha256,
-        )
-        payload = {
-            "manifest": manifest.to_dict(),
-            "pools": pool_summary(pools),
-            "summaries": [s.to_dict() for s in comparison.summaries],
-            "differences": [d.to_dict() for d in comparison.deltas],
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
         print(f"wrote {args.out}")
     return EXIT_OK
 

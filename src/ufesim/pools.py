@@ -11,10 +11,10 @@ draws from instead of records:
     -1        first-serve fault (redraw from the second-serve pool)
      0        A wins the point
      1        B wins the point
-     t >= 2   unforced error by A at touch t; B wins unless it is struck
+     t >= 2   unforced error by A at touch min(t, 10); B wins unless struck
 
-Index 0 of first_codes/second_codes is A serving, index 1 is B.
-max_code is the highest code in any pool.
+A code t >= 2 indexes TouchWinTable.by_touch.  Index 0 of
+first_codes/second_codes is A serving, index 1 is B.
 
 build_pools selects each pool's rows of a RecordTable with a mask and
 takes those rows, in file order, as the pool's table.
@@ -28,6 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .counterfactual import MAX_TOUCH
 from .errors import EmptyPoolError
 from .records import KIND_CODES, RecordTable, ServeRecord, TerminalKind, as_table
 
@@ -70,7 +71,7 @@ def _point_codes(pool: RecordTable, server: int) -> tuple[int, ...]:
     """The point code of each row of a pool served by A (server 0) or B
     (1); role code r of a row belongs to player r ^ server."""
     by_a = (pool.kind == _UFE_KIND) & (pool.committer == server)
-    codes = np.where(by_a, pool.touch, pool.winner ^ server)
+    codes = np.where(by_a, np.minimum(pool.touch, MAX_TOUCH), pool.winner ^ server)
     codes[pool.kind == _FAULT_KIND] = FAULT
     return tuple(codes.tolist())
 
@@ -91,7 +92,6 @@ class ServePoolSet:
     second_codes: tuple[tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
-    max_code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tables = {}
@@ -109,7 +109,6 @@ class ServePoolSet:
             object.__setattr__(self, name, codes)
         if FAULT in self.second_codes[0] or FAULT in self.second_codes[1]:
             raise ValueError("a second-serve pool cannot hold a first-serve fault")
-        object.__setattr__(self, "max_code", max(map(max, self.first_codes + self.second_codes)))
 
     def size(self, pool_id: PoolId) -> int:
         return len(self.pools[pool_id])

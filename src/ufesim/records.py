@@ -8,9 +8,9 @@ rates survive into the serve pools.
 A RecordTable holds the same records as columns: one numpy array per
 field, with names interned and kinds and roles as small int codes.  A
 TableBuilder is the one way to make those columns: ingest_table,
-RecordTable.from_records and the CSV reader all add points to one, so
-every table interns its ids in the same order.  RecordTable's vectorised
-checks are the one check of records read from a file, and
+RecordTable.from_records and the CSV reader all add points to one, and
+it interns each string in the order of the rows.  RecordTable's
+vectorised checks are the one check of records read from a file, and
 RecordTable.to_records is the one place records become ServeRecords.
 RecordTable.take cuts a table of some rows out of a table, with string
 tables cut down to what those rows use and no check run again; each
@@ -25,16 +25,18 @@ load_records reads a records CSV into a table through a sidecar cache,
 `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
 On a miss each row's fields are mapped straight to column codes (kind
 and role by lookup, numbers by int()), and the sidecar is rewritten
-from the table.  read_records_csv is the same read as ServeRecords,
-with no sidecar.  save_records writes a table's CSV and its sidecar
-together.  This module is the only one that knows the column layout and
-the sidecar's.
+from the table.  The sidecar holds the ten columns and a JSON header of
+the format version, that digest and the string tables.
+read_records_csv is the same read as ServeRecords, with no sidecar.
+save_records writes a table's CSV and its sidecar together.  This
+module is the only one that knows the column layout and the sidecar's.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
+import json
 import os
 import shutil
 import struct
@@ -45,7 +47,7 @@ from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -428,10 +430,9 @@ class TableBuilder:
     """Grows the columns of a RecordTable one point at a time.
 
     add appends one row per serve of a point; build makes the table, and
-    is called once, after the last add.  Ids are interned in one order
-    whoever builds: matches and tours by first row, players as servers
-    first and then the names only ever seen receiving; a missing year or
-    tour is -1.
+    is called once, after the last add.  Each string's id is its place
+    in the order the rows first name it: a row names its server, then its
+    receiver.  A missing year or tour is -1.
     """
 
     def __init__(self) -> None:
@@ -439,8 +440,7 @@ class TableBuilder:
         # Appenders in column order.
         self._appenders = tuple(column.append for column in self._columns)
         self._matches: dict[str, int] = {}
-        self._servers: dict[str, int] = {}
-        self._receivers: dict[str, int] = {}
+        self._players: dict[str, int] = {}
         self._tours: dict[str, int] = {}
 
     def add(
@@ -454,11 +454,10 @@ class TableBuilder:
     ) -> None:
         """One row per serve of a point, in order; a serve is its
         (serve_number, touch, kind, winner, committer) column codes."""
-        matches, servers, receivers = self._matches, self._servers, self._receivers
+        matches, players = self._matches, self._players
         m = matches.setdefault(match_id, len(matches))
-        s = servers.setdefault(server_id, len(servers))
-        # A receiver id indexes the receivers until build maps it to a player.
-        r = receivers.setdefault(receiver_id, len(receivers))
+        s = players.setdefault(server_id, len(players))
+        r = players.setdefault(receiver_id, len(players))
         y = NONE_CODE if year is None else year
         t = NONE_CODE if tour is None else self._tours.setdefault(tour, len(self._tours))
         (add_match, add_server, add_receiver, add_serve_number, add_touch,
@@ -477,18 +476,10 @@ class TableBuilder:
 
     def build(self) -> RecordTable:
         """The table of every row added, checked as RecordTable checks."""
-        players = dict(self._servers)
-        for name in self._receivers:
-            players.setdefault(name, len(players))
-        columns = {name: np.asarray(column) for (name, _), column in zip(_COLUMNS, self._columns)}
-        to_player = np.fromiter(
-            map(players.__getitem__, self._receivers), np.int32, len(self._receivers)
-        )
-        columns["receiver"] = to_player[columns["receiver"]]
         return RecordTable(
-            **columns,
+            **{name: np.asarray(column) for (name, _), column in zip(_COLUMNS, self._columns)},
             matches=tuple(self._matches),
-            players=tuple(players),
+            players=tuple(self._players),
             tours=tuple(self._tours),
         )
 
@@ -599,7 +590,7 @@ def read_records_csv(path) -> list[ServeRecord]:
     return _read_table(Path(path)).to_records()
 
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_SUFFIX = ".ufesim-cache.npz"
 
 # What reading a missing, truncated or otherwise corrupt sidecar can raise.
@@ -632,46 +623,32 @@ def cache_path(records_path: str | Path) -> Path:
     return path.with_name(path.name + CACHE_SUFFIX)
 
 
-def _encode_strings(strings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    # UTF-8 bytes plus offsets: numpy's fixed-width str arrays would drop
-    # trailing NULs.
-    encoded = [s.encode("utf-8") for s in strings]
-    offsets = np.array([0, *accumulate(map(len, encoded))], dtype=np.int64)
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
-
-
-def _decode_strings(data: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
-    if data.dtype != np.uint8 or data.ndim != 1 or offsets.dtype != np.int64:
-        raise ValueError("a string table has the wrong dtype")
-    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != data.size:
-        raise ValueError("string offsets do not span the bytes")
-    if (np.diff(offsets) < 0).any():
-        raise ValueError("string offsets decrease")
-    raw = data.tobytes()
-    bounds = offsets.tolist()
-    return tuple(raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
-
-
 def _to_arrays(table: RecordTable, sha256: str) -> dict[str, np.ndarray]:
-    """The sidecar's contents for a table read from a CSV with this digest."""
-    arrays = {"version": np.array(CACHE_VERSION), "sha256": np.array(sha256)}
+    """The sidecar's contents for a table read from a CSV with this digest.
+
+    The header's JSON is ASCII, with every other character escaped, so a
+    name keeps a trailing NUL that a numpy str array would drop."""
+    header = {"version": CACHE_VERSION, "sha256": sha256}
+    header.update((name, getattr(table, name)) for name in _STRING_TABLES)
+    arrays = {"header": np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8)}
     arrays.update((name, getattr(table, name)) for name, _ in _COLUMNS)
-    for name in _STRING_TABLES:
-        arrays[f"{name}_utf8"], arrays[f"{name}_offsets"] = _encode_strings(getattr(table, name))
     return arrays
 
 
 def _from_arrays(arrays: Mapping[str, np.ndarray], sha256: str) -> RecordTable | None:
     """The table in a sidecar's contents; None if they are of another
     version or digest, and an error if they fail a check."""
-    if int(arrays["version"]) != CACHE_VERSION or str(arrays["sha256"]) != sha256:
+    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("the sidecar header is not a JSON object")
+    if header.get("version") != CACHE_VERSION or header.get("sha256") != sha256:
         return None
+    strings = {name: header[name] for name in _STRING_TABLES}
+    if not all(isinstance(table, list) for table in strings.values()):
+        raise ValueError("a string table is not a list")
     return RecordTable(
         **{name: arrays[name] for name, _ in _COLUMNS},
-        **{
-            name: _decode_strings(arrays[f"{name}_utf8"], arrays[f"{name}_offsets"])
-            for name in _STRING_TABLES
-        },
+        **{name: tuple(table) for name, table in strings.items()},
     )
 
 

@@ -9,10 +9,10 @@ bootstrap standard errors.
 
 The pools are drawn as the int point codes a ServePoolSet compiles once
 (-1 fault, 0 A wins, 1 B wins, t >= 2 an unforced error by A at touch
-t).  Every match is played by one kernel, _play_match: the scoring
-rules as loops over local int counters, with the point draw written out
-inside the game and tiebreak loops, so that a point calls no Python
-function.  simulate_match wraps its counters in a MatchResult; a
+t, clamped at 10).  Every match is played by one kernel, _play_match:
+the scoring rules as loops over local int counters, with the point draw
+written out inside the game and tiebreak loops, so that a point calls no
+Python function.  simulate_match wraps its counters in a MatchResult; a
 replicate block appends each match's shares straight to its columns.
 A point consumes uniforms from the replicate stream in a fixed order:
 one per serve drawn, one removal draw for every drawn error by A
@@ -42,7 +42,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .counterfactual import (
-    MAX_TOUCH,
     ReductionPolicy,
     TouchWinTable,
     default_table,
@@ -219,13 +218,12 @@ def _pool_draws(pools: ServePoolSet, table: TouchWinTable) -> tuple:
     for any size below 2**53.
     """
     first, second = pools.first_codes, pools.second_codes
-    by_touch = table.by_touch
     return (
         first,
         second,
         (float(len(first[0])), float(len(first[1]))),
         (float(len(second[0])), float(len(second[1]))),
-        [by_touch[min(code, MAX_TOUCH)] for code in range(pools.max_code + 1)],
+        table.by_touch,
     )
 
 
@@ -237,7 +235,7 @@ def _play_match(
     second_codes: tuple[tuple[int, ...], tuple[int, ...]],
     first_sizes: tuple[float, float],
     second_sizes: tuple[float, float],
-    struck_wins: list[float | None],
+    struck_wins: tuple[float | None, ...],
     rand,
 ) -> tuple:
     """Play one match from the point codes; players are 0 for A, 1 for B.

@@ -20,7 +20,12 @@ import numpy as np
 
 from ufesim.analytics import DEFAULT_MAX_TOUCH, PlayerUfeProfile, touch_exposure
 from ufesim.cli import _normalize_name
-from ufesim.counterfactual import ReductionPolicy, resolve_removed_ufe, should_remove_ufe
+from ufesim.counterfactual import (
+    MAX_TOUCH,
+    ReductionPolicy,
+    resolve_removed_ufe,
+    should_remove_ufe,
+)
 from ufesim.errors import (
     AmbiguousPlayerError,
     CsvFormatError,
@@ -425,13 +430,14 @@ def reference_build_pools(records, player_a, player_b, scope=PoolScope.HEAD_TO_H
 
 
 def reference_point_code(record, server):
-    """The point code of one record served by A (server 0) or B (1)."""
+    """The point code of one record served by A (server 0) or B (1); an
+    error by A codes its touch, clamped at MAX_TOUCH."""
     if record.is_first_serve_fault:
         return FAULT
     if record.terminal_kind is TerminalKind.UNFORCED_ERROR:
         committer = server if record.error_committer is Role.SERVER else 1 - server
         if committer == 0:
-            return record.terminal_touch
+            return min(record.terminal_touch, MAX_TOUCH)
     return server if record.point_winner is Role.SERVER else 1 - server
 
 
@@ -1006,7 +1012,8 @@ def _reference_csv_rows(table: RecordTable, rows: slice):
 
 
 # RecordTable.from_records as it was before every table was built by one
-# TableBuilder: one generator per column, each interning its own ids.
+# TableBuilder: one generator per column, but the players interned row by
+# row, server before receiver.
 
 _REFERENCE_COLUMNS = (
     ("match", np.int32),
@@ -1023,17 +1030,24 @@ _REFERENCE_COLUMNS = (
 
 
 def reference_from_records(records) -> RecordTable:
-    """Columns for records in iteration order; iterates them once."""
+    """Columns for records in iteration order; each string's id is its
+    place in the order the records first name it, a record naming its
+    server before its receiver."""
     records = list(records)
     matches: dict[str, int] = {}
     players: dict[str, int] = {}
     tours: dict[str | None, int] = {None: 0}
+    pairs = [
+        (players.setdefault(r.server_id, len(players)),
+         players.setdefault(r.receiver_id, len(players)))
+        for r in records
+    ]
 
-    # One generator per column, so no column exists as a Python list.
+    # One generator per column, so no other column exists as a Python list.
     values = {
         "match": (matches.setdefault(r.match_id, len(matches)) for r in records),
-        "server": (players.setdefault(r.server_id, len(players)) for r in records),
-        "receiver": (players.setdefault(r.receiver_id, len(players)) for r in records),
+        "server": (server for server, _ in pairs),
+        "receiver": (receiver for _, receiver in pairs),
         "serve_number": (r.serve_number for r in records),
         "touch": (r.terminal_touch for r in records),
         "kind": (KIND_CODES[r.terminal_kind] for r in records),

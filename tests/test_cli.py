@@ -353,6 +353,28 @@ def test_stats_usage_error_creates_nothing(records_csv, tmp_path, capsys, flags,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "records, config, flags",
+    [
+        ("profiles.csv", "stats.cfg", []),
+        ("records.csv", "manifest.json", []),
+        ("histogram.svg", "stats.cfg", ["--svg"]),
+    ],
+)
+def test_stats_refuses_to_overwrite_an_input(records_csv, tmp_path, monkeypatch, capsys,
+                                             records, config, flags):
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    shutil.copy(records_csv, records)  # no sidecar: a read would write one
+    Path(config).write_text("min_matches = 1\n")
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    argv = ["stats", "--records", records, "--out-dir", ".", "--config", config, *flags]
+    assert main(argv) == 2
+    assert "would overwrite the input" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
 def simulate_args(records_csv, *extra):
     return [
         "simulate",
@@ -481,6 +503,34 @@ def test_simulate_unwritable_out_fails_before_simulating(
     assert str(tmp_path) in capsys.readouterr().err
 
 
+def _endless_match_records(path):
+    """Records in which each server wins every point on their serve."""
+    mid = "20190101-M-Testopen-F-Alpha_One-Beta_Two"
+    records = [
+        make_record(server, receiver, K.ACE, 1, S, serve_number=n, match_id=mid)
+        for server, receiver in (("Alpha One", "Beta Two"), ("Beta Two", "Alpha One"))
+        for n in (1, 2)
+    ]
+    write_records_csv(records, path)
+    return path
+
+
+@pytest.mark.parametrize("existing", [None, b"earlier output"], ids=["new", "existing"])
+def test_failed_simulate_leaves_its_out_file_as_it_found_it(tmp_path, capsys, existing):
+    records = _endless_match_records(tmp_path / "aces.csv")
+    out = tmp_path / "o.json"
+    if existing is not None:
+        out.write_bytes(existing)
+    argv = ["simulate", "--records", str(records), "--a", "Alpha_One", "--b", "Beta_Two",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert "no match can end" in capsys.readouterr().err
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
 def test_simulate_refuses_to_overwrite_an_input(records_csv, tmp_path, monkeypatch, capsys):
     table = tmp_path / "table.txt"
     table.write_text(TABLE1)
@@ -521,14 +571,7 @@ def test_simulate_usage_error_reads_and_creates_nothing(records_csv, tmp_path, c
 
 
 def test_simulate_endless_match_is_data_error(tmp_path, capsys):
-    mid = "20190101-M-Testopen-F-Alpha_One-Beta_Two"
-    records = [
-        make_record(server, receiver, K.ACE, 1, S, serve_number=n, match_id=mid)
-        for server, receiver in (("Alpha One", "Beta Two"), ("Beta Two", "Alpha One"))
-        for n in (1, 2)
-    ]
-    path = tmp_path / "aces.csv"
-    write_records_csv(records, path)
+    path = _endless_match_records(tmp_path / "aces.csv")
     code = main(["simulate", "--records", str(path), "--a", "Alpha_One", "--b", "Beta_Two"])
     assert code == 3
     assert "no match can end" in capsys.readouterr().err

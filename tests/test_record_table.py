@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import csv
+import io
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,7 @@ from ufesim.records import (
 
 K = TerminalKind
 S, R = Role.SERVER, Role.RECEIVER
+COLUMNS = [name for name, _ in records_module._COLUMNS]
 
 # The csv module reads NUL characters from Python 3.11 on.
 CSV_READS_NUL = sys.version_info >= (3, 11)
@@ -273,6 +277,35 @@ def test_round_trip_cases(tmp_path, kwargs):
         assert load_records(path)[0].to_records() == records
 
 
+def test_sidecar_codec_keeps_every_string():
+    # A numpy str array would drop trailing NULs; the JSON header keeps
+    # them, the empty name and a name outside the BMP.
+    names = ["tail\x00", "", "\U0001F3BE serve", "\x00\x00"]
+    records = [
+        make_record(a, b, match_id=f"{a}|{b}", tour=b or None) for a, b in zip(names, names[1:])
+    ]
+    table = RecordTable.from_records(records)
+    buffer = io.BytesIO()
+    np.savez(buffer, **records_module._to_arrays(table, "0" * 64))
+    buffer.seek(0)
+    with np.load(buffer, allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(["header", *COLUMNS])
+        cached = records_module._from_arrays(npz, "0" * 64)
+    assert_same_table(cached, table)
+    assert cached.to_records() == records
+
+
+def test_ids_follow_the_rows(tmp_path):
+    # A row names its server, then its receiver; interning every server
+    # first would give ("A", "C", "B").
+    records = [make_record("A", "B"), make_record("C", "A")]
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    for table in (RecordTable.from_records(records), load_records(path)[0]):
+        assert table.players == ("A", "B", "C")
+        assert table.server.tolist() == [0, 2] and table.receiver.tolist() == [1, 0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(records=st.lists(serve_records(any_names()), max_size=30))
 def test_from_records_and_a_miss_match_the_reference(records):
@@ -441,14 +474,42 @@ def _save_sidecar(path: Path, arrays: dict) -> None:
         np.savez(fh, **arrays)
 
 
+def _header(arrays: dict):
+    return json.loads(arrays["header"].tobytes())
+
+
+def _put_header(arrays: dict, header) -> None:
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+
+
 def test_sidecar_of_another_version(csv_path, reads):
     load_records(csv_path)
     arrays = _sidecar_arrays(csv_path)
-    arrays["version"] = np.array(CACHE_VERSION + 1)
+    _put_header(arrays, {**_header(arrays), "version": CACHE_VERSION + 1})
     _save_sidecar(csv_path, arrays)
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
-    assert _sidecar_arrays(csv_path)["version"] == CACHE_VERSION
+    assert _header(_sidecar_arrays(csv_path))["version"] == CACHE_VERSION
+
+
+def test_sidecar_of_the_first_format_is_replaced(csv_path, reads):
+    # Format version 1 kept each string table as UTF-8 bytes plus int64
+    # offsets, and the version and digest as arrays of their own.
+    table, sha256 = load_records(csv_path)
+    arrays = {"version": np.array(1), "sha256": np.array(sha256)}
+    arrays.update((name, getattr(table, name)) for name in COLUMNS)
+    for name in ("matches", "players", "tours"):
+        encoded = [s.encode() for s in getattr(table, name)]
+        arrays[f"{name}_utf8"] = np.frombuffer(b"".join(encoded), np.uint8)
+        arrays[f"{name}_offsets"] = np.array([0, *accumulate(map(len, encoded))], np.int64)
+    _save_sidecar(csv_path, arrays)
+    assert load_records(csv_path)[0].to_records() == corpus()
+    assert len(reads) == 2
+    rewritten = _sidecar_arrays(csv_path)
+    assert sorted(rewritten) == sorted(["header", *COLUMNS])
+    assert _header(rewritten)["version"] == CACHE_VERSION == 2
+    assert load_records(csv_path)[0].to_records() == corpus()
+    assert len(reads) == 2
 
 
 TRIPPED: list[str] = []
@@ -466,7 +527,7 @@ class Tripwire:
         return (_trip, ())
 
 
-@pytest.mark.parametrize("key", ["players_utf8", "server", "version"])
+@pytest.mark.parametrize("key", ["header", "server"])
 def test_sidecar_holding_a_pickled_object_array(csv_path, reads, key):
     load_records(csv_path)
     arrays = _sidecar_arrays(csv_path)
@@ -523,6 +584,17 @@ def _set(column, row_of, value):
     return breaker
 
 
+def _edit_header(edit):
+    """A breaker that replaces the header with edit(header)."""
+    return lambda arrays: _put_header(arrays, edit(_header(arrays)))
+
+
+def _not_utf8(arrays):
+    raw = arrays["header"].tobytes()
+    assert b'"Ann Ace"' in raw
+    arrays["header"] = np.frombuffer(raw.replace(b'"Ann Ace"', b'"\xffnn Ace"'), np.uint8)
+
+
 BREAKERS = {
     "serve_number": _set("serve_number", lambda a: 0, 3),
     "touch": _set("touch", lambda a: 0, 0),
@@ -548,19 +620,20 @@ BREAKERS = {
     "match_id_range": lambda a: a["match"].__setitem__(0, a["match"].max() + 1),
     "player_id_negative": _set("server", lambda a: 0, -1),
     "tour_id_range": _set("tour", lambda a: 0, -2),
-    "unused_player": lambda a: a.update(
-        players_utf8=np.append(a["players_utf8"], np.frombuffer(b"Ghost", np.uint8)),
-        players_offsets=np.append(a["players_offsets"], a["players_offsets"][-1] + 5),
+    "unused_player": _edit_header(lambda h: {**h, "players": [*h["players"], "Ghost"]}),
+    "duplicate_tour": lambda a: (
+        _edit_header(lambda h: {**h, "tours": ["ATP", "ATP"]})(a),
+        a.update(tour=np.where(a["tour"] >= 0, 0, -1).astype(np.int32)),
     ),
-    "duplicate_tour": lambda a: a.update(
-        tours_utf8=np.frombuffer(b"ATPATP", np.uint8),
-        tours_offsets=np.array([0, 3, 6], np.int64),
-        tour=np.where(a["tour"] >= 0, 0, -1).astype(np.int32),
-    ),
-    "bad_utf8": lambda a: a["matches_utf8"].__setitem__(0, 0xFF),
+    "bad_utf8": _not_utf8,
     "wide_dtype": lambda a: a.update(touch=a["touch"].astype(np.int64)),
     "short_column": lambda a: a.update(kind=a["kind"][:-1]),
-    "wrong_sha": lambda a: a.update(sha256=np.array("0" * 64)),
+    "wrong_sha": _edit_header(lambda h: {**h, "sha256": "0" * 64}),
+    "header_not_an_object": _edit_header(lambda h: list(h.values())),
+    # A JSON object of the names would give them back as tuple(dict).
+    "table_not_a_list": _edit_header(lambda h: {**h, "players": dict.fromkeys(h["players"], 0)}),
+    "name_not_a_string": _edit_header(lambda h: {**h, "tours": [1]}),
+    "missing_table": _edit_header(lambda h: {k: v for k, v in h.items() if k != "tours"}),
 }
 
 
@@ -635,7 +708,6 @@ def _assert_pools_match_references(pools, expected):
         for number in (1, 2)
     )
     assert (pools.first_codes, pools.second_codes) == (first, second)
-    assert pools.max_code == max(max(codes) for codes in first + second)
     assert pool_summary(pools) == reference_pool_summary(
         expected, pools.player_a, pools.player_b, pools.scope
     )
@@ -661,7 +733,5 @@ def test_pool_set_of_records_equals_build_pools_over_their_table():
         scope=PoolScope.HEAD_TO_HEAD,
     )
     assert all(isinstance(pool, RecordTable) for pool in given.pools.values())
-    assert (given.first_codes, given.second_codes, given.max_code) == (
-        built.first_codes, built.second_codes, built.max_code
-    )
+    assert (given.first_codes, given.second_codes) == (built.first_codes, built.second_codes)
     assert pool_summary(given) == pool_summary(built)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, serve_mix
 from oracles import (
     game_win_probability,
     reference_simulate_match,
@@ -26,10 +26,10 @@ from oracles import (
 )
 from ufesim import simulate
 from ufesim.cli import main
-from ufesim.counterfactual import ELIMINATE, HISTORIC, ReductionPolicy, default_table
+from ufesim.counterfactual import ELIMINATE, HISTORIC, MAX_TOUCH, ReductionPolicy, default_table
 from ufesim.errors import EndlessMatchError
 from ufesim.pools import PoolScope, build_pools
-from ufesim.records import Role, TerminalKind, write_records_csv
+from ufesim.records import MAX_TERMINAL_TOUCH, Role, TerminalKind, write_records_csv
 from ufesim.rng import derive_seed, replicate_stream
 from ufesim.scoring import MatchFormat
 from ufesim.simulate import (
@@ -379,6 +379,22 @@ def test_compare_scenarios_pairs_and_quadrature(mixed_pools):
     first = comparison.deltas[0]
     assert first.se_points == pytest.approx(math.hypot(s0.se_points,
                                                        comparison.summaries[1].se_points))
+
+
+def test_an_error_at_the_longest_touch_plays_as_one_past_the_table():
+    def pools_with_a_error_at(touch):
+        a, b = "Ann Ace", "Bob Base"
+        error = make_record(a, b, K.UNFORCED_ERROR, touch, R, committer=S)
+        return build_pools(serve_mix(a, b) + [error] + serve_mix(b, a), a, b)
+
+    longest = pools_with_a_error_at(MAX_TERMINAL_TOUCH)
+    # First, so that compiling the touch itself fails before anything
+    # sizes a list by it.
+    assert max(map(max, longest.first_codes + longest.second_codes)) == MAX_TOUCH
+    configs = [SimulationConfig(n_matches=40, seed=5, reduction_x=x) for x in (0.0, 1.0)]
+    assert compare_scenarios(configs, longest) == compare_scenarios(
+        configs, pools_with_a_error_at(MAX_TOUCH + 1)
+    )
 
 
 def test_format_summary_table_layout(mixed_pools):
