@@ -159,7 +159,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     }
     path = args.config
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -133,7 +133,7 @@ def load_table(path: str) -> TouchWinTable:
     """
     probs: dict[int, float] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise TableFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -10,15 +10,16 @@ bootstrap standard errors.
 The pools are drawn as the int point codes a ServePoolSet compiles once
 (-1 fault, 0 A wins, 1 B wins, t >= 2 an unforced error by A at touch
 t, clamped at 10).  Every match is played by one kernel, _play_match:
-the scoring rules as loops over local int counters, with the point draw
-written out inside the game and tiebreak loops, so that a point calls no
-Python function.  simulate_match wraps its counters in a MatchResult; a
-replicate block appends each match's shares straight to its columns.
-A point consumes uniforms from the replicate stream in a fixed order:
-one per serve drawn, one removal draw for every drawn error by A
-(whatever x is, x = 0 included), and one resolution draw when the error
-is struck.  Only rng.random() is called, and the first server costs one
-draw under the 'random' policy.
+the scoring rules as loops over local int counters around one point
+loop, which holds the point draw once and calls no Python function.  A
+tiebreak is a game in that loop, to the format's target points by 2,
+whose serve changes after each odd point.  simulate_match wraps the
+kernel's counters in a MatchResult; a replicate block appends each
+match's shares straight to its columns.  A point consumes uniforms from
+the replicate stream in a fixed order: one per serve drawn, one removal
+draw for every drawn error by A (whatever x is, x = 0 included), and one
+resolution draw when the error is struck.  Only rng.random() is called,
+and the first server costs one draw under the 'random' policy.
 
 Replicates run on every CPU the process may use.  run_simulation and
 compare_scenarios cut each scenario into blocks of at least _MIN_BLOCK
@@ -210,19 +211,20 @@ def simulate_match(
 
 
 def _pool_draws(pools: ServePoolSet, table: TouchWinTable) -> tuple:
-    """_play_match's pool arguments: both servers' first- and second-serve
-    codes, the pool sizes as floats, and the chance that A wins a point
-    whose error at each code is struck.
+    """_play_match's pool arguments: for each server (A first) a
+    (first-serve codes, their count, second-serve codes, their count)
+    tuple, and the chance that A wins a point whose error at each code is
+    struck.
 
-    A float size indexes as the int one: int(u * 2410.0) == int(u * 2410)
-    for any size below 2**53.
+    The counts are floats: int(u * 2410.0) == int(u * 2410) for any size
+    below 2**53, so a float count indexes as the int one.
     """
-    first, second = pools.first_codes, pools.second_codes
+    (a_first, b_first), (a_second, b_second) = pools.first_codes, pools.second_codes
     return (
-        first,
-        second,
-        (float(len(first[0])), float(len(first[1]))),
-        (float(len(second[0])), float(len(second[1]))),
+        (
+            (a_first, float(len(a_first)), a_second, float(len(a_second))),
+            (b_first, float(len(b_first)), b_second, float(len(b_second))),
+        ),
         table.by_touch,
     )
 
@@ -231,10 +233,7 @@ def _play_match(
     fmt: MatchFormat,
     server: int,
     x: float,
-    first_codes: tuple[tuple[int, ...], tuple[int, ...]],
-    second_codes: tuple[tuple[int, ...], tuple[int, ...]],
-    first_sizes: tuple[float, float],
-    second_sizes: tuple[float, float],
+    serves: tuple[tuple[tuple[int, ...], float, tuple[int, ...], float], ...],
     struck_wins: tuple[float | None, ...],
     rand,
 ) -> tuple:
@@ -243,9 +242,15 @@ def _play_match(
     Returns (points, games, sets, set_scores, winner, ufes_kept,
     ufes_removed), each pair A's count first.  The rules, the serve
     rotation and every counter agree with new_match/apply_point fed the
-    same winners, and each point draws as simulate_point does; the
-    point draw is written out in the tiebreak and the game loop so that
-    a point calls no Python function.
+    same winners, and each point draws as simulate_point does.
+
+    Every point is played by one loop, which holds the point draw once
+    and calls no Python function.  A game is won by the first to `goal`
+    points with a lead of `margin`: 4 by 2 (4 by 1 without ad scoring),
+    or, in a tiebreak, `target` by 2.  In a tiebreak the serve changes
+    after each odd point; the tiebreak ends the set and counts as one
+    game of the rotation, so the player who received its first point
+    serves next.
     """
     lead = 2 if fmt.ad_scoring else 1  # no-ad: the first to four points wins
     trigger = fmt.tiebreak_trigger_games
@@ -258,48 +263,19 @@ def _play_match(
     while True:
         ga = gb = 0
         set_has_tiebreak = final_set_tiebreak or sets_a + sets_b != final_set
+        goal, margin, tiebreak = 4, lead, False
         while True:
             a = b = 0
             if ga == gb == trigger and set_has_tiebreak:
+                goal, margin, tiebreak = target, 2, True
                 opener = server
-                while True:
-                    code = first_codes[server][int(rand() * first_sizes[server])]
-                    if code < 0:
-                        code = second_codes[server][int(rand() * second_sizes[server])]
-                    if code > 1:
-                        # An unforced error by A at touch `code`: B's point unless struck.
-                        if rand() < x:
-                            removed += 1
-                            code = 0 if rand() < struck_wins[code] else 1
-                        else:
-                            kept += 1
-                            code = 1
-                    if code:
-                        b += 1
-                        if b >= target and b - a >= 2:
-                            break
-                    else:
-                        a += 1
-                        if a >= target and a - b >= 2:
-                            break
-                    if (a + b) % 2:
-                        server = 1 - server
-                # The tiebreak counts as one game of the rotation.
-                server = 1 - opener
-                points_a += a
-                points_b += b
-                if b > a:
-                    gb += 1
-                else:
-                    ga += 1
-                break
-            firsts, n_firsts = first_codes[server], first_sizes[server]
-            seconds, n_seconds = second_codes[server], second_sizes[server]
+            firsts, n_firsts, seconds, n_seconds = serves[server]
             while True:
                 code = firsts[int(rand() * n_firsts)]
                 if code < 0:
                     code = seconds[int(rand() * n_seconds)]
                 if code > 1:
+                    # An unforced error by A at touch `code`: B's point unless struck.
                     if rand() < x:
                         removed += 1
                         code = 0 if rand() < struck_wins[code] else 1
@@ -308,12 +284,15 @@ def _play_match(
                         code = 1
                 if code:
                     b += 1
-                    if b >= 4 and b - a >= lead:
+                    if b >= goal and b - a >= margin:
                         break
                 else:
                     a += 1
-                    if a >= 4 and a - b >= lead:
+                    if a >= goal and a - b >= margin:
                         break
+                if tiebreak and (a + b) % 2:
+                    server = 1 - server
+                    firsts, n_firsts, seconds, n_seconds = serves[server]
             server = 1 - server
             points_a += a
             points_b += b
@@ -325,6 +304,11 @@ def _play_match(
                 ga += 1
                 if ga >= trigger and ga - gb >= 2:
                     break
+            if tiebreak:
+                # A tiebreak ends the set (the check above lets a one-game
+                # lead through) and counts as one game of the rotation.
+                server = 1 - opener
+                break
         games_a += ga
         games_b += gb
         set_scores.append((ga, gb))

@@ -876,6 +876,32 @@ def test_non_utf8_config_is_usage_error_naming_the_file(command, records_csv, tm
     assert "UTF-8" in err
 
 
+def _stdout_without_and_with_a_bom(path, text, argv, capsys):
+    """The stdout of `main(argv)` with `path` holding `text`, then with it
+    holding `text` after a UTF-8 byte order mark (as Windows Notepad saves)."""
+    outs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text.encode())
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    return outs
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(records_csv, tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    argv = simulate_args(records_csv, "--config", str(cfg))
+    plain, bom = _stdout_without_and_with_a_bom(cfg, "seed = 7\nn = 24\n", argv, capsys)
+    assert "seed: 7" in plain
+    assert bom == plain
+
+
+def test_table1_with_a_byte_order_mark_reads_as_without(records_csv, tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    argv = simulate_args(records_csv, "--table1", str(table))
+    plain, bom = _stdout_without_and_with_a_bom(table, TABLE1, argv, capsys)
+    assert bom == plain
+
+
 # Each command is given value errors for keys of its own.
 @pytest.mark.parametrize(
     "line, message, command",

@@ -307,9 +307,8 @@ def test_play_match_agrees_with_apply_point(
         holds.append(rnd.random() < hold)
         return _Uniform(0.25 if holds[-1] else 0.75, servers)
 
-    played = _play_match(
-        fmt, first, 0.0, _HOLD_CODES, _HOLD_CODES, _HOLD_SIZES, _HOLD_SIZES, [], rand
-    )
+    serves = tuple(zip(_HOLD_CODES, _HOLD_SIZES, _HOLD_CODES, _HOLD_SIZES))
+    played = _play_match(fmt, first, 0.0, serves, [], rand)
 
     assert len(servers) == len(holds)
     score = new_match(fmt, PLAYERS[first])
@@ -328,8 +327,6 @@ def test_play_match_agrees_with_apply_point(
 
 
 def test_play_match_shutout():
-    a_wins = ((0,), (0,))
-    played = _play_match(
-        DEFAULT, 1, 0.0, a_wins, a_wins, (1.0, 1.0), (1.0, 1.0), [], random.random
-    )
+    a_wins = ((0,), 1.0, (0,), 1.0)
+    played = _play_match(DEFAULT, 1, 0.0, (a_wins, a_wins), [], random.random)
     assert played == ((72, 0), (18, 0), (3, 0), ((6, 0),) * 3, 0, 0, 0)

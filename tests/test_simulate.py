@@ -786,23 +786,31 @@ def test_simulate_point_walks_the_reference_stream(pools, x, server, seed):
         assert new.draws == ref.draws
 
 
-def test_simulate_match_calls_nothing_per_point_but_the_draw(mixed_pools):
+@pytest.mark.parametrize(
+    "fmt", [MatchFormat(), MatchFormat(tiebreak_trigger_games=1)], ids=["default", "tiebreaks"]
+)
+def test_simulate_match_calls_nothing_per_point_but_the_draw(mixed_pools, fmt):
     """A match calls no Python function per point, game or set: under a
     profiler no Python function runs more than once per match, whether
-    simulate_match or a replicate block plays it."""
+    simulate_match or a replicate block plays it.  With a tiebreak at 1-1
+    every such set is decided by one, played by the same point loop."""
     calls = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             calls[(frame.f_globals.get("__name__"), frame.f_code.co_name)] += 1
 
-    cfg = SimulationConfig(n_matches=3, seed=3, reduction_x=0.5, first_server_policy="random")
+    cfg = SimulationConfig(
+        n_matches=3, seed=3, reduction_x=0.5, format=fmt, first_server_policy="random"
+    )
     sys.setprofile(profile)
     try:
         result = simulate_match(cfg, mixed_pools, TABLE, replicate_stream(3, 0))
     finally:
         sys.setprofile(None)
     assert result.ufes_kept and result.ufes_removed
+    trigger = fmt.tiebreak_trigger_games
+    assert (trigger + 1, trigger) in result.set_scores  # A won a tiebreak
     assert calls[("ufesim.simulate", "_play_match")] == 1
     assert {key for key, n in calls.items() if n > 1} == set()
 
