@@ -219,11 +219,12 @@ def _claimed_output(path: str | None):
 def cmd_ingest(args: argparse.Namespace) -> int:
     paths = [_resolve_data_path(p) for p in args.inputs]
     from .ingest import ingest_table
-    from .records import cache_path, save_records
+    from .records import RecordsWriter, cache_path
 
     _refuse_overwriting_inputs(paths, [Path(args.output), cache_path(args.output)])
-    table, report = ingest_table(paths)
-    sha256 = save_records(table, args.output)
+    with RecordsWriter(args.output) as out:
+        table, report = ingest_table(paths, out)
+        sha256 = out.commit(table)
     payload = report.to_dict()
     payload["output"] = str(args.output)
     manifest = build_manifest(

@@ -3,7 +3,20 @@ from __future__ import annotations
 
 
 class UfesimError(Exception):
-    """Base class for all ufesim errors."""
+    """Base class for all ufesim errors.
+
+    An error pickles as its args and attributes, and unpickles without
+    calling __init__ again: a subclass whose __init__ takes other
+    arguments than its message comes back from a worker process as it
+    was raised.
+    """
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args), self.__dict__
+
+
+def _rebuilt(cls: type, args: tuple) -> UfesimError:
+    return cls.__new__(cls, *args)
 
 
 def _located(message: str, path: str | None, line: int | None) -> str:
@@ -92,4 +105,4 @@ class TableFormatError(UfesimError):
 
 
 class WorkerDiedError(UfesimError):
-    """A worker process playing simulation replicates ended abruptly."""
+    """A forked worker process (replicates or an ingest file) ended abruptly."""

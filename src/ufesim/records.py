@@ -6,10 +6,11 @@ First-serve faults are records in their own right so that empirical fault
 rates survive into the serve pools.
 
 A RecordTable holds the same records as columns: one numpy array per
-field, with names interned and kinds and roles as small int codes.  A
-TableBuilder is the one way to make those columns: ingest_table,
-RecordTable.from_records and the CSV reader all add points to one, and
-it interns each string in the order of the rows.  RecordTable's
+field, with names interned and kinds and roles as small int codes.
+RecordTable.from_records and the CSV reader add points one at a time to
+a TableBuilder, which interns each string in the order of the rows;
+ingest_table hands RecordTable.from_points every point at once, as
+columns of ids it has interned in that order.  RecordTable's
 vectorised checks are the one check of records read from a file, and
 RecordTable.to_records is the one place records become ServeRecords.
 RecordTable.take cuts a table of some rows out of a table, with string
@@ -18,8 +19,14 @@ serve pool is one.  _record_rules states the rules between a record's
 fields once, over column codes, for ServeRecord and RecordTable alike.
 
 write_records_csv writes a table as the records CSV, byte for byte what
-csv.writer would write (UTF-8, CRLF, minimal quoting): csv.writer quotes
-each distinct string once, and each line is one formatted string.
+csv.writer would write (UTF-8, CRLF, minimal quoting), through a
+RecordsWriter: lines go to a temporary file beside the output, hashed as
+they are written, which replaces the output only once every line is in.
+A line is three formatted strings: its match and players, its serve, and
+its year and tour; csv.writer quotes each distinct string once.
+RecordsWriter.write_points writes the lines of points given as
+RecordTable.from_points takes them, without making the table: ingest
+writes each file's lines so while later files are still being read.
 
 load_records reads a records CSV into a table through a sidecar cache,
 `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
@@ -28,8 +35,9 @@ and role by lookup, numbers by int()), and the sidecar is rewritten
 from the table.  The sidecar holds the ten columns and a JSON header of
 the format version, that digest and the string tables.
 read_records_csv is the same read as ServeRecords, with no sidecar.
-save_records writes a table's CSV and its sidecar together.  This
-module is the only one that knows the column layout and the sidecar's.
+save_records writes a table's CSV and its sidecar together, as
+RecordsWriter.commit does given the table.  This module is the only one
+that knows the column layout and the sidecar's.
 """
 from __future__ import annotations
 
@@ -39,6 +47,7 @@ import io
 import json
 import os
 import shutil
+import stat
 import struct
 import tempfile
 import zipfile
@@ -49,7 +58,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -152,6 +161,8 @@ class ServeRecord:
 
 
 RECORD_FIELDS = [f.name for f in fields(ServeRecord)]
+# csv.writer quotes no field name.
+_HEADER_LINE = ",".join(RECORD_FIELDS) + "\r\n"
 
 
 @contextmanager
@@ -171,32 +182,189 @@ def write_records_csv(records: RecordTable | Iterable[ServeRecord], path) -> Non
     """Write normalized serve records to CSV (one record per serve).
 
     The bytes are csv.writer's: UTF-8, CRLF line ends, minimal quoting.
-    Each distinct match, player and tour string is quoted once by
-    csv.writer; every other field never needs quoting, so each line is
-    one f-string.
+    The file is written as RecordsWriter writes it: an interrupted or
+    failed write leaves `path` as it was.
     """
-    table = as_table(records)
-    matches = _csv_fields(table.matches)
-    players = _csv_fields(table.players)
-    # Index -1 of tours, and key -1 of years, give a missing value's empty field.
-    tours = (*_csv_fields(table.tours), "")
-    years = {year: str(year) for year in distinct(table.year.copy()).tolist()}
-    years[NONE_CODE] = ""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(RECORD_FIELDS)
-        # Chunks keep the columns' Python values to a fixed number at a
-        # time, and writelines one line: joining a chunk's lines first
-        # raised ingest's peak RSS by 0.8 MB.
-        for start in range(0, len(table), _WRITE_CHUNK):
-            rows = slice(start, start + _WRITE_CHUNK)
-            fh.writelines(
-                f"{matches[m]},{players[s]},{players[r]},{serve},{_FAULT_FIELDS[kind]},"
-                f"{touch},{_KIND_NAMES[kind]},{_ROLE_NAMES[winner]},{_ROLE_NAMES[committer]},"
-                f"{years[year]},{tours[tour]}\r\n"
-                for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(
-                    *(getattr(table, name)[rows].tolist() for name, _ in _COLUMNS)
+    with RecordsWriter(path) as out:
+        out.write(as_table(records))
+        out.commit()
+
+
+class RecordsWriter:
+    """A records CSV being written, one table of rows after another.
+
+    Entering opens a temporary file beside `path` and writes the header;
+    the SHA-256 of the bytes is taken as they are written.  commit moves
+    the file into place, with the permissions open(path, "w") would give
+    it, and writes the sidecar of a table given to it.  Leaving without
+    a commit removes the temporary file, so a write that fails or is
+    interrupted leaves `path` as it was.  A `path` that is there and is
+    not a regular file (a device, a pipe) is written in place.
+    """
+
+    def __init__(self, path) -> None:
+        # open() writes through a symbolic link; so does the replace.  The
+        # sidecar goes where load_records looks for it, beside `path`.
+        self.path = Path(os.path.realpath(path))
+        self._sidecar = cache_path(path)
+        self._digest = hashlib.sha256()
+        self._quoted: dict[str, str] = {}
+
+    def __enter__(self) -> RecordsWriter:
+        try:
+            regular = stat.S_ISREG(os.stat(self.path).st_mode)
+        except FileNotFoundError:
+            regular = True
+        if not regular:  # a device or a pipe is written in place, never replaced
+            self._tmp = None
+            self._fh = open(self.path, "wb")
+        else:
+            try:
+                fd, self._tmp = tempfile.mkstemp(
+                    dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp"
                 )
+            except OSError as exc:  # name the output, not the temporary file
+                raise OSError(exc.errno, exc.strerror, str(self.path)) from None
+            self._fh = os.fdopen(fd, "wb")
+        try:
+            self._put(_HEADER_LINE)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._fh.close()
+        if self._tmp is not None:
+            with suppress(OSError):
+                os.unlink(self._tmp)
+
+    def _put(self, text: str) -> None:
+        data = text.encode("utf-8")
+        self._digest.update(data)
+        self._fh.write(data)
+
+    def write(self, table: RecordTable) -> None:
+        """Append a table's rows.
+
+        Each row is a point of one serve: its head is its distinct
+        (match, server, receiver, year, tour), served by the head's first
+        player, and its serve its distinct serve codes.
+        """
+        n_players = len(table.players)
+        pairs, pair_ids = _coded(table.server.astype(np.int64) * n_players + table.receiver)
+        n_pairs = len(pairs)
+        heads, head_ids = _coded(table.match.astype(np.int64) * n_pairs + pair_ids)
+        tails, tail_ids = _coded(
+            (table.tour.astype(np.int64) + 1) * (MAX_YEAR + 2) + table.year + 1
+        )
+        n_tails = len(tails)
+        codes, point_heads = _coded(head_ids * n_tails + tail_ids)
+        del pair_ids, head_ids, tail_ids
+        pairs, heads, tails = pairs.tolist(), heads.tolist(), tails.tolist()
+        rows = []
+        for code in codes.tolist():
+            head, tail = divmod(code, n_tails)
+            match, pair = divmod(heads[head], n_pairs)
+            tour, year = divmod(tails[tail], MAX_YEAR + 2)
+            rows.append((match, *divmod(pairs[pair], n_players), year - 1, tour - 1))
+        # serve_number, kind, winner and committer take 2, 7, 3 and 3 values.
+        codes, point_serves = _coded(
+            (((table.touch.astype(np.int64) * 2 + table.serve_number - 1) * len(KINDS)
+              + table.kind) * 3 + table.winner + 1) * 3 + table.committer + 1
+        )
+        serves = []
+        for code in codes.tolist():
+            code, committer = divmod(code, 3)
+            code, winner = divmod(code, 3)
+            code, kind = divmod(code, len(KINDS))
+            touch, serve = divmod(code, 2)
+            serves.append(((serve + 1, touch, kind, winner - 1, committer - 1),))
+        self.write_points(
+            (table.matches, table.players, table.tours),
+            np.array(rows, dtype=np.int32).reshape(-1, 5),
+            point_heads,
+            np.zeros(len(table), dtype=np.int8),
+            serves,
+            point_serves,
+        )
+
+    def write_points(
+        self,
+        strings: tuple[Sequence[str], Sequence[str], Sequence[str]],
+        heads: np.ndarray,
+        point_heads: np.ndarray,
+        sides: np.ndarray,
+        serves: Sequence[tuple[tuple[int, int, int, int, int], ...]],
+        point_serves: np.ndarray,
+    ) -> None:
+        """Append the rows RecordTable.from_points makes of the same
+        arguments, without making them.
+
+        A line is its head's match and players, in serving order, its
+        serve, and its head's year and tour.  Each head is formatted once,
+        with csv.writer quoting each string once per writer, and each
+        serve once.
+        """
+        matches, players, tours = strings
+        field = self._field
+        starts, ends = [], []  # the start of head h served by side s is starts[2 * h + s]
+        for match, first, second, year, tour in heads.tolist():
+            match, first, second = (
+                field(matches[match]), field(players[first]), field(players[second])
             )
+            starts += (f"{match},{first},{second},", f"{match},{second},{first},")
+            ends.append(f",{'' if year == NONE_CODE else year},"
+                        f"{'' if tour == NONE_CODE else field(tours[tour])}\r\n")
+        fields = [
+            f"{serve_number},{_FAULT_FIELDS[kind]},{touch},{_KIND_NAMES[kind]},"
+            f"{_ROLE_NAMES[winner]},{_ROLE_NAMES[committer]}"
+            for point in serves
+            for serve_number, touch, kind, winner, committer in point
+        ]
+        for points, counts, serve_rows in _row_chunks(serves, point_serves):
+            head = point_heads[points]
+            self._put("".join([
+                f"{starts[start]}{fields[serve]}{ends[end]}"
+                for start, serve, end in zip(np.repeat(2 * head + sides[points], counts).tolist(),
+                                             serve_rows.tolist(), np.repeat(head, counts).tolist())
+            ]))
+
+    def _field(self, s: str) -> str:
+        """s as csv.writer writes it as a field of a longer row."""
+        quoted = self._quoted.get(s)
+        if quoted is None:
+            self._quoted[s] = quoted = _csv_fields((s,))[0]
+        return quoted
+
+    def commit(self, table: RecordTable | None = None) -> str:
+        """Move the CSV into place and, given the table written, write its
+        sidecar as load_records would; returns the SHA-256 of the CSV."""
+        self._fh.close()
+        if self._tmp is not None:
+            try:
+                mode = stat.S_IMODE(os.stat(self.path).st_mode)
+            except FileNotFoundError:
+                mode = 0o666 & ~_umask()
+            os.chmod(self._tmp, mode)
+            os.replace(self._tmp, self.path)
+            self._tmp = None
+        sha256 = self._digest.hexdigest()
+        if table is not None:
+            _write_sidecar(self._sidecar, _to_arrays(table, sha256), self.path)
+        return sha256
+
+
+def _umask() -> int:
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
+def _coded(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes, sorted, and each code's place among them."""
+    keys = distinct(codes.copy())
+    return keys, np.searchsorted(keys, codes)
 
 
 def _csv_fields(strings: tuple[str, ...]) -> list[str]:
@@ -418,12 +586,84 @@ class RecordTable:
         part.__dict__.update(columns, **strings)
         return part
 
+    @classmethod
+    def from_points(
+        cls,
+        strings: tuple[Sequence[str], Sequence[str], Sequence[str]],
+        heads: np.ndarray,
+        point_heads: np.ndarray,
+        sides: np.ndarray,
+        serves: Sequence[tuple[tuple[int, int, int, int, int], ...]],
+        point_serves: np.ndarray,
+    ) -> RecordTable:
+        """The table of points given as columns, each column allocated
+        once at its full length.
+
+        strings are the matches, players and tours tables.  A head is a
+        row of heads: the ids of a match and of its two players, a year
+        and a tour id (-1 for a missing year or tour).  Point i is one of
+        head point_heads[i], served by the head's first player when
+        sides[i] is 0 and by its second when it is 1; it makes one row for
+        each serve in serves[point_serves[i]], a tuple of (serve_number,
+        touch, kind, winner, committer) codes.  Checked as RecordTable
+        checks.
+        """
+        # Checked here, as the int16 year column would wrap a wider year.
+        if ((heads[:, 3] < NONE_CODE) | (heads[:, 3] > MAX_YEAR)).any():
+            raise ValueError(f"a head's year is not -1 or in 0..{MAX_YEAR}")
+        if ((sides != 0) & (sides != 1)).any():
+            raise ValueError("a side is not 0 or 1")
+        lengths = np.array([len(point) for point in serves], dtype=np.intp)
+        n_rows = sum(
+            int(lengths[point_serves[start:start + _CHUNK]].sum())
+            for start in range(0, len(point_serves), _CHUNK)
+        )
+        columns = {name: np.empty(n_rows, dtype=dtype) for name, dtype in _COLUMNS}
+        # Each code of the flat list of serves, in its column's dtype.
+        codes = [
+            (name, np.array([serve[i] for point in serves for serve in point], dtype=dtype))
+            for i, (name, dtype) in enumerate(_COLUMNS[3:8])
+        ]
+        stop = 0
+        for points, counts, serve_rows in _row_chunks(serves, point_serves):
+            rows = slice(stop, stop + len(serve_rows))
+            stop = rows.stop
+            head, side = point_heads[points], sides[points]
+            for name, column in (("match", 0), ("server", 1 + side), ("receiver", 2 - side),
+                                 ("year", 3), ("tour", 4)):
+                columns[name][rows] = np.repeat(heads[head, column], counts)
+            for name, code in codes:
+                columns[name][rows] = code[serve_rows]
+        matches, players, tours = strings
+        return cls(**columns, matches=tuple(matches), players=tuple(players), tours=tuple(tours))
+
     def tour_rows(self, tour: str | None) -> np.ndarray | slice:
         """Index of the rows of one tour; every row when tour is None."""
         if tour is None:
             return slice(None)
         tour_id = self.tours.index(tour) if tour in self.tours else len(self.tours)
         return self.tour == tour_id
+
+
+def _row_chunks(
+    serves: Sequence[tuple], point_serves: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The rows of points, _CHUNK points at a time, as (points, counts,
+    serve_rows): the slice of points, each point's number of rows, and
+    each row's index in the flat list of serves (every point's serves,
+    one after another, in the order of serves)."""
+    lengths = np.array([len(point) for point in serves], dtype=np.intp)
+    firsts = np.cumsum(lengths) - lengths
+    for start in range(0, len(point_serves), _CHUNK):
+        points = slice(start, start + _CHUNK)
+        keys = point_serves[points]
+        counts = lengths[keys]
+        ends = np.cumsum(counts)
+        # A row's serve is its point's first serve plus its place among
+        # its point's rows.
+        serve_rows = np.repeat(firsts[keys] - (ends - counts), counts)
+        serve_rows += np.arange(len(serve_rows))
+        yield points, counts, serve_rows
 
 
 class TableBuilder:
@@ -513,7 +753,9 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-_WRITE_CHUNK = 4096
+# Points expanded to rows at a time: a chunk's index arrays and lines are
+# all that writing or building holds besides the output.
+_CHUNK = 1024
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _FAULT_FIELDS = tuple("true" if code == _FAULT else "false" for code in range(len(KINDS)))
 # Index -1 picks the trailing "none".
@@ -706,16 +948,12 @@ def save_records(table: RecordTable, path: str | Path) -> str:
     """Write a table as a records CSV, and its sidecar as load_records
     would; returns the SHA-256 of the CSV's bytes.
 
-    The sidecar is written only if the CSV is unchanged since the write,
-    and a sidecar that cannot be written is dropped.
+    The CSV is written as RecordsWriter writes it, and a sidecar that
+    cannot be written is dropped.
     """
-    path = Path(path)
-    write_records_csv(table, path)
-    written = _identity(path)
-    sha256 = file_sha256(path)
-    if _identity(path) == written:
-        _write_sidecar(cache_path(path), _to_arrays(table, sha256), path)
-    return sha256
+    with RecordsWriter(path) as out:
+        out.write(table)
+        return out.commit(table)
 
 
 def _identity(path: Path) -> tuple[int, int, int, int]:

@@ -23,19 +23,18 @@ and the first server costs one draw under the 'random' policy.
 
 Replicates run on every CPU the process may use.  run_simulation and
 compare_scenarios cut each scenario into blocks of at least _MIN_BLOCK
-replicates and, when there are two full blocks or more and two allowed
-CPUs or more, play the blocks in forked worker processes, one worker per
-CPU (os.sched_getaffinity, so `taskset` limits the count).  Replicate i
-always draws from its own stream replicate_stream(seed, i), and a block
-returns only its per-match shares as flat float columns, which are
-joined in index order; so every summary is bit-identical for any number
-of workers, the in-process loop being the one-worker case.
+replicates and, when there are two full blocks or more, hand the blocks
+to forking.forked, the fork helper ingest shares: it plays them in
+forked worker processes, one per allowed CPU (os.sched_getaffinity, so
+`taskset` limits the count), when there are two such CPUs or more.
+Replicate i always draws from its own stream replicate_stream(seed, i),
+and a block returns only its per-match shares as flat float columns,
+which are joined in index order; so every summary is bit-identical for
+any number of workers, the in-process loop being the one-worker case.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from array import array
 from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -49,7 +48,7 @@ from .counterfactual import (
     resolve_removed_ufe,
     should_remove_ufe,
 )
-from .errors import EndlessMatchError, WorkerDiedError
+from .errors import EndlessMatchError
 from .pools import FAULT, PoolScope, ServePoolSet
 from .rng import replicate_stream
 from .scoring import PLAYERS, MatchFormat
@@ -464,72 +463,26 @@ def _blocks(n_matches: int) -> list[tuple[int, int]]:
     return [(n_matches * j // k, n_matches * (j + 1) // k) for j in range(k)]
 
 
-def _allowed_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity masks on this platform
-        return os.cpu_count() or 1
+def _replicate_task(job: _Job, task: tuple[int, int, int]) -> _Columns:
+    return _replicate_block(job, *task)
 
 
-# A forked worker's job: set in each worker by the pool initializer, never
-# in the calling process.
-_worker_job: _Job | None = None
-
-
-def _adopt_job(job: _Job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_block(task: tuple[int, int, int]) -> _Columns:
-    return _replicate_block(_worker_job, *task)
-
-
-def _play_forked(job: _Job, workers: int) -> list[_Columns] | None:
-    """Play every block of the job in `workers` forked processes.
-
-    The workers inherit the job at fork time (fork does not pickle the
-    initializer's arguments); each task is a (config index, start, stop)
-    tuple and each result a block's columns.  Returns None when the pool
-    cannot start, so the caller plays in process instead.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+def _play_forked(job: _Job, most: int) -> list[_Columns] | None:
+    """Play every block of the job in at most `most` forked workers
+    (forking.forked); each task is a (config index, start, stop) tuple
+    and each result a block's columns.  Returns None when the blocks are
+    to be played in process instead."""
+    from .forking import forked
 
     tasks = [
         (i, start, stop)
         for i, config in enumerate(job.configs)
         for start, stop in _blocks(config.n_matches)
     ]
-    children = set(multiprocessing.active_children())
-    try:
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_job,
-            initargs=(job,),
-        )
-    except OSError:
-        return None
-    try:
-        try:
-            # A fork-context pool forks all its workers in the first submit.
-            futures = [pool.submit(_worker_block, task) for task in tasks]
-        except OSError:
-            # A fork was refused: stop the workers that did start.
-            for child in set(multiprocessing.active_children()) - children:
-                child.terminate()
-                child.join()
+    with forked(_replicate_task, job, tasks, most, "a replicate worker process died") as take:
+        if take is None:
             return None
-        try:
-            blocks = [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            raise WorkerDiedError(f"a replicate worker process died: {exc}") from None
-    finally:
-        # Blocks not yet started are dropped when the wait ends early
-        # (an interrupt, a dead worker).
-        pool.shutdown(cancel_futures=True)
+        blocks = [take(i) for i in range(len(tasks))]
     played = [_columns(()) for _ in job.configs]
     for (config_index, _, _), block in zip(tasks, blocks):
         for column, part in zip(played[config_index], block):
@@ -544,20 +497,18 @@ def _play(
 ) -> list[_Columns]:
     """Every config's columns, in replicate index order.
 
-    Forks one worker per full block, at most one per allowed CPU; plays
-    in process when that is fewer than two, when the platform cannot
-    fork, when the pool cannot start, or when other threads are running
-    (a fork copies no thread but the caller's, and any lock another
-    thread holds stays held in the child).
+    Forks at most one worker per full block, so a call of fewer than two
+    full blocks never imports forking; plays in process when the blocks
+    are not forked.
     """
     for config in configs:
         _check_match_can_end(pools, config.reduction_x)
     if table is None:
         table = default_table()
     job = _Job(tuple(configs), pools, table)
-    workers = min(_allowed_cpus(), sum(c.n_matches // _MIN_BLOCK for c in configs))
-    if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        played = _play_forked(job, workers)
+    full_blocks = sum(c.n_matches // _MIN_BLOCK for c in configs)
+    if full_blocks >= 2:
+        played = _play_forked(job, full_blocks)
         if played is not None:
             return played
     return [_replicate_block(job, i, 0, c.n_matches) for i, c in enumerate(configs)]

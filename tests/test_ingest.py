@@ -8,9 +8,16 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -22,7 +29,8 @@ from oracles import (
     reference_ingest_files,
     reference_write_records_csv,
 )
-from ufesim.errors import CsvFormatError, DuplicatePointError
+from ufesim import ingest as ingest_module
+from ufesim.errors import CsvFormatError, DuplicatePointError, WorkerDiedError
 from ufesim.ingest import (
     IngestReport,
     clean_rows,
@@ -44,6 +52,28 @@ from ufesim.records import (
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 K = TerminalKind
+
+# How ingest_table reads its files: in process, or in two forked workers
+# whenever there are two files or more.
+READS = ["in_process", "forked"]
+
+
+@contextmanager
+def reading(read: str):
+    """Read ingest's files the given way; yields the pids forked."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with mock.patch.object(ingest_module, "_MIN_FORK_BYTES", 0 if read == "forked" else 1 << 62), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+            mock.patch.object(os, "fork", fork):
+        yield forked
 
 
 def test_fixture_row_count_matches_plain_csv_read():
@@ -212,34 +242,105 @@ def test_parity_invariant_over_exploded_corpus():
     )
 
 
-def test_ingest_files_totals():
-    records, report = ingest_files([FIXTURE])
-    assert report == IngestReport(
-        rows_read=15,
+FIXTURE_REPORT = IngestReport(
+    rows_read=15,
+    rows_dropped_bad_rally_count=1,
+    rows_dropped_bad_notation=1,
+    serve_records_emitted=17,
+    points_augmented_with_fault_serve=4,
+)
+
+
+def _inputs(tmp_path: Path, name: str) -> tuple[list[Path], IngestReport]:
+    """Named sets of input files and the report ingesting them gives."""
+    if name == "fixture":
+        return [FIXTURE], FIXTURE_REPORT
+    header_only = _write(tmp_path / "header_only.csv", HEADER)
+    all_dropped = _write(
+        tmp_path / "all_dropped.csv",
+        HEADER + f"{MATCH},1,0-0,1,4*,,2;\n" + f"{MATCH},2,0-0,1,4Z*,,1\n",
+    )
+    # One match over two files, each with points of its own; the second
+    # file also names the first match.
+    other = "20210102-W-Cup-SF-Q_One-Q_Two"
+    split_first = _write(
+        tmp_path / "split_first.csv",
+        HEADER + f"{other},1,0-0,2,4*,,1\n" + f"{MATCH},3,0-0,1,4*,,1\n",
+    )
+    split_second = _write(
+        tmp_path / "split_second.csv",
+        HEADER + f"{other},2,0-0,1,6n,4f@,2\n" + f"{MATCH},4,0-0,2,5#,,1\n",
+    )
+    paths = [header_only, FIXTURE, all_dropped, split_first, split_second]
+    report = FIXTURE_REPORT.combined(IngestReport(
+        rows_read=6,
         rows_dropped_bad_rally_count=1,
         rows_dropped_bad_notation=1,
-        serve_records_emitted=17,
-        points_augmented_with_fault_serve=4,
-    )
-    assert len(records) == 17
+        serve_records_emitted=5,
+        points_augmented_with_fault_serve=1,
+    ))
+    return paths, report
 
 
-def test_ingest_is_deterministic():
-    first, _ = ingest_files([FIXTURE])
-    second, _ = ingest_files([FIXTURE])
-    assert first == second
+def test_ingest_files_totals(tmp_path):
+    for inputs, read in product(["fixture", "many"], READS):
+        paths, expected = _inputs(tmp_path, inputs)
+        with reading(read) as forked:
+            records, report = _same_as_reference(paths)
+        assert report == expected
+        assert len(records) == expected.serve_records_emitted
+        assert len(forked) == (2 if read == "forked" and len(paths) > 1 else 0)
+
+
+def test_ingest_is_deterministic(tmp_path):
+    for inputs in ["fixture", "many"]:
+        paths, _ = _inputs(tmp_path, inputs)
+        ingested = []
+        for read in READS:
+            with reading(read):
+                ingested += (ingest_files(paths)[0], ingest_files(paths)[0])
+        assert all(records == ingested[0] for records in ingested)
 
 
 def test_duplicate_across_files_raises(tmp_path):
     copy = tmp_path / "copy.csv"
     copy.write_text(FIXTURE.read_text(encoding="utf-8"), encoding="utf-8")
-    with pytest.raises(DuplicatePointError) as exc:
-        ingest_files([FIXTURE, copy])
-    # The copy's first data row repeats the fixture's.
-    assert (exc.value.path, exc.value.line) == (str(copy), 2)
-    assert (exc.value.match_id, exc.value.point_index) == (
-        "20190705-M-Wimbledon-F-Alpha_One-Beta_Two", 1
+    for read in READS:
+        with reading(read), pytest.raises(DuplicatePointError) as exc:
+            ingest_files([FIXTURE, copy])
+        # The copy's first data row repeats the fixture's.
+        assert (exc.value.path, exc.value.line) == (str(copy), 2)
+        assert (exc.value.match_id, exc.value.point_index) == (
+            "20190705-M-Wimbledon-F-Alpha_One-Beta_Two", 1
+        )
+
+
+@pytest.mark.parametrize("read", READS)
+def test_a_repeat_of_an_earlier_file_wins_over_a_later_one_in_the_file(read, tmp_path):
+    first = _write(tmp_path / "first.csv", HEADER + f"{MATCH},5,0-0,1,4*,,1\n")
+    second = _write(
+        tmp_path / "second.csv",
+        HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},5,0-0,1,4*,,1\n"
+        + f"{MATCH},1,0-0,1,4*,,1\n",
     )
+    with reading(read), pytest.raises(DuplicatePointError) as exc:
+        ingest_table([first, second])
+    assert (exc.value.path, exc.value.line, exc.value.point_index) == (str(second), 3, 5)
+
+
+def test_a_dead_worker_raises_worker_died(tmp_path, monkeypatch):
+    copy = _write(tmp_path / "copy.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n")
+    caller = os.getpid()
+
+    def die(paths, i):
+        if os.getpid() != caller:
+            os._exit(1)
+        raise AssertionError("a file was read in process")
+
+    monkeypatch.setattr(ingest_module, "_read_task", die)
+    with reading("forked"), pytest.raises(WorkerDiedError, match="an ingest worker process died"):
+        ingest_table([FIXTURE, copy])
+    assert multiprocessing.active_children() == []
 
 
 # Input semantics of the streaming pass, each as the staged pipeline had
@@ -318,17 +419,20 @@ def test_structural_error_in_a_file_wins_over_its_duplicate(tmp_path):
         tmp_path / "both.csv",
         HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},3,0-0,9,4*,,1\n",
     )
-    with pytest.raises(CsvFormatError, match="Svr") as exc:
-        ingest_table([path])
-    assert exc.value.line == 4
+    # Alone, and after a file of other matches.
+    for before, read in product([[], [FIXTURE]], READS):
+        with reading(read), pytest.raises(CsvFormatError, match="Svr") as exc:
+            ingest_table([*before, path])
+        assert (exc.value.path, exc.value.line) == (str(path), 4)
 
 
 def test_duplicate_in_a_file_wins_over_the_next_file(tmp_path):
     dup = _write(tmp_path / "dup.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" * 2)
     broken = _write(tmp_path / "broken.csv", "no,header,here\n")
-    with pytest.raises(DuplicatePointError) as exc:
-        ingest_table([dup, broken, tmp_path / "missing.csv"])
-    assert (exc.value.path, exc.value.line) == (str(dup), 3)
+    for read in READS:
+        with reading(read), pytest.raises(DuplicatePointError) as exc:
+            ingest_table([dup, broken, tmp_path / "missing.csv"])
+        assert (exc.value.path, exc.value.line) == (str(dup), 3)
 
 
 def test_same_player_on_both_sides_is_a_format_error_at_its_line(tmp_path):
@@ -479,15 +583,17 @@ def _first_duplicate(paths) -> tuple[str, int]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(files=corpora())
-def test_streaming_pass_matches_the_staged_pipeline(files):
+@given(files=corpora(), read=st.sampled_from(READS))
+def test_streaming_pass_matches_the_staged_pipeline(files, read):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, data in enumerate(files):
             paths.append(Path(tmp) / f"points_{i}.csv")
             paths[-1].write_bytes(data)
         expected, expected_exc = _raised(reference_ingest_files, paths)
-        got, exc = _raised(ingest_table, paths)
+        with reading(read) as forked:
+            got, exc = _raised(ingest_table, paths)
+        assert len(forked) == (2 if read == "forked" and len(paths) > 1 else 0)
         event("ingested" if expected_exc is None else type(expected_exc).__name__)
         if expected_exc is not None:
             assert type(exc) is type(expected_exc)
@@ -556,3 +662,37 @@ def test_every_builder_matches_the_reference_from_records(files):
             saved = Path(tmp) / f"{name}.csv"
             assert save_records(table, saved) == sha256, name
             assert cache_path(saved).read_bytes() == want, name
+
+
+# Ingests the files named by argv[2:] in a fresh interpreter, on the
+# first argv[1] allowed CPUs and with no byte threshold; prints whether
+# multiprocessing and the fork helper were imported.
+CHILD_SCRIPT = """
+import os, sys
+from ufesim import ingest
+
+cpus = int(sys.argv[1])
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+ingest._MIN_FORK_BYTES = 0
+ingest.ingest_table(sys.argv[2:])
+print("multiprocessing" in sys.modules, "ufesim.forking" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+@pytest.mark.parametrize(
+    "inputs, cpus, imported",
+    [("fixture", 2, "False False"), ("many", 1, "False True"), ("many", 2, "True True")],
+    ids=["one-file", "one-cpu", "forked"],
+)
+def test_what_each_way_of_reading_imports(inputs, cpus, imported, tmp_path):
+    if len(os.sched_getaffinity(0)) < cpus:
+        pytest.skip(f"needs {cpus} CPUs")
+    paths, _ = _inputs(tmp_path, inputs)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_SCRIPT, str(cpus), *map(str, paths)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == imported

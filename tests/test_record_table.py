@@ -406,6 +406,50 @@ def test_take_of_no_rows_is_an_empty_table():
     assert part.matches == part.players == part.tours == ()
 
 
+def _points():
+    """from_points's arguments for three points of two matches, and the
+    same points as TableBuilder.add's (match, server, receiver, year,
+    tour, serves)."""
+    ace = (1, 1, KINDS.index(K.ACE), 0, NONE_CODE)
+    fault = (1, 1, KINDS.index(K.FIRST_SERVE_FAULT), NONE_CODE, NONE_CODE)
+    double_fault = (2, 1, KINDS.index(K.DOUBLE_FAULT), 1, NONE_CODE)
+    strings = (("m1", "m2"), ("Ann", "Bob", "Cy"), ("ATP",))
+    heads = np.array([(0, 0, 1, 2019, 0), (1, 2, 0, NONE_CODE, NONE_CODE)], dtype=np.int32)
+    serves = [(ace,), (fault, double_fault)]
+    args = (strings, heads, np.array([0, 1, 0]), np.array([0, 1, 1], dtype=np.int8), serves,
+            np.array([0, 1, 1]))
+    added = [
+        ("m1", "Ann", "Bob", 2019, "ATP", (ace,)),
+        ("m2", "Ann", "Cy", None, None, (fault, double_fault)),
+        ("m1", "Bob", "Ann", 2019, "ATP", (fault, double_fault)),
+    ]
+    return args, added
+
+
+def test_from_points_makes_the_table_the_builder_makes():
+    args, added = _points()
+    builder = records_module.TableBuilder()
+    for point in added:
+        builder.add(*point)
+    assert_same_table(RecordTable.from_points(*args), builder.build())
+    # And the writer writes what write_records_csv writes of that table.
+    with tempfile.TemporaryDirectory() as tmp:
+        points, table = Path(tmp) / "points.csv", Path(tmp) / "table.csv"
+        with records_module.RecordsWriter(points) as out:
+            out.write_points(*args)
+            out.commit()
+        write_records_csv(builder.build(), table)
+        assert points.read_bytes() == table.read_bytes()
+
+
+@pytest.mark.parametrize("year, side", [(MAX_YEAR + 1, 0), (NONE_CODE - 1, 0), (2019, 2)])
+def test_from_points_refuses_a_year_or_side_out_of_range(year, side):
+    (strings, heads, point_heads, sides, serves, point_serves), _ = _points()
+    heads[0, 3], sides[2] = year, side
+    with pytest.raises(ValueError, match="year" if side in (0, 1) else "side"):
+        RecordTable.from_points(strings, heads, point_heads, sides, serves, point_serves)
+
+
 # Fallbacks: each must re-read the CSV and give the right records.
 
 

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import csv
+import os
+import stat
+import threading
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from ufesim.records import (
     cache_path,
     load_records,
     read_records_csv,
+    save_records,
     write_records_csv,
 )
 
@@ -269,3 +274,65 @@ def test_parsing_same_file_twice_is_identical(tmp_path, two_player_records):
     path = tmp_path / "records.csv"
     write_records_csv(two_player_records, path)
     assert read_records_csv(path) == read_records_csv(path)
+
+
+def _ingest(table, path):
+    """cmd_ingest of the points fixture, which the table stands in for."""
+    fixture = Path(__file__).parent / "data" / "points_sample.csv"
+    main(["ingest", str(fixture), "-o", str(path)])
+
+
+@pytest.mark.parametrize("write", [write_records_csv, save_records, _ingest])
+def test_an_interrupted_write_leaves_the_output_as_it_was(write, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"an earlier CSV\r\n")
+    cache_path(path).write_bytes(b"an earlier sidecar")
+    table = RecordTable.from_records([make_record(match_id=f"m{i}") for i in range(10)])
+    monkeypatch.setattr(records_module, "_CHUNK", 2)
+    put, lines = records_module.RecordsWriter._put, []
+
+    def interrupted(self, text):
+        lines.append(text)
+        if len(lines) == 3:  # the header and two chunks are written
+            raise KeyboardInterrupt
+        put(self, text)
+
+    monkeypatch.setattr(records_module.RecordsWriter, "_put", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write(table, path)
+    assert path.read_bytes() == b"an earlier CSV\r\n"
+    assert cache_path(path).read_bytes() == b"an earlier sidecar"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv", cache_path(path).name]
+
+
+@pytest.mark.parametrize("existing", [None, 0o640])
+def test_the_output_gets_the_mode_open_would_give_it(existing, tmp_path):
+    path = tmp_path / "records.csv"
+    if existing is not None:
+        path.write_bytes(b"")
+        path.chmod(existing)
+    umask = os.umask(0o022)
+    try:
+        write_records_csv([make_record()], path)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == (0o644 if existing is None else existing)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_written_in_place(tmp_path):
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        write_records_csv([make_record()], fifo)
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    want = tmp_path / "want.csv"
+    write_records_csv([make_record()], want)
+    assert received == [want.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.fifo", "want.csv"]
