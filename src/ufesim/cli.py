@@ -222,8 +222,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from .records import RecordsWriter, cache_path
 
     _refuse_overwriting_inputs(paths, [Path(args.output), cache_path(args.output)])
+    # Entered first, so that an output that cannot be written fails before the read.
     with RecordsWriter(args.output) as out:
-        table, report = ingest_table(paths, out)
+        table, report = ingest_table(paths)
+        out.write(table)
         sha256 = out.commit(table)
     payload = report.to_dict()
     payload["output"] = str(args.output)

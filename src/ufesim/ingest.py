@@ -16,11 +16,11 @@ decoded once.  Two files or more holding at least _MIN_FORK_BYTES are
 read in forked worker processes, one per allowed CPU (forking.forked,
 the fork helper simulate shares; `taskset -c 0` reads them in process);
 otherwise they are read in process.  The parts are taken in file order:
-each is checked against the points of the files before it, its strings
-are interned by first appearance, and its lines go to the records CSV
-while later files are still being read.  The table is made from every
+each is checked against the points of the files before it, and its
+strings are interned by first appearance.  The table is made from every
 part's points at the end, so no row or record object outlives its part,
-and ids, report and CSV are those of one pass over every row.
+and ids and report are those of one pass over every row.  `ufesim
+ingest` writes the records CSV from that table once it is made.
 
 parse_points_file, clean_rows and explode_to_serves are the same steps
 one stage at a time, on the same per-row helpers: explode_to_serves
@@ -51,7 +51,6 @@ from .records import (
     ROLE_CODES,
     RawPointRow,
     RecordTable,
-    RecordsWriter,
     ServeRecord,
     TableBuilder,
     TerminalKind,
@@ -429,22 +428,15 @@ class _Interned:
         keys = np.array(keys, dtype=np.int32)[np.asarray(part.key)]
         return np.array(matches, dtype=np.int32), keys
 
-    def head_rows(self, matches: np.ndarray) -> np.ndarray:
-        """The heads of these match ids, as from_points takes them."""
-        return np.array([self.heads[m] for m in matches.tolist()], dtype=np.int32).reshape(-1, 5)
 
-
-def ingest_table(
-    paths: Iterable[str | Path], out: RecordsWriter | None = None
-) -> tuple[RecordTable, IngestReport]:
+def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport]:
     """Every file's serve records as one table.
 
     Each file is read into a part on its own (in forked workers when
     there are enough bytes; see _reader), and the parts are taken in file
-    order: each is checked against the points of the files before it,
-    its strings are interned, and its lines are written to `out` (when
-    given) before the next is taken.  The table is made from every
-    part's points once the last is in, each column at its full length.
+    order: each is checked against the points of the files before it and
+    its strings are interned.  The table is made from every part's
+    points once the last is in, each column at its full length.
 
     Errors come in the order of a single pass: a structural error
     anywhere in a file before a duplicate point in it (raised when the
@@ -473,12 +465,8 @@ def ingest_table(
             earlier.append((part.named, part.point_counts, part.point_indices))
             totals = [a + b for a, b in zip(totals, part.counts)]
             matches, keys = interned.add(part)
-            match, side = np.asarray(part.match), np.asarray(part.side)
+            columns.append((matches[np.asarray(part.match)], np.asarray(part.side), keys))
             del part
-            if out is not None:
-                out.write_points(interned.strings, interned.head_rows(matches), match, side,
-                                 interned.serves, keys)
-            columns.append((matches[match], side, keys))
     del earlier
     match, side, key = (np.concatenate(column) for column in zip(*columns))
     del columns

@@ -22,11 +22,10 @@ write_records_csv writes a table as the records CSV, byte for byte what
 csv.writer would write (UTF-8, CRLF, minimal quoting), through a
 RecordsWriter: lines go to a temporary file beside the output, hashed as
 they are written, which replaces the output only once every line is in.
-A line is three formatted strings: its match and players, its serve, and
-its year and tour; csv.writer quotes each distinct string once.
-RecordsWriter.write_points writes the lines of points given as
-RecordTable.from_points takes them, without making the table: ingest
-writes each file's lines so while later files are still being read.
+RecordsWriter.write is the one code that formats a line: its match and
+players, quoted by csv.writer once per string, its serve and year,
+formatted once per distinct value, and its tour.  ingest makes its
+table first and then writes it so, as save_records does.
 
 load_records reads a records CSV into a table through a sidecar cache,
 `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
@@ -191,15 +190,17 @@ def write_records_csv(records: RecordTable | Iterable[ServeRecord], path) -> Non
 
 
 class RecordsWriter:
-    """A records CSV being written, one table of rows after another.
+    """A records CSV being written: enter, write one table, commit.
 
-    Entering opens a temporary file beside `path` and writes the header;
+    Entering opens a temporary file beside `path` and writes the header,
+    so an output that cannot be written fails before a table is made;
     the SHA-256 of the bytes is taken as they are written.  commit moves
     the file into place, with the permissions open(path, "w") would give
-    it, and writes the sidecar of a table given to it.  Leaving without
+    it, and writes the sidecar of the table given to it.  Leaving without
     a commit removes the temporary file, so a write that fails or is
     interrupted leaves `path` as it was.  A `path` that is there and is
-    not a regular file (a device, a pipe) is written in place.
+    not a regular file (a device, a pipe) is written in place, with no
+    sidecar.
     """
 
     def __init__(self, path) -> None:
@@ -208,7 +209,6 @@ class RecordsWriter:
         self.path = Path(os.path.realpath(path))
         self._sidecar = cache_path(path)
         self._digest = hashlib.sha256()
-        self._quoted: dict[str, str] = {}
 
     def __enter__(self) -> RecordsWriter:
         try:
@@ -245,111 +245,53 @@ class RecordsWriter:
         self._fh.write(data)
 
     def write(self, table: RecordTable) -> None:
-        """Append a table's rows.
+        """Write a table's rows after the header.
 
-        Each row is a point of one serve: its head is its distinct
-        (match, server, receiver, year, tour), served by the head's first
-        player, and its serve its distinct serve codes.
+        A line is its match, server and receiver, each string quoted once
+        by csv.writer; then its serve and year, formatted once per
+        distinct (serve_number, touch, kind, winner, committer, year);
+        then its tour.  Each piece carries the comma or line end after it.
+        The rows are keyed and written _CHUNK at a time.
         """
-        n_players = len(table.players)
-        pairs, pair_ids = _coded(table.server.astype(np.int64) * n_players + table.receiver)
-        n_pairs = len(pairs)
-        heads, head_ids = _coded(table.match.astype(np.int64) * n_pairs + pair_ids)
-        tails, tail_ids = _coded(
-            (table.tour.astype(np.int64) + 1) * (MAX_YEAR + 2) + table.year + 1
-        )
-        n_tails = len(tails)
-        codes, point_heads = _coded(head_ids * n_tails + tail_ids)
-        del pair_ids, head_ids, tail_ids
-        pairs, heads, tails = pairs.tolist(), heads.tolist(), tails.tolist()
-        rows = []
-        for code in codes.tolist():
-            head, tail = divmod(code, n_tails)
-            match, pair = divmod(heads[head], n_pairs)
-            tour, year = divmod(tails[tail], MAX_YEAR + 2)
-            rows.append((match, *divmod(pairs[pair], n_players), year - 1, tour - 1))
-        # serve_number, kind, winner and committer take 2, 7, 3 and 3 values.
-        codes, point_serves = _coded(
-            (((table.touch.astype(np.int64) * 2 + table.serve_number - 1) * len(KINDS)
-              + table.kind) * 3 + table.winner + 1) * 3 + table.committer + 1
-        )
-        serves = []
-        for code in codes.tolist():
-            code, committer = divmod(code, 3)
-            code, winner = divmod(code, 3)
-            code, kind = divmod(code, len(KINDS))
-            touch, serve = divmod(code, 2)
-            serves.append(((serve + 1, touch, kind, winner - 1, committer - 1),))
-        self.write_points(
-            (table.matches, table.players, table.tours),
-            np.array(rows, dtype=np.int32).reshape(-1, 5),
-            point_heads,
-            np.zeros(len(table), dtype=np.int8),
-            serves,
-            point_serves,
-        )
-
-    def write_points(
-        self,
-        strings: tuple[Sequence[str], Sequence[str], Sequence[str]],
-        heads: np.ndarray,
-        point_heads: np.ndarray,
-        sides: np.ndarray,
-        serves: Sequence[tuple[tuple[int, int, int, int, int], ...]],
-        point_serves: np.ndarray,
-    ) -> None:
-        """Append the rows RecordTable.from_points makes of the same
-        arguments, without making them.
-
-        A line is its head's match and players, in serving order, its
-        serve, and its head's year and tour.  Each head is formatted once,
-        with csv.writer quoting each string once per writer, and each
-        serve once.
-        """
-        matches, players, tours = strings
-        field = self._field
-        starts, ends = [], []  # the start of head h served by side s is starts[2 * h + s]
-        for match, first, second, year, tour in heads.tolist():
-            match, first, second = (
-                field(matches[match]), field(players[first]), field(players[second])
-            )
-            starts += (f"{match},{first},{second},", f"{match},{second},{first},")
-            ends.append(f",{'' if year == NONE_CODE else year},"
-                        f"{'' if tour == NONE_CODE else field(tours[tour])}\r\n")
-        fields = [
-            f"{serve_number},{_FAULT_FIELDS[kind]},{touch},{_KIND_NAMES[kind]},"
-            f"{_ROLE_NAMES[winner]},{_ROLE_NAMES[committer]}"
-            for point in serves
-            for serve_number, touch, kind, winner, committer in point
-        ]
-        for points, counts, serve_rows in _row_chunks(serves, point_serves):
-            head = point_heads[points]
+        matches = [f"{s}," for s in _csv_fields(table.matches)]
+        players = [f"{s}," for s in _csv_fields(table.players)]
+        # Index -1 picks a missing tour's empty field.
+        tours = [f"{s}\r\n" for s in (*_csv_fields(table.tours), "")]
+        serves: dict[int, str] = {}
+        for start in range(0, len(table), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            # serve_number, kind, winner, committer and year take 2, 7, 3, 3
+            # and MAX_YEAR + 2 values, so a key stays below 2**52 even at
+            # touch MAX_TERMINAL_TOUCH; the tour is looked up on its own.
+            keys = ((((table.touch[rows].astype(np.int64) * 2 + table.serve_number[rows] - 1)
+                      * len(KINDS) + table.kind[rows]) * 3 + table.winner[rows] + 1) * 3
+                    + table.committer[rows] + 1) * (MAX_YEAR + 2) + table.year[rows] + 1
+            row_keys = keys.tolist()
+            for key in distinct(keys).tolist():
+                if key not in serves:
+                    serves[key] = _serve_and_year(key)
             self._put("".join([
-                f"{starts[start]}{fields[serve]}{ends[end]}"
-                for start, serve, end in zip(np.repeat(2 * head + sides[points], counts).tolist(),
-                                             serve_rows.tolist(), np.repeat(head, counts).tolist())
+                f"{matches[m]}{players[s]}{players[r]}{serves[key]}{tours[t]}"
+                for m, s, r, key, t in zip(table.match[rows].tolist(), table.server[rows].tolist(),
+                                           table.receiver[rows].tolist(), row_keys,
+                                           table.tour[rows].tolist())
             ]))
-
-    def _field(self, s: str) -> str:
-        """s as csv.writer writes it as a field of a longer row."""
-        quoted = self._quoted.get(s)
-        if quoted is None:
-            self._quoted[s] = quoted = _csv_fields((s,))[0]
-        return quoted
 
     def commit(self, table: RecordTable | None = None) -> str:
         """Move the CSV into place and, given the table written, write its
-        sidecar as load_records would; returns the SHA-256 of the CSV."""
+        sidecar as load_records would; returns the SHA-256 of the CSV.  A
+        CSV written in place gets no sidecar: its bytes cannot be read back."""
         self._fh.close()
-        if self._tmp is not None:
-            try:
-                mode = stat.S_IMODE(os.stat(self.path).st_mode)
-            except FileNotFoundError:
-                mode = 0o666 & ~_umask()
-            os.chmod(self._tmp, mode)
-            os.replace(self._tmp, self.path)
-            self._tmp = None
         sha256 = self._digest.hexdigest()
+        if self._tmp is None:
+            return sha256
+        try:
+            mode = stat.S_IMODE(os.stat(self.path).st_mode)
+        except FileNotFoundError:
+            mode = 0o666 & ~_umask()
+        os.chmod(self._tmp, mode)
+        os.replace(self._tmp, self.path)
+        self._tmp = None
         if table is not None:
             _write_sidecar(self._sidecar, _to_arrays(table, sha256), self.path)
         return sha256
@@ -359,12 +301,6 @@ def _umask() -> int:
     umask = os.umask(0)
     os.umask(umask)
     return umask
-
-
-def _coded(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct codes, sorted, and each code's place among them."""
-    keys = distinct(codes.copy())
-    return keys, np.searchsorted(keys, codes)
 
 
 def _csv_fields(strings: tuple[str, ...]) -> list[str]:
@@ -753,8 +689,8 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-# Points expanded to rows at a time: a chunk's index arrays and lines are
-# all that writing or building holds besides the output.
+# Points expanded to rows, or rows written, at a time: a chunk's index
+# arrays and lines are all that building or writing holds besides the output.
 _CHUNK = 1024
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _FAULT_FIELDS = tuple("true" if code == _FAULT else "false" for code in range(len(KINDS)))
@@ -765,6 +701,18 @@ _KIND_BY_NAME = {name: code for code, name in enumerate(_KIND_NAMES)}
 _ROLE_BY_NAME = {role.value: code for code, role in enumerate(ROLES)} | {
     "none": NONE_CODE, "": NONE_CODE
 }
+
+
+def _serve_and_year(key: int) -> str:
+    """The serve_number to year fields of a RecordsWriter.write key, each
+    with the comma after it."""
+    key, year = divmod(key, MAX_YEAR + 2)
+    key, committer = divmod(key, 3)
+    key, winner = divmod(key, 3)
+    key, kind = divmod(key, len(KINDS))
+    touch, serve = divmod(key, 2)
+    return (f"{serve + 1},{_FAULT_FIELDS[kind]},{touch},{_KIND_NAMES[kind]},"
+            f"{_ROLE_NAMES[winner - 1]},{_ROLE_NAMES[committer - 1]},{year - 1 if year else ''},")
 
 
 def _read_table(path: Path) -> RecordTable:
@@ -929,9 +877,13 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     A sidecar keyed on that digest is read when it is valid.  Otherwise
     each of the CSV's rows is coded into the table's columns, so errors
     name file and line, and the sidecar is rewritten if the directory
-    allows.
+    allows.  A path that is not a regular file (a pipe, a device, a
+    directory) raises CsvFormatError.
     """
     path = Path(path)
+    # The hash would drain a pipe, and the read would then wait on it.
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise CsvFormatError("not a regular file", path=str(path))
     before = _identity(path)
     sha256 = file_sha256(path)
     sidecar = cache_path(path)

@@ -17,6 +17,7 @@ from conftest import make_record
 from oracles import reference_ingest_files, reference_write_records_csv
 from ufesim import analytics as analytics_module
 from ufesim import cli
+from ufesim import ingest as ingest_module
 from ufesim import records as records_module
 from ufesim import simulate as simulate_module
 from ufesim.analytics import tally_records
@@ -131,6 +132,17 @@ def test_failed_ingest_writes_nothing(tmp_path, capsys):
     code = main(["ingest", str(FIXTURE), str(FIXTURE), "-o", str(out)])
     assert code == 3
     assert sorted(tmp_path.iterdir()) == []
+
+
+def test_ingest_claims_its_output_before_it_reads(tmp_path, monkeypatch, capsys):
+    def must_not_read(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(ingest_module, "_read_part", must_not_read)
+    out = tmp_path / "missing_dir" / "records.csv"
+    assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 3
+    assert f"missing_dir{os.sep}records.csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["list-players", "stats", "simulate"])
@@ -848,6 +860,22 @@ def test_list_players_into_a_closed_pipe_exits_quietly(records_csv):
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_records_that_are_no_regular_file_are_refused(tmp_path):
+    # A pipe with no writer: hashing it and then reading it again would wait forever.
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ufesim.cli", "list-players", "--records", str(fifo)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: {fifo}: not a regular file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.fifo"]
 
 
 def test_non_utf8_table_is_data_error_naming_the_file(records_csv, tmp_path, capsys):

@@ -226,9 +226,36 @@ def test_writer_matches_the_reference_across_chunks(tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_writer_matches_the_reference_at_the_ends_of_its_key(tmp_path):
+    # A's unforced error at the largest touch, years 0, MAX_YEAR and missing,
+    # 5,000 tours and names csv.writer quotes, over more than two chunks.
+    a, b = 'A, "the ace"', "B\r\nBase"
+    serves = [
+        dict(kind=K.UNFORCED_ERROR, touch=records_module.MAX_TERMINAL_TOUCH, winner=R,
+             committer=S),
+        dict(kind=K.FORCED_ERROR, touch=2, winner=S, committer=R),
+        dict(kind=K.FIRST_SERVE_FAULT, fault=True, winner=None),
+        dict(kind=K.DOUBLE_FAULT, serve_number=2, winner=R),
+        dict(),
+    ]
+    records = [
+        make_record(*((a, b) if i % 2 else (b, a)), **serves[i % len(serves)],
+                    year=(0, MAX_YEAR, None)[i % 3], tour=f"T,{i}" if i < 5000 else None,
+                    match_id=f'm "{i // 100}"')
+        for i in range(6000)
+    ]
+    table = RecordTable.from_records(records)
+    assert len(table.tours) == 5000 and len(table) > 2 * records_module._CHUNK
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    reference_write_records_csv(table, want)
+    write_records_csv(table, got)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_writer_does_not_import_numpy_ma(tmp_path):
-    """The writer finds the distinct years without np.unique, which under
-    numpy 2.4 imports numpy.ma in every ingest process (about 18 ms)."""
+    """The writer finds the distinct keys of its lines without np.unique,
+    which under numpy 2.4 imports numpy.ma in every ingest process (about
+    18 ms)."""
     script = (
         "import sys\n"
         "from conftest import make_record\n"
@@ -432,14 +459,6 @@ def test_from_points_makes_the_table_the_builder_makes():
     for point in added:
         builder.add(*point)
     assert_same_table(RecordTable.from_points(*args), builder.build())
-    # And the writer writes what write_records_csv writes of that table.
-    with tempfile.TemporaryDirectory() as tmp:
-        points, table = Path(tmp) / "points.csv", Path(tmp) / "table.csv"
-        with records_module.RecordsWriter(points) as out:
-            out.write_points(*args)
-            out.commit()
-        write_records_csv(builder.build(), table)
-        assert points.read_bytes() == table.read_bytes()
 
 
 @pytest.mark.parametrize("year, side", [(MAX_YEAR + 1, 0), (NONE_CODE - 1, 0), (2019, 2)])

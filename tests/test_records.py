@@ -15,6 +15,7 @@ from conftest import make_record
 from ufesim.cli import main
 from ufesim import records as records_module
 from ufesim.errors import CsvFormatError
+from ufesim.ingest import ingest_table
 from ufesim.records import (
     KINDS,
     MAX_TERMINAL_TOUCH,
@@ -276,10 +277,12 @@ def test_parsing_same_file_twice_is_identical(tmp_path, two_player_records):
     assert read_records_csv(path) == read_records_csv(path)
 
 
+POINTS = Path(__file__).parent / "data" / "points_sample.csv"
+
+
 def _ingest(table, path):
     """cmd_ingest of the points fixture, which the table stands in for."""
-    fixture = Path(__file__).parent / "data" / "points_sample.csv"
-    main(["ingest", str(fixture), "-o", str(path)])
+    assert main(["ingest", str(POINTS), "-o", str(path)]) == 0
 
 
 @pytest.mark.parametrize("write", [write_records_csv, save_records, _ingest])
@@ -320,19 +323,23 @@ def test_the_output_gets_the_mode_open_would_give_it(existing, tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_a_pipe_is_written_in_place(tmp_path):
+@pytest.mark.parametrize("write", [write_records_csv, save_records, _ingest])
+def test_a_pipe_is_written_in_place(write, tmp_path, capsys):
+    # And gets no sidecar: what went through the pipe cannot be read back.
+    table = (ingest_table([POINTS])[0] if write is _ingest
+             else RecordTable.from_records([make_record()]))
     fifo = tmp_path / "records.fifo"
     os.mkfifo(fifo)
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
     try:
-        write_records_csv([make_record()], fifo)
+        write(table, fifo)
     finally:
         reader.join(timeout=60)
     assert not reader.is_alive()
     want = tmp_path / "want.csv"
-    write_records_csv([make_record()], want)
+    write_records_csv(table, want)
     assert received == [want.read_bytes()]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.fifo", "want.csv"]
