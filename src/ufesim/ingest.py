@@ -10,17 +10,21 @@ notation are dropped and counted, never repaired.
 ingest_table reads each file on its own into a compact part: the ids,
 local to the file, of each kept point's match, serving side and
 (serve_number, mark, touch) key, with the strings they name, the file's
-counts and every point it names, for the check across files.  A point's
-serves depend only on its key, and each distinct notation of a file is
-decoded once.  Two files or more holding at least _MIN_FORK_BYTES are
-read in forked worker processes, one per allowed CPU (forking.forked,
-the fork helper simulate shares; `taskset -c 0` reads them in process);
-otherwise they are read in process.  The parts are taken in file order:
-each is checked against the points of the files before it, and its
-strings are interned by first appearance.  The table is made from every
-part's points at the end, so no row or record object outlives its part,
-and ids and report are those of one pass over every row.  `ufesim
-ingest` writes the records CSV from that table once it is made.
+counts and the set of matches it names.  A point's serves depend only
+on its key, and each distinct notation of a file is decoded once.  Two
+files or more holding at least _MIN_FORK_BYTES are read in forked
+worker processes, one per allowed CPU (forking.forked, the fork helper
+simulate shares; `taskset -c 0` reads them in process); otherwise they
+are read in process.  The parts are taken in file order, and their
+strings are interned by first appearance.  A file read on its own can
+only find the duplicate points within it, so one that names a match an
+earlier file named is read again in process, with the points of those
+earlier files as seen; charting exports split by tour and period keep
+each match in one file, and never pay that read.  The table is made
+from every part's points at the end, so no row or record object
+outlives its part, and ids, report and errors are those of one pass
+over every row.  `ufesim ingest` writes the records CSV from that table
+once it is made.
 
 parse_points_file, clean_rows and explode_to_serves are the same steps
 one stage at a time, on the same per-row helpers: explode_to_serves
@@ -37,7 +41,6 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -203,10 +206,9 @@ class _Part(NamedTuple):
     the kept points name, by first appearance: a point names its server,
     then its receiver.  counts are the rows read, the rows dropped for
     their rally count and for their notation, and the points given an
-    implied first-serve fault.  named lists every match the file names,
-    kept or not, by first appearance, and point_counts and point_indices
-    the point indices each holds: point_counts[j] of them, in no order,
-    for named[j], after those of the matches before it.
+    implied first-serve fault.  named is every match the file names,
+    kept or not: ingest_table reads a file again when it shares one with
+    an earlier file.
     """
 
     matches: tuple[str, ...]
@@ -216,9 +218,7 @@ class _Part(NamedTuple):
     side: array
     key: array
     counts: tuple[int, int, int, int]
-    named: tuple[str, ...]
-    point_counts: array
-    point_indices: array | list[int]
+    named: frozenset[str]
 
 
 def _key_id(keys: dict, serve_number: int, notation: str) -> int:
@@ -237,13 +237,14 @@ def _read_part(path: Path, seen: dict[str, set[int]] | None = None) -> _Part:
     seen maps a match to the point indices read so far and gains this
     file's points.  A structural error raises as the row is read; a
     point already in seen raises DuplicatePointError, naming the first
-    such row, once the file has been read for structural errors.
+    such row, once the file has been read for structural errors.  This
+    is the one code that decides whether a point repeats.
     """
     seen = {} if seen is None else seen
     matches: dict[str, int] = {}
     players: dict[str, int] = {}
     keys: dict[tuple[int, str | None, int], int] = {}
-    named: dict[str, None] = {}
+    named: set[str] = set()
     # Notation -> key id (-1: undecodable), for decisive first and second serves.
     first_keys: dict[str, int] = {}
     second_keys: dict[str, int] = {}
@@ -256,7 +257,7 @@ def _read_part(path: Path, seen: dict[str, set[int]] | None = None) -> _Part:
         rows_read += 1
         if match_id != current:
             current = match_id
-            named[match_id] = None
+            named.add(match_id)
             points = seen.setdefault(match_id, set())
             kept_id = matches.get(match_id)
         if point_index in points:
@@ -293,15 +294,9 @@ def _read_part(path: Path, seen: dict[str, set[int]] | None = None) -> _Part:
         add_key(point_key)
     if duplicate is not None:
         raise duplicate
-    groups = [seen[match_id] for match_id in named]
-    try:
-        point_indices = array("i", chain.from_iterable(groups))
-    except OverflowError:  # an index beyond 32 bits
-        point_indices = list(chain.from_iterable(groups))
     return _Part(
         tuple(matches), tuple(players), tuple(keys), match, side, key,
-        (rows_read, dropped_rally, dropped_notation, augmented),
-        tuple(named), array("i", map(len, groups)), point_indices,
+        (rows_read, dropped_rally, dropped_notation, augmented), frozenset(named),
     )
 
 
@@ -342,39 +337,6 @@ def _reader(paths: list[Path]) -> Iterator[Callable[[int], _Part]]:
                 yield lambda i: take(place[i])
                 return
     yield lambda i: _read_part(paths[i])
-
-
-def _groups(named: tuple[str, ...], point_counts: array, point_indices) -> Iterator[tuple]:
-    """(match, its point indices) of each match a part names."""
-    start = 0
-    for match_id, count in zip(named, point_counts):
-        yield match_id, point_indices[start:start + count]
-        start += count
-
-
-def _seen(earlier: list[tuple], only: set[str] | None = None) -> dict[str, set[int]]:
-    """The points earlier parts named, by match (the matches in `only`,
-    when given); earlier holds each part's (named, point_counts,
-    point_indices)."""
-    seen: dict[str, set[int]] = {}
-    for named_points in earlier:
-        for match_id, indices in _groups(*named_points):
-            if only is None or match_id in only:
-                seen.setdefault(match_id, set()).update(indices)
-    return seen
-
-
-def _repeats(part: _Part, earlier: list[tuple], shared: set[str]) -> bool:
-    """Whether the part names a point of a shared match that an earlier
-    part named."""
-    if not shared:
-        return False
-    seen = _seen(earlier, shared)
-    return any(
-        not seen[match_id].isdisjoint(indices)
-        for match_id, indices in _groups(part.named, part.point_counts, part.point_indices)
-        if match_id in shared
-    )
 
 
 class _Interned:
@@ -434,40 +396,45 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
 
     Each file is read into a part on its own (in forked workers when
     there are enough bytes; see _reader), and the parts are taken in file
-    order: each is checked against the points of the files before it and
-    its strings are interned.  The table is made from every part's
+    order, their strings interned.  The table is made from every part's
     points once the last is in, each column at its full length.
 
     Errors come in the order of a single pass: a structural error
     anywhere in a file before a duplicate point in it (raised when the
     file ends, naming the repeated row), and both before anything in the
-    next file.  A duplicate of a point in an earlier file counts too: a
-    file that repeats one is read again in process, with the earlier
-    files' points as its seen, to raise it.
+    next file.  A file's own read sees only its own points, so a file
+    that names a match an earlier file named is read again in process,
+    after the earlier files that name one of its matches have filled
+    its seen: that read raises the single pass's error or gives the same
+    part.  A file whose own read found a duplicate is read again after
+    every earlier file, as the first repeated row may repeat any of them.
     """
     paths = [Path(path) for path in paths]
     interned = _Interned()
     # Each part's points as (match id, side, key id) columns, after a start
     # of no points.
     columns = [(np.empty(0, np.int32), np.empty(0, np.int8), np.empty(0, np.int32))]
-    earlier: list[tuple] = []  # (named, point_counts, point_indices) of each part
-    named_before: set[str] = set()
+    named: list[frozenset[str]] = []  # the matches each part names
     totals = [0, 0, 0, 0]
     with _reader(paths) as read:
         for i, path in enumerate(paths):
             try:
                 part = read(i)
+                shared = [j for j, names in enumerate(named) if not names.isdisjoint(part.named)]
             except DuplicatePointError:
-                part = None  # the first repeated row may be one of an earlier file's points
-            if part is None or _repeats(part, earlier, named_before.intersection(part.named)):
-                part = _read_part(path, _seen(earlier))
-            named_before.update(part.named)
-            earlier.append((part.named, part.point_counts, part.point_indices))
+                if i == 0:
+                    raise  # with no earlier file, a single pass raises the same
+                shared = range(i)
+            if shared:
+                seen: dict[str, set[int]] = {}
+                for j in shared:
+                    _read_part(paths[j], seen)
+                part = _read_part(path, seen)
+            named.append(part.named)
             totals = [a + b for a, b in zip(totals, part.counts)]
             matches, keys = interned.add(part)
             columns.append((matches[np.asarray(part.match)], np.asarray(part.side), keys))
             del part
-    del earlier
     match, side, key = (np.concatenate(column) for column in zip(*columns))
     del columns
     table = RecordTable.from_points(

@@ -550,10 +550,9 @@ class RecordTable:
         if ((sides != 0) & (sides != 1)).any():
             raise ValueError("a side is not 0 or 1")
         lengths = np.array([len(point) for point in serves], dtype=np.intp)
-        n_rows = sum(
-            int(lengths[point_serves[start:start + _CHUNK]].sum())
-            for start in range(0, len(point_serves), _CHUNK)
-        )
+        # Where each point's serves start in the flat list of serves.
+        firsts = np.cumsum(lengths) - lengths
+        n_rows = int(np.bincount(point_serves, minlength=len(serves)) @ lengths)
         columns = {name: np.empty(n_rows, dtype=dtype) for name, dtype in _COLUMNS}
         # Each code of the flat list of serves, in its column's dtype.
         codes = [
@@ -561,7 +560,15 @@ class RecordTable:
             for i, (name, dtype) in enumerate(_COLUMNS[3:8])
         ]
         stop = 0
-        for points, counts, serve_rows in _row_chunks(serves, point_serves):
+        for start in range(0, len(point_serves), _CHUNK):
+            points = slice(start, start + _CHUNK)
+            keys = point_serves[points]
+            counts = lengths[keys]
+            ends = np.cumsum(counts)
+            # A row's serve is its point's first serve plus its place among
+            # its point's rows.
+            serve_rows = np.repeat(firsts[keys] - (ends - counts), counts)
+            serve_rows += np.arange(len(serve_rows))
             rows = slice(stop, stop + len(serve_rows))
             stop = rows.stop
             head, side = point_heads[points], sides[points]
@@ -579,27 +586,6 @@ class RecordTable:
             return slice(None)
         tour_id = self.tours.index(tour) if tour in self.tours else len(self.tours)
         return self.tour == tour_id
-
-
-def _row_chunks(
-    serves: Sequence[tuple], point_serves: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """The rows of points, _CHUNK points at a time, as (points, counts,
-    serve_rows): the slice of points, each point's number of rows, and
-    each row's index in the flat list of serves (every point's serves,
-    one after another, in the order of serves)."""
-    lengths = np.array([len(point) for point in serves], dtype=np.intp)
-    firsts = np.cumsum(lengths) - lengths
-    for start in range(0, len(point_serves), _CHUNK):
-        points = slice(start, start + _CHUNK)
-        keys = point_serves[points]
-        counts = lengths[keys]
-        ends = np.cumsum(counts)
-        # A row's serve is its point's first serve plus its place among
-        # its point's rows.
-        serve_rows = np.repeat(firsts[keys] - (ends - counts), counts)
-        serve_rows += np.arange(len(serve_rows))
-        yield points, counts, serve_rows
 
 
 class TableBuilder:

@@ -51,6 +51,7 @@ from ufesim.records import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
+FIRST = "20190705-M-Wimbledon-F-Alpha_One-Beta_Two"  # the fixture's first match
 K = TerminalKind
 
 # How ingest_table reads its files: in process, or in two forked workers
@@ -310,9 +311,7 @@ def test_duplicate_across_files_raises(tmp_path):
             ingest_files([FIXTURE, copy])
         # The copy's first data row repeats the fixture's.
         assert (exc.value.path, exc.value.line) == (str(copy), 2)
-        assert (exc.value.match_id, exc.value.point_index) == (
-            "20190705-M-Wimbledon-F-Alpha_One-Beta_Two", 1
-        )
+        assert (exc.value.match_id, exc.value.point_index) == (FIRST, 1)
 
 
 @pytest.mark.parametrize("read", READS)
@@ -341,6 +340,83 @@ def test_a_dead_worker_raises_worker_died(tmp_path, monkeypatch):
     with reading("forked"), pytest.raises(WorkerDiedError, match="an ingest worker process died"):
         ingest_table([FIXTURE, copy])
     assert multiprocessing.active_children() == []
+
+
+# A match split over files: the later file is read again in process.
+
+
+def _split_fixture(tmp_path: Path) -> tuple[Path, Path]:
+    """The fixture cut into two files after its fifth point, inside its
+    first match."""
+    header, *rows = FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)
+    return (
+        _write(tmp_path / "head.csv", header + "".join(rows[:5])),
+        _write(tmp_path / "tail.csv", header + "".join(rows[5:])),
+    )
+
+
+@contextmanager
+def parent_reads():
+    """Yields the paths _read_part reads in the calling process."""
+    caller, read_part, calls = os.getpid(), ingest_module._read_part, []
+
+    def counted(path, seen=None):
+        if os.getpid() == caller:
+            calls.append(path)
+        return read_part(path, seen)
+
+    with mock.patch.object(ingest_module, "_read_part", counted):
+        yield calls
+
+
+@pytest.mark.parametrize("read", READS)
+def test_a_match_split_over_files_reads_as_one_file(read, tmp_path):
+    head, tail = _split_fixture(tmp_path)
+    other = _write(
+        tmp_path / "other.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},2,15-0,2,5n,6*,1\n"
+    )
+    with reading(read):
+        with parent_reads() as unshared:
+            whole = ingest_table([FIXTURE, other])
+        with parent_reads() as shared:
+            split = ingest_table([head, tail, other])
+    assert_same_table(split[0], whole[0])
+    assert split[1] == whole[1]
+    outputs = []
+    for name, (table, _) in (("whole", whole), ("split", split)):
+        out = tmp_path / f"{name}.csv"
+        save_records(table, out)
+        outputs.append((out.read_bytes(), cache_path(out).read_bytes()))
+    assert outputs[0] == outputs[1]
+    if read == "forked":
+        # Only the tail shares a match with an earlier file: the head fills
+        # its seen, then the tail is read again.
+        assert shared == [head, tail]
+        assert unshared == []
+
+
+@pytest.mark.parametrize("read", READS)
+def test_a_format_error_after_a_file_read_again_names_its_line(read, tmp_path):
+    head, tail = _split_fixture(tmp_path)
+    bad = _write(
+        tmp_path / "bad.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},2,0-0,3,4*,,1\n"
+    )
+    with reading(read), pytest.raises(CsvFormatError, match="Svr") as exc:
+        ingest_table([head, tail, bad])
+    assert (exc.value.path, exc.value.line) == (str(bad), 3)
+
+
+@pytest.mark.parametrize("read", READS)
+def test_a_repeat_of_a_file_read_again_names_the_repeating_row(read, tmp_path):
+    head, tail = _split_fixture(tmp_path)
+    # Point 7 of the first match is in the tail, not the head.
+    again = _write(
+        tmp_path / "again.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{FIRST},7,0-0,1,4*,,1\n"
+    )
+    with reading(read), pytest.raises(DuplicatePointError) as exc:
+        ingest_table([head, tail, again])
+    assert (exc.value.path, exc.value.line) == (str(again), 3)
+    assert (exc.value.match_id, exc.value.point_index) == (FIRST, 7)
 
 
 # Input semantics of the streaming pass, each as the staged pipeline had
@@ -632,9 +708,9 @@ def test_streaming_pass_matches_the_staged_pipeline(files, read):
 @settings(max_examples=150, deadline=None)
 @given(files=corpora())
 def test_every_builder_matches_the_reference_from_records(files):
-    # from_records, ingest_table and a cache miss all build through one
-    # TableBuilder; each must give the columns, string tables and sidecar
-    # of the column-by-column reference.
+    # from_records and a cache miss build through a TableBuilder, and
+    # ingest_table through RecordTable.from_points; each must give the
+    # columns, string tables and sidecar of the column-by-column reference.
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, data in enumerate(files):
