@@ -10,21 +10,22 @@ notation are dropped and counted, never repaired.
 ingest_table reads each file on its own into a compact part: the ids,
 local to the file, of each kept point's match, serving side and
 (serve_number, mark, touch) key, with the strings they name, the file's
-counts and the set of matches it names.  A point's serves depend only
-on its key, and each distinct notation of a file is decoded once.  Two
-files or more holding at least _MIN_FORK_BYTES are read in forked
-worker processes, one per allowed CPU (forking.forked, the fork helper
-simulate shares; `taskset -c 0` reads them in process); otherwise they
-are read in process.  The parts are taken in file order, and their
-strings are interned by first appearance.  A file read on its own can
-only find the duplicate points within it, so one that names a match an
-earlier file named is read again in process, with the points of those
-earlier files as seen; charting exports split by tour and period keep
-each match in one file, and never pay that read.  The table is made
-from every part's points at the end, so no row or record object
-outlives its part, and ids, report and errors are those of one pass
-over every row.  `ufesim ingest` writes the records CSV from that table
-once it is made.
+counts, the set of matches it names and its first repeated point, if
+any.  A point's serves depend only on its key, and each distinct
+notation of a file is decoded once.  Two files or more holding at least
+_MIN_FORK_BYTES are read in forked worker processes, one per allowed
+CPU (forking.forked, the fork helper simulate shares; `taskset -c 0`
+reads them in process); otherwise they are read in process.  The parts
+are taken in file order, and their strings are interned by first
+appearance.  A file read on its own can only find the duplicate points
+within it, so one that names a match an earlier file named is read
+again in process, with the points of those earlier files as seen;
+charting exports split by tour and period keep each match in one file,
+and never pay that read, not even to report a duplicate point.  The
+table is made from every part's points at the end, so no row or record
+object outlives its part, and ids, report and errors are those of one
+pass over every row.  `ufesim ingest` writes the records CSV from that
+table once it is made.
 
 parse_points_file, clean_rows and explode_to_serves are the same steps
 one stage at a time, on the same per-row helpers: explode_to_serves
@@ -208,7 +209,8 @@ class _Part(NamedTuple):
     their rally count and for their notation, and the points given an
     implied first-serve fault.  named is every match the file names,
     kept or not: ingest_table reads a file again when it shares one with
-    an earlier file.
+    an earlier file.  duplicate is the DuplicatePointError of the file's
+    first repeated row, or None; the points after that row are not kept.
     """
 
     matches: tuple[str, ...]
@@ -219,6 +221,7 @@ class _Part(NamedTuple):
     key: array
     counts: tuple[int, int, int, int]
     named: frozenset[str]
+    duplicate: DuplicatePointError | None
 
 
 def _key_id(keys: dict, serve_number: int, notation: str) -> int:
@@ -235,10 +238,12 @@ def _read_part(path: Path, seen: dict[str, set[int]] | None = None) -> _Part:
     """Read one charting file.
 
     seen maps a match to the point indices read so far and gains this
-    file's points.  A structural error raises as the row is read; a
-    point already in seen raises DuplicatePointError, naming the first
-    such row, once the file has been read for structural errors.  This
-    is the one code that decides whether a point repeats.
+    file's points.  A structural error raises as the row is read.  The
+    first point already in seen becomes the part's duplicate, a
+    DuplicatePointError naming its row, which ingest_table raises once
+    it knows which earlier files could hold that point; the rest of the
+    file is still read for structural errors.  This is the one code that
+    decides whether a point repeats.
     """
     seen = {} if seen is None else seen
     matches: dict[str, int] = {}
@@ -292,11 +297,9 @@ def _read_part(path: Path, seen: dict[str, set[int]] | None = None) -> _Part:
         add_match(kept_id)
         add_side(server)
         add_key(point_key)
-    if duplicate is not None:
-        raise duplicate
     return _Part(
         tuple(matches), tuple(players), tuple(keys), match, side, key,
-        (rows_read, dropped_rally, dropped_notation, augmented), frozenset(named),
+        (rows_read, dropped_rally, dropped_notation, augmented), frozenset(named), duplicate,
     )
 
 
@@ -402,12 +405,13 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
     Errors come in the order of a single pass: a structural error
     anywhere in a file before a duplicate point in it (raised when the
     file ends, naming the repeated row), and both before anything in the
-    next file.  A file's own read sees only its own points, so a file
-    that names a match an earlier file named is read again in process,
-    after the earlier files that name one of its matches have filled
-    its seen: that read raises the single pass's error or gives the same
-    part.  A file whose own read found a duplicate is read again after
-    every earlier file, as the first repeated row may repeat any of them.
+    next file.  A file's own read sees only its own points, and a point
+    can repeat only an earlier point of its own match.  So a file that
+    names a match an earlier file named, whether or not its own read
+    found a duplicate, is read again in process, after the earlier files
+    that name one of its matches have filled its seen: that read gives
+    the single pass's part and duplicate.  A file that shares no match
+    with an earlier file keeps its own read's part and duplicate.
     """
     paths = [Path(path) for path in paths]
     interned = _Interned()
@@ -418,18 +422,15 @@ def ingest_table(paths: Iterable[str | Path]) -> tuple[RecordTable, IngestReport
     totals = [0, 0, 0, 0]
     with _reader(paths) as read:
         for i, path in enumerate(paths):
-            try:
-                part = read(i)
-                shared = [j for j, names in enumerate(named) if not names.isdisjoint(part.named)]
-            except DuplicatePointError:
-                if i == 0:
-                    raise  # with no earlier file, a single pass raises the same
-                shared = range(i)
+            part = read(i)
+            shared = [j for j, names in enumerate(named) if not names.isdisjoint(part.named)]
             if shared:
                 seen: dict[str, set[int]] = {}
                 for j in shared:
                     _read_part(paths[j], seen)
                 part = _read_part(path, seen)
+            if part.duplicate is not None:
+                raise part.duplicate
             named.append(part.named)
             totals = [a + b for a, b in zip(totals, part.counts)]
             matches, keys = interned.add(part)

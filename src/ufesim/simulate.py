@@ -19,7 +19,12 @@ match's shares straight to its columns.  A point consumes uniforms from
 the replicate stream in a fixed order: one per serve drawn, one removal
 draw for every drawn error by A (whatever x is, x = 0 included), and one
 resolution draw when the error is struck.  Only rng.random() is called,
-and the first server costs one draw under the 'random' policy.
+and the first server costs one draw under the 'random' policy.  A serve
+drawn with uniform u from a pool of n codes is the code at index
+floor(u * n).  For u in [0, 1) that is the index int(u * n) gives, so
+seeded outputs match those of int() draws bit for bit; math.floor is
+the cheaper call on CPython 3.10-3.12, where int(float) goes through
+the int type's constructor.
 
 Replicates run on every CPU the process may use.  run_simulation and
 compare_scenarios cut each scenario into blocks of at least _MIN_BLOCK
@@ -165,11 +170,11 @@ def simulate_point(
     """Play one point with `server` ('A' or 'B') serving."""
     side = PLAYERS.index(server)
     codes = pools.first_codes[side]
-    code = codes[int(rng.random() * len(codes))]
+    code = codes[math.floor(rng.random() * len(codes))]
     serve_number = 1
     if code < 0:
         codes = pools.second_codes[side]
-        code = codes[int(rng.random() * len(codes))]
+        code = codes[math.floor(rng.random() * len(codes))]
         serve_number = 2
     if code < 2:
         return PointOutcome(PLAYERS[code], serve_number, False, False)
@@ -215,8 +220,9 @@ def _pool_draws(pools: ServePoolSet, table: TouchWinTable) -> tuple:
     tuple, and the chance that A wins a point whose error at each code is
     struck.
 
-    The counts are floats: int(u * 2410.0) == int(u * 2410) for any size
-    below 2**53, so a float count indexes as the int one.
+    The counts are floats: u * 2410.0 is the same double as u * 2410 for
+    any size below 2**53, so floor(u * 2410.0) indexes as the int count
+    does.
     """
     (a_first, b_first), (a_second, b_second) = pools.first_codes, pools.second_codes
     return (
@@ -257,6 +263,7 @@ def _play_match(
     sets_to_win = fmt.sets_to_win
     final_set = fmt.best_of - 1  # sets completed before the final set
     final_set_tiebreak = fmt.final_set_tiebreak
+    floor = math.floor
     points_a = points_b = games_a = games_b = sets_a = sets_b = kept = removed = 0
     set_scores = []
     while True:
@@ -270,9 +277,9 @@ def _play_match(
                 opener = server
             firsts, n_firsts, seconds, n_seconds = serves[server]
             while True:
-                code = firsts[int(rand() * n_firsts)]
+                code = firsts[floor(rand() * n_firsts)]
                 if code < 0:
-                    code = seconds[int(rand() * n_seconds)]
+                    code = seconds[floor(rand() * n_seconds)]
                 if code > 1:
                     # An unforced error by A at touch `code`: B's point unless struck.
                     if rand() < x:

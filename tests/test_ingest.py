@@ -419,6 +419,21 @@ def test_a_repeat_of_a_file_read_again_names_the_repeating_row(read, tmp_path):
     assert (exc.value.match_id, exc.value.point_index) == (FIRST, 7)
 
 
+@pytest.mark.parametrize("read", READS)
+def test_a_repeat_within_a_file_that_shares_no_match_reads_nothing_again(read, tmp_path):
+    dup = _write(
+        tmp_path / "dup.csv",
+        HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},2,15-0,1,4*,,1\n"
+        + f"{MATCH},1,0-0,1,4*,,1\n",
+    )
+    with reading(read), parent_reads() as reads, pytest.raises(DuplicatePointError) as exc:
+        ingest_table([FIXTURE, dup])
+    assert (exc.value.path, exc.value.line, exc.value.point_index) == (str(dup), 4, 1)
+    if read == "forked":
+        # No earlier file names the match, so only the file's own read counts.
+        assert reads == []
+
+
 # Input semantics of the streaming pass, each as the staged pipeline had
 # them (csv.DictReader's reading of the file).
 

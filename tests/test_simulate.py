@@ -793,12 +793,21 @@ def test_simulate_match_calls_nothing_per_point_but_the_draw(mixed_pools, fmt):
     """A match calls no Python function per point, game or set: under a
     profiler no Python function runs more than once per match, whether
     simulate_match or a replicate block plays it.  With a tiebreak at 1-1
-    every such set is decided by one, played by the same point loop."""
-    calls = Counter()
+    every such set is decided by one, played by the same point loop.
+
+    The only C functions the kernel calls are the stream's random, floor
+    (one per serve drawn: a pool index is floor(u * size), not an int()
+    call) and append (one per set)."""
+    calls, c_calls = Counter(), Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             calls[(frame.f_globals.get("__name__"), frame.f_code.co_name)] += 1
+        elif event == "c_call":
+            c_calls[(frame.f_code.co_name, arg.__name__)] += 1
+
+    def kernel_c_calls() -> Counter:
+        return Counter({name: n for (caller, name), n in c_calls.items() if caller == "_play_match"})
 
     cfg = SimulationConfig(
         n_matches=3, seed=3, reduction_x=0.5, format=fmt, first_server_policy="random"
@@ -813,8 +822,16 @@ def test_simulate_match_calls_nothing_per_point_but_the_draw(mixed_pools, fmt):
     assert (trigger + 1, trigger) in result.set_scores  # A won a tiebreak
     assert calls[("ufesim.simulate", "_play_match")] == 1
     assert {key for key, n in calls.items() if n > 1} == set()
+    kernel = kernel_c_calls()
+    assert set(kernel) == {"random", "floor", "append"}
+    assert kernel["append"] == len(result.set_scores)
+    # One draw picks the first server; each removal draw and each
+    # resolution draw is a random call with no floor.
+    drawn = sum(n for (_, name), n in c_calls.items() if name == "random")
+    assert kernel["floor"] == drawn - 1 - result.ufes_kept - 2 * result.ufes_removed
 
     calls.clear()
+    c_calls.clear()
     job = simulate._Job((cfg,), mixed_pools, TABLE)
     sys.setprofile(profile)
     try:
@@ -824,3 +841,4 @@ def test_simulate_match_calls_nothing_per_point_but_the_draw(mixed_pools, fmt):
     assert len(columns[0]) == cfg.n_matches
     assert calls[("ufesim.simulate", "_play_match")] == cfg.n_matches
     assert {key for key, n in calls.items() if n > cfg.n_matches} == set()
+    assert set(kernel_c_calls()) == {"random", "floor", "append"}
