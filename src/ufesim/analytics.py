@@ -9,8 +9,8 @@ as one server contact but is never an unforced error here.
 Every statistic reads a RecordTable (a plain iterable of ServeRecords is
 converted first).  tally_records counts each player's matches, contacts,
 errors and touch and year histograms with whole-column numpy bincounts,
-all in integers; matches_per_player shares its distinct (player, match)
-count.
+all in integers; it and matches_per_player take each player's distinct
+matches from RecordTable.match_counts, as the records sidecar does.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .records import (
     ServeRecord,
     TerminalKind,
     as_table,
-    distinct,
 )
 
 DEFAULT_MAX_TOUCH = 13
@@ -159,22 +158,6 @@ class RecordTally:
         return ufes / decisive if decisive else 0.0
 
 
-def _match_counts(
-    match: np.ndarray, server: np.ndarray, receiver: np.ndarray, n_players: int, n_matches: int
-) -> np.ndarray:
-    """Distinct matches each player id served or received in, over the
-    rows of these columns."""
-    n_matches = max(n_matches, 1)
-    per_side = []
-    for players in (server, receiver):
-        keys = players.astype(np.int64)
-        keys *= n_matches
-        keys += match
-        per_side.append(distinct(keys))
-    pairs = distinct(np.concatenate(per_side))
-    return np.bincount(pairs // n_matches, minlength=n_players)
-
-
 def _first_seen(server: np.ndarray, receiver: np.ndarray, n_players: int) -> np.ndarray:
     """Player ids in the order a walk over the rows meets them, each
     row's server before its receiver."""
@@ -226,7 +209,7 @@ def tally_records(
     n_players, width = len(table.players), max_touch + 1
     server, receiver = table.server[rows], table.receiver[rows]
     order = _first_seen(server, receiver, n_players)
-    matches = _match_counts(table.match[rows], server, receiver, n_players, len(table.matches))
+    matches = table.match_counts(tour)
 
     kind = table.kind[rows]
     decisive = kind != KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
@@ -283,14 +266,7 @@ def matches_per_player(
 ) -> dict[str, int]:
     """How many distinct matches each player served or received in."""
     table = as_table(records)
-    rows = table.tour_rows(tour)
-    counts = _match_counts(
-        table.match[rows],
-        table.server[rows],
-        table.receiver[rows],
-        len(table.players),
-        len(table.matches),
-    )
+    counts = table.match_counts(tour)
     return {table.players[i]: int(counts[i]) for i in np.flatnonzero(counts)}
 
 

@@ -7,7 +7,12 @@ fixed default seed which is echoed, never wall-clock seeded.
 At module level this file imports only the standard library, the
 version and the error types.  Each command imports the modules it runs
 only when it gets to them, so `--version`, a config error or a missing
-`--a` loads no numpy, and `list-players` never loads the simulator.
+`--a` loads no numpy.  `list-players` answers from the header of the
+records sidecar (see ufesim.sidecar) and loads no numpy either, unless
+the sidecar is missing or stale; then it reads the CSV as every command
+does, and answers from the header it builds for that table.  main keeps
+numpy's OpenBLAS to one thread unless the user has set its count:
+ufesim calls no BLAS routine, and each idle OpenBLAS thread spins.
 
 build_parser declares each setting once: a `stats` or `simulate`
 `--config` line sets one of the command's options by its dest, read
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
@@ -78,7 +84,7 @@ def build_manifest(
     """The manifest of one run; the dataset digest is dataset_sha256 when
     the caller already has it, else the SHA-256 of dataset_path."""
     if dataset_sha256 is None and dataset_path:
-        from .records import file_sha256
+        from .sidecar import file_sha256
 
         dataset_sha256 = file_sha256(dataset_path)
     return RunManifest(
@@ -219,7 +225,8 @@ def _claimed_output(path: str | None):
 def cmd_ingest(args: argparse.Namespace) -> int:
     paths = [_resolve_data_path(p) for p in args.inputs]
     from .ingest import ingest_table
-    from .records import RecordsWriter, cache_path
+    from .records import RecordsWriter
+    from .sidecar import cache_path
 
     _refuse_overwriting_inputs(paths, [Path(args.output), cache_path(args.output)])
     # Entered first, so that an output that cannot be written fails before the read.
@@ -238,11 +245,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_list_players(args: argparse.Namespace) -> int:
-    from .analytics import matches_per_player
-    from .records import load_records
+    from .sidecar import build_header, cache_path, file_sha256, players_of, read_header
 
-    table, _ = load_records(_resolve_data_path(args.records))
-    matches = matches_per_player(table, args.tour or None)
+    path = _resolve_data_path(args.records)
+    # As load_records: the hash would drain a pipe.
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise CsvFormatError("not a regular file", path=str(path))
+    header = read_header(cache_path(path), file_sha256(path))
+    if header is None:
+        from .records import load_records
+
+        header = build_header(*load_records(path))
+    matches = players_of(header, args.tour or None)
     for name in sorted(matches):
         print(f"{name}\t{matches[name]}")
     return EXIT_OK
@@ -351,8 +365,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     records_path = _resolve_data_path(args.records)
     from .counterfactual import default_table, load_table
     from .pools import PoolScope, build_pools, pool_summary
-    from .records import cache_path, load_records
+    from .records import load_records
     from .scoring import MatchFormat
+    from .sidecar import cache_path
     from .simulate import SimulationConfig, compare_scenarios, format_comparison, parse_scenario
 
     if args.out:
@@ -511,6 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Read when numpy is first imported, so set before any command runs.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

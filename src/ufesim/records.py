@@ -32,36 +32,34 @@ load_records reads a records CSV into a table through a sidecar cache,
 On a miss each row's fields are mapped straight to column codes (kind
 and role by lookup, numbers by int()), and the sidecar is rewritten
 from the table.  The sidecar holds the ten columns and a JSON header of
-the format version, that digest and the string tables.
+the format version, that digest, the string tables and each player's
+match counts, which RecordTable.match_counts counts for list-players,
+stats and the sidecar alike; the sidecar module keeps that layout.
 read_records_csv is the same read as ServeRecords, with no sidecar.
 save_records writes a table's CSV and its sidecar together, as
 RecordsWriter.commit does given the table.  This module is the only one
-that knows the column layout and the sidecar's.
+that knows the column layout.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
-import json
 import os
-import shutil
 import stat
-import struct
 import tempfile
-import zipfile
-import zlib
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CsvFormatError
+from .sidecar import cache_path, file_sha256, read_table, write_sidecar
 
 
 class TerminalKind(Enum):
@@ -293,7 +291,7 @@ class RecordsWriter:
         os.replace(self._tmp, self.path)
         self._tmp = None
         if table is not None:
-            _write_sidecar(self._sidecar, _to_arrays(table, sha256), self.path)
+            write_sidecar(self._sidecar, table, sha256, self.path)
         return sha256
 
 
@@ -587,6 +585,20 @@ class RecordTable:
         tour_id = self.tours.index(tour) if tour in self.tours else len(self.tours)
         return self.tour == tour_id
 
+    def match_counts(self, tour: str | None = None) -> np.ndarray:
+        """How many distinct matches each player id served or received
+        in, over one tour's rows (every row when tour is None)."""
+        rows = self.tour_rows(tour)
+        n_matches = max(len(self.matches), 1)
+        per_side = []
+        for players in (self.server[rows], self.receiver[rows]):
+            keys = players.astype(np.int64)
+            keys *= n_matches
+            keys += self.match[rows]
+            per_side.append(distinct(keys))
+        pairs = distinct(np.concatenate(per_side))
+        return np.bincount(pairs // n_matches, minlength=len(self.players))
+
 
 class TableBuilder:
     """Grows the columns of a RecordTable one point at a time.
@@ -766,96 +778,6 @@ def read_records_csv(path) -> list[ServeRecord]:
     return _read_table(Path(path)).to_records()
 
 
-CACHE_VERSION = 2
-CACHE_SUFFIX = ".ufesim-cache.npz"
-
-# What reading a missing, truncated or otherwise corrupt sidecar can raise.
-_UNREADABLE = (
-    EOFError,
-    KeyError,
-    NotImplementedError,
-    OSError,
-    RuntimeError,
-    TypeError,
-    ValueError,
-    struct.error,
-    zipfile.BadZipFile,
-    zlib.error,
-)
-
-
-def file_sha256(path: str | Path) -> str:
-    """Hex SHA-256 of a file's bytes."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def cache_path(records_path: str | Path) -> Path:
-    """Where load_records keeps the sidecar of a records CSV."""
-    path = Path(records_path)
-    return path.with_name(path.name + CACHE_SUFFIX)
-
-
-def _to_arrays(table: RecordTable, sha256: str) -> dict[str, np.ndarray]:
-    """The sidecar's contents for a table read from a CSV with this digest.
-
-    The header's JSON is ASCII, with every other character escaped, so a
-    name keeps a trailing NUL that a numpy str array would drop."""
-    header = {"version": CACHE_VERSION, "sha256": sha256}
-    header.update((name, getattr(table, name)) for name in _STRING_TABLES)
-    arrays = {"header": np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8)}
-    arrays.update((name, getattr(table, name)) for name, _ in _COLUMNS)
-    return arrays
-
-
-def _from_arrays(arrays: Mapping[str, np.ndarray], sha256: str) -> RecordTable | None:
-    """The table in a sidecar's contents; None if they are of another
-    version or digest, and an error if they fail a check."""
-    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
-    if not isinstance(header, dict):
-        raise ValueError("the sidecar header is not a JSON object")
-    if header.get("version") != CACHE_VERSION or header.get("sha256") != sha256:
-        return None
-    strings = {name: header[name] for name in _STRING_TABLES}
-    if not all(isinstance(table, list) for table in strings.values()):
-        raise ValueError("a string table is not a list")
-    return RecordTable(
-        **{name: arrays[name] for name, _ in _COLUMNS},
-        **{name: tuple(table) for name, table in strings.items()},
-    )
-
-
-def _read_sidecar(sidecar: Path, sha256: str) -> RecordTable | None:
-    """The cached table, or None unless the sidecar is readable, of this
-    version, keyed on this digest and passes every check."""
-    try:
-        # np.load leaves a file it opened unclosed when that is no zip.
-        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            return _from_arrays(npz, sha256)
-    except _UNREADABLE:
-        return None
-
-
-def _write_sidecar(sidecar: Path, arrays: dict[str, np.ndarray], like: Path) -> None:
-    """Replace the sidecar atomically, with the permissions of `like`;
-    a write that fails is dropped."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name + ".", suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        shutil.copymode(like, tmp)
-        os.replace(tmp, sidecar)
-    except OSError:
-        with suppress(OSError):
-            os.unlink(tmp)
-
-
 def load_records(path: str | Path) -> tuple[RecordTable, str]:
     """The records of a CSV written by write_records_csv, as a table, and
     the SHA-256 of the CSV's bytes.
@@ -873,12 +795,12 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     before = _identity(path)
     sha256 = file_sha256(path)
     sidecar = cache_path(path)
-    table = _read_sidecar(sidecar, sha256)
+    table = read_table(sidecar, sha256)
     if table is None:
         table = _read_table(path)
         # Cache only what matches the key: the CSV may change while read.
         if _identity(path) == before:
-            _write_sidecar(sidecar, _to_arrays(table, sha256), path)
+            write_sidecar(sidecar, table, sha256, path)
     return table, sha256
 
 

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from ufesim import records as records_module
+from ufesim import sidecar as sidecar_module
 from ufesim.pools import PoolScope, ServePoolSet, build_pools
 from ufesim.records import RecordTable, Role, ServeRecord, TerminalKind
 
@@ -91,5 +91,5 @@ def assert_same_table(table: RecordTable, expected: RecordTable) -> None:
 def sidecar_bytes(table: RecordTable, sha256: str) -> bytes:
     """The bytes of the sidecar that caches a table under this digest."""
     buffer = io.BytesIO()
-    np.savez(buffer, **records_module._to_arrays(table, sha256))
+    np.savez(buffer, **sidecar_module._to_arrays(table, sha256))
     return buffer.getvalue()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import sys
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_record
@@ -19,6 +21,7 @@ from ufesim import analytics as analytics_module
 from ufesim import cli
 from ufesim import ingest as ingest_module
 from ufesim import records as records_module
+from ufesim import sidecar as sidecar_module
 from ufesim import simulate as simulate_module
 from ufesim.analytics import tally_records
 from ufesim.cli import DATA_DIR_ENV, main
@@ -110,7 +113,7 @@ def test_ingest_records_a_year_int_cannot_read_as_unknown(tmp_path, capsys):
 def test_ingest_refuses_to_overwrite_an_input(tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_bytes(FIXTURE.read_bytes())
-    sidecar_input = tmp_path / ("r.csv" + records_module.CACHE_SUFFIX)
+    sidecar_input = tmp_path / ("r.csv" + sidecar_module.CACHE_SUFFIX)
     sidecar_input.write_bytes(FIXTURE.read_bytes())
     for inputs, output in (
         ([points], points),
@@ -172,7 +175,7 @@ def test_ingest_replaces_a_stale_sidecar(tmp_path, capsys):
     stale = cache_path(out).read_bytes()
     assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 0
     assert cache_path(out).read_bytes() != stale
-    table = records_module._read_sidecar(cache_path(out), file_sha256(out))
+    table = sidecar_module.read_table(cache_path(out), file_sha256(out))
     assert table.to_records() == read_records_csv(out) and len(table) == 17
 
 
@@ -677,18 +680,70 @@ def _stats_files(records_csv, out_dir):
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 
+def _list_players(records_csv, capsys) -> list[str]:
+    """list-players' output over every tour, then over each tour."""
+    outputs = []
+    for tour in ([], ["--tour", "ATP"], ["--tour", "WTA"]):
+        assert main(["list-players", "--records", str(records_csv), *tour]) == 0
+        outputs.append(capsys.readouterr().out)
+    return outputs
+
+
+def _edited_header(sidecar: bytes, **changes) -> bytes:
+    """The sidecar with these header keys set, or dropped where None."""
+    with np.load(io.BytesIO(sidecar), allow_pickle=False) as npz:
+        arrays = dict(npz)
+    header = json.loads(arrays["header"].tobytes())
+    header.update(changes)
+    header = {key: value for key, value in header.items() if value is not None}
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("ascii"), np.uint8)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
 def test_corrupt_or_stale_sidecar_changes_no_output(records_csv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "datetime", FrozenDatetime)
     sidecar = cache_path(records_csv)
     clean = _stats_files(records_csv, tmp_path / "clean")
+    capsys.readouterr()
+    players = _list_players(records_csv, capsys)  # a hit
+    assert all(players) and len(set(players)) == 3
     good = sidecar.read_bytes()
+    sidecar.unlink()  # a miss
+    assert _list_players(records_csv, capsys) == players
+    assert sidecar.read_bytes() == good
     other = tmp_path / "other.csv"
     write_records_csv([make_record()], other)
     assert main(["list-players", "--records", str(other)]) == 0
-    for damaged in (b"not a zip", good[: len(good) // 2], cache_path(other).read_bytes()):
+    capsys.readouterr()
+    with np.load(io.BytesIO(good), allow_pickle=False) as npz:
+        counts = json.loads(npz["header"].tobytes())["counts"]
+    malformed = [
+        dict(version=2, counts=None, tour_counts=None),  # the layout before the counts
+        dict(counts=counts[:-1]),
+        dict(counts=[-1, *counts[1:]]),
+        dict(counts=[float(n) for n in counts]),
+        dict(counts=[str(n) for n in counts]),
+        dict(counts=[True, *counts[1:]]),
+        dict(counts=None),
+        dict(tour_counts=[]),
+        dict(tour_counts=[counts[:-1]]),
+        dict(tour_counts={"ATP": counts}),
+    ]
+    for damaged in (
+        b"not a zip",
+        good[: len(good) // 2],
+        cache_path(other).read_bytes(),
+        *(_edited_header(good, **changes) for changes in malformed),
+    ):
+        sidecar.write_bytes(damaged)
+        assert _list_players(records_csv, capsys) == players
+        assert sidecar.read_bytes() == good
         sidecar.write_bytes(damaged)
         assert _stats_files(records_csv, tmp_path / "again") == clean
         assert sidecar.read_bytes() == good
+        capsys.readouterr()
 
 
 def test_stale_sidecar_keeps_csv_errors(records_csv, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 from importlib import import_module
@@ -34,9 +36,9 @@ print(json.dumps({
 """
 
 
-def run_fresh(*args: str, code: str = PROBE) -> subprocess.CompletedProcess:
+def run_fresh(*args: str, code: str = PROBE, env=None) -> subprocess.CompletedProcess:
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -51,36 +53,74 @@ def records_csv(tmp_path_factory):
 
 
 SIMULATE = ["simulate", "--records", "{records}", "--a", "Alpha_One", "--n", "40"]
-SIMULATOR = {"records", "pools", "simulate", "counterfactual", "scoring", "rng"}
+SIMULATOR = {"records", "sidecar", "pools", "simulate", "counterfactual", "scoring", "rng"}
 
 
-# argv (with {records}, {out} and {fixture} filled in), exit code, and the
-# modules beyond the CLI's that the command loads.
+# argv (with {records}, {uncached}, {out} and {fixture} filled in), exit
+# code, and the modules beyond the CLI's that the command loads.  {uncached}
+# is a copy of the records CSV with no sidecar, so the command misses.
 @pytest.mark.parametrize(
     "argv, exit_code, loaded",
     [
         (["--version"], 0, set()),
         (SIMULATE, 2, set()),  # no --b: a usage error
         (SIMULATE + ["--b", "Beta_Two"], 0, SIMULATOR),
-        (["list-players", "--records", "{records}"], 0, {"records", "analytics"}),
-        (["stats", "--records", "{records}", "--out-dir", "{out}"], 0, {"records", "analytics"}),
+        (["list-players", "--records", "{records}"], 0, {"sidecar"}),
+        (["list-players", "--records", "{uncached}"], 0, {"sidecar", "records"}),
+        (
+            ["stats", "--records", "{records}", "--out-dir", "{out}"],
+            0,
+            {"records", "sidecar", "analytics"},
+        ),
         (
             ["stats", "--records", "{records}", "--out-dir", "{out}", "--svg"],
             0,
-            {"records", "analytics", "svg"},
+            {"records", "sidecar", "analytics", "svg"},
         ),
-        (["ingest", "{fixture}", "-o", "{out}/r.csv"], 0, {"ingest", "notation", "records"}),
+        (
+            ["ingest", "{fixture}", "-o", "{out}/r.csv"],
+            0,
+            {"ingest", "notation", "records", "sidecar"},
+        ),
     ],
-    ids=["version", "usage-error", "simulate", "list-players", "stats", "stats-svg", "ingest"],
+    ids=["version", "usage-error", "simulate", "list-players", "list-players-miss", "stats",
+         "stats-svg", "ingest"],
 )
 def test_each_command_imports_only_what_it_runs(argv, exit_code, loaded, records_csv, tmp_path):
-    fill = {"records": records_csv, "out": tmp_path, "fixture": FIXTURE}
+    uncached = shutil.copy(records_csv, tmp_path / "uncached.csv")
+    fill = {"records": records_csv, "uncached": uncached, "out": tmp_path, "fixture": FIXTURE}
     proc = run_fresh(*(arg.format(**fill) for arg in argv))
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == exit_code
     assert set(report["modules"]) == CLI | {f"ufesim.{m}" for m in loaded}
-    if not loaded:
-        assert not report["numpy"]
+    # Only the sidecar's header can be read without numpy.
+    assert report["numpy"] == bool(loaded - {"sidecar"})
+
+
+# Runs `stats` in a fresh interpreter; reports OPENBLAS_NUM_THREADS and,
+# on Linux, how many threads the process has once numpy is loaded.
+THREADS = """\
+import contextlib, io, json, os, sys
+from ufesim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"code": code, "setting": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "tasks": tasks}))
+"""
+
+
+@pytest.mark.parametrize("setting", [None, "2"], ids=["default", "user-set"])
+def test_cli_keeps_openblas_to_one_thread_unless_told(setting, records_csv, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    argv = ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path)]
+    report = json.loads(run_fresh(*argv, code=THREADS, env=env).stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert report["setting"] == (setting or "1")
+    if setting is None and report["tasks"] is not None:
+        assert report["tasks"] == 1
 
 
 def test_every_export_is_its_defining_modules_object():

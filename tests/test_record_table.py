@@ -29,12 +29,12 @@ from oracles import (
     reference_write_records_csv,
 )
 from ufesim import records as records_module
+from ufesim import sidecar as sidecar_module
 from ufesim.analytics import matches_per_player, tally_records
 from ufesim.cli import resolve_player
 from ufesim.errors import EmptyPoolError
 from ufesim.pools import PoolId, PoolScope, ServePoolSet, build_pools, pool_summary, select_pool
 from ufesim.records import (
-    CACHE_VERSION,
     KINDS,
     MAX_YEAR,
     NONE_CODE,
@@ -48,6 +48,7 @@ from ufesim.records import (
     save_records,
     write_records_csv,
 )
+from ufesim.sidecar import CACHE_VERSION
 
 K = TerminalKind
 S, R = Role.SERVER, Role.RECEIVER
@@ -291,9 +292,8 @@ def test_round_trip_cases(tmp_path, kwargs):
     table = RecordTable.from_records(records)
     # The sidecar itself, with no CSV in between.
     sidecar = tmp_path / "direct.npz"
-    arrays = records_module._to_arrays(table, "0" * 64)
-    records_module._write_sidecar(sidecar, arrays, sidecar.parent)
-    assert records_module._read_sidecar(sidecar, "0" * 64).to_records() == records
+    sidecar_module.write_sidecar(sidecar, table, "0" * 64, sidecar.parent)
+    assert sidecar_module.read_table(sidecar, "0" * 64).to_records() == records
     if not CSV_READS_NUL and any("\x00" in str(v) for v in kwargs.values()):
         pytest.skip("this csv module cannot read NUL")
     path = tmp_path / "records.csv"
@@ -313,11 +313,11 @@ def test_sidecar_codec_keeps_every_string():
     ]
     table = RecordTable.from_records(records)
     buffer = io.BytesIO()
-    np.savez(buffer, **records_module._to_arrays(table, "0" * 64))
+    np.savez(buffer, **sidecar_module._to_arrays(table, "0" * 64))
     buffer.seek(0)
     with np.load(buffer, allow_pickle=False) as npz:
         assert sorted(npz.files) == sorted(["header", *COLUMNS])
-        cached = records_module._from_arrays(npz, "0" * 64)
+        cached = sidecar_module._from_arrays(npz, "0" * 64)
     assert_same_table(cached, table)
     assert cached.to_records() == records
 
@@ -361,7 +361,7 @@ def test_a_miss_streams_each_row_once_and_keeps_no_record(csv_path, reads, monke
 
     monkeypatch.setattr(records_module, "ServeRecord", no_record)
     monkeypatch.setattr(records_module, "read_records_csv", no_list)
-    monkeypatch.setattr(records_module, "_from_arrays", no_decode)
+    monkeypatch.setattr(sidecar_module, "_from_arrays", no_decode)
     table, _ = load_records(csv_path)
     monkeypatch.undo()
     assert reads == [csv_path] and table.to_records() == corpus()
@@ -524,7 +524,35 @@ def test_corrupt_sidecar_never_changes_the_records(good_sidecar, data):
         path = Path(tmp) / "records.csv"
         path.write_bytes(csv_bytes)
         cache_path(path).write_bytes(bytes(corrupt))
+        sha256 = file_sha256(path)
+        # list-players' read: the header as written, or a miss.
+        header = sidecar_module.read_header(cache_path(path), sha256)
+        assert header in (None, sidecar_module.build_header(RecordTable.from_records(corpus()),
+                                                            sha256))
         assert load_records(path)[0].to_records() == corpus()
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [
+        lambda header: header,
+        lambda header: header.view(np.int8),
+        lambda header: header.reshape(1, -1),
+        lambda header: header.astype("<u2"),
+        lambda header: np.asfortranarray(np.stack([header, header], axis=1)),
+    ],
+    ids=["as-written", "int8", "2-d", "uint16", "fortran"],
+)
+def test_header_read_wants_the_preamble_np_save_writes(csv_path, stored):
+    table, sha256 = load_records(csv_path)
+    arrays = _sidecar_arrays(csv_path)
+    arrays["header"] = stored(arrays["header"])
+    _save_sidecar(csv_path, arrays)
+    header = sidecar_module.read_header(cache_path(csv_path), sha256)
+    if arrays["header"].dtype == np.uint8 and arrays["header"].ndim == 1:
+        assert header == sidecar_module.build_header(table, sha256)
+    else:
+        assert header is None
 
 
 def _sidecar_arrays(path: Path) -> dict:
@@ -570,7 +598,7 @@ def test_sidecar_of_the_first_format_is_replaced(csv_path, reads):
     assert len(reads) == 2
     rewritten = _sidecar_arrays(csv_path)
     assert sorted(rewritten) == sorted(["header", *COLUMNS])
-    assert _header(rewritten)["version"] == CACHE_VERSION == 2
+    assert _header(rewritten)["version"] == CACHE_VERSION == 3
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
 
@@ -743,10 +771,15 @@ def test_consumers_match_references(records, tour, max_touch, pair, scope):
     else:
         _assert_pools_match_references(build_pools(table, *pair, scope), expected)
 
+    # list-players' answer on a cache hit: the header the sidecar carries.
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = Path(tmp) / "records.csv.ufesim-cache.npz"
+        sidecar.write_bytes(sidecar_bytes(table, "0" * 64))
+        header = sidecar_module.read_header(sidecar, "0" * 64)
     for wanted in (None, "ATP", tour):
-        assert matches_per_player(table, wanted) == reference_matches_per_player(
-            records, wanted
-        )
+        expected = reference_matches_per_player(records, wanted)
+        assert matches_per_player(table, wanted) == expected
+        assert sidecar_module.players_of(header, wanted) == expected
 
     tally = tally_records(table, tour, max_touch)
     reference = reference_tally_records(records, tour, max_touch)
