@@ -9,8 +9,8 @@ as one server contact but is never an unforced error here.
 Every statistic reads a RecordTable (a plain iterable of ServeRecords is
 converted first).  tally_records counts each player's matches, contacts,
 errors and touch and year histograms with whole-column numpy bincounts,
-all in integers; it and matches_per_player take each player's distinct
-matches from RecordTable.match_counts, as the records sidecar does.
+all in integers; it and matches_per_player count each player's distinct
+matches with records.count_matches, as the records sidecar does.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .records import (
     ServeRecord,
     TerminalKind,
     as_table,
+    count_matches,
 )
 
 DEFAULT_MAX_TOUCH = 13
@@ -209,7 +210,7 @@ def tally_records(
     n_players, width = len(table.players), max_touch + 1
     server, receiver = table.server[rows], table.receiver[rows]
     order = _first_seen(server, receiver, n_players)
-    matches = table.match_counts(tour)
+    matches = count_matches(table, server, receiver, table.match[rows])
 
     kind = table.kind[rows]
     decisive = kind != KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import stat
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
@@ -245,17 +244,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_list_players(args: argparse.Namespace) -> int:
-    from .sidecar import build_header, cache_path, file_sha256, players_of, read_header
+    from .sidecar import (
+        build_header,
+        cache_path,
+        file_identity,
+        file_sha256,
+        players_of,
+        read_header,
+    )
 
     path = _resolve_data_path(args.records)
-    # As load_records: the hash would drain a pipe.
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise CsvFormatError("not a regular file", path=str(path))
-    header = read_header(cache_path(path), file_sha256(path))
+    before = file_identity(path)
+    sha256 = file_sha256(path)
+    header = read_header(cache_path(path), sha256)
     if header is None:
-        from .records import load_records
+        from .records import load_hashed
 
-        header = build_header(*load_records(path))
+        header = build_header(load_hashed(path, sha256, before), sha256)
     matches = players_of(header, args.tour or None)
     for name in sorted(matches):
         print(f"{name}\t{matches[name]}")

@@ -33,8 +33,8 @@ On a miss each row's fields are mapped straight to column codes (kind
 and role by lookup, numbers by int()), and the sidecar is rewritten
 from the table.  The sidecar holds the ten columns and a JSON header of
 the format version, that digest, the string tables and each player's
-match counts, which RecordTable.match_counts counts for list-players,
-stats and the sidecar alike; the sidecar module keeps that layout.
+match counts, which count_matches counts for list-players, stats and
+the sidecar alike; the sidecar module keeps that layout.
 read_records_csv is the same read as ServeRecords, with no sidecar.
 save_records writes a table's CSV and its sidecar together, as
 RecordsWriter.commit does given the table.  This module is the only one
@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CsvFormatError
-from .sidecar import cache_path, file_sha256, read_table, write_sidecar
+from .sidecar import cache_path, file_identity, file_sha256, read_table, write_sidecar
 
 
 class TerminalKind(Enum):
@@ -589,15 +589,24 @@ class RecordTable:
         """How many distinct matches each player id served or received
         in, over one tour's rows (every row when tour is None)."""
         rows = self.tour_rows(tour)
-        n_matches = max(len(self.matches), 1)
-        per_side = []
-        for players in (self.server[rows], self.receiver[rows]):
-            keys = players.astype(np.int64)
-            keys *= n_matches
-            keys += self.match[rows]
-            per_side.append(distinct(keys))
-        pairs = distinct(np.concatenate(per_side))
-        return np.bincount(pairs // n_matches, minlength=len(self.players))
+        return count_matches(self, self.server[rows], self.receiver[rows], self.match[rows])
+
+
+def count_matches(
+    table: RecordTable, server: np.ndarray, receiver: np.ndarray, match: np.ndarray
+) -> np.ndarray:
+    """How many distinct matches each of the table's player ids served or
+    received in, over rows given by their server, receiver and match
+    columns, as RecordTable.match_counts slices them."""
+    n_matches = max(len(table.matches), 1)
+    per_side = []
+    for players in (server, receiver):
+        keys = players.astype(np.int64)
+        keys *= n_matches
+        keys += match
+        per_side.append(distinct(keys))
+    pairs = distinct(np.concatenate(per_side))
+    return np.bincount(pairs // n_matches, minlength=len(table.players))
 
 
 class TableBuilder:
@@ -789,19 +798,23 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     directory) raises CsvFormatError.
     """
     path = Path(path)
-    # The hash would drain a pipe, and the read would then wait on it.
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise CsvFormatError("not a regular file", path=str(path))
-    before = _identity(path)
+    before = file_identity(path)
     sha256 = file_sha256(path)
+    return load_hashed(path, sha256, before), sha256
+
+
+def load_hashed(path: Path, sha256: str, before: tuple[int, int, int, int]) -> RecordTable:
+    """The table load_records reads from a CSV that is already hashed:
+    `sha256` is the digest of its bytes, and `before` its file_identity,
+    taken before the hash."""
     sidecar = cache_path(path)
     table = read_table(sidecar, sha256)
     if table is None:
         table = _read_table(path)
         # Cache only what matches the key: the CSV may change while read.
-        if _identity(path) == before:
+        if file_identity(path) == before:
             write_sidecar(sidecar, table, sha256, path)
-    return table, sha256
+    return table
 
 
 def save_records(table: RecordTable, path: str | Path) -> str:
@@ -814,8 +827,3 @@ def save_records(table: RecordTable, path: str | Path) -> str:
     with RecordsWriter(path) as out:
         out.write(table)
         return out.commit(table)
-
-
-def _identity(path: Path) -> tuple[int, int, int, int]:
-    st = path.stat()
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns

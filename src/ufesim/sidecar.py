@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import struct
 import tempfile
 import zipfile
@@ -33,6 +34,8 @@ import zlib
 from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
+
+from .errors import CsvFormatError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,6 +73,17 @@ def file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def file_identity(path: str | Path) -> tuple[int, int, int, int]:
+    """A regular file's device, inode, size and mtime, which a write or a
+    replace changes.  A path that is not a regular file (a pipe, a
+    device, a directory) raises CsvFormatError: a hash would drain a
+    pipe, and a read would then wait on it."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        raise CsvFormatError("not a regular file", path=str(path))
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def cache_path(records_path: str | Path) -> Path:

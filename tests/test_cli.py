@@ -764,18 +764,24 @@ def test_commands_hash_the_dataset_once(records_csv, tmp_path, monkeypatch, caps
         hashed.append(path)
         return file_sha256(path)
 
+    # records binds the name at import; cli and list-players look it up in sidecar.
     monkeypatch.setattr(records_module, "file_sha256", counting)
-    for _ in range(2):  # a cache miss, then a hit
+    monkeypatch.setattr(sidecar_module, "file_sha256", counting)
+
+    def run_once(argv, miss):
+        if miss:
+            cache_path(records_csv).unlink()
         hashed.clear()
-        out = tmp_path / "s"
-        assert main(["stats", "--records", str(records_csv), "--out-dir", str(out)]) == 0
+        assert main(argv) == 0
         assert len(hashed) == 1
+
+    out, sim = tmp_path / "s", tmp_path / "sim.json"
+    for miss in (True, False):
+        run_once(["list-players", "--records", str(records_csv)], miss)
+        run_once(["stats", "--records", str(records_csv), "--out-dir", str(out)], miss)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dataset_sha256"] == file_sha256(records_csv)
-        hashed.clear()
-        sim = tmp_path / "sim.json"
-        assert main(simulate_args(records_csv, "--out", str(sim))) == 0
-        assert len(hashed) == 1
+        run_once(simulate_args(records_csv, "--out", str(sim)), miss)
         manifest = json.loads(sim.read_text())["manifest"]
         assert manifest["dataset_sha256"] == file_sha256(records_csv)
 
