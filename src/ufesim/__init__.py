@@ -80,15 +80,14 @@ _EXPORTS: dict[str, str] = {
         "records": (
             "RawPointRow",
             "RecordTable",
-            "Role",
             "ServeRecord",
-            "TerminalKind",
             "load_records",
             "read_records_csv",
             "save_records",
             "write_records_csv",
         ),
         "rng": ("derive_seed", "replicate_stream"),
+        "sidecar": ("Role", "TerminalKind"),
         "scoring": ("MatchFormat", "MatchScore", "apply_point", "new_match"),
         "simulate": (
             "MatchResult",

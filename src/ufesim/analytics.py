@@ -6,33 +6,30 @@ faults are excluded from exposure entirely; the point they belong to is
 represented by its decisive second-serve record.  A double fault counts
 as one server contact but is never an unforced error here.
 
-Every statistic reads a RecordTable (a plain iterable of ServeRecords is
-converted first).  tally_records counts each player's matches, contacts,
-errors and touch and year histograms with whole-column numpy bincounts,
-all in integers; it and matches_per_player count each player's distinct
-matches with records.count_matches, as the records sidecar does.
+Every statistic reads a RecordTally: each player's matches, contacts,
+errors and touch and year histograms, as plain lists of ints, so each
+rate is one exact int / int.  tally_records is the one builder: it reads
+a RecordTable (a plain iterable of ServeRecords is converted first) with
+numpy bincounts, and counts each player's distinct matches with
+records.count_matches.  One pass tallies every tour and each tour; the
+records sidecar keeps those tallies (by_tour), so stats reads a tally
+without numpy.  This module imports numpy and records only inside
+tally_records.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
+from .sidecar import KIND_CODES, NONE_CODE, ROLE_CODES, ROLES, Role, TerminalKind
 
-from .records import (
-    KIND_CODES,
-    NONE_CODE,
-    ROLE_CODES,
-    ROLES,
-    RecordTable,
-    Role,
-    ServeRecord,
-    TerminalKind,
-    as_table,
-    count_matches,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .records import RecordTable, ServeRecord
 
 DEFAULT_MAX_TOUCH = 13
 
@@ -60,63 +57,63 @@ class PlayerUfeProfile:
     per_year_rates: Mapping[int, float]
 
 
-def _suffix_sums(hist: np.ndarray) -> np.ndarray:
-    """Suffix sums along the last axis: [..., t] counts the bins from t on."""
-    return np.cumsum(hist[..., ::-1], axis=-1)[..., ::-1]
+def _suffix_sums(counts: Sequence[int]) -> list[int]:
+    """[t] counts the bins from t on."""
+    return list(accumulate(reversed(counts)))[::-1]
 
 
-@dataclass(frozen=True, eq=False)
+def _column_sums(rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """The sum of each column of rows of `width` ints."""
+    return [sum(column) for column in zip(*rows)] if rows else [0] * width
+
+
+@dataclass(frozen=True)
 class RecordTally:
     """Per-player integer counts; every statistic is read off them.
 
-    Row i of each array belongs to players[i].  served[i, t] and
-    received[i, t] count the decisive serves player i hit or received
+    Item i of each list belongs to players[i].  served[i][t] and
+    received[i][t] count the decisive serves player i hit or received
     whose rally ended on touch t, clamped at max_touch, so the rallies
-    that reached touch t are the suffix sum from t.  touch_ufes[i, r, t]
+    that reached touch t are the suffix sum from t.  touch_ufes[i][r][t]
     counts player i's unforced errors in role ROLES[r] on touch
-    t <= max_touch.  year_contacts[i, y] and year_ufes[i, y] count
+    t <= max_touch.  year_contacts[i][y] and year_ufes[i][y] count
     player i's contacts and unforced errors in years[y].
 
     Each decisive record is served by exactly one player, so a
     tour-level figure is the sum of that figure's player counts.  Every
-    count is an integer, so each rate is one exact int / int.
+    count is an int, so each rate is one exact int / int.
     """
 
     players: tuple[str, ...]
     max_touch: int
-    matches: np.ndarray
-    contacts: np.ndarray
-    ufes: np.ndarray
-    served: np.ndarray
-    received: np.ndarray
-    touch_ufes: np.ndarray
+    matches: list[int]
+    contacts: list[int]
+    ufes: list[int]
+    served: list[list[int]]
+    received: list[list[int]]
+    touch_ufes: list[list[list[int]]]
     years: tuple[int, ...]
-    year_contacts: np.ndarray
-    year_ufes: np.ndarray
+    year_contacts: list[list[int]]
+    year_ufes: list[list[int]]
 
     def profiles(self) -> dict[str, PlayerUfeProfile]:
         # A touch-t opportunity exists for whoever contacts touch t in any
         # rally that lasted at least t touches: the server on odd touches
         # from 3, the receiver on even touches from 2.
-        curves = [
-            (Role.RECEIVER, 2, _suffix_sums(self.received).tolist()),
-            (Role.SERVER, 3, _suffix_sums(self.served).tolist()),
-        ]
-        touch_ufes = self.touch_ufes.tolist()
-        year_contacts, year_ufes = self.year_contacts.tolist(), self.year_ufes.tolist()
+        curves = [(Role.RECEIVER, 2, self.received), (Role.SERVER, 3, self.served)]
         profiles: dict[str, PlayerUfeProfile] = {}
         for i, (player, matches, contacts, ufes) in enumerate(
-            zip(self.players, self.matches.tolist(), self.contacts.tolist(), self.ufes.tolist())
+            zip(self.players, self.matches, self.contacts, self.ufes)
         ):
             per_touch = {}
-            for role, start, reach in curves:
-                hits, errs = reach[i], touch_ufes[i][ROLE_CODES[role]]
+            for role, start, hist in curves:
+                hits, errs = _suffix_sums(hist[i]), self.touch_ufes[i][ROLE_CODES[role]]
                 for t in range(start, self.max_touch + 1, 2):
                     if hits[t]:
                         per_touch[(role.value, t)] = errs[t] / hits[t]
             per_year = {
                 year: errs / n
-                for year, n, errs in zip(self.years, year_contacts[i], year_ufes[i])
+                for year, n, errs in zip(self.years, self.year_contacts[i], self.year_ufes[i])
                 if n > 0
             }
             profiles[player] = PlayerUfeProfile(
@@ -134,8 +131,9 @@ class RecordTally:
         """rate(t) = errors committed on touch t / rallies lasting at least
         t touches.  Server rates live on odd touches from 3, receiver
         rates on even touches from 2."""
-        reach = _suffix_sums(self.served.sum(axis=0)).tolist()
-        errs = self.touch_ufes[:, ROLE_CODES[role]].sum(axis=0).tolist()
+        width = self.max_touch + 1
+        reach = _suffix_sums(_column_sums(self.served, width))
+        errs = _column_sums([player[ROLE_CODES[role]] for player in self.touch_ufes], width)
         start = 3 if role is Role.SERVER else 2
         return [
             (t, errs[t] / reach[t]) for t in range(start, self.max_touch + 1, 2) if reach[t]
@@ -144,131 +142,152 @@ class RecordTally:
     def year_series(self) -> list[tuple[int, float]]:
         """UFE-per-contact rate per calendar year, year-unknown records
         excluded."""
-        contacts = self.year_contacts.sum(axis=0).tolist()
-        errs = self.year_ufes.sum(axis=0).tolist()
+        contacts = _column_sums(self.year_contacts, len(self.years))
+        errs = _column_sums(self.year_ufes, len(self.years))
         return [(year, e / n) for year, n, e in zip(self.years, contacts, errs) if n]
 
     def ufe_rate(self) -> float:
         """UFEs per ball contact over every record tallied."""
-        contacts, ufes = int(self.contacts.sum()), int(self.ufes.sum())
+        contacts, ufes = sum(self.contacts), sum(self.ufes)
         return ufes / contacts if contacts else 0.0
 
     def termination_share(self) -> float:
         """Share of decisive serves that ended on an unforced error."""
-        decisive, ufes = int(self.served.sum()), int(self.ufes.sum())
+        decisive, ufes = sum(map(sum, self.served)), sum(self.ufes)
         return ufes / decisive if decisive else 0.0
 
 
-def _first_seen(server: np.ndarray, receiver: np.ndarray, n_players: int) -> np.ndarray:
-    """Player ids in the order a walk over the rows meets them, each
-    row's server before its receiver."""
-    end = 2 * len(server)
-    first = np.full(n_players, end, dtype=np.int64)
-    at = np.arange(0, end, 2, dtype=np.int64)
-    np.minimum.at(first, server.astype(np.int64), at)
-    at += 1
-    np.minimum.at(first, receiver.astype(np.int64), at)
-    seen = np.flatnonzero(first < end)
-    return seen[np.argsort(first[seen])]
-
-
-def _side_counts(
-    players: np.ndarray,
-    touch_bin: np.ndarray,
-    year_index: np.ndarray,
-    contacts: np.ndarray,
-    shape: tuple[int, int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """One side's (touch histogram, contacts per year index) per player
-    id, for the decisive rows that side played in."""
-    n_players, width, n_years = shape
-    ids = players.astype(np.int64)
-    key = ids * width
-    key += touch_bin
-    hist = np.bincount(key, minlength=n_players * width)
-    ids *= n_years
-    ids += year_index
-    year_contacts = np.zeros(n_players * n_years, dtype=np.int64)
-    np.add.at(year_contacts, ids, contacts.astype(np.int64))
-    return hist.reshape(n_players, width), year_contacts.reshape(n_players, n_years)
+def tour_tally(tallies: Mapping[str | None, RecordTally], tour: str | None) -> RecordTally:
+    """The tally of one tour (every tour when tour is None) from the
+    tallies tally_records(..., by_tour=True) gives; a tour with no rows
+    has the empty tally."""
+    if tour in tallies:
+        return tallies[tour]
+    return RecordTally(
+        players=(), max_touch=tallies[None].max_touch, matches=[], contacts=[], ufes=[],
+        served=[], received=[], touch_ufes=[], years=(), year_contacts=[], year_ufes=[],
+    )
 
 
 def tally_records(
     records: RecordTable | Iterable[ServeRecord],
     tour: str | None = None,
     max_touch: int = DEFAULT_MAX_TOUCH,
-) -> RecordTally:
-    """Per-player counts over one tour's rows, as whole-column bincounts.
+    *,
+    by_tour: bool = False,
+) -> RecordTally | dict[str | None, RecordTally]:
+    """Per-player counts over one tour's rows (every row when tour is
+    None), as bincounts over the columns.
+
+    One pass tallies each group of rows by tour at once, keyed by each
+    row's tour; the tally of every row sums the groups' counts, its match
+    counts taken over every row, so a match named in two tours counts
+    once.  With by_tour (and tour None), all of them: a dict keyed None
+    for every row, then by each of the table's tours in its order, each
+    equal to tally_records(records, key).
 
     Sums run in integers (bincount without weights, np.add.at on int64
     index and value arrays, its fast path), so each rate stays one exact
-    int / int.  To keep the peak memory low, only the columns a count
-    needs are sliced, and only keys and summed values widen to int64.
+    int / int.  The pass reads the columns _COUNT_ROWS rows at a time and
+    widens only keys and summed values to int64, so it adds little to the
+    peak memory of its caller.
     """
+    import numpy as np
+
+    from .records import _COUNT_ROWS, as_table, count_matches, distinct
+
+    if by_tour and tour is not None:
+        raise ValueError("by_tour tallies every tour, so tour must be None")
     table = as_table(records)
-    rows = table.tour_rows(tour)
-    n_players, width = len(table.players), max_touch + 1
-    server, receiver = table.server[rows], table.receiver[rows]
-    order = _first_seen(server, receiver, n_players)
-    matches = count_matches(table, server, receiver, table.match[rows])
+    n_players, width, n_roles = len(table.players), max_touch + 1, len(ROLES)
+    # Rows of no tour make group 0 and those of tour id t group t + 1; a
+    # player's id in group g is g * n_players + its player id.
+    n_groups = len(table.tours) + 1
+    n_ids = n_groups * n_players
+    matches = count_matches(table)
+    # Every year the rows name, unknown (NONE_CODE) or not: a player's
+    # year counts then sum to the totals, and the years no decisive row of
+    # a tally names are dropped at the end.
+    years = distinct(table.year.copy())
+    n_years = len(years)
+    # Where a walk over the rows first meets each id, each row's server
+    # before its receiver: 2 * row for a server, one more for a receiver.
+    end = 2 * len(table)
+    first = np.full(n_ids, end, dtype=np.int64)
+    # Each histogram has a last bin more, dropped at the end: a first-serve
+    # fault counts there, as does an error past max_touch in touch_ufes.
+    bins = width + 1
+    served, received = np.zeros((2, n_ids * bins), dtype=np.int64)
+    year_contacts, year_ufes = np.zeros((2, n_ids * n_years), dtype=np.int64)
+    touch_ufes = np.zeros(n_ids * n_roles * bins, dtype=np.int64)
+    for start in range(0, len(table), _COUNT_ROWS):
+        rows = slice(start, start + _COUNT_ROWS)
+        offset = (table.tour[rows].astype(np.int64) + 1) * n_players
+        server, receiver = offset + table.server[rows], offset + table.receiver[rows]
+        at = np.arange(2 * start, 2 * start + 2 * len(server), 2, dtype=np.int64)
+        np.minimum.at(first, server, at)
+        at += 1
+        np.minimum.at(first, receiver, at)
 
-    kind = table.kind[rows]
-    decisive = kind != KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
-    kind = kind[decisive]
-    touch = table.touch[rows][decisive]
-    # Year-unknown rows count under NONE_CODE, so a player's year counts
-    # sum to the totals; that column is dropped at the end.
-    years, year_index = np.unique(table.year[rows][decisive], return_inverse=True)
-    shape = (n_players, width, len(years))
-    touch_bin = np.minimum(touch, max_touch)
-    # touch_exposure per row; touch - touch // 2 cannot wrap as (touch + 1) // 2 can.
-    rcv_contacts = touch // 2
-    served, srv_years = _side_counts(
-        server[decisive], touch_bin, year_index, touch - rcv_contacts, shape
-    )
-    received, year_contacts = _side_counts(
-        receiver[decisive], touch_bin, year_index, rcv_contacts, shape
-    )
-    year_contacts += srv_years
+        kind, touch = table.kind[rows], table.touch[rows]
+        decisive = kind != KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
+        touch_bin = np.where(decisive, np.minimum(touch, max_touch), width)
+        year_index = np.searchsorted(years, table.year[rows])
+        # touch_exposure per row, none for a fault; touch - touch // 2
+        # cannot wrap as (touch + 1) // 2 can.
+        rcv_contacts = touch // 2
+        for ids, hist, contacts in ((server, served, touch - rcv_contacts),
+                                    (receiver, received, rcv_contacts)):
+            hist += np.bincount(ids * bins + touch_bin, minlength=n_ids * bins)
+            contacts = contacts.astype(np.int64)
+            contacts *= decisive
+            np.add.at(year_contacts, ids * n_years + year_index, contacts)
 
-    is_ufe = kind == KIND_CODES[TerminalKind.UNFORCED_ERROR]
-    committer = table.committer[rows][decisive][is_ufe].astype(np.int64)
-    who = np.where(
-        committer == ROLE_CODES[Role.SERVER], server[decisive][is_ufe], receiver[decisive][is_ufe]
-    ).astype(np.int64)
-    year_ufes = np.bincount(
-        who * len(years) + year_index[is_ufe], minlength=n_players * len(years)
-    ).reshape(n_players, len(years))
-    ufe_touch = touch[is_ufe]
-    on_curve = ufe_touch <= max_touch
-    key = (who[on_curve] * len(ROLES) + committer[on_curve]) * width + ufe_touch[on_curve]
-    touch_ufes = np.bincount(key, minlength=n_players * len(ROLES) * width).reshape(
-        n_players, len(ROLES), width
-    )
+        ufe = np.flatnonzero(kind == KIND_CODES[TerminalKind.UNFORCED_ERROR])
+        committer = table.committer[rows][ufe].astype(np.int64)
+        who = np.where(committer == ROLE_CODES[Role.SERVER], server[ufe], receiver[ufe])
+        year_ufes += np.bincount(who * n_years + year_index[ufe], minlength=n_ids * n_years)
+        key = (who * n_roles + committer) * bins + np.minimum(touch[ufe], width)
+        touch_ufes += np.bincount(key, minlength=n_ids * n_roles * bins)
 
-    known = years != NONE_CODE
-    return RecordTally(
-        players=tuple(table.players[i] for i in order.tolist()),
-        max_touch=max_touch,
-        matches=matches[order],
-        contacts=year_contacts[order].sum(axis=1),
-        ufes=year_ufes[order].sum(axis=1),
-        served=served[order],
-        received=received[order],
-        touch_ufes=touch_ufes[order],
-        years=tuple(years[known].tolist()),
-        year_contacts=year_contacts[order][:, known],
-        year_ufes=year_ufes[order][:, known],
-    )
+    first = first.reshape(n_groups, n_players)
+    counts = [served.reshape(n_groups, n_players, bins)[..., :width],
+              received.reshape(n_groups, n_players, bins)[..., :width],
+              touch_ufes.reshape(n_groups, n_players, n_roles, bins)[..., :width],
+              year_contacts.reshape(n_groups, n_players, n_years),
+              year_ufes.reshape(n_groups, n_players, n_years)]
+
+    def tally(first, matches, served, received, touch_ufes, year_contacts, year_ufes):
+        seen = np.flatnonzero(first < end)
+        order = seen[np.argsort(first[seen])]
+        year_contacts, year_ufes = year_contacts[order], year_ufes[order]
+        known = (years != NONE_CODE) & (year_contacts.sum(axis=0) > 0)
+        return RecordTally(
+            players=tuple(table.players[i] for i in order.tolist()),
+            max_touch=max_touch,
+            matches=matches[order].tolist(),
+            contacts=year_contacts.sum(axis=1).tolist(),
+            ufes=year_ufes.sum(axis=1).tolist(),
+            served=served[order].tolist(),
+            received=received[order].tolist(),
+            touch_ufes=touch_ufes[order].tolist(),
+            years=tuple(years[known].tolist()),
+            year_contacts=year_contacts[:, known].tolist(),
+            year_ufes=year_ufes[:, known].tolist(),
+        )
+
+    tallies = {None: tally(first.min(axis=0), matches[-1], *(c.sum(axis=0) for c in counts))}
+    for g, name in enumerate(table.tours, start=1):
+        tallies[name] = tally(first[g], matches[g], *(c[g] for c in counts))
+    return tallies if by_tour else tour_tally(tallies, tour)
 
 
 def matches_per_player(
     records: RecordTable | Iterable[ServeRecord], tour: str | None = None
 ) -> dict[str, int]:
     """How many distinct matches each player served or received in."""
-    table = as_table(records)
-    counts = table.match_counts(tour)
-    return {table.players[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+    tally = tally_records(records, tour)
+    return dict(zip(tally.players, tally.matches))
 
 
 def collect_profiles(

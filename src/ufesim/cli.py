@@ -8,11 +8,14 @@ At module level this file imports only the standard library, the
 version and the error types.  Each command imports the modules it runs
 only when it gets to them, so `--version`, a config error or a missing
 `--a` loads no numpy.  `list-players` answers from the header of the
-records sidecar (see ufesim.sidecar) and loads no numpy either, unless
-the sidecar is missing or stale; then it reads the CSV as every command
-does, and answers from the header it builds for that table.  main keeps
-numpy's OpenBLAS to one thread unless the user has set its count:
-ufesim calls no BLAS routine, and each idle OpenBLAS thread spins.
+records sidecar (see ufesim.sidecar), and `stats` from its tallies; so
+neither loads numpy, unless the sidecar is missing, stale or the member
+the command reads is damaged.  Then records.load_summary reads the
+table as every command does, rewrites the sidecar and hands back the
+header and tallies it wrote, so a hit and a miss print and write the
+same bytes.  main keeps numpy's OpenBLAS to one thread unless the user
+has set its count: ufesim calls no BLAS routine, and each idle OpenBLAS
+thread spins.
 
 build_parser declares each setting once: a `stats` or `simulate`
 `--config` line sets one of the command's options by its dest, read
@@ -244,23 +247,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_list_players(args: argparse.Namespace) -> int:
-    from .sidecar import (
-        build_header,
-        cache_path,
-        file_identity,
-        file_sha256,
-        players_of,
-        read_header,
-    )
+    from .sidecar import cache_path, file_identity, file_sha256, players_of, read_header
 
     path = _resolve_data_path(args.records)
     before = file_identity(path)
     sha256 = file_sha256(path)
     header = read_header(cache_path(path), sha256)
     if header is None:
-        from .records import load_hashed
+        from .records import load_summary
 
-        header = build_header(load_hashed(path, sha256, before), sha256)
+        header = load_summary(path, sha256, before).header
     matches = players_of(header, args.tour or None)
     for name in sorted(matches):
         print(f"{name}\t{matches[name]}")
@@ -290,16 +286,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
         profiles_to_csv,
         rankings_to_csv,
         rate_rankings,
-        tally_records,
         touch_curve_to_csv,
+        tour_tally,
         year_series_to_csv,
     )
-    from .records import Role, load_records
+    from .sidecar import Role, cache_path, file_identity, file_sha256, read_tallies
 
-    table, dataset_sha256 = load_records(records_path)
+    before = file_identity(records_path)
+    dataset_sha256 = file_sha256(records_path)
+    tallies = read_tallies(cache_path(records_path), dataset_sha256)
+    if tallies is None:
+        from .records import load_summary
+
+        tallies = load_summary(records_path, dataset_sha256, before).tallies
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tally = tally_records(table, tour=args.tour)
+    tally = tour_tally(tallies, args.tour)
     profiles = tally.profiles()
     if not profiles:
         print("warning: no players after filtering", file=sys.stderr)

@@ -31,10 +31,15 @@ load_records reads a records CSV into a table through a sidecar cache,
 `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
 On a miss each row's fields are mapped straight to column codes (kind
 and role by lookup, numbers by int()), and the sidecar is rewritten
-from the table.  The sidecar holds the ten columns and a JSON header of
-the format version, that digest, the string tables and each player's
-match counts, which count_matches counts for list-players, stats and
-the sidecar alike; the sidecar module keeps that layout.
+from the table.  load_summary does the same for a command that reads
+one JSON member of the sidecar, and hands back the header and tallies
+it wrote.
+The sidecar holds the ten columns, a JSON header of the format version,
+that digest, the string tables and each player's match counts, and a
+JSON member of each tour's analytics.tally_records tally, made in one
+pass wherever a sidecar is written; the sidecar module keeps that layout
+and defines the kind and role codes.  count_matches is the one count of
+each player's distinct matches, which the tallies carry.
 read_records_csv is the same read as ServeRecords, with no sidecar.
 save_records writes a table's CSV and its sidecar together, as
 RecordsWriter.commit does given the table.  This module is the only one
@@ -51,7 +56,6 @@ import tempfile
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from enum import Enum
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -59,24 +63,22 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CsvFormatError
-from .sidecar import cache_path, file_identity, file_sha256, read_table, write_sidecar
-
-
-class TerminalKind(Enum):
-    ACE = "ace"
-    SERVICE_WINNER = "service_winner"
-    RALLY_WINNER = "rally_winner"
-    FORCED_ERROR = "forced_error"
-    UNFORCED_ERROR = "unforced_error"
-    DOUBLE_FAULT = "double_fault"
-    FIRST_SERVE_FAULT = "first_serve_fault"
-
-
-class Role(Enum):
-    """Role of a player within one point, relative to the record's server."""
-
-    SERVER = "server"
-    RECEIVER = "receiver"
+from .sidecar import (
+    KIND_CODES,
+    KINDS,
+    NONE_CODE,
+    ROLE_CODES,
+    ROLES,
+    Role,
+    Summary,
+    TerminalKind,
+    cache_path,
+    file_identity,
+    file_sha256,
+    read_table,
+    summarize,
+    write_sidecar,
+)
 
 
 def opponent_role(role: Role) -> Role:
@@ -315,14 +317,6 @@ def _csv_fields(strings: tuple[str, ...]) -> list[str]:
         fields.append(buffer.getvalue()[:-3])  # drop ",\r\n"
     return fields
 
-
-#: Column codes.  A kind is its index in KINDS; a role is its index in
-#: ROLES, and -1 stands for None in role, year and tour columns.
-KINDS = tuple(TerminalKind)
-KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
-ROLES = (Role.SERVER, Role.RECEIVER)
-ROLE_CODES = {None: -1, Role.SERVER: 0, Role.RECEIVER: 1}
-NONE_CODE = -1
 
 _FAULT = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
 _FORCED = KIND_CODES[TerminalKind.FORCED_ERROR]
@@ -578,35 +572,31 @@ class RecordTable:
         matches, players, tours = strings
         return cls(**columns, matches=tuple(matches), players=tuple(players), tours=tuple(tours))
 
-    def tour_rows(self, tour: str | None) -> np.ndarray | slice:
-        """Index of the rows of one tour; every row when tour is None."""
-        if tour is None:
-            return slice(None)
-        tour_id = self.tours.index(tour) if tour in self.tours else len(self.tours)
-        return self.tour == tour_id
 
-    def match_counts(self, tour: str | None = None) -> np.ndarray:
-        """How many distinct matches each player id served or received
-        in, over one tour's rows (every row when tour is None)."""
-        rows = self.tour_rows(tour)
-        return count_matches(self, self.server[rows], self.receiver[rows], self.match[rows])
-
-
-def count_matches(
-    table: RecordTable, server: np.ndarray, receiver: np.ndarray, match: np.ndarray
-) -> np.ndarray:
+def count_matches(table: RecordTable) -> np.ndarray:
     """How many distinct matches each of the table's player ids served or
-    received in, over rows given by their server, receiver and match
-    columns, as RecordTable.match_counts slices them."""
-    n_matches = max(len(table.matches), 1)
-    per_side = []
-    for players in (server, receiver):
-        keys = players.astype(np.int64)
-        keys *= n_matches
-        keys += match
-        per_side.append(distinct(keys))
-    pairs = distinct(np.concatenate(per_side))
-    return np.bincount(pairs // n_matches, minlength=len(table.players))
+    received in: one row of counts for each group of rows by tour (the
+    rows of no tour, then each tour's in the order of the table's tours),
+    and a last row over every row, where a match whose rows name two
+    tours counts once.  The columns are read _COUNT_ROWS rows at a time."""
+    n_matches, n_players = max(len(table.matches), 1), len(table.players)
+    pairs = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(table), _COUNT_ROWS):
+        rows = slice(start, start + _COUNT_ROWS)
+        # A player's id in the group of tour id t is (t + 1) * n_players + id.
+        offset = (table.tour[rows].astype(np.int64) + 1) * n_players
+        for players in (table.server, table.receiver):
+            keys = offset + players[rows]
+            keys *= n_matches
+            keys += table.match[rows]
+            pairs.append(distinct(keys))
+    pairs = distinct(np.concatenate(pairs))
+    n_groups = len(table.tours) + 1
+    counts = np.bincount(pairs // n_matches, minlength=n_groups * n_players)
+    # Each (player, match) pair of any group, once.
+    every = distinct(pairs % max(n_players * n_matches, 1))
+    every = np.bincount(every // n_matches, minlength=n_players)
+    return np.vstack([counts.reshape(n_groups, n_players), every])
 
 
 class TableBuilder:
@@ -699,6 +689,10 @@ def distinct(keys: np.ndarray) -> np.ndarray:
 # Points expanded to rows, or rows written, at a time: a chunk's index
 # arrays and lines are all that building or writing holds besides the output.
 _CHUNK = 1024
+# Rows a count over the columns (count_matches, analytics.tally_records)
+# takes at a time, so that its temporaries stay near 100 kB however long
+# the table: ingest tallies the table it has made at its own peak of memory.
+_COUNT_ROWS = 8192
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _FAULT_FIELDS = tuple("true" if code == _FAULT else "false" for code in range(len(KINDS)))
 # Index -1 picks the trailing "none".
@@ -815,6 +809,23 @@ def load_hashed(path: Path, sha256: str, before: tuple[int, int, int, int]) -> R
         if file_identity(path) == before:
             write_sidecar(sidecar, table, sha256, path)
     return table
+
+
+def load_summary(path: Path, sha256: str, before: tuple[int, int, int, int]) -> Summary:
+    """The header and tallies of the sidecar of a CSV hashed as for
+    load_hashed, for a command that found the member it reads unreadable.
+
+    The table is read as load_hashed reads it, and the sidecar is written
+    again even when its columns were read; the summary returned is the
+    one written, made by one tally_records pass.  A CSV that changed
+    while it was read is summarized and not cached."""
+    sidecar = cache_path(path)
+    table = read_table(sidecar, sha256)
+    if table is None:
+        table = _read_table(path)
+        if file_identity(path) != before:
+            return summarize(table, sha256)
+    return write_sidecar(sidecar, table, sha256, path)
 
 
 def save_records(table: RecordTable, path: str | Path) -> str:

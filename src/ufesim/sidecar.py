@@ -3,22 +3,32 @@
 load_records keeps the table it reads from a records CSV in a sidecar
 beside it, `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the
 CSV's bytes.  The sidecar is an np.savez zip of uint8 and int .npy
-members: the ten columns of a RecordTable, and `header`, the ASCII bytes
-of a JSON object holding
+members: the ten columns of a RecordTable, and two JSON members, each
+the ASCII bytes of one JSON object.  `header` holds
 - `version`, CACHE_VERSION, so that a sidecar of another layout is a miss;
 - `sha256`, the digest of the CSV the sidecar caches;
 - `matches`, `players` and `tours`, the table's string tables;
 - `counts`, each player's distinct matches over all tours, and
   `tour_counts`, one such list for each entry of `tours`; every count
   list is aligned with `players`, and 0 means no match in that tour.
+`tally` holds the same `version` and `sha256`, the `max_touch` of its
+tallies, `tours`, and `tallies`: the RecordTally of every tour, then one
+for each entry of `tours`, each an object of the tally's fields.
 
 A sidecar is written only for a table that passed every RecordTable
 check, from a CSV of exactly the bytes its digest names.  So a header of
-this version and digest answers list-players: read_header reads the
-header member alone, with zipfile and json, and never loads the columns.
-This module imports no numpy at load: only the functions that read or
-write the columns import it, so importing the module costs only the
-standard library.  It is the only one that knows the sidecar's layout.
+this version and digest answers list-players, and a tally member answers
+stats: read_header and read_tallies each read their one member alone,
+with zipfile and json, and never load the columns.  The tallies and the
+header's counts come from one tally_records call wherever a sidecar is
+written (summarize), and write_sidecar hands them back, so a miss builds
+them once.
+
+The codes the columns and the tallies hold are defined here too:
+TerminalKind and Role, and their column codes.  This module imports no
+numpy at load: only the functions that read or write the columns import
+it, so importing the module costs only the standard library.  It is the
+only one that knows the sidecar's layout.
 """
 from __future__ import annotations
 
@@ -32,20 +42,52 @@ import tempfile
 import zipfile
 import zlib
 from contextlib import suppress
+from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import CsvFormatError
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .analytics import RecordTally
     from .records import RecordTable
 
-CACHE_VERSION = 3
+
+class TerminalKind(Enum):
+    ACE = "ace"
+    SERVICE_WINNER = "service_winner"
+    RALLY_WINNER = "rally_winner"
+    FORCED_ERROR = "forced_error"
+    UNFORCED_ERROR = "unforced_error"
+    DOUBLE_FAULT = "double_fault"
+    FIRST_SERVE_FAULT = "first_serve_fault"
+
+
+class Role(Enum):
+    """Role of a player within one point, relative to the record's server."""
+
+    SERVER = "server"
+    RECEIVER = "receiver"
+
+
+#: Column codes.  A kind is its index in KINDS; a role is its index in
+#: ROLES, and -1 stands for None in role, year and tour columns.
+KINDS = tuple(TerminalKind)
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+ROLES = (Role.SERVER, Role.RECEIVER)
+ROLE_CODES = {None: -1, Role.SERVER: 0, Role.RECEIVER: 1}
+NONE_CODE = -1
+
+CACHE_VERSION = 4
 CACHE_SUFFIX = ".ufesim-cache.npz"
 
 _STRING_TABLES = ("matches", "players", "tours")
+# A stored tally's fields besides max_touch, which its member holds once.
+_TALLY_FIELDS = ("players", "matches", "contacts", "ufes", "served", "received",
+                 "touch_ufes", "years", "year_contacts", "year_ufes")
 # The preamble np.save writes before a 1-D uint8 array of n bytes, less
 # the spaces and line end that pad it (.npy format version 1.0).
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
@@ -64,6 +106,14 @@ _UNREADABLE = (
     zipfile.BadZipFile,
     zlib.error,
 )
+
+
+class Summary(NamedTuple):
+    """What a sidecar keeps of a table beside its columns: the header, and
+    the tallies, keyed None for every tour and by each of the table's tours."""
+
+    header: dict
+    tallies: dict[str | None, RecordTally]
 
 
 def file_sha256(path: str | Path) -> str:
@@ -92,13 +142,41 @@ def cache_path(records_path: str | Path) -> Path:
     return path.with_name(path.name + CACHE_SUFFIX)
 
 
-def build_header(table: RecordTable, sha256: str) -> dict:
-    """The header of the sidecar of a table read from a CSV with this digest."""
+def summarize(table: RecordTable, sha256: str) -> Summary:
+    """The header and the tallies of the sidecar of a table read from a
+    CSV with this digest, from one tally_records call.  The header's
+    counts are the tallies' match counts, aligned with the table's players."""
+    from .analytics import tally_records
+
+    tallies = tally_records(table, by_tour=True)
+    ids = {name: i for i, name in enumerate(table.players)}
+
+    def counts(tally: RecordTally) -> list[int]:
+        aligned = [0] * len(ids)
+        for name, n in zip(tally.players, tally.matches):
+            aligned[ids[name]] = n
+        return aligned
+
     header = {"version": CACHE_VERSION, "sha256": sha256}
     header.update((name, list(getattr(table, name))) for name in _STRING_TABLES)
-    header["counts"] = table.match_counts().tolist()
-    header["tour_counts"] = [table.match_counts(tour).tolist() for tour in table.tours]
-    return header
+    header["counts"] = counts(tallies[None])
+    header["tour_counts"] = [counts(tallies[tour]) for tour in table.tours]
+    return Summary(header, tallies)
+
+
+def _naturals(values: object, shape: tuple[int, ...]) -> bool:
+    """Whether values are lists nested to this shape, holding ints >= 0
+    (not bools) only."""
+    level = [values]
+    for length in shape:
+        if not all(type(item) is list and len(item) == length for item in level):
+            return False
+        level = list(chain.from_iterable(level))
+    return set(map(type, level)) <= {int} and min(level, default=0) >= 0
+
+
+def _strings(values: object) -> bool:
+    return type(values) is list and set(map(type, values)) <= {str}
 
 
 def _checked(header: object, sha256: str) -> dict | None:
@@ -108,42 +186,95 @@ def _checked(header: object, sha256: str) -> dict | None:
         return None
     if header.get("version") != CACHE_VERSION or header.get("sha256") != sha256:
         return None
-    strings = [header.get(name) for name in _STRING_TABLES]
-    if not all(isinstance(table, list) and all(type(s) is str for s in table)
-               for table in strings):
-        return None
-    tour_counts = header.get("tour_counts")
-    if not isinstance(tour_counts, list) or len(tour_counts) != len(header["tours"]):
+    if not all(_strings(header.get(name)) for name in _STRING_TABLES):
         return None
     n_players = len(header["players"])
-    for counts in (header.get("counts"), *tour_counts):
-        if not isinstance(counts, list) or len(counts) != n_players:
-            return None
-        if not all(type(n) is int and n >= 0 for n in counts):
-            return None
+    if not _naturals(header.get("counts"), (n_players,)):
+        return None
+    if not _naturals(header.get("tour_counts"), (len(header["tours"]), n_players)):
+        return None
     return header
+
+
+def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None:
+    """The tallies a tally member holds, keyed as Summary keys them, if
+    the member is of this version, digest and max_touch and each tally is
+    well formed; else None."""
+    from .analytics import RecordTally
+
+    if not isinstance(member, dict) or member.keys() != {
+        "version", "sha256", "max_touch", "tours", "tallies"
+    }:
+        return None
+    if member["version"] != CACHE_VERSION or member["sha256"] != sha256:
+        return None
+    tours, stored = member["tours"], member["tallies"]
+    if type(member["max_touch"]) is not int or member["max_touch"] != max_touch:
+        return None
+    if not _strings(tours) or len(set(tours)) != len(tours):
+        return None
+    if type(stored) is not list or len(stored) != len(tours) + 1:
+        return None
+    width = max_touch + 1
+    tallies = {}
+    for tour, tally in zip((None, *tours), stored):
+        if not isinstance(tally, dict) or tally.keys() != set(_TALLY_FIELDS):
+            return None
+        players, years = tally["players"], tally["years"]
+        if not _strings(players) or len(set(players)) != len(players):
+            return None
+        if type(years) is not list or not _naturals(years, (len(years),)):
+            return None
+        if years != sorted(set(years)):
+            return None
+        n = len(players)
+        shapes = {"matches": (n,), "contacts": (n,), "ufes": (n,), "served": (n, width),
+                  "received": (n, width), "touch_ufes": (n, len(ROLES), width),
+                  "year_contacts": (n, len(years)), "year_ufes": (n, len(years))}
+        if not all(_naturals(tally[name], shape) for name, shape in shapes.items()):
+            return None
+        tallies[tour] = RecordTally(
+            **{**tally, "players": tuple(players), "years": tuple(years)}, max_touch=max_touch
+        )
+    return tallies
+
+
+def _read_json(sidecar: Path, name: str) -> object:
+    """The JSON value of one member of the sidecar, read alone; zipfile
+    checks its CRC.  A member whose .npy preamble is not the one np.save
+    writes for its length reads as None."""
+    with open(sidecar, "rb") as fh, zipfile.ZipFile(fh) as archive:
+        member = archive.read(name + ".npy")
+    if not member.startswith(_NPY_MAGIC):
+        return None
+    (length,) = struct.unpack_from("<H", member, len(_NPY_MAGIC))
+    start = len(_NPY_MAGIC) + 2
+    preamble = member[start:start + length].decode("ascii")
+    data = member[start + length:]
+    if not preamble.endswith("\n") or preamble[:-1].rstrip(" ") != _NPY_HEADER % len(data):
+        return None
+    return json.loads(data)
 
 
 def read_header(sidecar: Path, sha256: str) -> dict | None:
     """The sidecar's header, or None unless the sidecar is readable, of
-    this version, keyed on this digest and its header well formed.
-
-    Only the `header` member is read; zipfile checks its CRC, and its
-    .npy preamble must be the one np.save writes for its length."""
+    this version, keyed on this digest and its header well formed.  Only
+    the `header` member is read."""
     try:
-        with open(sidecar, "rb") as fh, zipfile.ZipFile(fh) as archive:
-            member = archive.read("header.npy")
-        if not member.startswith(_NPY_MAGIC):
-            return None
-        (length,) = struct.unpack_from("<H", member, len(_NPY_MAGIC))
-        start = len(_NPY_MAGIC) + 2
-        preamble = member[start:start + length].decode("ascii")
-        data = member[start + length:]
-        if not preamble.endswith("\n"):
-            return None
-        if preamble[:-1].rstrip(" ") != _NPY_HEADER % len(data):
-            return None
-        return _checked(json.loads(data), sha256)
+        return _checked(_read_json(sidecar, "header"), sha256)
+    except _UNREADABLE:
+        return None
+
+
+def read_tallies(sidecar: Path, sha256: str) -> dict[str | None, RecordTally] | None:
+    """The sidecar's tallies, keyed as Summary keys them, or None unless
+    the sidecar is readable, of this version, keyed on this digest and
+    its tally member well formed, with the default max_touch.  Only the
+    `tally` member is read."""
+    from .analytics import DEFAULT_MAX_TOUCH
+
+    try:
+        return _checked_tallies(_read_json(sidecar, "tally"), sha256, DEFAULT_MAX_TOUCH)
     except _UNREADABLE:
         return None
 
@@ -160,17 +291,40 @@ def players_of(header: Mapping, tour: str | None) -> dict[str, int]:
     return {name: n for name, n in zip(header["players"], counts) if n}
 
 
-def _to_arrays(table: RecordTable, sha256: str) -> dict[str, np.ndarray]:
-    """The sidecar's contents for a table read from a CSV with this digest.
+def _dumps(value: object, depth: int = 3) -> str:
+    """json.dumps(value), with the lists and dicts of the top `depth`
+    levels encoded an item at a time: one json.dumps of a tally member
+    would hold a piece of text for each of its counts at once, about
+    2 MB on a 136k-row corpus."""
+    if depth and isinstance(value, dict):
+        items = (f"{json.dumps(key)}: {_dumps(item, depth - 1)}" for key, item in value.items())
+        return "{" + ", ".join(items) + "}"
+    if depth and isinstance(value, list):
+        return "[" + ", ".join(_dumps(item, depth - 1) for item in value) + "]"
+    return json.dumps(value)
 
-    The header's JSON is ASCII, with every other character escaped, so a
+
+def _to_arrays(table: RecordTable, summary: Summary) -> dict[str, np.ndarray]:
+    """The sidecar's contents for a table and its summary.
+
+    Each JSON member is ASCII, with every other character escaped, so a
     name keeps a trailing NUL that a numpy str array would drop."""
     import numpy as np
 
     from .records import _COLUMNS
 
-    header = json.dumps(build_header(table, sha256)).encode("ascii")
-    arrays = {"header": np.frombuffer(header, dtype=np.uint8)}
+    tallies = list(summary.tallies.values())
+    tally = {
+        "version": CACHE_VERSION,
+        "sha256": summary.header["sha256"],
+        "max_touch": tallies[0].max_touch,
+        "tours": [tour for tour in summary.tallies if tour is not None],
+        "tallies": [{name: getattr(t, name) for name in _TALLY_FIELDS} for t in tallies],
+    }
+    arrays = {
+        name: np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        for name, text in (("header", json.dumps(summary.header)), ("tally", _dumps(tally)))
+    }
     arrays.update((name, getattr(table, name)) for name, _ in _COLUMNS)
     return arrays
 
@@ -203,17 +357,18 @@ def read_table(sidecar: Path, sha256: str) -> RecordTable | None:
         return None
 
 
-def write_sidecar(sidecar: Path, table: RecordTable, sha256: str, like: Path) -> None:
+def write_sidecar(sidecar: Path, table: RecordTable, sha256: str, like: Path) -> Summary:
     """Replace the sidecar of a table read from a CSV with this digest
-    atomically, with the permissions of `like`; a write that fails is
-    dropped."""
+    atomically, with the permissions of `like`, and return the summary it
+    holds; a write that fails is dropped."""
     import numpy as np
 
-    arrays = _to_arrays(table, sha256)
+    summary = summarize(table, sha256)
+    arrays = _to_arrays(table, summary)
     try:
         fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name + ".", suffix=".tmp")
     except OSError:
-        return
+        return summary
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, **arrays)
@@ -222,3 +377,4 @@ def write_sidecar(sidecar: Path, table: RecordTable, sha256: str, like: Path) ->
     except OSError:
         with suppress(OSError):
             os.unlink(tmp)
+    return summary

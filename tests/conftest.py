@@ -91,5 +91,5 @@ def assert_same_table(table: RecordTable, expected: RecordTable) -> None:
 def sidecar_bytes(table: RecordTable, sha256: str) -> bytes:
     """The bytes of the sidecar that caches a table under this digest."""
     buffer = io.BytesIO()
-    np.savez(buffer, **sidecar_module._to_arrays(table, sha256))
+    np.savez(buffer, **sidecar_module._to_arrays(table, sidecar_module.summarize(table, sha256)))
     return buffer.getvalue()

@@ -29,6 +29,7 @@ from ufesim.analytics import (
     tally_records,
     touch_curve_to_csv,
     touch_exposure,
+    tour_tally,
     tour_ufe_rate,
     ufe_rate_by_touch,
     ufe_rate_by_year,
@@ -350,6 +351,7 @@ def test_tally_matches_per_metric_references(records, tour, max_touch):
     assert tally.year_series() == reference_year_series(records, tour)
     assert tally.ufe_rate() == reference_ufe_rate(records, tour)
     assert tally.termination_share() == reference_termination_share(records, tour)
+    assert tour_tally(tally_records(records, max_touch=max_touch, by_tour=True), tour) == tally
 
 
 # Edge cases of the column tally against the record-by-record one.
@@ -371,7 +373,10 @@ def _same_as_reference_tally(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
     assert tally.year_series() == reference.year_series()
     assert type(tally.ufe_rate()) is float and tally.ufe_rate() == reference.ufe_rate()
     assert tally.termination_share() == reference.termination_share()
-    assert dict(zip(tally.players, tally.matches.tolist())) == matches_per_player(records, tour)
+    assert dict(zip(tally.players, tally.matches)) == matches_per_player(records, tour)
+    # The one pass keyed by tour gives the same tally.
+    by_tour = tally_records(records, max_touch=max_touch, by_tour=True)
+    assert tour_tally(by_tour, tour) == tally
     return tally
 
 
@@ -428,7 +433,7 @@ def test_tally_at_the_ends_of_max_touch(two_player_records, max_touch):
         for t in range(2, 21)
     ]
     tally = _same_as_reference_tally(two_player_records + long_rallies, max_touch=max_touch)
-    assert tally.served.shape == (2, max_touch + 1)
+    assert len(tally.served) == 2 and all(len(row) == max_touch + 1 for row in tally.served)
 
 
 def test_tally_of_the_longest_int32_touch():
@@ -441,7 +446,7 @@ def test_tally_of_the_longest_int32_touch():
     table = RecordTable.from_records(records)
     assert table.touch.max() == longest
     tally = _same_as_reference_tally(table)
-    assert tally.contacts.tolist() == [2**31 + 2**30 - 1, 2**31 + 2**30 - 3] == [
+    assert tally.contacts == [2**31 + 2**30 - 1, 2**31 + 2**30 - 3] == [
         sum(touch_exposure(r.terminal_touch)[r.server_id != player] for r in records)
         for player in ("A", "B")
     ]

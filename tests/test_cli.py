@@ -274,8 +274,9 @@ def test_stats_svg_charts(records_csv, tmp_path, capsys):
 
 
 def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys):
-    # On a cache miss the CSV is read once into a table, and the
-    # analytics make their one pass over that table.
+    # On a cache miss the CSV is read once into a table, and the one
+    # tally_records pass over that table makes the tallies the sidecar
+    # keeps and stats answers from; on a hit, neither runs.
     cache_path(records_csv).unlink()  # ingest wrote it
     read, tallied = [], []
     read_table = records_module._read_table
@@ -291,12 +292,14 @@ def test_stats_iterates_records_once(records_csv, tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(records_module, "_read_table", read_counting)
     monkeypatch.setattr(analytics_module, "tally_records", tally_counting)
-    code = main(
-        ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"), "--svg"]
-    )
-    assert code == 0
+    argv = ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s"), "--svg"]
+    assert main(argv) == 0
     assert read == [17]
     assert len(tallied) == 1 and isinstance(tallied[0], RecordTable)
+    read.clear()
+    tallied.clear()
+    assert main(argv) == 0
+    assert read == [] and tallied == []
 
 
 def test_stats_warns_when_nobody_qualifies(records_csv, tmp_path, capsys):
@@ -689,17 +692,31 @@ def _list_players(records_csv, capsys) -> list[str]:
     return outputs
 
 
-def _edited_header(sidecar: bytes, **changes) -> bytes:
-    """The sidecar with these header keys set, or dropped where None."""
+def _edited(sidecar: bytes, member: str, edit) -> bytes:
+    """The sidecar with one JSON member passed through edit, which changes
+    it in place; an edit of None drops the member."""
     with np.load(io.BytesIO(sidecar), allow_pickle=False) as npz:
         arrays = dict(npz)
-    header = json.loads(arrays["header"].tobytes())
-    header.update(changes)
-    header = {key: value for key, value in header.items() if value is not None}
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("ascii"), np.uint8)
+    if edit is None:
+        del arrays[member]
+    else:
+        value = json.loads(arrays[member].tobytes())
+        edit(value)
+        arrays[member] = np.frombuffer(json.dumps(value).encode("ascii"), np.uint8)
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
+
+
+def _edited_header(sidecar: bytes, **changes) -> bytes:
+    """The sidecar with these header keys set, or dropped where None."""
+
+    def edit(header):
+        header.update(changes)
+        for key in [key for key, value in changes.items() if value is None]:
+            del header[key]
+
+    return _edited(sidecar, "header", edit)
 
 
 def test_corrupt_or_stale_sidecar_changes_no_output(records_csv, tmp_path, monkeypatch, capsys):
@@ -741,9 +758,77 @@ def test_corrupt_or_stale_sidecar_changes_no_output(records_csv, tmp_path, monke
         assert _list_players(records_csv, capsys) == players
         assert sidecar.read_bytes() == good
         sidecar.write_bytes(damaged)
+        # stats reads the tally member alone: a sidecar whose header alone
+        # is damaged answers it, and only a miss rewrites the sidecar.
+        hit = sidecar_module.read_tallies(sidecar, file_sha256(records_csv)) is not None
         assert _stats_files(records_csv, tmp_path / "again") == clean
-        assert sidecar.read_bytes() == good
+        assert sidecar.read_bytes() == (damaged if hit else good)
         capsys.readouterr()
+
+
+def _first(member: dict) -> dict:
+    return member["tallies"][0]
+
+
+# Tally members a read must take for a miss, each by one edit.
+MALFORMED_TALLIES = {
+    "short": lambda m: _first(m)["matches"].pop(),
+    "short-row": lambda m: m["tallies"][-1]["served"][0].pop(),
+    "negative": lambda m: _first(m)["contacts"].__setitem__(0, -1),
+    "float": lambda m: m["tallies"][-1].__setitem__(
+        "ufes", [float(n) for n in m["tallies"][-1]["ufes"]]
+    ),
+    "bool": lambda m: _first(m)["year_contacts"][0].__setitem__(0, True),
+    "str": lambda m: _first(m).__setitem__("years", [str(y) for y in _first(m)["years"]]),
+    "per-tour-count": lambda m: m["tallies"].pop(),
+    "max-touch": lambda m: m.__setitem__("max_touch", m["max_touch"] - 1),
+}
+
+
+@pytest.mark.parametrize(
+    "tours, tour",
+    [(None, None), (None, "ATP"), (None, "WTA"), ("ATP", "WTA")],
+    ids=["every-tour", "ATP", "WTA", "absent-tour"],
+)
+def test_stats_hit_and_miss_write_the_same_files(tours, tour, tmp_path, monkeypatch, capsys):
+    # Over every tour, each tour, and a tour the records do not name:
+    # stats writes the same files from the sidecar's tallies (a hit) as
+    # from the CSV (a miss), and a miss rewrites the sidecar.
+    monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+    records_csv = tmp_path / "records.csv"
+    records = reference_ingest_files([FIXTURE])[0]
+    write_records_csv([r for r in records if tours in (None, r.tour)], records_csv)
+    sidecar = cache_path(records_csv)
+    argv = ["stats", "--records", str(records_csv), "--svg", "--min-matches", "1",
+            *(["--tour", tour] if tour else [])]
+
+    def files(out_dir):
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    clean = files(tmp_path / "miss")  # no sidecar yet
+    good = sidecar.read_bytes()
+    assert files(tmp_path / "hit") == clean
+    assert sidecar.read_bytes() == good
+    other = tmp_path / "other.csv"
+    write_records_csv([make_record()], other)
+    assert main(["list-players", "--records", str(other)]) == 0
+    for damaged in (
+        None,  # deleted
+        _edited_header(_edited(good, "tally", None), version=3),  # layout 3 had no tallies
+        b"not a zip",
+        good[: len(good) // 2],
+        cache_path(other).read_bytes(),
+        *(_edited(good, "tally", edit) for edit in MALFORMED_TALLIES.values()),
+    ):
+        if damaged is None:
+            sidecar.unlink()
+        else:
+            sidecar.write_bytes(damaged)
+            assert sidecar_module.read_tallies(sidecar, file_sha256(records_csv)) is None
+        assert files(tmp_path / "again") == clean
+        assert sidecar.read_bytes() == good
 
 
 def test_stale_sidecar_keeps_csv_errors(records_csv, capsys):

@@ -66,25 +66,27 @@ SIMULATOR = {"records", "sidecar", "pools", "simulate", "counterfactual", "scori
         (SIMULATE, 2, set()),  # no --b: a usage error
         (SIMULATE + ["--b", "Beta_Two"], 0, SIMULATOR),
         (["list-players", "--records", "{records}"], 0, {"sidecar"}),
-        (["list-players", "--records", "{uncached}"], 0, {"sidecar", "records"}),
-        (
-            ["stats", "--records", "{records}", "--out-dir", "{out}"],
-            0,
-            {"records", "sidecar", "analytics"},
-        ),
+        # A miss rewrites the sidecar, tallies and all.
+        (["list-players", "--records", "{uncached}"], 0, {"sidecar", "records", "analytics"}),
+        (["stats", "--records", "{records}", "--out-dir", "{out}"], 0, {"sidecar", "analytics"}),
         (
             ["stats", "--records", "{records}", "--out-dir", "{out}", "--svg"],
             0,
-            {"records", "sidecar", "analytics", "svg"},
+            {"sidecar", "analytics", "svg"},
+        ),
+        (
+            ["stats", "--records", "{uncached}", "--out-dir", "{out}"],
+            0,
+            {"sidecar", "analytics", "records"},
         ),
         (
             ["ingest", "{fixture}", "-o", "{out}/r.csv"],
             0,
-            {"ingest", "notation", "records", "sidecar"},
+            {"ingest", "notation", "records", "sidecar", "analytics"},
         ),
     ],
     ids=["version", "usage-error", "simulate", "list-players", "list-players-miss", "stats",
-         "stats-svg", "ingest"],
+         "stats-svg", "stats-miss", "ingest"],
 )
 def test_each_command_imports_only_what_it_runs(argv, exit_code, loaded, records_csv, tmp_path):
     uncached = shutil.copy(records_csv, tmp_path / "uncached.csv")
@@ -93,13 +95,14 @@ def test_each_command_imports_only_what_it_runs(argv, exit_code, loaded, records
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == exit_code
     assert set(report["modules"]) == CLI | {f"ufesim.{m}" for m in loaded}
-    # Only the sidecar's header can be read without numpy.
-    assert report["numpy"] == bool(loaded - {"sidecar"})
+    # The sidecar's header and tallies, and what stats makes of them, need
+    # no numpy; the columns do.
+    assert report["numpy"] == bool(loaded - {"sidecar", "analytics", "svg"})
 
 
-# Runs `stats` in a fresh interpreter; reports OPENBLAS_NUM_THREADS, the
-# BLAS numpy was built with and, on Linux, how many threads the process
-# has once numpy is loaded.
+# Runs `stats` in a fresh interpreter on records with no sidecar, so that
+# main loads numpy; reports OPENBLAS_NUM_THREADS, the BLAS numpy was built
+# with and, on Linux, how many threads the process has once numpy is loaded.
 THREADS = """\
 import contextlib, io, json, os, sys
 from ufesim.cli import main
@@ -121,7 +124,8 @@ def test_cli_keeps_openblas_to_one_thread_unless_told(setting, records_csv, tmp_
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if setting is not None:
         env["OPENBLAS_NUM_THREADS"] = setting
-    argv = ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path)]
+    uncached = shutil.copy(records_csv, tmp_path / "uncached.csv")
+    argv = ["stats", "--records", str(uncached), "--out-dir", str(tmp_path)]
     report = json.loads(run_fresh(*argv, code=THREADS, env=env).stdout.splitlines()[-1])
     assert report["code"] == 0
     assert report["setting"] == (setting or "1")

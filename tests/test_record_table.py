@@ -30,7 +30,7 @@ from oracles import (
 )
 from ufesim import records as records_module
 from ufesim import sidecar as sidecar_module
-from ufesim.analytics import matches_per_player, tally_records
+from ufesim.analytics import matches_per_player, tally_records, tour_tally
 from ufesim.cli import resolve_player
 from ufesim.errors import EmptyPoolError
 from ufesim.pools import PoolId, PoolScope, ServePoolSet, build_pools, pool_summary, select_pool
@@ -313,10 +313,11 @@ def test_sidecar_codec_keeps_every_string():
     ]
     table = RecordTable.from_records(records)
     buffer = io.BytesIO()
-    np.savez(buffer, **sidecar_module._to_arrays(table, "0" * 64))
+    summary = sidecar_module.summarize(table, "0" * 64)
+    np.savez(buffer, **sidecar_module._to_arrays(table, summary))
     buffer.seek(0)
     with np.load(buffer, allow_pickle=False) as npz:
-        assert sorted(npz.files) == sorted(["header", *COLUMNS])
+        assert sorted(npz.files) == sorted(["header", "tally", *COLUMNS])
         cached = sidecar_module._from_arrays(npz, "0" * 64)
     assert_same_table(cached, table)
     assert cached.to_records() == records
@@ -527,8 +528,11 @@ def test_corrupt_sidecar_never_changes_the_records(good_sidecar, data):
         sha256 = file_sha256(path)
         # list-players' read: the header as written, or a miss.
         header = sidecar_module.read_header(cache_path(path), sha256)
-        assert header in (None, sidecar_module.build_header(RecordTable.from_records(corpus()),
-                                                            sha256))
+        summary = sidecar_module.summarize(RecordTable.from_records(corpus()), sha256)
+        assert header in (None, summary.header)
+        # stats' read: the tallies as written, or a miss.
+        tallies = sidecar_module.read_tallies(cache_path(path), sha256)
+        assert tallies in (None, summary.tallies)
         assert load_records(path)[0].to_records() == corpus()
 
 
@@ -550,7 +554,7 @@ def test_header_read_wants_the_preamble_np_save_writes(csv_path, stored):
     _save_sidecar(csv_path, arrays)
     header = sidecar_module.read_header(cache_path(csv_path), sha256)
     if arrays["header"].dtype == np.uint8 and arrays["header"].ndim == 1:
-        assert header == sidecar_module.build_header(table, sha256)
+        assert header == sidecar_module.summarize(table, sha256).header
     else:
         assert header is None
 
@@ -597,8 +601,8 @@ def test_sidecar_of_the_first_format_is_replaced(csv_path, reads):
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
     rewritten = _sidecar_arrays(csv_path)
-    assert sorted(rewritten) == sorted(["header", *COLUMNS])
-    assert _header(rewritten)["version"] == CACHE_VERSION == 3
+    assert sorted(rewritten) == sorted(["header", "tally", *COLUMNS])
+    assert _header(rewritten)["version"] == CACHE_VERSION == 4
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
 
@@ -771,15 +775,19 @@ def test_consumers_match_references(records, tour, max_touch, pair, scope):
     else:
         _assert_pools_match_references(build_pools(table, *pair, scope), expected)
 
-    # list-players' answer on a cache hit: the header the sidecar carries.
+    # list-players' and stats' answers on a cache hit: the header and the
+    # tallies the sidecar carries.
     with tempfile.TemporaryDirectory() as tmp:
         sidecar = Path(tmp) / "records.csv.ufesim-cache.npz"
         sidecar.write_bytes(sidecar_bytes(table, "0" * 64))
         header = sidecar_module.read_header(sidecar, "0" * 64)
+        tallies = sidecar_module.read_tallies(sidecar, "0" * 64)
     for wanted in (None, "ATP", tour):
         expected = reference_matches_per_player(records, wanted)
         assert matches_per_player(table, wanted) == expected
         assert sidecar_module.players_of(header, wanted) == expected
+        # Equal fields, so the same players in the same order.
+        assert tour_tally(tallies, wanted) == tally_records(table, wanted)
 
     tally = tally_records(table, tour, max_touch)
     reference = reference_tally_records(records, tour, max_touch)
