@@ -11,10 +11,10 @@ errors and touch and year histograms, as plain lists of ints, so each
 rate is one exact int / int.  tally_records is the one builder: it reads
 a RecordTable (a plain iterable of ServeRecords is converted first) with
 numpy bincounts, and counts each player's distinct matches with
-records.count_matches.  One pass tallies every tour and each tour; the
-records sidecar keeps those tallies (by_tour), so stats reads a tally
-without numpy.  This module imports numpy and records only inside
-tally_records.
+records.count_matches.  One pass tallies every tour and each tour, and
+tour_tally picks one; the records sidecar keeps those tallies, so stats
+reads a tally without numpy.  This module imports numpy and records
+only inside tally_records.
 """
 from __future__ import annotations
 
@@ -159,8 +159,7 @@ class RecordTally:
 
 def tour_tally(tallies: Mapping[str | None, RecordTally], tour: str | None) -> RecordTally:
     """The tally of one tour (every tour when tour is None) from the
-    tallies tally_records(..., by_tour=True) gives; a tour with no rows
-    has the empty tally."""
+    tallies tally_records gives; a tour with no rows has the empty tally."""
     if tour in tallies:
         return tallies[tour]
     return RecordTally(
@@ -170,21 +169,16 @@ def tour_tally(tallies: Mapping[str | None, RecordTally], tour: str | None) -> R
 
 
 def tally_records(
-    records: RecordTable | Iterable[ServeRecord],
-    tour: str | None = None,
-    max_touch: int = DEFAULT_MAX_TOUCH,
-    *,
-    by_tour: bool = False,
-) -> RecordTally | dict[str | None, RecordTally]:
-    """Per-player counts over one tour's rows (every row when tour is
-    None), as bincounts over the columns.
+    records: RecordTable | Iterable[ServeRecord], max_touch: int = DEFAULT_MAX_TOUCH
+) -> dict[str | None, RecordTally]:
+    """Per-player counts over every row and over each tour's rows, as
+    bincounts over the columns: a dict keyed None for every row, then by
+    each of the table's tours in its order.
 
     One pass tallies each group of rows by tour at once, keyed by each
     row's tour; the tally of every row sums the groups' counts, its match
     counts taken over every row, so a match named in two tours counts
-    once.  With by_tour (and tour None), all of them: a dict keyed None
-    for every row, then by each of the table's tours in its order, each
-    equal to tally_records(records, key).
+    once.
 
     Sums run in integers (bincount without weights, np.add.at on int64
     index and value arrays, its fast path), so each rate stays one exact
@@ -196,8 +190,6 @@ def tally_records(
 
     from .records import _COUNT_ROWS, as_table, count_matches, distinct
 
-    if by_tour and tour is not None:
-        raise ValueError("by_tour tallies every tour, so tour must be None")
     table = as_table(records)
     n_players, width, n_roles = len(table.players), max_touch + 1, len(ROLES)
     # Rows of no tour make group 0 and those of tour id t group t + 1; a
@@ -279,14 +271,14 @@ def tally_records(
     tallies = {None: tally(first.min(axis=0), matches[-1], *(c.sum(axis=0) for c in counts))}
     for g, name in enumerate(table.tours, start=1):
         tallies[name] = tally(first[g], matches[g], *(c[g] for c in counts))
-    return tallies if by_tour else tour_tally(tallies, tour)
+    return tallies
 
 
 def matches_per_player(
     records: RecordTable | Iterable[ServeRecord], tour: str | None = None
 ) -> dict[str, int]:
     """How many distinct matches each player served or received in."""
-    tally = tally_records(records, tour)
+    tally = tour_tally(tally_records(records), tour)
     return dict(zip(tally.players, tally.matches))
 
 
@@ -296,7 +288,7 @@ def collect_profiles(
     max_touch: int = DEFAULT_MAX_TOUCH,
 ) -> dict[str, PlayerUfeProfile]:
     """A profile per player."""
-    return tally_records(records, tour, max_touch).profiles()
+    return tour_tally(tally_records(records, max_touch), tour).profiles()
 
 
 def ufe_rate_by_touch(
@@ -306,7 +298,7 @@ def ufe_rate_by_touch(
     max_touch: int = DEFAULT_MAX_TOUCH,
 ) -> list[tuple[int, float]]:
     """Tour-level UFE rate per touch for one role; see RecordTally.touch_curve."""
-    return tally_records(records, tour, max_touch).touch_curve(role)
+    return tour_tally(tally_records(records, max_touch), tour).touch_curve(role)
 
 
 def ufe_rate_by_year(
@@ -314,21 +306,21 @@ def ufe_rate_by_year(
 ) -> list[tuple[int, float]]:
     """Aggregate UFE-per-contact rate per calendar year, year-unknown
     records excluded."""
-    return tally_records(records, tour).year_series()
+    return tour_tally(tally_records(records), tour).year_series()
 
 
 def ufe_termination_share(
     records: RecordTable | Iterable[ServeRecord], tour: str | None = None
 ) -> float:
     """Share of decisive serves that ended on an unforced error."""
-    return tally_records(records, tour).termination_share()
+    return tour_tally(tally_records(records), tour).termination_share()
 
 
 def tour_ufe_rate(
     records: RecordTable | Iterable[ServeRecord], tour: str | None = None
 ) -> float:
     """UFEs per ball contact over the whole corpus."""
-    return tally_records(records, tour).ufe_rate()
+    return tour_tally(tally_records(records), tour).ufe_rate()
 
 
 def rate_rankings(

@@ -7,15 +7,16 @@ fixed default seed which is echoed, never wall-clock seeded.
 At module level this file imports only the standard library, the
 version and the error types.  Each command imports the modules it runs
 only when it gets to them, so `--version`, a config error or a missing
-`--a` loads no numpy.  `list-players` answers from the header of the
-records sidecar (see ufesim.sidecar), and `stats` from its tallies; so
-neither loads numpy, unless the sidecar is missing, stale or the member
-the command reads is damaged.  Then records.load_summary reads the
-table as every command does, rewrites the sidecar and hands back the
-header and tallies it wrote, so a hit and a miss print and write the
-same bytes.  main keeps numpy's OpenBLAS to one thread unless the user
-has set its count: ufesim calls no BLAS routine, and each idle OpenBLAS
-thread spins.
+`--a` loads no numpy.  Each command that reads records goes through
+sidecar.lookup: `list-players` answers from the header of the records
+sidecar, `stats` from its tallies and `simulate` (by load_records) from
+its columns.  So neither `list-players` nor `stats` loads numpy, unless
+the sidecar is missing, stale or the member the command reads is
+damaged.  Then lookup parses the CSV, rewrites the sidecar and answers
+from what it wrote, so a hit and a miss print and write the same bytes.
+main keeps numpy's OpenBLAS to one thread unless the user has set its
+count: ufesim calls no BLAS routine, and each idle OpenBLAS thread
+spins.
 
 build_parser declares each setting once: a `stats` or `simulate`
 `--config` line sets one of the command's options by its dest, read
@@ -247,16 +248,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_list_players(args: argparse.Namespace) -> int:
-    from .sidecar import cache_path, file_identity, file_sha256, players_of, read_header
+    from .sidecar import lookup, players_of
 
-    path = _resolve_data_path(args.records)
-    before = file_identity(path)
-    sha256 = file_sha256(path)
-    header = read_header(cache_path(path), sha256)
-    if header is None:
-        from .records import load_summary
-
-        header = load_summary(path, sha256, before).header
+    header, _ = lookup(_resolve_data_path(args.records), "header")
     matches = players_of(header, args.tour or None)
     for name in sorted(matches):
         print(f"{name}\t{matches[name]}")
@@ -290,15 +284,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         tour_tally,
         year_series_to_csv,
     )
-    from .sidecar import Role, cache_path, file_identity, file_sha256, read_tallies
+    from .sidecar import Role, lookup
 
-    before = file_identity(records_path)
-    dataset_sha256 = file_sha256(records_path)
-    tallies = read_tallies(cache_path(records_path), dataset_sha256)
-    if tallies is None:
-        from .records import load_summary
-
-        tallies = load_summary(records_path, dataset_sha256, before).tallies
+    tallies, dataset_sha256 = lookup(records_path, "tallies")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tally = tour_tally(tallies, args.tour)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotationError
-from .records import Role, TerminalKind, opponent_role
+from .sidecar import Role, TerminalKind, opponent_role
 
 SERVE_DIRECTIONS = frozenset("0456")
 FAULT_LETTERS = frozenset("nwdxge!")

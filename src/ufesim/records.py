@@ -27,19 +27,15 @@ players, quoted by csv.writer once per string, its serve and year,
 formatted once per distinct value, and its tour.  ingest makes its
 table first and then writes it so, as save_records does.
 
-load_records reads a records CSV into a table through a sidecar cache,
-`<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
-On a miss each row's fields are mapped straight to column codes (kind
-and role by lookup, numbers by int()), and the sidecar is rewritten
-from the table.  load_summary does the same for a command that reads
-one JSON member of the sidecar, and hands back the header and tallies
-it wrote.
-The sidecar holds the ten columns, a JSON header of the format version,
-that digest, the string tables and each player's match counts, and a
-JSON member of each tour's analytics.tally_records tally, made in one
-pass wherever a sidecar is written; the sidecar module keeps that layout
-and defines the kind and role codes.  count_matches is the one count of
-each player's distinct matches, which the tallies carry.
+load_records reads a records CSV into a table through the records cache
+(sidecar.lookup), keyed on the SHA-256 of the CSV's bytes.  On a miss
+_read_table maps each row's fields straight to column codes (kind and
+role by lookup, numbers by int()), and the sidecar is rewritten from
+the table, with the header and each tour's analytics.tally_records
+tally, made in one pass wherever a sidecar is written; the sidecar
+module keeps that layout and defines the kind and role codes.
+count_matches is the one count of each player's distinct matches,
+which the tallies carry.
 read_records_csv is the same read as ServeRecords, with no sidecar.
 save_records writes a table's CSV and its sidecar together, as
 RecordsWriter.commit does given the table.  This module is the only one
@@ -70,19 +66,12 @@ from .sidecar import (
     ROLE_CODES,
     ROLES,
     Role,
-    Summary,
     TerminalKind,
     cache_path,
-    file_identity,
-    file_sha256,
-    read_table,
-    summarize,
+    lookup,
+    opponent_role,
     write_sidecar,
 )
-
-
-def opponent_role(role: Role) -> Role:
-    return Role.RECEIVER if role is Role.SERVER else Role.SERVER
 
 
 @dataclass(frozen=True, slots=True)
@@ -788,44 +777,10 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     A sidecar keyed on that digest is read when it is valid.  Otherwise
     each of the CSV's rows is coded into the table's columns, so errors
     name file and line, and the sidecar is rewritten if the directory
-    allows.  A path that is not a regular file (a pipe, a device, a
-    directory) raises CsvFormatError.
+    allows (see sidecar.lookup).  A path that is not a regular file (a
+    pipe, a device, a directory) raises CsvFormatError.
     """
-    path = Path(path)
-    before = file_identity(path)
-    sha256 = file_sha256(path)
-    return load_hashed(path, sha256, before), sha256
-
-
-def load_hashed(path: Path, sha256: str, before: tuple[int, int, int, int]) -> RecordTable:
-    """The table load_records reads from a CSV that is already hashed:
-    `sha256` is the digest of its bytes, and `before` its file_identity,
-    taken before the hash."""
-    sidecar = cache_path(path)
-    table = read_table(sidecar, sha256)
-    if table is None:
-        table = _read_table(path)
-        # Cache only what matches the key: the CSV may change while read.
-        if file_identity(path) == before:
-            write_sidecar(sidecar, table, sha256, path)
-    return table
-
-
-def load_summary(path: Path, sha256: str, before: tuple[int, int, int, int]) -> Summary:
-    """The header and tallies of the sidecar of a CSV hashed as for
-    load_hashed, for a command that found the member it reads unreadable.
-
-    The table is read as load_hashed reads it, and the sidecar is written
-    again even when its columns were read; the summary returned is the
-    one written, made by one tally_records pass.  A CSV that changed
-    while it was read is summarized and not cached."""
-    sidecar = cache_path(path)
-    table = read_table(sidecar, sha256)
-    if table is None:
-        table = _read_table(path)
-        if file_identity(path) != before:
-            return summarize(table, sha256)
-    return write_sidecar(sidecar, table, sha256, path)
+    return lookup(path, "table")
 
 
 def save_records(table: RecordTable, path: str | Path) -> str:

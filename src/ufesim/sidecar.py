@@ -1,28 +1,33 @@
-"""The records cache: a records CSV's sidecar, its key and its layout.
+"""The records cache: a records CSV's sidecar, its key, its layout and
+its one lookup.
 
-load_records keeps the table it reads from a records CSV in a sidecar
-beside it, `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the
-CSV's bytes.  The sidecar is an np.savez zip of uint8 and int .npy
-members: the ten columns of a RecordTable, and two JSON members, each
-the ASCII bytes of one JSON object.  `header` holds
+load_records, list-players and stats each reach a records CSV through
+lookup, which keeps the table read from the CSV in a sidecar beside it,
+`<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
+The sidecar is a zip (layout 5) of two JSON members, each the ASCII text
+of one JSON object, and the ten columns of a RecordTable as .npy members,
+each as np.save writes it.  `header.json` holds
 - `version`, CACHE_VERSION, so that a sidecar of another layout is a miss;
 - `sha256`, the digest of the CSV the sidecar caches;
 - `matches`, `players` and `tours`, the table's string tables;
 - `counts`, each player's distinct matches over all tours, and
   `tour_counts`, one such list for each entry of `tours`; every count
   list is aligned with `players`, and 0 means no match in that tour.
-`tally` holds the same `version` and `sha256`, the `max_touch` of its
-tallies, `tours`, and `tallies`: the RecordTally of every tour, then one
-for each entry of `tours`, each an object of the tally's fields.
+`tally.json` holds the same `version` and `sha256`, the `max_touch` of
+its tallies, `tours`, and `tallies`: the RecordTally of every tour, then
+one for each entry of `tours`, each an object of the tally's fields.
+Every member is dated 1980-01-01, so a sidecar's bytes depend only on
+its table.
 
 A sidecar is written only for a table that passed every RecordTable
 check, from a CSV of exactly the bytes its digest names.  So a header of
 this version and digest answers list-players, and a tally member answers
 stats: read_header and read_tallies each read their one member alone,
-with zipfile and json, and never load the columns.  The tallies and the
-header's counts come from one tally_records call wherever a sidecar is
-written (summarize), and write_sidecar hands them back, so a miss builds
-them once.
+with zipfile and json, and never load the columns; read_table takes its
+header from read_header and the columns from np.load.  The tallies and
+the header's counts come from one tally_records call wherever a sidecar
+is written (summarize), and write_sidecar hands them back, so a miss
+builds them once.
 
 The codes the columns and the tallies hold are defined here too:
 TerminalKind and Role, and their column codes.  This module imports no
@@ -45,13 +50,11 @@ from contextlib import suppress
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import IO, TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import CsvFormatError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .analytics import RecordTally
     from .records import RecordTable
 
@@ -73,6 +76,10 @@ class Role(Enum):
     RECEIVER = "receiver"
 
 
+def opponent_role(role: Role) -> Role:
+    return Role.RECEIVER if role is Role.SERVER else Role.SERVER
+
+
 #: Column codes.  A kind is its index in KINDS; a role is its index in
 #: ROLES, and -1 stands for None in role, year and tour columns.
 KINDS = tuple(TerminalKind)
@@ -81,17 +88,14 @@ ROLES = (Role.SERVER, Role.RECEIVER)
 ROLE_CODES = {None: -1, Role.SERVER: 0, Role.RECEIVER: 1}
 NONE_CODE = -1
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 CACHE_SUFFIX = ".ufesim-cache.npz"
+_HEADER, _TALLY = "header.json", "tally.json"
 
 _STRING_TABLES = ("matches", "players", "tours")
 # A stored tally's fields besides max_touch, which its member holds once.
 _TALLY_FIELDS = ("players", "matches", "contacts", "ufes", "served", "received",
                  "touch_ufes", "years", "year_contacts", "year_ufes")
-# The preamble np.save writes before a 1-D uint8 array of n bytes, less
-# the spaces and line end that pad it (.npy format version 1.0).
-_NPY_MAGIC = b"\x93NUMPY\x01\x00"
-_NPY_HEADER = "{'descr': '|u1', 'fortran_order': False, 'shape': (%d,), }"
 
 # What reading a missing, truncated or otherwise corrupt sidecar can raise.
 _UNREADABLE = (
@@ -109,9 +113,11 @@ _UNREADABLE = (
 
 
 class Summary(NamedTuple):
-    """What a sidecar keeps of a table beside its columns: the header, and
-    the tallies, keyed None for every tour and by each of the table's tours."""
+    """A table and what its sidecar keeps of it beside the columns: the
+    header, and the tallies, keyed None for every tour and by each of the
+    table's tours.  Each field names what lookup can read."""
 
+    table: RecordTable
     header: dict
     tallies: dict[str | None, RecordTally]
 
@@ -148,7 +154,7 @@ def summarize(table: RecordTable, sha256: str) -> Summary:
     counts are the tallies' match counts, aligned with the table's players."""
     from .analytics import tally_records
 
-    tallies = tally_records(table, by_tour=True)
+    tallies = tally_records(table)
     ids = {name: i for i, name in enumerate(table.players)}
 
     def counts(tally: RecordTally) -> list[int]:
@@ -161,7 +167,7 @@ def summarize(table: RecordTable, sha256: str) -> Summary:
     header.update((name, list(getattr(table, name))) for name in _STRING_TABLES)
     header["counts"] = counts(tallies[None])
     header["tour_counts"] = [counts(tallies[tour]) for tour in table.tours]
-    return Summary(header, tallies)
+    return Summary(table, header, tallies)
 
 
 def _naturals(values: object, shape: tuple[int, ...]) -> bool:
@@ -239,29 +245,19 @@ def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None
     return tallies
 
 
-def _read_json(sidecar: Path, name: str) -> object:
+def _read_json(archive: zipfile.ZipFile, name: str) -> object:
     """The JSON value of one member of the sidecar, read alone; zipfile
-    checks its CRC.  A member whose .npy preamble is not the one np.save
-    writes for its length reads as None."""
-    with open(sidecar, "rb") as fh, zipfile.ZipFile(fh) as archive:
-        member = archive.read(name + ".npy")
-    if not member.startswith(_NPY_MAGIC):
-        return None
-    (length,) = struct.unpack_from("<H", member, len(_NPY_MAGIC))
-    start = len(_NPY_MAGIC) + 2
-    preamble = member[start:start + length].decode("ascii")
-    data = member[start + length:]
-    if not preamble.endswith("\n") or preamble[:-1].rstrip(" ") != _NPY_HEADER % len(data):
-        return None
-    return json.loads(data)
+    checks its CRC, and a member that is not ASCII is an error."""
+    return json.loads(archive.read(name).decode("ascii"))
 
 
-def read_header(sidecar: Path, sha256: str) -> dict | None:
+def read_header(sidecar: Path | IO[bytes], sha256: str) -> dict | None:
     """The sidecar's header, or None unless the sidecar is readable, of
     this version, keyed on this digest and its header well formed.  Only
-    the `header` member is read."""
+    the header member is read."""
     try:
-        return _checked(_read_json(sidecar, "header"), sha256)
+        with zipfile.ZipFile(sidecar) as archive:
+            return _checked(_read_json(archive, _HEADER), sha256)
     except _UNREADABLE:
         return None
 
@@ -270,11 +266,36 @@ def read_tallies(sidecar: Path, sha256: str) -> dict[str | None, RecordTally] | 
     """The sidecar's tallies, keyed as Summary keys them, or None unless
     the sidecar is readable, of this version, keyed on this digest and
     its tally member well formed, with the default max_touch.  Only the
-    `tally` member is read."""
+    tally member is read."""
     from .analytics import DEFAULT_MAX_TOUCH
 
     try:
-        return _checked_tallies(_read_json(sidecar, "tally"), sha256, DEFAULT_MAX_TOUCH)
+        with zipfile.ZipFile(sidecar) as archive:
+            return _checked_tallies(_read_json(archive, _TALLY), sha256, DEFAULT_MAX_TOUCH)
+    except _UNREADABLE:
+        return None
+
+
+def read_table(sidecar: Path, sha256: str) -> RecordTable | None:
+    """The cached table, or None unless the sidecar is readable, of this
+    version, keyed on this digest and passes every check.  The header
+    and the columns are read from one open file."""
+    import numpy as np
+
+    from .records import _COLUMNS, RecordTable
+
+    try:
+        # np.load leaves a file it opened unclosed when that is no zip.
+        with open(sidecar, "rb") as fh:
+            header = read_header(fh, sha256)
+            if header is None:
+                return None
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                return RecordTable(
+                    **{name: npz[name] for name, _ in _COLUMNS},
+                    **{name: tuple(header[name]) for name in _STRING_TABLES},
+                )
     except _UNREADABLE:
         return None
 
@@ -304,12 +325,15 @@ def _dumps(value: object, depth: int = 3) -> str:
     return json.dumps(value)
 
 
-def _to_arrays(table: RecordTable, summary: Summary) -> dict[str, np.ndarray]:
-    """The sidecar's contents for a table and its summary.
+def _write_zip(fh: IO[bytes], summary: Summary) -> None:
+    """Write the sidecar of a summary's table to fh: the header and tally
+    members, then each column as np.savez writes it.
 
-    Each JSON member is ASCII, with every other character escaped, so a
-    name keeps a trailing NUL that a numpy str array would drop."""
-    import numpy as np
+    Each JSON member is ASCII, with every other character escaped, so
+    every name is kept as it is.  Each member is opened by name, which
+    dates it 1980-01-01 as np.savez dates its members: the bytes depend
+    only on the table, never on the clock."""
+    from numpy.lib.format import write_array
 
     from .records import _COLUMNS
 
@@ -321,60 +345,64 @@ def _to_arrays(table: RecordTable, summary: Summary) -> dict[str, np.ndarray]:
         "tours": [tour for tour in summary.tallies if tour is not None],
         "tallies": [{name: getattr(t, name) for name in _TALLY_FIELDS} for t in tallies],
     }
-    arrays = {
-        name: np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        for name, text in (("header", json.dumps(summary.header)), ("tally", _dumps(tally)))
-    }
-    arrays.update((name, getattr(table, name)) for name, _ in _COLUMNS)
-    return arrays
-
-
-def _from_arrays(arrays: Mapping[str, np.ndarray], sha256: str) -> RecordTable | None:
-    """The table in a sidecar's contents; None if their header is not of
-    this version and digest or is malformed, and an error if the columns
-    fail a check."""
-    from .records import _COLUMNS, RecordTable
-
-    header = _checked(json.loads(arrays["header"].tobytes().decode("utf-8")), sha256)
-    if header is None:
-        return None
-    return RecordTable(
-        **{name: arrays[name] for name, _ in _COLUMNS},
-        **{name: tuple(header[name]) for name in _STRING_TABLES},
-    )
-
-
-def read_table(sidecar: Path, sha256: str) -> RecordTable | None:
-    """The cached table, or None unless the sidecar is readable, of this
-    version, keyed on this digest and passes every check."""
-    import numpy as np
-
-    try:
-        # np.load leaves a file it opened unclosed when that is no zip.
-        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            return _from_arrays(npz, sha256)
-    except _UNREADABLE:
-        return None
+    with zipfile.ZipFile(fh, "w") as archive:
+        for name, text in ((_HEADER, json.dumps(summary.header)), (_TALLY, _dumps(tally))):
+            with archive.open(name, "w", force_zip64=True) as out:
+                out.write(text.encode("ascii"))
+        for name, _ in _COLUMNS:
+            with archive.open(name + ".npy", "w", force_zip64=True) as out:
+                write_array(out, getattr(summary.table, name), allow_pickle=False)
 
 
 def write_sidecar(sidecar: Path, table: RecordTable, sha256: str, like: Path) -> Summary:
     """Replace the sidecar of a table read from a CSV with this digest
     atomically, with the permissions of `like`, and return the summary it
     holds; a write that fails is dropped."""
-    import numpy as np
-
     summary = summarize(table, sha256)
-    arrays = _to_arrays(table, summary)
     try:
         fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=sidecar.name + ".", suffix=".tmp")
     except OSError:
         return summary
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
+            _write_zip(fh, summary)
         shutil.copymode(like, tmp)
         os.replace(tmp, sidecar)
     except OSError:
         with suppress(OSError):
             os.unlink(tmp)
     return summary
+
+
+_READERS = {"table": read_table, "header": read_header, "tallies": read_tallies}
+
+
+def lookup(path: str | Path, member: str) -> tuple[object, str]:
+    """One field of a records CSV's Summary ("table", "header" or
+    "tallies"), and the SHA-256 of the CSV's bytes, hashed once.
+
+    The file's identity is taken before the hash, and a sidecar keyed on
+    that digest answers when its member is valid.  Otherwise the CSV is
+    parsed once, so errors name file and line, and the answer is made
+    from that table: the sidecar is rewritten if the directory allows,
+    unless the CSV changed while it was read, when it is only
+    summarized.  records is imported only then, so a hit on the header
+    or the tallies loads no numpy.  A path that is not a regular file
+    raises CsvFormatError.
+    """
+    path = Path(path)
+    before = file_identity(path)
+    sha256 = file_sha256(path)
+    sidecar = cache_path(path)
+    value = _READERS[member](sidecar, sha256)
+    if value is None:
+        from .records import _read_table
+
+        table = _read_table(path)
+        # Cache only what matches the key: the CSV may change while read.
+        if file_identity(path) == before:
+            summary = write_sidecar(sidecar, table, sha256, path)
+        else:
+            summary = summarize(table, sha256)
+        value = getattr(summary, member)
+    return value, sha256

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import io
+import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -91,5 +93,38 @@ def assert_same_table(table: RecordTable, expected: RecordTable) -> None:
 def sidecar_bytes(table: RecordTable, sha256: str) -> bytes:
     """The bytes of the sidecar that caches a table under this digest."""
     buffer = io.BytesIO()
-    np.savez(buffer, **sidecar_module._to_arrays(table, sidecar_module.summarize(table, sha256)))
+    sidecar_module._write_zip(buffer, sidecar_module.summarize(table, sha256))
+    return buffer.getvalue()
+
+
+def read_members(sidecar: bytes) -> dict:
+    """A sidecar's members, keyed by name less the extension: each .json
+    member as its JSON value, each .npy member as a writable array."""
+    members = {}
+    with zipfile.ZipFile(io.BytesIO(sidecar)) as archive:
+        for name in archive.namelist():
+            stem, _, extension = name.rpartition(".")
+            with archive.open(name) as fh:
+                if extension == "npy":
+                    members[stem] = np.lib.format.read_array(fh, allow_pickle=False)
+                else:
+                    members[stem] = json.loads(fh.read())
+    return members
+
+
+def write_members(members: dict) -> bytes:
+    """The bytes of a sidecar of these members, in this order: an array
+    as `<name>.npy`, as np.save writes it (an object array pickled),
+    bytes as `<name>.json` as they are, and any other value as
+    `<name>.json`, its JSON text."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, value in members.items():
+            if isinstance(value, np.ndarray):
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, value, allow_pickle=True)
+            else:
+                data = value if isinstance(value, bytes) else json.dumps(value).encode("ascii")
+                with archive.open(f"{name}.json", "w", force_zip64=True) as out:
+                    out.write(data)
     return buffer.getvalue()

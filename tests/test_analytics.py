@@ -344,21 +344,20 @@ def serve_records(draw):
     max_touch=st.integers(1, 15),
 )
 def test_tally_matches_per_metric_references(records, tour, max_touch):
-    tally = tally_records(records, tour=tour, max_touch=max_touch)
+    tally = tour_tally(tally_records(records, max_touch=max_touch), tour)
     assert tally.profiles() == reference_profiles(records, tour, max_touch)
     for role in Role:
         assert tally.touch_curve(role) == reference_touch_curve(records, tour, role, max_touch)
     assert tally.year_series() == reference_year_series(records, tour)
     assert tally.ufe_rate() == reference_ufe_rate(records, tour)
     assert tally.termination_share() == reference_termination_share(records, tour)
-    assert tour_tally(tally_records(records, max_touch=max_touch, by_tour=True), tour) == tally
 
 
 # Edge cases of the column tally against the record-by-record one.
 
 
 def _same_as_reference_tally(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
-    tally = tally_records(records, tour, max_touch)
+    tally = tour_tally(tally_records(records, max_touch), tour)
     if isinstance(records, RecordTable):
         records = records.to_records()
     reference = reference_tally_records(records, tour, max_touch)
@@ -374,9 +373,6 @@ def _same_as_reference_tally(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
     assert type(tally.ufe_rate()) is float and tally.ufe_rate() == reference.ufe_rate()
     assert tally.termination_share() == reference.termination_share()
     assert dict(zip(tally.players, tally.matches)) == matches_per_player(records, tour)
-    # The one pass keyed by tour gives the same tally.
-    by_tour = tally_records(records, max_touch=max_touch, by_tour=True)
-    assert tour_tally(by_tour, tour) == tally
     return tally
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_record
+from conftest import make_record, read_members, write_members
 from oracles import reference_ingest_files, reference_write_records_csv
 from ufesim import analytics as analytics_module
 from ufesim import cli
@@ -30,10 +30,10 @@ from ufesim.records import (
     Role,
     TerminalKind,
     cache_path,
-    file_sha256,
     read_records_csv,
     write_records_csv,
 )
+from ufesim.sidecar import file_sha256
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 # A valid --table1 file.
@@ -695,17 +695,12 @@ def _list_players(records_csv, capsys) -> list[str]:
 def _edited(sidecar: bytes, member: str, edit) -> bytes:
     """The sidecar with one JSON member passed through edit, which changes
     it in place; an edit of None drops the member."""
-    with np.load(io.BytesIO(sidecar), allow_pickle=False) as npz:
-        arrays = dict(npz)
+    members = read_members(sidecar)
     if edit is None:
-        del arrays[member]
+        del members[member]
     else:
-        value = json.loads(arrays[member].tobytes())
-        edit(value)
-        arrays[member] = np.frombuffer(json.dumps(value).encode("ascii"), np.uint8)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+        edit(members[member])
+    return write_members(members)
 
 
 def _edited_header(sidecar: bytes, **changes) -> bytes:
@@ -734,8 +729,7 @@ def test_corrupt_or_stale_sidecar_changes_no_output(records_csv, tmp_path, monke
     write_records_csv([make_record()], other)
     assert main(["list-players", "--records", str(other)]) == 0
     capsys.readouterr()
-    with np.load(io.BytesIO(good), allow_pickle=False) as npz:
-        counts = json.loads(npz["header"].tobytes())["counts"]
+    counts = read_members(good)["header"]["counts"]
     malformed = [
         dict(version=2, counts=None, tour_counts=None),  # the layout before the counts
         dict(counts=counts[:-1]),
@@ -831,6 +825,43 @@ def test_stats_hit_and_miss_write_the_same_files(tours, tour, tmp_path, monkeypa
         assert sidecar.read_bytes() == good
 
 
+def _layout_4(sidecar: bytes) -> bytes:
+    """The sidecar as layout 4 wrote it: np.savez of the header and the
+    tally member, each a uint8 array of its ASCII JSON, then the columns."""
+    arrays = {}
+    for name, value in read_members(sidecar).items():
+        if not isinstance(value, np.ndarray):
+            value = np.frombuffer(json.dumps({**value, "version": 4}).encode("ascii"), np.uint8)
+        arrays[name] = value
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("command", ["list-players", "stats", "simulate"])
+def test_a_layout_4_sidecar_is_a_miss_and_is_replaced(command, records_csv, tmp_path,
+                                                      monkeypatch, capsys):
+    sidecar = cache_path(records_csv)
+    good = sidecar.read_bytes()
+    sidecar.write_bytes(_layout_4(good))
+    read = []
+    read_table = records_module._read_table
+
+    def read_counting(path):
+        read.append(path)
+        return read_table(path)
+
+    monkeypatch.setattr(records_module, "_read_table", read_counting)
+    argv = {
+        "list-players": ["list-players", "--records", str(records_csv)],
+        "stats": ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s")],
+        "simulate": simulate_args(records_csv),
+    }[command]
+    assert main(argv) == 0
+    assert read == [records_csv]
+    assert sidecar.read_bytes() == good
+
+
 def test_stale_sidecar_keeps_csv_errors(records_csv, capsys):
     assert main(["list-players", "--records", str(records_csv)]) == 0
     lines = records_csv.read_text(encoding="utf-8").splitlines()
@@ -849,8 +880,7 @@ def test_commands_hash_the_dataset_once(records_csv, tmp_path, monkeypatch, caps
         hashed.append(path)
         return file_sha256(path)
 
-    # records binds the name at import; cli and list-players look it up in sidecar.
-    monkeypatch.setattr(records_module, "file_sha256", counting)
+    # Every command hashes in sidecar.lookup.
     monkeypatch.setattr(sidecar_module, "file_sha256", counting)
 
     def run_once(argv, miss):

@@ -100,6 +100,22 @@ def test_each_command_imports_only_what_it_runs(argv, exit_code, loaded, records
     assert report["numpy"] == bool(loaded - {"sidecar", "analytics", "svg"})
 
 
+def test_notation_imports_no_numpy():
+    # The notation decoder takes its codes from sidecar, as a numpy-free
+    # per-file reader for ingest would.
+    proc = run_fresh(
+        code="import json, sys\n"
+        "import ufesim.notation\n"
+        "print(json.dumps({'modules': sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'ufesim'), 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {
+        "modules": ["ufesim", "ufesim.errors", "ufesim.notation", "ufesim.sidecar"],
+        "numpy": False,
+    }
+
+
 # Runs `stats` in a fresh interpreter on records with no sidecar, so that
 # main loads numpy; reports OPENBLAS_NUM_THREADS, the BLAS numpy was built
 # with and, on Linux, how many threads the process has once numpy is loaded.

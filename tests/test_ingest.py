@@ -45,10 +45,10 @@ from ufesim.records import (
     Role,
     TerminalKind,
     cache_path,
-    file_sha256,
     load_records,
     save_records,
 )
+from ufesim.sidecar import file_sha256
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 FIRST = "20190705-M-Wimbledon-F-Alpha_One-Beta_Two"  # the fixture's first match

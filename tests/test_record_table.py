@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from itertools import accumulate
 from pathlib import Path
@@ -17,7 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_table, make_record, serve_mix, sidecar_bytes
+from conftest import (
+    assert_same_table,
+    make_record,
+    read_members,
+    serve_mix,
+    sidecar_bytes,
+    write_members,
+)
 from oracles import (
     reference_build_pools,
     reference_from_records,
@@ -42,13 +50,12 @@ from ufesim.records import (
     Role,
     TerminalKind,
     cache_path,
-    file_sha256,
     load_records,
     read_records_csv,
     save_records,
     write_records_csv,
 )
-from ufesim.sidecar import CACHE_VERSION
+from ufesim.sidecar import CACHE_VERSION, file_sha256
 
 K = TerminalKind
 S, R = Role.SERVER, Role.RECEIVER
@@ -304,21 +311,18 @@ def test_round_trip_cases(tmp_path, kwargs):
         assert load_records(path)[0].to_records() == records
 
 
-def test_sidecar_codec_keeps_every_string():
-    # A numpy str array would drop trailing NULs; the JSON header keeps
-    # them, the empty name and a name outside the BMP.
+def test_sidecar_codec_keeps_every_string(tmp_path):
+    # A numpy str array would drop trailing NULs; the ASCII JSON header
+    # keeps them, the empty name and a name outside the BMP.
     names = ["tail\x00", "", "\U0001F3BE serve", "\x00\x00"]
     records = [
         make_record(a, b, match_id=f"{a}|{b}", tour=b or None) for a, b in zip(names, names[1:])
     ]
     table = RecordTable.from_records(records)
-    buffer = io.BytesIO()
-    summary = sidecar_module.summarize(table, "0" * 64)
-    np.savez(buffer, **sidecar_module._to_arrays(table, summary))
-    buffer.seek(0)
-    with np.load(buffer, allow_pickle=False) as npz:
-        assert sorted(npz.files) == sorted(["header", "tally", *COLUMNS])
-        cached = sidecar_module._from_arrays(npz, "0" * 64)
+    sidecar = tmp_path / "records.csv.ufesim-cache.npz"
+    sidecar.write_bytes(sidecar_bytes(table, "0" * 64))
+    assert list(read_members(sidecar.read_bytes())) == ["header", "tally", *COLUMNS]
+    cached = sidecar_module.read_table(sidecar, "0" * 64)
     assert_same_table(cached, table)
     assert cached.to_records() == records
 
@@ -357,12 +361,12 @@ def test_a_miss_streams_each_row_once_and_keeps_no_record(csv_path, reads, monke
     def no_list(path):
         raise AssertionError(f"read_records_csv({path}) on a cache miss")
 
-    def no_decode(arrays, sha256):
-        raise AssertionError("a cache miss decoded sidecar arrays")
+    def no_load(*args, **kwargs):
+        raise AssertionError("a cache miss loaded sidecar columns")
 
     monkeypatch.setattr(records_module, "ServeRecord", no_record)
     monkeypatch.setattr(records_module, "read_records_csv", no_list)
-    monkeypatch.setattr(sidecar_module, "_from_arrays", no_decode)
+    monkeypatch.setattr(np, "load", no_load)
     table, _ = load_records(csv_path)
     monkeypatch.undo()
     assert reads == [csv_path] and table.to_records() == corpus()
@@ -536,55 +540,29 @@ def test_corrupt_sidecar_never_changes_the_records(good_sidecar, data):
         assert load_records(path)[0].to_records() == corpus()
 
 
-@pytest.mark.parametrize(
-    "stored",
-    [
-        lambda header: header,
-        lambda header: header.view(np.int8),
-        lambda header: header.reshape(1, -1),
-        lambda header: header.astype("<u2"),
-        lambda header: np.asfortranarray(np.stack([header, header], axis=1)),
-    ],
-    ids=["as-written", "int8", "2-d", "uint16", "fortran"],
-)
-def test_header_read_wants_the_preamble_np_save_writes(csv_path, stored):
-    table, sha256 = load_records(csv_path)
-    arrays = _sidecar_arrays(csv_path)
-    arrays["header"] = stored(arrays["header"])
-    _save_sidecar(csv_path, arrays)
-    header = sidecar_module.read_header(cache_path(csv_path), sha256)
-    if arrays["header"].dtype == np.uint8 and arrays["header"].ndim == 1:
-        assert header == sidecar_module.summarize(table, sha256).header
-    else:
-        assert header is None
-
-
 def _sidecar_arrays(path: Path) -> dict:
-    with np.load(cache_path(path), allow_pickle=False) as npz:
-        return dict(npz)
+    """The members of the sidecar of a CSV, as read_members reads them."""
+    return read_members(cache_path(path).read_bytes())
 
 
 def _save_sidecar(path: Path, arrays: dict) -> None:
-    with open(cache_path(path), "wb") as fh:
-        np.savez(fh, **arrays)
+    cache_path(path).write_bytes(write_members(arrays))
 
 
-def _header(arrays: dict):
-    return json.loads(arrays["header"].tobytes())
-
-
-def _put_header(arrays: dict, header) -> None:
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+def test_sidecar_members_read_and_written_back_are_the_same_bytes(csv_path):
+    # So each edit of the tests below changes only what it edits.
+    load_records(csv_path)
+    assert write_members(_sidecar_arrays(csv_path)) == cache_path(csv_path).read_bytes()
 
 
 def test_sidecar_of_another_version(csv_path, reads):
     load_records(csv_path)
     arrays = _sidecar_arrays(csv_path)
-    _put_header(arrays, {**_header(arrays), "version": CACHE_VERSION + 1})
+    arrays["header"]["version"] = CACHE_VERSION + 1
     _save_sidecar(csv_path, arrays)
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
-    assert _header(_sidecar_arrays(csv_path))["version"] == CACHE_VERSION
+    assert _sidecar_arrays(csv_path)["header"]["version"] == CACHE_VERSION
 
 
 def test_sidecar_of_the_first_format_is_replaced(csv_path, reads):
@@ -601,8 +579,8 @@ def test_sidecar_of_the_first_format_is_replaced(csv_path, reads):
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
     rewritten = _sidecar_arrays(csv_path)
-    assert sorted(rewritten) == sorted(["header", "tally", *COLUMNS])
-    assert _header(rewritten)["version"] == CACHE_VERSION == 4
+    assert list(rewritten) == ["header", "tally", *COLUMNS]
+    assert rewritten["header"]["version"] == CACHE_VERSION == 5
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
 
@@ -626,7 +604,12 @@ class Tripwire:
 def test_sidecar_holding_a_pickled_object_array(csv_path, reads, key):
     load_records(csv_path)
     arrays = _sidecar_arrays(csv_path)
-    arrays[key] = np.array([Tripwire(), "x"], dtype=object)
+    pickled = np.array([Tripwire(), "x"], dtype=object)
+    if key == "header":  # the JSON member holds the pickled array's .npy bytes
+        buffer = io.BytesIO()
+        np.save(buffer, pickled, allow_pickle=True)
+        pickled = buffer.getvalue()
+    arrays[key] = pickled
     _save_sidecar(csv_path, arrays)
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
@@ -649,6 +632,19 @@ def test_read_only_directory(csv_path, reads, monkeypatch):
     finally:
         csv_path.parent.chmod(0o755)
     assert sorted(p.name for p in csv_path.parent.iterdir()) == ["records.csv"]
+
+
+def test_sidecar_bytes_depend_only_on_the_table(tmp_path, monkeypatch):
+    # Every member is dated as np.savez dates its members, never by the
+    # clock, so a sidecar written an hour later is the same bytes.
+    table = RecordTable.from_records(corpus())
+    sidecar = tmp_path / "records.csv.ufesim-cache.npz"
+    sidecar_module.write_sidecar(sidecar, table, "0" * 64, tmp_path)
+    first = sidecar.read_bytes()
+    later = time.time() + 3600
+    monkeypatch.setattr(time, "time", lambda: later)
+    sidecar_module.write_sidecar(sidecar, table, "0" * 64, tmp_path)
+    assert sidecar.read_bytes() == first
 
 
 def test_sidecar_path_taken_by_a_directory(csv_path, reads):
@@ -681,13 +677,18 @@ def _set(column, row_of, value):
 
 def _edit_header(edit):
     """A breaker that replaces the header with edit(header)."""
-    return lambda arrays: _put_header(arrays, edit(_header(arrays)))
+    return lambda arrays: arrays.__setitem__("header", edit(arrays["header"]))
 
 
-def _not_utf8(arrays):
-    raw = arrays["header"].tobytes()
-    assert b'"Ann Ace"' in raw
-    arrays["header"] = np.frombuffer(raw.replace(b'"Ann Ace"', b'"\xffnn Ace"'), np.uint8)
+def _renamed(name: bytes):
+    """A breaker that renames Ann Ace in the header's bytes."""
+
+    def breaker(arrays):
+        raw = json.dumps(arrays["header"]).encode("ascii")
+        assert b'"Ann Ace"' in raw
+        arrays["header"] = raw.replace(b'"Ann Ace"', b'"' + name + b'"')
+
+    return breaker
 
 
 BREAKERS = {
@@ -720,7 +721,9 @@ BREAKERS = {
         _edit_header(lambda h: {**h, "tours": ["ATP", "ATP"]})(a),
         a.update(tour=np.where(a["tour"] >= 0, 0, -1).astype(np.int32)),
     ),
-    "bad_utf8": _not_utf8,
+    "bad_utf8": _renamed(b"\xffnn Ace"),
+    # Valid UTF-8, and a table as good as the one written, but not ASCII.
+    "not_ascii": _renamed("\u00c4nn Ace".encode()),
     "wide_dtype": lambda a: a.update(touch=a["touch"].astype(np.int64)),
     "short_column": lambda a: a.update(kind=a["kind"][:-1]),
     "wrong_sha": _edit_header(lambda h: {**h, "sha256": "0" * 64}),
@@ -787,9 +790,9 @@ def test_consumers_match_references(records, tour, max_touch, pair, scope):
         assert matches_per_player(table, wanted) == expected
         assert sidecar_module.players_of(header, wanted) == expected
         # Equal fields, so the same players in the same order.
-        assert tour_tally(tallies, wanted) == tally_records(table, wanted)
+        assert tour_tally(tallies, wanted) == tour_tally(tally_records(table), wanted)
 
-    tally = tally_records(table, tour, max_touch)
+    tally = tour_tally(tally_records(table, max_touch), tour)
     reference = reference_tally_records(records, tour, max_touch)
     assert list(tally.players) == list(reference.players)
     assert tally.profiles() == reference.profiles()
