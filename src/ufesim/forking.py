@@ -1,15 +1,17 @@
 """Forked worker processes, shared by simulate and ingest.
 
-A caller imports this module only when its input holds work for two
-workers or more, and hands `forked` a function, a job and a list of
-tasks.  The workers inherit the job at fork time (fork does not pickle
-the initializer's arguments), so only each task and its result cross a
-pipe.  There is one worker per allowed CPU (os.sched_getaffinity, so
-`taskset` limits the count), at most the caller's `most`; the work runs
-in process instead when that is fewer than two, when the platform cannot
-fork, when other threads are running (a fork copies no thread but the
-caller's, and any lock another thread holds stays held in the child), or
-when the pool cannot start.  multiprocessing is imported only then.
+A caller hands `forked` a function, a job, a list of tasks and the most
+workers its input can use, and takes each task's result through the
+take(i) it yields; this module alone decides whether the tasks run in
+forked workers or in process.  The workers inherit the job at fork time
+(fork does not pickle the initializer's arguments), so only each task
+and its result cross a pipe.  There is one worker per allowed CPU
+(os.sched_getaffinity, so `taskset` limits the count), at most the
+caller's `most`; each task runs in process instead, when it is taken,
+when that is fewer than two, when the platform cannot fork, when other
+threads are running (a fork copies no thread but the caller's, and any
+lock another thread holds stays held in the child), or when the pool
+cannot start.  multiprocessing is imported only when a pool starts.
 """
 from __future__ import annotations
 
@@ -46,20 +48,25 @@ def _run(task: Any) -> Any:
 @contextmanager
 def forked(
     work: Callable[[Any, Any], Any], job: Any, tasks: Sequence[Any], most: int, died: str
-) -> Iterator[Callable[[int], Any] | None]:
-    """Runs work(job, task) for every task in forked workers, started in
-    task order; yields take(i), which waits for the result of tasks[i]
-    and raises what that call raised, or None when the work should run
-    in process (see the module docstring).
+) -> Iterator[Callable[[int], Any]]:
+    """Yields take(i), which returns work(job, tasks[i]) and raises what
+    that call raised.  In forked workers every task is started in task
+    order and take waits for its result; in process (see the module
+    docstring) take runs the task itself, so each task runs only when,
+    and in the order, it is taken.
 
     A worker that dies raises WorkerDiedError, its message starting with
     `died`.  Leaving the block shuts the pool down, dropping tasks not
     yet started (an error, an interrupt or a dead worker ends the wait
     early).  take drops each result it returns.
     """
+
+    def run(i: int) -> Any:
+        return work(job, tasks[i])
+
     workers = min(allowed_cpus(), most)
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield None
+        yield run
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -74,7 +81,7 @@ def forked(
             initargs=(work, job),
         )
     except OSError:
-        yield None
+        yield run
         return
     try:
         try:
@@ -85,7 +92,8 @@ def forked(
             for child in set(multiprocessing.active_children()) - children:
                 child.terminate()
                 child.join()
-            futures = None
+            yield run
+            return
 
         def take(i: int) -> Any:
             future, futures[i] = futures[i], None
@@ -94,6 +102,6 @@ def forked(
             except BrokenProcessPool as exc:
                 raise WorkerDiedError(f"{died}: {exc}") from None
 
-        yield None if futures is None else take
+        yield take
     finally:
         pool.shutdown(cancel_futures=True)

@@ -12,13 +12,14 @@ local to the file, of each kept point's match, serving side and
 (serve_number, mark, touch) key, with the strings they name, the file's
 counts, the set of matches it names and its first repeated point, if
 any.  A point's serves depend only on its key, and each distinct
-notation of a file is decoded once.  Two files or more holding at least
-_MIN_FORK_BYTES are read in forked worker processes, one per allowed
-CPU (forking.forked, the fork helper simulate shares; `taskset -c 0`
-reads them in process); otherwise they are read in process.  The parts
-are taken in file order, and their strings are interned by first
-appearance.  A file read on its own can only find the duplicate points
-within it, so one that names a match an earlier file named is read
+notation of a file is decoded once.  Every file is read through
+forking.forked, the fork helper simulate shares: in forked worker
+processes, one per allowed CPU, when there are two files or more holding
+at least _MIN_FORK_BYTES and two such CPUs (`taskset -c 0` reads them in
+process), and otherwise in process, each file when its part is taken.
+The parts are taken in file order, and their strings are interned by
+first appearance.  A file read on its own can only find the duplicate
+points within it, so one that names a match an earlier file named is read
 again in process, with the points of those earlier files as seen;
 charting exports split by tour and period keep each match in one file,
 and never pay that read, not even to report a duplicate point.  The
@@ -48,6 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CsvFormatError, DuplicatePointError, NotationError
+from .forking import forked
 from .notation import point_outcome, scan_notation
 from .records import (
     KIND_CODES,
@@ -322,24 +324,19 @@ def _size(path: Path) -> int:
 
 @contextmanager
 def _reader(paths: list[Path]) -> Iterator[Callable[[int], _Part]]:
-    """Yields read(i), the part of paths[i].
+    """Yields read(i), the part of paths[i], from forking.forked.
 
-    Two files or more holding at least _MIN_FORK_BYTES are read in
-    forked workers (forking.forked), the largest first, while the caller
-    takes the parts in file order; otherwise each is read in process
-    when asked for.
+    The files are its tasks, largest first, and it may fork one worker
+    per file once they hold _MIN_FORK_BYTES between them; the caller
+    takes the parts in file order.  A file read in process is read when
+    its part is taken.
     """
     sizes = [_size(path) for path in paths]
-    if len(paths) >= 2 and sum(sizes) >= _MIN_FORK_BYTES:
-        from .forking import forked
-
-        order = sorted(range(len(paths)), key=lambda i: -sizes[i])
-        place = {i: n for n, i in enumerate(order)}
-        with forked(_read_task, paths, order, len(paths), "an ingest worker process died") as take:
-            if take is not None:
-                yield lambda i: take(place[i])
-                return
-    yield lambda i: _read_part(paths[i])
+    most = len(paths) if sum(sizes) >= _MIN_FORK_BYTES else 1
+    order = sorted(range(len(paths)), key=lambda i: -sizes[i])
+    place = {i: n for n, i in enumerate(order)}
+    with forked(_read_task, paths, order, most, "an ingest worker process died") as take:
+        yield lambda i: take(place[i])
 
 
 class _Interned:

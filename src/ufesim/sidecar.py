@@ -23,11 +23,11 @@ A sidecar is written only for a table that passed every RecordTable
 check, from a CSV of exactly the bytes its digest names.  So a header of
 this version and digest answers list-players, and a tally member answers
 stats: read_header and read_tallies each read their one member alone,
-with zipfile and json, and never load the columns; read_table takes its
-header from read_header and the columns from np.load.  The tallies and
-the header's counts come from one tally_records call wherever a sidecar
-is written (summarize), and write_sidecar hands them back, so a miss
-builds them once.
+with zipfile and json, and never load the columns; read_table reads the
+header the same way and then the columns, from one open archive.  The
+tallies and the header's counts come from one tally_records call
+wherever a sidecar is written (summarize), and write_sidecar hands them
+back, so a miss builds them once.
 
 The codes the columns and the tallies hold are defined here too:
 TerminalKind and Role, and their column codes.  This module imports no
@@ -251,7 +251,7 @@ def _read_json(archive: zipfile.ZipFile, name: str) -> object:
     return json.loads(archive.read(name).decode("ascii"))
 
 
-def read_header(sidecar: Path | IO[bytes], sha256: str) -> dict | None:
+def read_header(sidecar: Path, sha256: str) -> dict | None:
     """The sidecar's header, or None unless the sidecar is readable, of
     this version, keyed on this digest and its header well formed.  Only
     the header member is read."""
@@ -279,23 +279,24 @@ def read_tallies(sidecar: Path, sha256: str) -> dict[str | None, RecordTally] | 
 def read_table(sidecar: Path, sha256: str) -> RecordTable | None:
     """The cached table, or None unless the sidecar is readable, of this
     version, keyed on this digest and passes every check.  The header
-    and the columns are read from one open file."""
-    import numpy as np
+    and the columns are read from one ZipFile, each column with the
+    read_array that pairs with _write_zip's write_array."""
+    from numpy.lib.format import read_array
 
     from .records import _COLUMNS, RecordTable
 
     try:
-        # np.load leaves a file it opened unclosed when that is no zip.
-        with open(sidecar, "rb") as fh:
-            header = read_header(fh, sha256)
+        with zipfile.ZipFile(sidecar) as archive:
+            header = _checked(_read_json(archive, _HEADER), sha256)
             if header is None:
                 return None
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as npz:
-                return RecordTable(
-                    **{name: npz[name] for name, _ in _COLUMNS},
-                    **{name: tuple(header[name]) for name in _STRING_TABLES},
-                )
+            columns = {}
+            for name, _ in _COLUMNS:
+                with archive.open(name + ".npy") as member:
+                    columns[name] = read_array(member, allow_pickle=False)
+            return RecordTable(
+                **columns, **{name: tuple(header[name]) for name in _STRING_TABLES}
+            )
     except _UNREADABLE:
         return None
 

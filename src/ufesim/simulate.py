@@ -28,14 +28,14 @@ the int type's constructor.
 
 Replicates run on every CPU the process may use.  run_simulation and
 compare_scenarios cut each scenario into blocks of at least _MIN_BLOCK
-replicates and, when there are two full blocks or more, hand the blocks
-to forking.forked, the fork helper ingest shares: it plays them in
-forked worker processes, one per allowed CPU (os.sched_getaffinity, so
-`taskset` limits the count), when there are two such CPUs or more.
-Replicate i always draws from its own stream replicate_stream(seed, i),
-and a block returns only its per-match shares as flat float columns,
-which are joined in index order; so every summary is bit-identical for
-any number of workers, the in-process loop being the one-worker case.
+replicates and hand every block to forking.forked, the fork helper
+ingest shares.  It decides where they are played: in forked worker
+processes, one per allowed CPU (os.sched_getaffinity, so `taskset`
+limits the count) and at most one per full block, or in process when
+that is fewer than two.  Replicate i always draws from its own stream
+replicate_stream(seed, i), and a block returns only its per-match shares
+as flat float columns, which are joined in index order; so every summary
+is bit-identical for any number of workers.
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ from .counterfactual import (
     should_remove_ufe,
 )
 from .errors import EndlessMatchError
+from .forking import forked
 from .pools import FAULT, PoolScope, ServePoolSet
 from .rng import replicate_stream
 from .scoring import PLAYERS, MatchFormat
@@ -474,29 +475,6 @@ def _replicate_task(job: _Job, task: tuple[int, int, int]) -> _Columns:
     return _replicate_block(job, *task)
 
 
-def _play_forked(job: _Job, most: int) -> list[_Columns] | None:
-    """Play every block of the job in at most `most` forked workers
-    (forking.forked); each task is a (config index, start, stop) tuple
-    and each result a block's columns.  Returns None when the blocks are
-    to be played in process instead."""
-    from .forking import forked
-
-    tasks = [
-        (i, start, stop)
-        for i, config in enumerate(job.configs)
-        for start, stop in _blocks(config.n_matches)
-    ]
-    with forked(_replicate_task, job, tasks, most, "a replicate worker process died") as take:
-        if take is None:
-            return None
-        blocks = [take(i) for i in range(len(tasks))]
-    played = [_columns(()) for _ in job.configs]
-    for (config_index, _, _), block in zip(tasks, blocks):
-        for column, part in zip(played[config_index], block):
-            column.extend(part)
-    return played
-
-
 def _play(
     configs: Sequence[SimulationConfig],
     pools: ServePoolSet,
@@ -504,21 +482,27 @@ def _play(
 ) -> list[_Columns]:
     """Every config's columns, in replicate index order.
 
-    Forks at most one worker per full block, so a call of fewer than two
-    full blocks never imports forking; plays in process when the blocks
-    are not forked.
+    Each config's blocks are (config index, start, stop) tasks for
+    forking.forked, which plays them in at most one worker per full
+    block, or in process; their columns are joined in task order.
     """
     for config in configs:
         _check_match_can_end(pools, config.reduction_x)
     if table is None:
         table = default_table()
     job = _Job(tuple(configs), pools, table)
-    full_blocks = sum(c.n_matches // _MIN_BLOCK for c in configs)
-    if full_blocks >= 2:
-        played = _play_forked(job, full_blocks)
-        if played is not None:
-            return played
-    return [_replicate_block(job, i, 0, c.n_matches) for i, c in enumerate(configs)]
+    tasks = [
+        (i, start, stop)
+        for i, config in enumerate(configs)
+        for start, stop in _blocks(config.n_matches)
+    ]
+    most = sum(c.n_matches // _MIN_BLOCK for c in configs)
+    played = [_columns(()) for _ in configs]
+    with forked(_replicate_task, job, tasks, most, "a replicate worker process died") as take:
+        for n, (config_index, _, _) in enumerate(tasks):
+            for column, part in zip(played[config_index], take(n)):
+                column.extend(part)
+    return played
 
 
 def run_simulation(

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import zipfile
+from contextlib import contextmanager
+from typing import Iterator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,6 +69,31 @@ def serve_mix(server: str, receiver: str) -> list[ServeRecord]:
         *[make_record(server, receiver, K.UNFORCED_ERROR, 2, S, committer=R, serve_number=2)] * 2,
         *[make_record(server, receiver, K.RALLY_WINNER, 3, S, serve_number=2)] * 2,
     ]
+
+
+@contextmanager
+def _cpus_allowed(cpus: int) -> Iterator[list[int]]:
+    forked: list[int] = []
+    real_fork = os.fork
+
+    def fork() -> int:
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            mock.patch.object(os, "fork", fork):
+        yield forked
+
+
+@pytest.fixture(scope="session")
+def allow_cpus():
+    """allow_cpus(cpus) is a context manager in which the process may use
+    `cpus` CPUs, as os.sched_getaffinity reports them; it yields the list
+    of the pids forked in it.  Session-scoped, so that hypothesis tests
+    can use it."""
+    return _cpus_allowed
 
 
 @pytest.fixture

@@ -53,7 +53,9 @@ def records_csv(tmp_path_factory):
 
 
 SIMULATE = ["simulate", "--records", "{records}", "--a", "Alpha_One", "--n", "40"]
-SIMULATOR = {"records", "sidecar", "pools", "simulate", "counterfactual", "scoring", "rng"}
+SIMULATOR = {
+    "records", "sidecar", "pools", "simulate", "counterfactual", "scoring", "rng", "forking"
+}
 
 
 # argv (with {records}, {uncached}, {out} and {fixture} filled in), exit
@@ -82,7 +84,7 @@ SIMULATOR = {"records", "sidecar", "pools", "simulate", "counterfactual", "scori
         (
             ["ingest", "{fixture}", "-o", "{out}/r.csv"],
             0,
-            {"ingest", "notation", "records", "sidecar", "analytics"},
+            {"ingest", "notation", "records", "sidecar", "analytics", "forking"},
         ),
     ],
     ids=["version", "usage-error", "simulate", "list-players", "list-players-miss", "stats",

@@ -54,27 +54,15 @@ FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 FIRST = "20190705-M-Wimbledon-F-Alpha_One-Beta_Two"  # the fixture's first match
 K = TerminalKind
 
-# How ingest_table reads its files: in process, or in two forked workers
-# whenever there are two files or more.
+# How ingest_table reads its files when two CPUs are allowed: in process,
+# or in two forked workers whenever there are two files or more.
 READS = ["in_process", "forked"]
 
 
-@contextmanager
 def reading(read: str):
-    """Read ingest's files the given way; yields the pids forked."""
-    forked = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    with mock.patch.object(ingest_module, "_MIN_FORK_BYTES", 0 if read == "forked" else 1 << 62), \
-            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
-            mock.patch.object(os, "fork", fork):
-        yield forked
+    """Read ingest's files the given way on two CPUs (allow_cpus(2)): no
+    input reaches the byte threshold, or every input does."""
+    return mock.patch.object(ingest_module, "_MIN_FORK_BYTES", 0 if read == "forked" else 1 << 62)
 
 
 def test_fixture_row_count_matches_plain_csv_read():
@@ -283,31 +271,31 @@ def _inputs(tmp_path: Path, name: str) -> tuple[list[Path], IngestReport]:
     return paths, report
 
 
-def test_ingest_files_totals(tmp_path):
+def test_ingest_files_totals(tmp_path, allow_cpus):
     for inputs, read in product(["fixture", "many"], READS):
         paths, expected = _inputs(tmp_path, inputs)
-        with reading(read) as forked:
+        with allow_cpus(2) as forked, reading(read):
             records, report = _same_as_reference(paths)
         assert report == expected
         assert len(records) == expected.serve_records_emitted
         assert len(forked) == (2 if read == "forked" and len(paths) > 1 else 0)
 
 
-def test_ingest_is_deterministic(tmp_path):
+def test_ingest_is_deterministic(tmp_path, allow_cpus):
     for inputs in ["fixture", "many"]:
         paths, _ = _inputs(tmp_path, inputs)
         ingested = []
         for read in READS:
-            with reading(read):
+            with allow_cpus(2), reading(read):
                 ingested += (ingest_files(paths)[0], ingest_files(paths)[0])
         assert all(records == ingested[0] for records in ingested)
 
 
-def test_duplicate_across_files_raises(tmp_path):
+def test_duplicate_across_files_raises(tmp_path, allow_cpus):
     copy = tmp_path / "copy.csv"
     copy.write_text(FIXTURE.read_text(encoding="utf-8"), encoding="utf-8")
     for read in READS:
-        with reading(read), pytest.raises(DuplicatePointError) as exc:
+        with allow_cpus(2), reading(read), pytest.raises(DuplicatePointError) as exc:
             ingest_files([FIXTURE, copy])
         # The copy's first data row repeats the fixture's.
         assert (exc.value.path, exc.value.line) == (str(copy), 2)
@@ -315,19 +303,19 @@ def test_duplicate_across_files_raises(tmp_path):
 
 
 @pytest.mark.parametrize("read", READS)
-def test_a_repeat_of_an_earlier_file_wins_over_a_later_one_in_the_file(read, tmp_path):
+def test_a_repeat_of_an_earlier_file_wins_over_a_later_one_in_the_file(read, tmp_path, allow_cpus):
     first = _write(tmp_path / "first.csv", HEADER + f"{MATCH},5,0-0,1,4*,,1\n")
     second = _write(
         tmp_path / "second.csv",
         HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},5,0-0,1,4*,,1\n"
         + f"{MATCH},1,0-0,1,4*,,1\n",
     )
-    with reading(read), pytest.raises(DuplicatePointError) as exc:
+    with allow_cpus(2), reading(read), pytest.raises(DuplicatePointError) as exc:
         ingest_table([first, second])
     assert (exc.value.path, exc.value.line, exc.value.point_index) == (str(second), 3, 5)
 
 
-def test_a_dead_worker_raises_worker_died(tmp_path, monkeypatch):
+def test_a_dead_worker_raises_worker_died(tmp_path, monkeypatch, allow_cpus):
     copy = _write(tmp_path / "copy.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n")
     caller = os.getpid()
 
@@ -337,7 +325,8 @@ def test_a_dead_worker_raises_worker_died(tmp_path, monkeypatch):
         raise AssertionError("a file was read in process")
 
     monkeypatch.setattr(ingest_module, "_read_task", die)
-    with reading("forked"), pytest.raises(WorkerDiedError, match="an ingest worker process died"):
+    died = "an ingest worker process died"
+    with allow_cpus(2), reading("forked"), pytest.raises(WorkerDiedError, match=died):
         ingest_table([FIXTURE, copy])
     assert multiprocessing.active_children() == []
 
@@ -370,12 +359,12 @@ def parent_reads():
 
 
 @pytest.mark.parametrize("read", READS)
-def test_a_match_split_over_files_reads_as_one_file(read, tmp_path):
+def test_a_match_split_over_files_reads_as_one_file(read, tmp_path, allow_cpus):
     head, tail = _split_fixture(tmp_path)
     other = _write(
         tmp_path / "other.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},2,15-0,2,5n,6*,1\n"
     )
-    with reading(read):
+    with allow_cpus(2), reading(read):
         with parent_reads() as unshared:
             whole = ingest_table([FIXTURE, other])
         with parent_reads() as shared:
@@ -396,37 +385,40 @@ def test_a_match_split_over_files_reads_as_one_file(read, tmp_path):
 
 
 @pytest.mark.parametrize("read", READS)
-def test_a_format_error_after_a_file_read_again_names_its_line(read, tmp_path):
+def test_a_format_error_after_a_file_read_again_names_its_line(read, tmp_path, allow_cpus):
     head, tail = _split_fixture(tmp_path)
     bad = _write(
         tmp_path / "bad.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},2,0-0,3,4*,,1\n"
     )
-    with reading(read), pytest.raises(CsvFormatError, match="Svr") as exc:
+    with allow_cpus(2), reading(read), pytest.raises(CsvFormatError, match="Svr") as exc:
         ingest_table([head, tail, bad])
     assert (exc.value.path, exc.value.line) == (str(bad), 3)
 
 
 @pytest.mark.parametrize("read", READS)
-def test_a_repeat_of_a_file_read_again_names_the_repeating_row(read, tmp_path):
+def test_a_repeat_of_a_file_read_again_names_the_repeating_row(read, tmp_path, allow_cpus):
     head, tail = _split_fixture(tmp_path)
     # Point 7 of the first match is in the tail, not the head.
     again = _write(
         tmp_path / "again.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{FIRST},7,0-0,1,4*,,1\n"
     )
-    with reading(read), pytest.raises(DuplicatePointError) as exc:
+    with allow_cpus(2), reading(read), pytest.raises(DuplicatePointError) as exc:
         ingest_table([head, tail, again])
     assert (exc.value.path, exc.value.line) == (str(again), 3)
     assert (exc.value.match_id, exc.value.point_index) == (FIRST, 7)
 
 
 @pytest.mark.parametrize("read", READS)
-def test_a_repeat_within_a_file_that_shares_no_match_reads_nothing_again(read, tmp_path):
+def test_a_repeat_within_a_file_that_shares_no_match_reads_nothing_again(
+    read, tmp_path, allow_cpus
+):
     dup = _write(
         tmp_path / "dup.csv",
         HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},2,15-0,1,4*,,1\n"
         + f"{MATCH},1,0-0,1,4*,,1\n",
     )
-    with reading(read), parent_reads() as reads, pytest.raises(DuplicatePointError) as exc:
+    with allow_cpus(2), reading(read), parent_reads() as reads, \
+            pytest.raises(DuplicatePointError) as exc:
         ingest_table([FIXTURE, dup])
     assert (exc.value.path, exc.value.line, exc.value.point_index) == (str(dup), 4, 1)
     if read == "forked":
@@ -505,23 +497,23 @@ def test_repeated_header_name_takes_the_last_column(tmp_path):
     assert exc.value.point_index == 7
 
 
-def test_structural_error_in_a_file_wins_over_its_duplicate(tmp_path):
+def test_structural_error_in_a_file_wins_over_its_duplicate(tmp_path, allow_cpus):
     path = _write(
         tmp_path / "both.csv",
         HEADER + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},1,0-0,1,4*,,1\n" + f"{MATCH},3,0-0,9,4*,,1\n",
     )
     # Alone, and after a file of other matches.
     for before, read in product([[], [FIXTURE]], READS):
-        with reading(read), pytest.raises(CsvFormatError, match="Svr") as exc:
+        with allow_cpus(2), reading(read), pytest.raises(CsvFormatError, match="Svr") as exc:
             ingest_table([*before, path])
         assert (exc.value.path, exc.value.line) == (str(path), 4)
 
 
-def test_duplicate_in_a_file_wins_over_the_next_file(tmp_path):
+def test_duplicate_in_a_file_wins_over_the_next_file(tmp_path, allow_cpus):
     dup = _write(tmp_path / "dup.csv", HEADER + f"{MATCH},1,0-0,1,4*,,1\n" * 2)
     broken = _write(tmp_path / "broken.csv", "no,header,here\n")
     for read in READS:
-        with reading(read), pytest.raises(DuplicatePointError) as exc:
+        with allow_cpus(2), reading(read), pytest.raises(DuplicatePointError) as exc:
             ingest_table([dup, broken, tmp_path / "missing.csv"])
         assert (exc.value.path, exc.value.line) == (str(dup), 3)
 
@@ -675,14 +667,14 @@ def _first_duplicate(paths) -> tuple[str, int]:
 
 @settings(max_examples=300, deadline=None)
 @given(files=corpora(), read=st.sampled_from(READS))
-def test_streaming_pass_matches_the_staged_pipeline(files, read):
+def test_streaming_pass_matches_the_staged_pipeline(files, read, allow_cpus):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, data in enumerate(files):
             paths.append(Path(tmp) / f"points_{i}.csv")
             paths[-1].write_bytes(data)
         expected, expected_exc = _raised(reference_ingest_files, paths)
-        with reading(read) as forked:
+        with allow_cpus(2) as forked, reading(read):
             got, exc = _raised(ingest_table, paths)
         assert len(forked) == (2 if read == "forked" and len(paths) > 1 else 0)
         event("ingested" if expected_exc is None else type(expected_exc).__name__)
@@ -773,7 +765,7 @@ print("multiprocessing" in sys.modules, "ufesim.forking" in sys.modules)
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
 @pytest.mark.parametrize(
     "inputs, cpus, imported",
-    [("fixture", 2, "False False"), ("many", 1, "False True"), ("many", 2, "True True")],
+    [("fixture", 2, "False True"), ("many", 1, "False True"), ("many", 2, "True True")],
     ids=["one-file", "one-cpu", "forked"],
 )
 def test_what_each_way_of_reading_imports(inputs, cpus, imported, tmp_path):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -284,46 +285,25 @@ def test_run_simulation_deterministic(mixed_pools):
     assert run_simulation(cfg, mixed_pools) == run_simulation(cfg, mixed_pools)
 
 
-@pytest.fixture
-def allow_cpus(monkeypatch):
-    """allow_cpus(cpus, min_block) sets the CPUs the process may use and
-    the block size; it returns the list of worker pids forked from then on."""
-    forked = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-
-    def allow(cpus, min_block):
-        monkeypatch.setattr(simulate, "_MIN_BLOCK", min_block)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        forked.clear()
-        return forked
-
-    return allow
-
-
-def test_run_simulation_parallel_matches_serial(mixed_pools, allow_cpus):
+def test_run_simulation_parallel_matches_serial(mixed_pools, allow_cpus, monkeypatch):
     cfg = SimulationConfig(n_matches=48, seed=31, reduction_x=0.4)
     serial = run_simulation(cfg, mixed_pools, n_jobs=1)
     four = run_simulation(cfg, mixed_pools, n_jobs=4)
     eight = run_simulation(cfg, mixed_pools, n_jobs=8)
     assert serial == four == eight
     # 48 replicates in 6 blocks of 8, over 2 and 3 real workers.
+    monkeypatch.setattr(simulate, "_MIN_BLOCK", 8)
     for workers in (2, 3):
-        forked = allow_cpus(workers, min_block=8)
-        assert run_simulation(cfg, mixed_pools, n_jobs=1) == serial
+        with allow_cpus(workers) as forked:
+            assert run_simulation(cfg, mixed_pools, n_jobs=1) == serial
         assert len(forked) == workers
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("policy", ["alternate", "random"])
-def test_summarize_of_results_equals_the_column_path(x, policy, mixed_pools, allow_cpus):
+def test_summarize_of_results_equals_the_column_path(
+    x, policy, mixed_pools, allow_cpus, monkeypatch
+):
     cfg = SimulationConfig(n_matches=90, seed=17, reduction_x=x, first_server_policy=policy)
     results = [
         simulate_match(cfg, mixed_pools, TABLE, replicate_stream(17, i), replicate_index=i)
@@ -332,8 +312,9 @@ def test_summarize_of_results_equals_the_column_path(x, policy, mixed_pools, all
     expected = reference_summarize(results, cfg.scenario)
     assert summarize(results, cfg.scenario) == expected
     assert run_simulation(cfg, mixed_pools, TABLE) == expected
-    forked = allow_cpus(2, min_block=30)
-    assert run_simulation(cfg, mixed_pools, TABLE) == expected
+    monkeypatch.setattr(simulate, "_MIN_BLOCK", 30)
+    with allow_cpus(2) as forked:
+        assert run_simulation(cfg, mixed_pools, TABLE) == expected
     assert len(forked) == 2
 
 
@@ -505,11 +486,14 @@ def test_compare_scenarios_output_is_pinned(case, mixed_pools):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", range(len(PINNED_FORMATS)))
-def test_compare_scenarios_pinned_for_any_worker_count(case, workers, mixed_pools, allow_cpus):
+def test_compare_scenarios_pinned_for_any_worker_count(
+    case, workers, mixed_pools, allow_cpus, monkeypatch
+):
     """The pinned figures again, with each scenario cut into three blocks
     of 50 and played on 1, 2 or 3 workers (1: nothing is forked)."""
-    forked = allow_cpus(workers, min_block=50)
-    _compare_pinned_case(case, mixed_pools)
+    monkeypatch.setattr(simulate, "_MIN_BLOCK", 50)
+    with allow_cpus(workers) as forked:
+        _compare_pinned_case(case, mixed_pools)
     assert len(forked) == (workers if workers > 1 else 0)
 
 
@@ -529,17 +513,18 @@ def test_blocks_cover_the_replicates_in_order(monkeypatch):
 def test_refused_fork_plays_in_process(refused_fork, mixed_pools, allow_cpus, monkeypatch):
     configs = [SimulationConfig(n_matches=150, seed=4242, reduction_x=x) for x in (0.0, 1.0)]
     expected = compare_scenarios(configs, mixed_pools)
-    forked = allow_cpus(3, min_block=50)
-    counting_fork, calls = os.fork, []
+    monkeypatch.setattr(simulate, "_MIN_BLOCK", 50)
+    with allow_cpus(3) as forked:
+        counting_fork, calls = os.fork, []
 
-    def fork():
-        calls.append(None)
-        if len(calls) == refused_fork:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return counting_fork()
+        def fork():
+            calls.append(None)
+            if len(calls) == refused_fork:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return counting_fork()
 
-    monkeypatch.setattr(os, "fork", fork)
-    assert compare_scenarios(configs, mixed_pools) == expected
+        with mock.patch.object(os, "fork", fork):
+            assert compare_scenarios(configs, mixed_pools) == expected
     assert len(forked) == refused_fork - 1
     assert multiprocessing.active_children() == []
 
@@ -549,7 +534,7 @@ def test_dead_worker_exits_4_with_one_error_line(
 ):
     records = tmp_path / "records.csv"
     write_records_csv(two_player_records, records)
-    allow_cpus(2, min_block=50)
+    monkeypatch.setattr(simulate, "_MIN_BLOCK", 50)
     caller = os.getpid()
 
     def die(*args):
@@ -558,8 +543,9 @@ def test_dead_worker_exits_4_with_one_error_line(
         raise AssertionError("a block was played in process")
 
     monkeypatch.setattr(simulate, "_replicate_block", die)
-    code = main(["simulate", "--records", str(records), "--a", "Ann Ace", "--b", "Bob Base",
-                 "--n", "100", "--scenario", "historic", "--scenario", "eliminate"])
+    with allow_cpus(2):
+        code = main(["simulate", "--records", str(records), "--a", "Ann Ace", "--b", "Bob Base",
+                     "--n", "100", "--scenario", "historic", "--scenario", "eliminate"])
     out, err = capfd.readouterr()
     assert code == 4
     assert out == ""
