@@ -26,7 +26,6 @@ _EXPORTS: dict[str, str] = {
             "TouchExposure",
             "collect_profiles",
             "histogram_bins",
-            "matches_per_player",
             "rate_rankings",
             "tally_records",
             "touch_exposure",

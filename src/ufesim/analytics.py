@@ -10,8 +10,8 @@ Every statistic reads a RecordTally: each player's matches, contacts,
 errors and touch and year histograms, as plain lists of ints, so each
 rate is one exact int / int.  tally_records is the one builder: it reads
 a RecordTable (a plain iterable of ServeRecords is converted first) with
-numpy bincounts, and counts each player's distinct matches with
-records.count_matches.  One pass tallies every tour and each tour, and
+numpy bincounts, and counts each player's distinct matches in the same
+pass.  One pass tallies every tour and each tour, and
 tour_tally picks one; the records sidecar keeps those tallies, so stats
 reads a tally without numpy.  This module imports numpy and records
 only inside tally_records.
@@ -32,6 +32,10 @@ if TYPE_CHECKING:
     from .records import RecordTable, ServeRecord
 
 DEFAULT_MAX_TOUCH = 13
+# Rows tally_records takes at a time, so that its temporaries stay near
+# 100 kB however long the table: ingest tallies the table it has made at
+# its own peak of memory.
+_COUNT_ROWS = 8192
 
 
 class TouchExposure(NamedTuple):
@@ -178,7 +182,8 @@ def tally_records(
     One pass tallies each group of rows by tour at once, keyed by each
     row's tour; the tally of every row sums the groups' counts, its match
     counts taken over every row, so a match named in two tours counts
-    once.
+    once.  A player's matches are the distinct (id, match) pairs of the
+    rows that name the player, gathered chunk by chunk.
 
     Sums run in integers (bincount without weights, np.add.at on int64
     index and value arrays, its fast path), so each rate stays one exact
@@ -188,7 +193,7 @@ def tally_records(
     """
     import numpy as np
 
-    from .records import _COUNT_ROWS, as_table, count_matches, distinct
+    from .records import as_table, distinct
 
     table = as_table(records)
     n_players, width, n_roles = len(table.players), max_touch + 1, len(ROLES)
@@ -196,7 +201,9 @@ def tally_records(
     # player's id in group g is g * n_players + its player id.
     n_groups = len(table.tours) + 1
     n_ids = n_groups * n_players
-    matches = count_matches(table)
+    # A (player, match) pair is id * n_matches + match id.
+    n_matches = max(len(table.matches), 1)
+    pairs = [np.empty(0, dtype=np.int64)]
     # Every year the rows name, unknown (NONE_CODE) or not: a player's
     # year counts then sum to the totals, and the years no decisive row of
     # a tally names are dropped at the end.
@@ -228,8 +235,10 @@ def tally_records(
         # touch_exposure per row, none for a fault; touch - touch // 2
         # cannot wrap as (touch + 1) // 2 can.
         rcv_contacts = touch // 2
+        match = table.match[rows]
         for ids, hist, contacts in ((server, served, touch - rcv_contacts),
                                     (receiver, received, rcv_contacts)):
+            pairs.append(distinct(ids * n_matches + match))
             hist += np.bincount(ids * bins + touch_bin, minlength=n_ids * bins)
             contacts = contacts.astype(np.int64)
             contacts *= decisive
@@ -243,6 +252,11 @@ def tally_records(
         touch_ufes += np.bincount(key, minlength=n_ids * n_roles * bins)
 
     first = first.reshape(n_groups, n_players)
+    pairs = distinct(np.concatenate(pairs))
+    matches = np.bincount(pairs // n_matches, minlength=n_ids).reshape(n_groups, n_players)
+    # Each player's pairs of any group, once.
+    every = distinct(pairs % max(n_players * n_matches, 1))
+    every = np.bincount(every // n_matches, minlength=n_players)
     counts = [served.reshape(n_groups, n_players, bins)[..., :width],
               received.reshape(n_groups, n_players, bins)[..., :width],
               touch_ufes.reshape(n_groups, n_players, n_roles, bins)[..., :width],
@@ -268,18 +282,10 @@ def tally_records(
             year_ufes=year_ufes[:, known].tolist(),
         )
 
-    tallies = {None: tally(first.min(axis=0), matches[-1], *(c.sum(axis=0) for c in counts))}
+    tallies = {None: tally(first.min(axis=0), every, *(c.sum(axis=0) for c in counts))}
     for g, name in enumerate(table.tours, start=1):
         tallies[name] = tally(first[g], matches[g], *(c[g] for c in counts))
     return tallies
-
-
-def matches_per_player(
-    records: RecordTable | Iterable[ServeRecord], tour: str | None = None
-) -> dict[str, int]:
-    """How many distinct matches each player served or received in."""
-    tally = tour_tally(tally_records(records), tour)
-    return dict(zip(tally.players, tally.matches))
 
 
 def collect_profiles(

@@ -34,8 +34,6 @@ role by lookup, numbers by int()), and the sidecar is rewritten from
 the table, with the header and each tour's analytics.tally_records
 tally, made in one pass wherever a sidecar is written; the sidecar
 module keeps that layout and defines the kind and role codes.
-count_matches is the one count of each player's distinct matches,
-which the tallies carry.
 read_records_csv is the same read as ServeRecords, with no sidecar.
 save_records writes a table's CSV and its sidecar together, as
 RecordsWriter.commit does given the table.  This module is the only one
@@ -562,32 +560,6 @@ class RecordTable:
         return cls(**columns, matches=tuple(matches), players=tuple(players), tours=tuple(tours))
 
 
-def count_matches(table: RecordTable) -> np.ndarray:
-    """How many distinct matches each of the table's player ids served or
-    received in: one row of counts for each group of rows by tour (the
-    rows of no tour, then each tour's in the order of the table's tours),
-    and a last row over every row, where a match whose rows name two
-    tours counts once.  The columns are read _COUNT_ROWS rows at a time."""
-    n_matches, n_players = max(len(table.matches), 1), len(table.players)
-    pairs = [np.empty(0, dtype=np.int64)]
-    for start in range(0, len(table), _COUNT_ROWS):
-        rows = slice(start, start + _COUNT_ROWS)
-        # A player's id in the group of tour id t is (t + 1) * n_players + id.
-        offset = (table.tour[rows].astype(np.int64) + 1) * n_players
-        for players in (table.server, table.receiver):
-            keys = offset + players[rows]
-            keys *= n_matches
-            keys += table.match[rows]
-            pairs.append(distinct(keys))
-    pairs = distinct(np.concatenate(pairs))
-    n_groups = len(table.tours) + 1
-    counts = np.bincount(pairs // n_matches, minlength=n_groups * n_players)
-    # Each (player, match) pair of any group, once.
-    every = distinct(pairs % max(n_players * n_matches, 1))
-    every = np.bincount(every // n_matches, minlength=n_players)
-    return np.vstack([counts.reshape(n_groups, n_players), every])
-
-
 class TableBuilder:
     """Grows the columns of a RecordTable one point at a time.
 
@@ -678,10 +650,6 @@ def distinct(keys: np.ndarray) -> np.ndarray:
 # Points expanded to rows, or rows written, at a time: a chunk's index
 # arrays and lines are all that building or writing holds besides the output.
 _CHUNK = 1024
-# Rows a count over the columns (count_matches, analytics.tally_records)
-# takes at a time, so that its temporaries stay near 100 kB however long
-# the table: ingest tallies the table it has made at its own peak of memory.
-_COUNT_ROWS = 8192
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _FAULT_FIELDS = tuple("true" if code == _FAULT else "false" for code in range(len(KINDS)))
 # Index -1 picks the trailing "none".

@@ -15,7 +15,8 @@ each as np.save writes it.  `header.json` holds
   list is aligned with `players`, and 0 means no match in that tour.
 `tally.json` holds the same `version` and `sha256`, the `max_touch` of
 its tallies, `tours`, and `tallies`: the RecordTally of every tour, then
-one for each entry of `tours`, each an object of the tally's fields.
+one for each entry of `tours`, each an object of RecordTally's fields
+besides max_touch, in the order RecordTally declares them.
 Every member is dated 1980-01-01, so a sidecar's bytes depend only on
 its table.
 
@@ -93,9 +94,6 @@ CACHE_SUFFIX = ".ufesim-cache.npz"
 _HEADER, _TALLY = "header.json", "tally.json"
 
 _STRING_TABLES = ("matches", "players", "tours")
-# A stored tally's fields besides max_touch, which its member holds once.
-_TALLY_FIELDS = ("players", "matches", "contacts", "ufes", "served", "received",
-                 "touch_ufes", "years", "year_contacts", "year_ufes")
 
 # What reading a missing, truncated or otherwise corrupt sidecar can raise.
 _UNREADABLE = (
@@ -202,6 +200,16 @@ def _checked(header: object, sha256: str) -> dict | None:
     return header
 
 
+def _tally_fields() -> list[str]:
+    """A stored tally's fields: RecordTally's in the order it declares
+    them, besides max_touch, which the tally member holds once."""
+    from dataclasses import fields
+
+    from .analytics import RecordTally
+
+    return [field.name for field in fields(RecordTally) if field.name != "max_touch"]
+
+
 def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None:
     """The tallies a tally member holds, keyed as Summary keys them, if
     the member is of this version, digest and max_touch and each tally is
@@ -221,10 +229,10 @@ def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None
         return None
     if type(stored) is not list or len(stored) != len(tours) + 1:
         return None
-    width = max_touch + 1
+    width, names = max_touch + 1, set(_tally_fields())
     tallies = {}
     for tour, tally in zip((None, *tours), stored):
-        if not isinstance(tally, dict) or tally.keys() != set(_TALLY_FIELDS):
+        if not isinstance(tally, dict) or tally.keys() != names:
             return None
         players, years = tally["players"], tally["years"]
         if not _strings(players) or len(set(players)) != len(players):
@@ -338,13 +346,13 @@ def _write_zip(fh: IO[bytes], summary: Summary) -> None:
 
     from .records import _COLUMNS
 
-    tallies = list(summary.tallies.values())
+    tallies, names = list(summary.tallies.values()), _tally_fields()
     tally = {
         "version": CACHE_VERSION,
         "sha256": summary.header["sha256"],
         "max_touch": tallies[0].max_touch,
         "tours": [tour for tour in summary.tallies if tour is not None],
-        "tallies": [{name: getattr(t, name) for name in _TALLY_FIELDS} for t in tallies],
+        "tallies": [{name: getattr(t, name) for name in names} for t in tallies],
     }
     with zipfile.ZipFile(fh, "w") as archive:
         for name, text in ((_HEADER, json.dumps(summary.header)), (_TALLY, _dumps(tally))):

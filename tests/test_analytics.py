@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_record
 from oracles import (
+    reference_matches_per_player,
     reference_profiles,
     reference_tally_records,
     reference_termination_share,
@@ -16,13 +17,13 @@ from oracles import (
     reference_ufe_rate,
     reference_year_series,
 )
+from ufesim import analytics
 from ufesim.analytics import (
     DEFAULT_MAX_TOUCH,
     PlayerUfeProfile,
     collect_profiles,
     histogram_bins,
     histogram_to_csv,
-    matches_per_player,
     profiles_to_csv,
     rankings_to_csv,
     rate_rankings,
@@ -372,7 +373,7 @@ def _same_as_reference_tally(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
     assert tally.year_series() == reference.year_series()
     assert type(tally.ufe_rate()) is float and tally.ufe_rate() == reference.ufe_rate()
     assert tally.termination_share() == reference.termination_share()
-    assert dict(zip(tally.players, tally.matches)) == matches_per_player(records, tour)
+    assert dict(zip(tally.players, tally.matches)) == reference_matches_per_player(records, tour)
     return tally
 
 
@@ -461,3 +462,25 @@ def test_tally_meets_players_in_row_order():
     assert _same_as_reference_tally(records).players == ("D", "E", "B", "C", "A", "F")
     assert _same_as_reference_tally(records, "ATP").players == ("B", "C", "A", "E")
     assert _same_as_reference_tally(records, "WTA").players == ("D", "E", "C", "F")
+
+
+@pytest.mark.parametrize("count_rows", [1, 2, 3, 8192])
+def test_tally_of_a_match_across_chunks_and_tours(count_rows, monkeypatch):
+    # Match M's rows name ATP and WTA and fall in more than one chunk of
+    # the pass for each chunk size but the last.
+    monkeypatch.setattr(analytics, "_COUNT_ROWS", count_rows)
+    records = [
+        make_record("A", "B", K.ACE, 1, S, match_id="M", tour="ATP"),
+        make_record("C", "D", K.UNFORCED_ERROR, 4, S, committer=R, tour="WTA"),
+        make_record("B", "A", K.RALLY_WINNER, 3, S, match_id="M", tour="ATP"),
+        make_record("A", "B", K.UNFORCED_ERROR, 4, S, committer=R, match_id="M", tour="WTA",
+                    year=2020),
+        make_record("C", "A", K.FIRST_SERVE_FAULT, 1, None, fault=True, tour="WTA"),
+        make_record("B", "A", K.DOUBLE_FAULT, 1, R, serve_number=2, match_id="M", tour="WTA"),
+    ]
+    table = RecordTable.from_records(records)
+    for tour, a_matches in ((None, 2), ("ATP", 1), ("WTA", 2)):
+        tally = _same_as_reference_tally(table, tour)
+        matches = dict(zip(tally.players, tally.matches))
+        # B plays M alone; A plays M and a WTA match against C.
+        assert (matches["A"], matches["B"]) == (a_matches, 1)

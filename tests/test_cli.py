@@ -764,8 +764,32 @@ def _first(member: dict) -> dict:
     return member["tallies"][0]
 
 
+def _add_year(member: dict, at: int, year: int) -> None:
+    """A year inserted into the first tally, with a 0 count for each
+    player, so that only the years themselves are wrong."""
+    tally = _first(member)
+    tally["years"].insert(at, year)
+    for name in ("year_contacts", "year_ufes"):
+        for row in tally[name]:
+            row.insert(at, 0)
+
+
+def _repeat_tour(member: dict) -> None:
+    member["tours"].append(member["tours"][0])
+    member["tallies"].append(member["tallies"][1])
+
+
 # Tally members a read must take for a miss, each by one edit.
 MALFORMED_TALLIES = {
+    "missing-field": lambda m: _first(m).pop("ufes"),
+    "extra-field": lambda m: _first(m).__setitem__("max_touch", m["max_touch"]),
+    "repeated-player": lambda m: _first(m)["players"].__setitem__(1, _first(m)["players"][0]),
+    "years-out-of-order": lambda m: _add_year(m, 0, _first(m)["years"][-1] + 1),
+    "repeated-year": lambda m: _add_year(m, len(_first(m)["years"]), _first(m)["years"][-1]),
+    "repeated-tour": _repeat_tour,
+    "touch-ufes-nesting": lambda m: _first(m)["touch_ufes"].__setitem__(
+        0, [n for row in _first(m)["touch_ufes"][0] for n in row]
+    ),
     "short": lambda m: _first(m)["matches"].pop(),
     "short-row": lambda m: m["tallies"][-1]["served"][0].pop(),
     "negative": lambda m: _first(m)["contacts"].__setitem__(0, -1),

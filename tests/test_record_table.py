@@ -38,7 +38,7 @@ from oracles import (
 )
 from ufesim import records as records_module
 from ufesim import sidecar as sidecar_module
-from ufesim.analytics import matches_per_player, tally_records, tour_tally
+from ufesim.analytics import tally_records, tour_tally
 from ufesim.cli import resolve_player
 from ufesim.errors import EmptyPoolError
 from ufesim.pools import PoolId, PoolScope, ServePoolSet, build_pools, pool_summary, select_pool
@@ -787,10 +787,11 @@ def test_consumers_match_references(records, tour, max_touch, pair, scope):
         tallies = sidecar_module.read_tallies(sidecar, "0" * 64)
     for wanted in (None, "ATP", tour):
         expected = reference_matches_per_player(records, wanted)
-        assert matches_per_player(table, wanted) == expected
+        tally = tour_tally(tally_records(table), wanted)
+        assert dict(zip(tally.players, tally.matches)) == expected
         assert sidecar_module.players_of(header, wanted) == expected
         # Equal fields, so the same players in the same order.
-        assert tour_tally(tallies, wanted) == tour_tally(tally_records(table), wanted)
+        assert tour_tally(tallies, wanted) == tally
 
     tally = tour_tally(tally_records(table, max_touch), tour)
     reference = reference_tally_records(records, tour, max_touch)
