@@ -71,10 +71,12 @@ _EXPORTS: dict[str, str] = {
         "pools": (
             "PoolId",
             "PoolScope",
+            "ServePool",
             "ServePoolSet",
             "build_pools",
             "pool_summary",
             "select_pool",
+            "select_pools",
         ),
         "records": (
             "RawPointRow",

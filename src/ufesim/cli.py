@@ -9,11 +9,12 @@ version and the error types.  Each command imports the modules it runs
 only when it gets to them, so `--version`, a config error or a missing
 `--a` loads no numpy.  Each command that reads records goes through
 sidecar.lookup: `list-players` answers from the header of the records
-sidecar, `stats` from its tallies and `simulate` (by load_records) from
-its columns.  So neither `list-players` nor `stats` loads numpy, unless
-the sidecar is missing, stale or the member the command reads is
-damaged.  Then lookup parses the CSV, rewrites the sidecar and answers
-from what it wrote, so a hit and a miss print and write the same bytes.
+sidecar, `stats` from its tallies and `simulate` from its serve index
+and the header's string tables.  So none of them loads numpy, nor
+`simulate` the records module, unless the sidecar is missing, stale or
+a member the command reads is damaged.  Then lookup parses the CSV,
+rewrites the sidecar and answers from what it wrote, so a hit and a
+miss print and write the same bytes.
 main keeps numpy's OpenBLAS to one thread unless the user has set its
 count: ufesim calls no BLAS routine, and each idle OpenBLAS thread
 spins.
@@ -51,6 +52,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .records import RecordTable, ServeRecord
+    from .sidecar import ServeIndex
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,12 +119,18 @@ def _normalize_name(name: str) -> str:
     return name.replace("_", " ").strip().lower()
 
 
-def resolve_player(records: RecordTable | Iterable[ServeRecord], requested: str) -> str:
+def resolve_player(
+    records: ServeIndex | RecordTable | Iterable[ServeRecord], requested: str
+) -> str:
     """Case-insensitive exact match against names in the records."""
-    from .records import as_table
+    from .sidecar import ServeIndex
 
+    if not isinstance(records, ServeIndex):
+        from .records import as_table
+
+        records = as_table(records)
     wanted = _normalize_name(requested)
-    matches = {name for name in as_table(records).players if _normalize_name(name) == wanted}
+    matches = {name for name in records.players if _normalize_name(name) == wanted}
     if not matches:
         raise PlayerNotFoundError(requested)
     if len(matches) > 1:
@@ -359,10 +367,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--a and --b are required")
     records_path = _resolve_data_path(args.records)
     from .counterfactual import default_table, load_table
-    from .pools import PoolScope, build_pools, pool_summary
-    from .records import load_records
+    from .pools import PoolScope, pool_summary, select_pools
     from .scoring import MatchFormat
-    from .sidecar import cache_path
+    from .sidecar import cache_path, lookup
     from .simulate import SimulationConfig, compare_scenarios, format_comparison, parse_scenario
 
     if args.out:
@@ -387,10 +394,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for token in tokens
     ]
 
-    records, dataset_sha256 = load_records(records_path)
-    player_a = resolve_player(records, args.a)
-    player_b = resolve_player(records, args.b)
-    pools = build_pools(records, player_a, player_b, scope)
+    serves, dataset_sha256 = lookup(records_path, "serves")
+    player_a = resolve_player(serves, args.a)
+    player_b = resolve_player(serves, args.b)
+    pools = select_pools(serves, player_a, player_b, scope)
 
     if args.table1:
         touch_table = load_table(args.table1)

@@ -15,9 +15,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import TableFormatError, TouchRangeError
+from .sidecar import MAX_TOUCH
 
 MIN_TOUCH = 2
-MAX_TOUCH = 10
 
 _DEFAULT_PROBS: Mapping[int, float] = MappingProxyType(
     {

@@ -4,9 +4,11 @@ Serves are grouped by (server, serve number) for one pairing.  In
 head_to_head scope only serves between the two named players qualify;
 in versus_field scope each player's serves against anyone qualify.
 
-Each pool is a RecordTable.  A ServePoolSet also compiles every pool,
-once, from its columns into a tuple of point codes that the simulator
-draws from instead of records:
+Each pool is a ServePool: the serve code of each of its serves (see
+sidecar: a fault, a point won by the server or the receiver, or an
+unforced error by either at its touch), in file order, and the tours
+they name.  A ServePoolSet also compiles every pool, once, into a tuple
+of point codes that the simulator draws from:
 
     -1        first-serve fault (redraw from the second-serve pool)
      0        A wins the point
@@ -14,23 +16,38 @@ draws from instead of records:
      t >= 2   unforced error by A at touch min(t, 10); B wins unless struck
 
 A code t >= 2 indexes TouchWinTable.by_touch.  Index 0 of
-first_codes/second_codes is A serving, index 1 is B.
+first_codes/second_codes is A serving, index 1 is B; each is the pool's
+serve codes passed through one lookup table per side.
 
-build_pools selects each pool's rows of a RecordTable with a mask and
-takes those rows, in file order, as the pool's table.
+select_pools takes each pool's serves, in file order, from a ServeIndex:
+a records table's serves grouped by server and serve number, which
+simulate reads from the records sidecar without numpy.  build_pools
+builds the index of a table, or of records, and selects from it the
+same way.  This module imports neither numpy nor records at load.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
-
-from .counterfactual import MAX_TOUCH
 from .errors import EmptyPoolError
-from .records import KIND_CODES, RecordTable, ServeRecord, TerminalKind, as_table
+from .sidecar import (
+    MAX_TOUCH,
+    NONE_CODE,
+    RECEIVER_ERROR,
+    RECEIVER_WINS,
+    SERVE_CODES,
+    SERVE_FAULT,
+    SERVER_ERROR,
+    SERVER_WINS,
+    ServeIndex,
+)
+
+if TYPE_CHECKING:
+    from .records import RecordTable, ServeRecord
 
 
 class PoolId(Enum):
@@ -63,26 +80,56 @@ def select_pool(server: str, serve_number: int) -> PoolId:
 
 FAULT = -1
 
-_FAULT_KIND = KIND_CODES[TerminalKind.FIRST_SERVE_FAULT]
-_UFE_KIND = KIND_CODES[TerminalKind.UNFORCED_ERROR]
+_TOUCHES = range(2, MAX_TOUCH + 1)
 
 
-def _point_codes(pool: RecordTable, server: int) -> tuple[int, ...]:
-    """The point code of each row of a pool served by A (server 0) or B
-    (1); role code r of a row belongs to player r ^ server."""
-    by_a = (pool.kind == _UFE_KIND) & (pool.committer == server)
-    codes = np.where(by_a, np.minimum(pool.touch, MAX_TOUCH), pool.winner ^ server)
-    codes[pool.kind == _FAULT_KIND] = FAULT
-    return tuple(codes.tolist())
+def _point_code_table(server: int) -> tuple[int, ...]:
+    """A's point code of each serve code, when A (server 0) or B (1)
+    serves: an error by A codes its touch, one by B is A's point."""
+    codes = [0] * SERVE_CODES
+    codes[SERVE_FAULT] = FAULT
+    codes[SERVER_WINS], codes[RECEIVER_WINS] = server, 1 - server
+    for t in _TOUCHES:
+        codes[SERVER_ERROR + t] = 0 if server else t
+        codes[RECEIVER_ERROR + t] = t if server else 0
+    return tuple(codes)
+
+
+_POINT_CODES = (_point_code_table(0), _point_code_table(1))
+
+
+@dataclass(frozen=True, slots=True)
+class ServePool:
+    """One pool: the serve code of each of its serves, in the order they
+    are drawn from, and the tours those serves name."""
+
+    codes: bytes
+    tours: frozenset[str]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def _as_pool(pool: ServePool | RecordTable | Iterable[ServeRecord]) -> ServePool:
+    """The pool itself, or the pool of a table's rows or of records, in
+    their order."""
+    if isinstance(pool, ServePool):
+        return pool
+    from .records import as_table
+    from .sidecar import serve_codes
+
+    table = as_table(pool)
+    # A table's tours are exactly those its rows name.
+    return ServePool(serve_codes(table).tobytes(), frozenset(table.tours))
 
 
 @dataclass(frozen=True, slots=True)
 class ServePoolSet:
-    """The four pools of one pairing, each a RecordTable, and their point
-    codes.  A pool may be given as a table or as any iterable of
+    """The four pools of one pairing and their point codes.  A pool may
+    be given as a ServePool, a RecordTable or any iterable of
     ServeRecords."""
 
-    pools: Mapping[PoolId, RecordTable]
+    pools: Mapping[PoolId, ServePool]
     player_a: str
     player_b: str
     scope: PoolScope
@@ -94,18 +141,20 @@ class ServePoolSet:
     )
 
     def __post_init__(self) -> None:
-        tables = {}
+        pools = {}
         for pid in PoolId:
             if pid not in self.pools:
                 raise EmptyPoolError(pid.value, "pool missing entirely")
-            tables[pid] = as_table(self.pools[pid])
-            if not tables[pid]:
+            pools[pid] = _as_pool(self.pools[pid])
+            if not pools[pid]:
                 raise EmptyPoolError(pid.value, "pool is empty")
         # Read-only, so the codes below cannot go stale.
-        object.__setattr__(self, "pools", MappingProxyType(tables))
+        object.__setattr__(self, "pools", MappingProxyType(pools))
         for name, serve_number in (("first_codes", 1), ("second_codes", 2)):
-            pools = (tables[select_pool(side, serve_number)] for side in "AB")
-            codes = tuple(_point_codes(pool, server) for server, pool in enumerate(pools))
+            sides = (pools[select_pool(side, serve_number)] for side in "AB")
+            codes = tuple(
+                tuple(map(table.__getitem__, pool.codes)) for table, pool in zip(_POINT_CODES, sides)
+            )
             object.__setattr__(self, name, codes)
         if FAULT in self.second_codes[0] or FAULT in self.second_codes[1]:
             raise ValueError("a second-serve pool cannot hold a first-serve fault")
@@ -114,36 +163,54 @@ class ServePoolSet:
         return len(self.pools[pool_id])
 
 
-def build_pools(
-    records: RecordTable | Iterable[ServeRecord],
+def select_pools(
+    index: ServeIndex,
     player_a: str,
     player_b: str,
     scope: PoolScope = PoolScope.HEAD_TO_HEAD,
 ) -> ServePoolSet:
-    """Partition qualifying records into the four pools, in file order.
+    """The four pools of a pairing from a serve index: each is its
+    server's serves of its number, in file order, in head_to_head scope
+    only those received by the other player.
 
     Raises EmptyPoolError naming the first empty pool; for head-to-head
     pairings with thin history the caller can retry with versus_field.
     """
     if player_a == player_b:
         raise ValueError("player_a and player_b must differ")
-    table = as_table(records)
-    ids = {name: i for i, name in enumerate(table.players)}
-    a, b = ids.get(player_a, -1), ids.get(player_b, -1)
-    served_by = {"A": table.server == a, "B": table.server == b}
-    if scope is PoolScope.HEAD_TO_HEAD:
-        served_by["A"] &= table.receiver == b
-        served_by["B"] &= table.receiver == a
-    first = table.serve_number == 1
-    rows = {
-        pid: np.flatnonzero(served_by[side] & (first if number == 1 else ~first))
-        for (side, number), pid in _POOL_FOR.items()
-    }
+    ids = {name: i for i, name in enumerate(index.players)}
+    pools = {}
+    for (side, number), pid in _POOL_FOR.items():
+        server, receiver = (player_a, player_b) if side == "A" else (player_b, player_a)
+        if server not in ids:
+            pools[pid] = ServePool(b"", frozenset())
+            continue
+        rows = index.group(ids[server], number)
+        codes, tour_ids = index.codes[rows], index.tour_ids[rows]
+        if scope is PoolScope.HEAD_TO_HEAD:
+            wanted = ids.get(receiver, NONE_CODE)
+            keep = [r == wanted for r in index.receivers[rows]]
+            codes, tour_ids = bytes(compress(codes, keep)), compress(tour_ids, keep)
+        tours = frozenset(index.tours[t] for t in set(tour_ids) if t != NONE_CODE)
+        pools[pid] = ServePool(codes, tours)
     for pid in PoolId:
-        if not rows[pid].size:
+        if not pools[pid]:
             raise EmptyPoolError(pid.value, f"no qualifying serves for {pid.value}")
-    pools = {pid: table.take(rows[pid]) for pid in PoolId}
     return ServePoolSet(pools=pools, player_a=player_a, player_b=player_b, scope=scope)
+
+
+def build_pools(
+    records: RecordTable | Iterable[ServeRecord],
+    player_a: str,
+    player_b: str,
+    scope: PoolScope = PoolScope.HEAD_TO_HEAD,
+) -> ServePoolSet:
+    """Partition qualifying records into the four pools, in file order:
+    select_pools over the serve index of their table."""
+    from .records import as_table
+    from .sidecar import serve_index
+
+    return select_pools(serve_index(as_table(records)), player_a, player_b, scope)
 
 
 def pool_summary(pool_set: ServePoolSet) -> dict:
@@ -155,14 +222,14 @@ def pool_summary(pool_set: ServePoolSet) -> dict:
         "pools": {},
     }
     for pid in PoolId:
-        pool = pool_set.pools[pid]
-        ufe = pool.kind == _UFE_KIND
-        # Role code 0 is the server.
+        codes = pool_set.pools[pid].codes
+        by_server = sum(codes.count(SERVER_ERROR + t) for t in _TOUCHES)
+        by_receiver = sum(codes.count(RECEIVER_ERROR + t) for t in _TOUCHES)
         out["pools"][pid.value] = {
-            "size": len(pool),
-            "first_serve_faults": int(np.count_nonzero(pool.kind == _FAULT_KIND)),
-            "unforced_errors": int(np.count_nonzero(ufe)),
-            "unforced_errors_by_server": int(np.count_nonzero(ufe & (pool.committer == 0))),
+            "size": len(codes),
+            "first_serve_faults": codes.count(SERVE_FAULT),
+            "unforced_errors": by_server + by_receiver,
+            "unforced_errors_by_server": by_server,
         }
     return out
 
@@ -170,8 +237,10 @@ def pool_summary(pool_set: ServePoolSet) -> dict:
 __all__ = [
     "PoolId",
     "PoolScope",
+    "ServePool",
     "ServePoolSet",
     "build_pools",
     "select_pool",
+    "select_pools",
     "pool_summary",
 ]

@@ -13,10 +13,8 @@ ingest_table hands RecordTable.from_points every point at once, as
 columns of ids it has interned in that order.  RecordTable's
 vectorised checks are the one check of records read from a file, and
 RecordTable.to_records is the one place records become ServeRecords.
-RecordTable.take cuts a table of some rows out of a table, with string
-tables cut down to what those rows use and no check run again; each
-serve pool is one.  _record_rules states the rules between a record's
-fields once, over column codes, for ServeRecord and RecordTable alike.
+_record_rules states the rules between a record's fields once, over
+column codes, for ServeRecord and RecordTable alike.
 
 write_records_csv writes a table as the records CSV, byte for byte what
 csv.writer would write (UTF-8, CRLF, minimal quoting), through a
@@ -348,6 +346,8 @@ _COLUMNS = (
 # Each string table and the id columns that index it.
 _ID_COLUMNS = {"matches": ("match",), "players": ("server", "receiver"), "tours": ("tour",)}
 _STRING_TABLES = tuple(_ID_COLUMNS)
+# Rows the row rules are checked over at a time.
+_CHECK_ROWS = 8192
 
 
 class BrokenRowError(ValueError):
@@ -412,25 +412,32 @@ class RecordTable:
             low = NONE_CODE if name == "tours" else 0
             if any(i.size and (i.min() < low or i.max() >= len(strings)) for i in ids):
                 raise ValueError("an id is out of range")
-            if not _used(strings, ids)[:-1].all():
+            # A last slot takes the -1s of the tour column.
+            used = np.zeros(len(strings) + 1, dtype=bool)
+            for i in ids:
+                used[i] = True
+            if not used[:-1].all():
                 raise ValueError("a string table holds a string no record uses")
 
     def _check_invariants(self) -> None:
-        """The row masks; an error names the first row that breaks any."""
-        broken = [
-            (int(np.flatnonzero(mask)[0]), message)
-            for message, mask in self._broken_rows()
-            if mask.any()
-        ]
-        if broken:
-            raise BrokenRowError(*min(broken, key=lambda b: b[0]))
+        """The row masks, _CHECK_ROWS rows at a time, so that their
+        temporaries stay small however long the table; an error names the
+        first row that breaks any."""
+        for start in range(0, len(self), _CHECK_ROWS):
+            broken = [
+                (start + int(np.flatnonzero(mask)[0]), message)
+                for message, mask in self._broken_rows(slice(start, start + _CHECK_ROWS))
+                if mask.any()
+            ]
+            if broken:
+                raise BrokenRowError(*min(broken, key=lambda b: b[0]))
 
-    def _broken_rows(self) -> Iterator[tuple[str, np.ndarray]]:
-        serve, touch, kind = self.serve_number, self.touch, self.kind
-        winner, committer, year = self.winner, self.committer, self.year
+    def _broken_rows(self, rows: slice) -> Iterator[tuple[str, np.ndarray]]:
+        serve, touch, kind = self.serve_number[rows], self.touch[rows], self.kind[rows]
+        winner, committer, year = self.winner[rows], self.committer[rows], self.year[rows]
         yield "serve_number must be 1 or 2", (serve != 1) & (serve != 2)
         yield "terminal_touch must be >= 1", touch < 1
-        yield "server_id and receiver_id must differ", self.server == self.receiver
+        yield "server_id and receiver_id must differ", self.server[rows] == self.receiver[rows]
         yield "terminal_kind out of range", (kind < 0) | (kind >= len(KINDS))
         yield "point_winner out of range", (winner < NONE_CODE) | (winner >= len(ROLES))
         yield "error_committer out of range", (committer < NONE_CODE) | (committer >= len(ROLES))
@@ -480,26 +487,6 @@ class RecordTable:
             )
             for m, s, r, serve, touch, kind, winner, committer, year, tour in zip(*columns)
         ]
-
-    def take(self, rows: np.ndarray) -> RecordTable:
-        """The table of the given row indices, in their order; a row may
-        repeat.  Each string table keeps the strings those rows use, in
-        its order, and a missing tour stays -1; checked rows are not re-checked."""
-        columns = {name: getattr(self, name)[rows] for name, _ in _COLUMNS}
-        strings = {}
-        for name, id_columns in _ID_COLUMNS.items():
-            table = getattr(self, name)
-            kept = _used(table, [columns[column] for column in id_columns])[:-1]
-            # The new id of each old one; index -1 maps -1 to itself.
-            new_ids = np.append(np.cumsum(kept, dtype=np.int32) - 1, np.int32(NONE_CODE))
-            for column in id_columns:
-                columns[column] = new_ids[columns[column]]
-            strings[name] = tuple(s for s, keep in zip(table, kept.tolist()) if keep)
-        for column in columns.values():
-            column.flags.writeable = False
-        part = object.__new__(RecordTable)
-        part.__dict__.update(columns, **strings)
-        return part
 
     @classmethod
     def from_points(
@@ -616,15 +603,6 @@ class TableBuilder:
             players=tuple(self._players),
             tours=tuple(self._tours),
         )
-
-
-def _used(strings: tuple[str, ...], ids: Iterable[np.ndarray]) -> np.ndarray:
-    """Which strings some id points at, and a last slot for the -1s of
-    the tour column."""
-    used = np.zeros(len(strings) + 1, dtype=bool)
-    for column in ids:
-        used[column] = True
-    return used
 
 
 def as_table(records: RecordTable | Iterable[ServeRecord]) -> RecordTable:

@@ -42,9 +42,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .counterfactual import (
     ReductionPolicy,
@@ -365,29 +365,63 @@ def _columns(results: Iterable[MatchResult]) -> _Columns:
     return pts, gms, sts, wins
 
 
+# numpy's pairwise summation of float64 (Higham 1993), step for step:
+# under 8 values a running sum from 0.0; up to _PAIRWISE_BLOCK, 8 strided
+# running sums combined in pairs, then the rest added in order; above
+# that, the two halves, split at a multiple of 8, summed so and added.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(values: Sequence[float], start: int, n: int) -> float:
+    """The sum of values[start:start + n] as numpy's add.reduce of a
+    contiguous float64 array sums it."""
+    if n < 8:
+        return reduce(add, values[start : start + n], 0.0)
+    if n <= _PAIRWISE_BLOCK:
+        stop = start + n - n % 8
+        r = [reduce(add, values[start + j : stop : 8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[stop : start + n], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """numpy's mean: the reduction, which starts from 0.0, over n."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _se(values: Sequence[float], mean: float) -> float:
+    """The standard error of the mean, as numpy's std(ddof=1) / sqrt(n):
+    the square root of the summed squared deviations over n - 1."""
+    n = len(values)
+    if n < 2:
+        return 0.0
+    squares = [(x - mean) * (x - mean) for x in values]
+    return math.sqrt((0.0 + _pairwise_sum(squares, 0, n)) / (n - 1)) / math.sqrt(n)
+
+
 def _summarize_columns(columns: _Columns, scenario: str) -> SimulationSummary:
-    # Each metric is its own contiguous float64 array, as np.array made
-    # from a list of floats: numpy's pairwise sums, and so the means and
-    # SEs, are then bit-identical to summing that list.
-    pts, gms, sts, wins = (np.array(column, dtype=np.float64) for column in columns)
+    # Each mean and SE is numpy's over the column as a float64 array,
+    # bit for bit, without numpy: its pairwise sums are copied above.
+    pts, gms, sts, wins = columns
     n = len(pts)
     if n < 1:
         raise ValueError("cannot summarize zero matches")
-
-    def se(arr: np.ndarray) -> float:
-        return float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-
-    p_hat = float(wins.mean())
+    means = [_mean(column) for column in (pts, gms, sts)]
+    se_points, se_games, se_sets = map(_se, (pts, gms, sts), means)
+    p_hat = _mean(wins)
     return SimulationSummary(
         scenario=scenario,
         n_matches=n,
-        pct_points_won_a=float(pts.mean()),
-        pct_games_won_a=float(gms.mean()),
-        pct_sets_won_a=float(sts.mean()),
+        pct_points_won_a=means[0],
+        pct_games_won_a=means[1],
+        pct_sets_won_a=means[2],
         pct_matches_won_a=100.0 * p_hat,
-        se_points=se(pts),
-        se_games=se(gms),
-        se_sets=se(sts),
+        se_points=se_points,
+        se_games=se_games,
+        se_sets=se_sets,
         se_matches=binomial_se_pct(p_hat, n),
     )
 

@@ -126,9 +126,14 @@ def sidecar_bytes(table: RecordTable, sha256: str) -> bytes:
     return buffer.getvalue()
 
 
+class Blob(bytes):
+    """A sidecar member kept as its bytes, as `<name>.bin`."""
+
+
 def read_members(sidecar: bytes) -> dict:
     """A sidecar's members, keyed by name less the extension: each .json
-    member as its JSON value, each .npy member as a writable array."""
+    member as its JSON value, each .npy member as a writable array and
+    each .bin member as a Blob."""
     members = {}
     with zipfile.ZipFile(io.BytesIO(sidecar)) as archive:
         for name in archive.namelist():
@@ -136,6 +141,8 @@ def read_members(sidecar: bytes) -> dict:
             with archive.open(name) as fh:
                 if extension == "npy":
                     members[stem] = np.lib.format.read_array(fh, allow_pickle=False)
+                elif extension == "bin":
+                    members[stem] = Blob(fh.read())
                 else:
                     members[stem] = json.loads(fh.read())
     return members
@@ -143,15 +150,18 @@ def read_members(sidecar: bytes) -> dict:
 
 def write_members(members: dict) -> bytes:
     """The bytes of a sidecar of these members, in this order: an array
-    as `<name>.npy`, as np.save writes it (an object array pickled),
-    bytes as `<name>.json` as they are, and any other value as
-    `<name>.json`, its JSON text."""
+    as `<name>.npy`, as np.save writes it (an object array pickled), a
+    Blob as `<name>.bin`, other bytes as `<name>.json`, each as they are,
+    and any other value as `<name>.json`, its JSON text."""
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
         for name, value in members.items():
             if isinstance(value, np.ndarray):
                 with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
                     np.lib.format.write_array(out, value, allow_pickle=True)
+            elif isinstance(value, Blob):
+                with archive.open(f"{name}.bin", "w", force_zip64=True) as out:
+                    out.write(value)
             else:
                 data = value if isinstance(value, bytes) else json.dumps(value).encode("ascii")
                 with archive.open(f"{name}.json", "w", force_zip64=True) as out:

@@ -35,7 +35,7 @@ from ufesim.errors import (
 )
 from ufesim.ingest import REQUIRED_COLUMNS, IngestReport, MatchMeta, parse_match_id
 from ufesim.notation import ParsedPoint
-from ufesim.pools import FAULT, PoolId, PoolScope, select_pool
+from ufesim.pools import FAULT, PoolId, PoolScope, ServePool, select_pool
 from ufesim.records import (
     KIND_CODES,
     KINDS,
@@ -52,6 +52,13 @@ from ufesim.records import (
     opponent_role,
 )
 from ufesim.scoring import apply_point, new_match, other_player
+from ufesim.sidecar import (
+    RECEIVER_ERROR,
+    RECEIVER_WINS,
+    SERVE_FAULT,
+    SERVER_ERROR,
+    SERVER_WINS,
+)
 from ufesim.simulate import (
     MatchResult,
     PointOutcome,
@@ -441,6 +448,27 @@ def reference_point_code(record, server):
     return server if record.point_winner is Role.SERVER else 1 - server
 
 
+def reference_serve_code(record):
+    """The serve code of one record, relative to its server; an
+    unforced error codes its committer's role and its touch, clamped at
+    MAX_TOUCH."""
+    if record.is_first_serve_fault:
+        return SERVE_FAULT
+    if record.terminal_kind is TerminalKind.UNFORCED_ERROR:
+        base = SERVER_ERROR if record.error_committer is Role.SERVER else RECEIVER_ERROR
+        return base + min(record.terminal_touch, MAX_TOUCH)
+    return SERVER_WINS if record.point_winner is Role.SERVER else RECEIVER_WINS
+
+
+def reference_serve_pool(records):
+    """The ServePool of records, in their order: their serve codes and
+    the tours they name."""
+    return ServePool(
+        bytes(map(reference_serve_code, records)),
+        frozenset(rec.tour for rec in records if rec.tour is not None),
+    )
+
+
 def reference_pool_summary(pools, player_a, player_b, scope):
     """pool_summary's counts over a dict of pools of records."""
     out = {"player_a": player_a, "player_b": player_b, "scope": scope.value, "pools": {}}
@@ -634,13 +662,14 @@ def reference_tally_records(records, tour=None, max_touch=DEFAULT_MAX_TOUCH):
 
 
 def reference_simulate_point(pools, server, table, policy, rng):
-    """Play one point with `server` ('A' or 'B') serving."""
+    """Play one point with `server` ('A' or 'B') serving, from the pools
+    of records reference_build_pools partitions."""
     # A uniform draw with replacement: exactly one rng.random() each.
-    pool = pools.pools[select_pool(server, 1)].to_records()
+    pool = pools[select_pool(server, 1)]
     record = pool[int(rng.random() * len(pool))]
     serve_number = 1
     if record.is_first_serve_fault:
-        pool = pools.pools[select_pool(server, 2)].to_records()
+        pool = pools[select_pool(server, 2)]
         record = pool[int(rng.random() * len(pool))]
         serve_number = 2
 
@@ -658,7 +687,8 @@ def reference_simulate_point(pools, server, table, policy, rng):
 
 
 def reference_simulate_match(config, pools, table, rng, replicate_index=0):
-    """Play one full match point by point through the scoring engine."""
+    """Play one full match point by point through the scoring engine, from
+    the pools of records reference_build_pools partitions."""
     policy = ReductionPolicy(x=config.reduction_x)
     score = new_match(config.format, first_server_for(config, replicate_index, rng))
     kept = removed = 0
@@ -681,18 +711,13 @@ def reference_simulate_match(config, pools, table, rng, replicate_index=0):
     )
 
 
-def reference_summarize(results, scenario):
-    """summarize as it was over a list of MatchResults: one numpy array
-    per metric, built from a list of Python floats."""
-    n = len(results)
-
-    def share(pair):
-        return 100.0 * pair[0] / (pair[0] + pair[1]) if pair[0] + pair[1] else 0.0
-
-    pts = np.array([share(r.points_won) for r in results])
-    gms = np.array([share(r.games_won) for r in results])
-    sts = np.array([share(r.sets_won) for r in results])
-    wins = np.array([1.0 if r.match_winner == "A" else 0.0 for r in results])
+def reference_summarize_columns(columns, scenario):
+    """simulate._summarize_columns as it was with numpy: each metric a
+    contiguous float64 array, its means and SEs numpy's."""
+    pts, gms, sts, wins = (np.array(column, dtype=np.float64) for column in columns)
+    n = len(pts)
+    if n < 1:
+        raise ValueError("cannot summarize zero matches")
 
     def se(arr):
         return float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -710,6 +735,22 @@ def reference_summarize(results, scenario):
         se_sets=se(sts),
         se_matches=binomial_se_pct(p_hat, n),
     )
+
+
+def reference_summarize(results, scenario):
+    """summarize as it was over a list of MatchResults: one list of
+    Python floats per metric, summarized with numpy."""
+
+    def share(pair):
+        return 100.0 * pair[0] / (pair[0] + pair[1]) if pair[0] + pair[1] else 0.0
+
+    columns = (
+        [share(r.points_won) for r in results],
+        [share(r.games_won) for r in results],
+        [share(r.sets_won) for r in results],
+        [1.0 if r.match_winner == "A" else 0.0 for r in results],
+    )
+    return reference_summarize_columns(columns, scenario)
 
 
 # parse_shot_notation as it was before one compiled pattern decided which

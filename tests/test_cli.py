@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from datetime import datetime
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_record, read_members, write_members
+from conftest import Blob, make_record, read_members, write_members
 from oracles import reference_ingest_files, reference_write_records_csv
 from ufesim import analytics as analytics_module
 from ufesim import cli
@@ -692,11 +693,14 @@ def _list_players(records_csv, capsys) -> list[str]:
     return outputs
 
 
-def _edited(sidecar: bytes, member: str, edit) -> bytes:
+def _edited(sidecar: bytes, member: str, edit, replace=None) -> bytes:
     """The sidecar with one JSON member passed through edit, which changes
-    it in place; an edit of None drops the member."""
+    it in place, or any member replaced by replace(member); an edit and a
+    replace of None drop the member."""
     members = read_members(sidecar)
-    if edit is None:
+    if replace is not None:
+        members[member] = replace(members[member])
+    elif edit is None:
         del members[member]
     else:
         edit(members[member])
@@ -849,11 +853,129 @@ def test_stats_hit_and_miss_write_the_same_files(tours, tour, tmp_path, monkeypa
         assert sidecar.read_bytes() == good
 
 
+def _serve_edit(edit):
+    """An edit of the serve index member, which edit changes in place as
+    a dict of its parts: `meta`, its JSON line as a value, and
+    `receivers`, `tours` and `codes`, its blobs as lists of ints."""
+
+    def apply(member: bytes) -> Blob:
+        line, _, blobs = member.partition(b"\n")
+        meta = json.loads(line)
+        rows = meta["offsets"][-1]
+        parts = {
+            "meta": meta,
+            "receivers": list(struct.unpack(f"<{rows}i", blobs[: 4 * rows])),
+            "tours": list(struct.unpack(f"<{rows}i", blobs[4 * rows : 8 * rows])),
+            "codes": list(blobs[8 * rows :]),
+        }
+        edit(parts)
+        n = len(parts["receivers"])
+        return Blob(
+            json.dumps(parts["meta"]).encode("ascii") + b"\n"
+            + struct.pack(f"<{n}i", *parts["receivers"])
+            + struct.pack(f"<{len(parts['tours'])}i", *parts["tours"])
+            + bytes(parts["codes"])
+        )
+
+    return apply
+
+
+def _set_meta(**changes):
+    return _serve_edit(lambda parts: parts["meta"].update(changes))
+
+
+def _set_offset(at: int, value):
+    return _serve_edit(lambda parts: parts["meta"]["offsets"].__setitem__(at, value))
+
+
+def _swap_first_distinct_offsets(parts) -> None:
+    """Offsets that start at 0, fall once and still end at the row count."""
+    offsets = parts["meta"]["offsets"]
+    i = next(i for i in range(1, len(offsets) - 2) if offsets[i] < offsets[i + 1])
+    offsets[i], offsets[i + 1] = offsets[i + 1], offsets[i]
+
+
+# Serve index members a read must take for a miss, each by one edit of
+# the member's bytes.
+MALFORMED_SERVES = {
+    "old-version": _set_meta(version=sidecar_module.CACHE_VERSION - 1),
+    "other-digest": _set_meta(sha256="0" * 64),
+    "extra-key": _set_meta(rows=0),
+    "no-offsets": _serve_edit(lambda parts: parts["meta"].pop("offsets")),
+    "not-an-object": lambda member: Blob(b"[]\n" + member.partition(b"\n")[2]),
+    "no-line": lambda member: Blob(member.partition(b"\n")[2]),
+    "truncated-blob": lambda member: Blob(member[:-1]),
+    "padded-blob": lambda member: Blob(member + b"\0"),
+    "offsets-out-of-order": _serve_edit(_swap_first_distinct_offsets),
+    "offsets-not-from-zero": _set_offset(0, 1),
+    "offsets-end-short": _serve_edit(
+        lambda parts: parts["meta"]["offsets"].__setitem__(-1, parts["meta"]["offsets"][-1] - 1)
+    ),
+    "offsets-short": _serve_edit(lambda parts: parts["meta"]["offsets"].pop(1)),
+    "offset-float": _set_offset(1, 6.0),
+    "offset-bool": _set_offset(0, False),
+    "receiver-past-players": _serve_edit(lambda parts: parts["receivers"].__setitem__(0, 99)),
+    "receiver-negative": _serve_edit(lambda parts: parts["receivers"].__setitem__(-1, -1)),
+    "tour-past-tours": _serve_edit(lambda parts: parts["tours"].__setitem__(0, 99)),
+    "tour-below-none": _serve_edit(lambda parts: parts["tours"].__setitem__(-1, -2)),
+    "code-out-of-range": _serve_edit(
+        lambda parts: parts["codes"].__setitem__(0, sidecar_module.SERVE_CODES)
+    ),
+}
+
+
+@pytest.mark.parametrize("scope", ["head_to_head", "versus_field"])
+def test_simulate_hit_and_miss_print_and_write_the_same_bytes(
+    scope, records_csv, tmp_path, monkeypatch, capsys
+):
+    # simulate prints and writes the same bytes from the sidecar's serve
+    # index (a hit) as from the CSV (a miss), and a miss of any kind
+    # rewrites the sidecar ingest wrote, byte for byte.
+    monkeypatch.setattr(cli, "datetime", FrozenDatetime)
+    sidecar, out = cache_path(records_csv), tmp_path / "out.json"
+    argv = simulate_args(records_csv, "--scope", scope, "--scenario", "historic",
+                         "--scenario", "reduce:0.5", "--out", str(out))
+
+    def run():
+        assert main(argv) == 0
+        return capsys.readouterr(), out.read_bytes()
+
+    good = sidecar.read_bytes()
+    # Each edit below changes only what it edits.
+    assert _edited(good, "serves", None, _serve_edit(lambda parts: None)) == good
+    hit = run()
+    assert sidecar.read_bytes() == good
+    other = tmp_path / "other.csv"
+    write_records_csv([make_record()], other)
+    assert main(["list-players", "--records", str(other)]) == 0
+    capsys.readouterr()
+    for damaged in (
+        None,  # deleted
+        _edited(good, "serves", None),  # layout 5 had no serve index
+        _edited_header(good, players=None),
+        _edited(good, "header", lambda header: header["players"].__setitem__(1, header["players"][0])),
+        b"not a zip",
+        good[: len(good) // 2],
+        cache_path(other).read_bytes(),
+        *(_edited(good, "serves", None, edit) for edit in MALFORMED_SERVES.values()),
+    ):
+        if damaged is None:
+            sidecar.unlink()
+        else:
+            sidecar.write_bytes(damaged)
+            assert sidecar_module.read_serves(sidecar, file_sha256(records_csv)) is None
+        assert run() == hit
+        assert sidecar.read_bytes() == good
+
+
 def _layout_4(sidecar: bytes) -> bytes:
     """The sidecar as layout 4 wrote it: np.savez of the header and the
-    tally member, each a uint8 array of its ASCII JSON, then the columns."""
+    tally member, each a uint8 array of its ASCII JSON, then the columns;
+    it had no serve index."""
     arrays = {}
     for name, value in read_members(sidecar).items():
+        if isinstance(value, Blob):
+            continue
         if not isinstance(value, np.ndarray):
             value = np.frombuffer(json.dumps({**value, "version": 4}).encode("ascii"), np.uint8)
         arrays[name] = value

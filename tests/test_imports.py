@@ -53,53 +53,67 @@ def records_csv(tmp_path_factory):
 
 
 SIMULATE = ["simulate", "--records", "{records}", "--a", "Alpha_One", "--n", "40"]
-SIMULATOR = {
-    "records", "sidecar", "pools", "simulate", "counterfactual", "scoring", "rng", "forking"
-}
+SIMULATOR = {"sidecar", "pools", "simulate", "counterfactual", "scoring", "rng", "forking"}
 
 
 # argv (with {records}, {uncached}, {out} and {fixture} filled in), exit
-# code, and the modules beyond the CLI's that the command loads.  {uncached}
-# is a copy of the records CSV with no sidecar, so the command misses.
+# code, the modules beyond the CLI's that the command loads, and whether
+# it loads numpy.  {uncached} is a copy of the records CSV with no
+# sidecar, so the command misses: it parses the CSV and rewrites the
+# sidecar, columns, tallies and all.
 @pytest.mark.parametrize(
-    "argv, exit_code, loaded",
+    "argv, exit_code, loaded, numpy",
     [
-        (["--version"], 0, set()),
-        (SIMULATE, 2, set()),  # no --b: a usage error
-        (SIMULATE + ["--b", "Beta_Two"], 0, SIMULATOR),
-        (["list-players", "--records", "{records}"], 0, {"sidecar"}),
-        # A miss rewrites the sidecar, tallies and all.
-        (["list-players", "--records", "{uncached}"], 0, {"sidecar", "records", "analytics"}),
-        (["stats", "--records", "{records}", "--out-dir", "{out}"], 0, {"sidecar", "analytics"}),
+        (["--version"], 0, set(), False),
+        (SIMULATE, 2, set(), False),  # no --b: a usage error
+        (SIMULATE + ["--b", "Beta_Two"], 0, SIMULATOR, False),
+        (
+            ["simulate", "--records", "{uncached}", "--a", "Alpha_One", "--b", "Beta_Two",
+             "--n", "40"],
+            0,
+            SIMULATOR | {"records", "analytics"},
+            True,
+        ),
+        (["list-players", "--records", "{records}"], 0, {"sidecar"}, False),
+        (["list-players", "--records", "{uncached}"], 0, {"sidecar", "records", "analytics"}, True),
+        (
+            ["stats", "--records", "{records}", "--out-dir", "{out}"],
+            0,
+            {"sidecar", "analytics"},
+            False,
+        ),
         (
             ["stats", "--records", "{records}", "--out-dir", "{out}", "--svg"],
             0,
             {"sidecar", "analytics", "svg"},
+            False,
         ),
         (
             ["stats", "--records", "{uncached}", "--out-dir", "{out}"],
             0,
             {"sidecar", "analytics", "records"},
+            True,
         ),
         (
             ["ingest", "{fixture}", "-o", "{out}/r.csv"],
             0,
             {"ingest", "notation", "records", "sidecar", "analytics", "forking"},
+            True,
         ),
     ],
-    ids=["version", "usage-error", "simulate", "list-players", "list-players-miss", "stats",
-         "stats-svg", "stats-miss", "ingest"],
+    ids=["version", "usage-error", "simulate", "simulate-miss", "list-players",
+         "list-players-miss", "stats", "stats-svg", "stats-miss", "ingest"],
 )
-def test_each_command_imports_only_what_it_runs(argv, exit_code, loaded, records_csv, tmp_path):
+def test_each_command_imports_only_what_it_runs(
+    argv, exit_code, loaded, numpy, records_csv, tmp_path
+):
     uncached = shutil.copy(records_csv, tmp_path / "uncached.csv")
     fill = {"records": records_csv, "uncached": uncached, "out": tmp_path, "fixture": FIXTURE}
     proc = run_fresh(*(arg.format(**fill) for arg in argv))
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == exit_code
     assert set(report["modules"]) == CLI | {f"ufesim.{m}" for m in loaded}
-    # The sidecar's header and tallies, and what stats makes of them, need
-    # no numpy; the columns do.
-    assert report["numpy"] == bool(loaded - {"sidecar", "analytics", "svg"})
+    assert report["numpy"] == numpy
 
 
 def test_notation_imports_no_numpy():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_record, serve_mix
+from oracles import reference_build_pools, reference_point_code, reference_serve_pool
 from ufesim.errors import EmptyPoolError
 from ufesim.pools import (
     PoolId,
@@ -48,10 +49,8 @@ def test_build_pools_partitions_by_server_and_serve_number():
     assert pools.size(PoolId.B_SECOND) == 1
     total = sum(pools.size(pid) for pid in PoolId)
     assert total == len(records)
-    for rec in pools.pools[PoolId.A_FIRST].to_records():
-        assert rec.server_id == a and rec.serve_number == 1
-    for rec in pools.pools[PoolId.B_SECOND].to_records():
-        assert rec.server_id == b and rec.serve_number == 2
+    reference = reference_build_pools(records, a, b)
+    assert dict(pools.pools) == {pid: reference_serve_pool(reference[pid]) for pid in PoolId}
 
 
 def test_head_to_head_excludes_other_opponents(two_player_records):
@@ -59,9 +58,7 @@ def test_head_to_head_excludes_other_opponents(two_player_records):
     pools = build_pools(two_player_records + intruder, "Ann Ace", "Bob Base")
     total = sum(pools.size(pid) for pid in PoolId)
     assert total == len(two_player_records)
-    for pid in PoolId:
-        for rec in pools.pools[pid].to_records():
-            assert {rec.server_id, rec.receiver_id} == {"Ann Ace", "Bob Base"}
+    assert pools.pools == build_pools(two_player_records, "Ann Ace", "Bob Base").pools
 
 
 def test_versus_field_keeps_other_opponents(two_player_records):
@@ -81,16 +78,16 @@ def test_empty_pool_error_names_the_pool(two_player_records):
     assert "B_first" in str(exc.value)
 
 
-def test_singleton_pool_always_returns_it(mixed_pools):
-    record = mixed_pools.pools[PoolId.A_FIRST].to_records()[0]
+def test_singleton_pool_always_returns_it(two_player_records):
+    record = reference_build_pools(two_player_records, "Ann Ace", "Bob Base")[PoolId.A_FIRST][0]
     singleton = build_pools([record] * 1 + [
         make_record("Ann Ace", "Bob Base", K.ACE, 1, Role.SERVER, serve_number=2),
         make_record("Bob Base", "Ann Ace", K.ACE, 1, Role.SERVER),
         make_record("Bob Base", "Ann Ace", K.ACE, 1, Role.SERVER, serve_number=2),
     ], "Ann Ace", "Bob Base")
-    # The pool holds a record equal to the one given (a table keeps no
-    # record objects).
-    assert singleton.pools[PoolId.A_FIRST].to_records() == [record]
+    # The pool holds the code of the one record given.
+    assert singleton.pools[PoolId.A_FIRST] == reference_serve_pool([record])
+    assert singleton.first_codes[0] == (reference_point_code(record, 0),)
 
 
 def test_pool_ufe_rate_matches_raw_records(two_player_records, mixed_pools):
@@ -115,8 +112,14 @@ def test_pool_ufe_rate_matches_raw_records(two_player_records, mixed_pools):
                     ufes += 1
         return ufes, contacts
 
-    pooled = [rec for pid in PoolId for rec in mixed_pools.pools[pid].to_records()]
+    partition = reference_build_pools(two_player_records, "Ann Ace", "Bob Base")
+    pooled = [rec for pid in PoolId for rec in partition[pid]]
     assert a_ufes_and_contacts(pooled) == a_ufes_and_contacts(two_player_records)
+    # The pools hold the partition's serves, and each of A's errors is a
+    # point code of 2 or more.
+    assert dict(mixed_pools.pools) == {pid: reference_serve_pool(partition[pid]) for pid in PoolId}
+    codes = [*mixed_pools.first_codes, *mixed_pools.second_codes]
+    assert sum(code >= 2 for side in codes for code in side) == a_ufes_and_contacts(pooled)[0]
 
 
 def test_pool_summary_counts(mixed_pools):

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from oracles import (
     reference_point_code,
     reference_pool_summary,
     reference_resolve_player,
+    reference_serve_pool,
     reference_tally_records,
     reference_write_records_csv,
 )
@@ -41,7 +41,16 @@ from ufesim import sidecar as sidecar_module
 from ufesim.analytics import tally_records, tour_tally
 from ufesim.cli import resolve_player
 from ufesim.errors import EmptyPoolError
-from ufesim.pools import PoolId, PoolScope, ServePoolSet, build_pools, pool_summary, select_pool
+from ufesim.pools import (
+    PoolId,
+    PoolScope,
+    ServePool,
+    ServePoolSet,
+    build_pools,
+    pool_summary,
+    select_pool,
+    select_pools,
+)
 from ufesim.records import (
     KINDS,
     MAX_YEAR,
@@ -321,7 +330,7 @@ def test_sidecar_codec_keeps_every_string(tmp_path):
     table = RecordTable.from_records(records)
     sidecar = tmp_path / "records.csv.ufesim-cache.npz"
     sidecar.write_bytes(sidecar_bytes(table, "0" * 64))
-    assert list(read_members(sidecar.read_bytes())) == ["header", "tally", *COLUMNS]
+    assert list(read_members(sidecar.read_bytes())) == ["header", "tally", "serves", *COLUMNS]
     cached = sidecar_module.read_table(sidecar, "0" * 64)
     assert_same_table(cached, table)
     assert cached.to_records() == records
@@ -387,55 +396,19 @@ def test_table_columns_are_read_only():
         table.touch[0] = 3
 
 
-# take: a table of some rows
-
-
-def _used_strings(records):
-    """The strings the records use, by string table."""
-    return {
-        "matches": {r.match_id for r in records},
-        "players": {r.server_id for r in records} | {r.receiver_id for r in records},
-        "tours": {r.tour for r in records} - {None},
-    }
-
-
-@settings(max_examples=150, deadline=None)
-@given(records=st.lists(serve_records(st.sampled_from(FEW_NAMES)), max_size=30), data=st.data())
-def test_take_selects_rows_in_order(records, data):
-    table = RecordTable.from_records(records)
-    rows = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=40) if records
-                     else st.just([]))
-    part = table.take(np.array(rows, dtype=np.intp))
-    selected = [records[i] for i in rows]
-    assert part.to_records() == selected
-    for name, used in _used_strings(selected).items():
-        assert getattr(part, name) == tuple(s for s in getattr(table, name) if s in used)
-    # take checks nothing; its columns are read-only, and the checked
-    # constructor accepts the same fields.
-    values = {f.name: getattr(part, f.name) for f in fields(RecordTable)}
-    assert not any(v.flags.writeable for v in values.values() if isinstance(v, np.ndarray))
-    assert_same_table(part, RecordTable(**values))
-
-
-def test_take_repeats_rows_cuts_the_string_tables_and_keeps_a_missing_tour():
-    records = corpus()
-    table = RecordTable.from_records(records)
-    missing = next(i for i, r in enumerate(records) if r.tour is None and r.year is None)
-    rows = [missing, 0, missing]
-    part = table.take(np.array(rows))
-    selected = [records[i] for i in rows]
-    assert part.to_records() == selected
-    assert part.tour.tolist() == [NONE_CODE, 0, NONE_CODE]
-    assert part.year.tolist() == [NONE_CODE, 2019, NONE_CODE]
-    assert part.tours == ("ATP",) and len(part.players) < len(table.players)
-    for name, used in _used_strings(selected).items():
-        assert getattr(part, name) == tuple(s for s in getattr(table, name) if s in used)
-
-
-def test_take_of_no_rows_is_an_empty_table():
-    part = RecordTable.from_records(corpus()).take(np.array([], dtype=np.intp))
-    assert len(part) == 0 and part.to_records() == []
-    assert part.matches == part.players == part.tours == ()
+def test_a_broken_row_past_the_first_checked_rows_is_named():
+    # The row rules run over _CHECK_ROWS rows at a time; the error still
+    # names the first broken row over every rule, counted from row 0.
+    table = RecordTable.from_records(corpus())
+    reps = records_module._CHECK_ROWS // len(table) + 2
+    columns = {name: np.tile(getattr(table, name), reps) for name in COLUMNS}
+    late, early = records_module._CHECK_ROWS + 7, records_module._CHECK_ROWS + 3
+    columns["serve_number"][late] = 3  # the first rule checked
+    columns["touch"][early] = 0  # a later rule, on an earlier row
+    strings = {name: getattr(table, name) for name in ("matches", "players", "tours")}
+    with pytest.raises(records_module.BrokenRowError) as exc:
+        RecordTable(**columns, **strings)
+    assert (exc.value.row, exc.value.reason) == (early, "terminal_touch must be >= 1")
 
 
 def _points():
@@ -579,8 +552,8 @@ def test_sidecar_of_the_first_format_is_replaced(csv_path, reads):
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
     rewritten = _sidecar_arrays(csv_path)
-    assert list(rewritten) == ["header", "tally", *COLUMNS]
-    assert rewritten["header"]["version"] == CACHE_VERSION == 5
+    assert list(rewritten) == ["header", "tally", "serves", *COLUMNS]
+    assert rewritten["header"]["version"] == CACHE_VERSION == 6
     assert load_records(csv_path)[0].to_records() == corpus()
     assert len(reads) == 2
 
@@ -761,30 +734,34 @@ def _outcome(fn, *args):
     tour=st.sampled_from([None, "Ann Ace", "Bob Base", "ATP"]),
     max_touch=st.integers(1, 15),
     pair=st.lists(st.sampled_from(FEW_NAMES), min_size=2, max_size=2, unique=True),
-    scope=st.sampled_from(list(PoolScope)),
 )
-def test_consumers_match_references(records, tour, max_touch, pair, scope):
+def test_consumers_match_references(records, tour, max_touch, pair):
     table = RecordTable.from_records(records)
-    for requested in ("ann ace", "BOB_BASE", "cy chip", "Zoë Ångström", "nobody"):
-        assert _outcome(resolve_player, table, requested) == _outcome(
-            reference_resolve_player, records, requested
-        )
-
-    expected = reference_build_pools(records, *pair, scope)
-    empty = [pid for pid in PoolId if not expected[pid]]
-    if empty:
-        with pytest.raises(EmptyPoolError, match=empty[0].value):
-            build_pools(table, *pair, scope)
-    else:
-        _assert_pools_match_references(build_pools(table, *pair, scope), expected)
-
-    # list-players' and stats' answers on a cache hit: the header and the
-    # tallies the sidecar carries.
+    # list-players', stats' and simulate's answers on a cache hit: the
+    # header, the tallies and the serve index the sidecar carries.
     with tempfile.TemporaryDirectory() as tmp:
         sidecar = Path(tmp) / "records.csv.ufesim-cache.npz"
         sidecar.write_bytes(sidecar_bytes(table, "0" * 64))
         header = sidecar_module.read_header(sidecar, "0" * 64)
         tallies = sidecar_module.read_tallies(sidecar, "0" * 64)
+        serves = sidecar_module.read_serves(sidecar, "0" * 64)
+    assert serves == sidecar_module.serve_index(table)
+    for requested in ("ann ace", "BOB_BASE", "cy chip", "Zoë Ångström", "nobody"):
+        expected = _outcome(reference_resolve_player, records, requested)
+        assert _outcome(resolve_player, table, requested) == expected
+        assert _outcome(resolve_player, serves, requested) == expected
+
+    for scope in PoolScope:
+        expected = reference_build_pools(records, *pair, scope)
+        empty = [pid for pid in PoolId if not expected[pid]]
+        for pools_of in (lambda: build_pools(table, *pair, scope),
+                         lambda: select_pools(serves, *pair, scope)):
+            if empty:
+                with pytest.raises(EmptyPoolError, match=empty[0].value):
+                    pools_of()
+            else:
+                _assert_pools_match_references(pools_of(), expected)
+
     for wanted in (None, "ATP", tour):
         expected = reference_matches_per_player(records, wanted)
         tally = tour_tally(tally_records(table), wanted)
@@ -806,8 +783,8 @@ def test_consumers_match_references(records, tour, max_touch, pair, scope):
 
 def _assert_pools_match_references(pools, expected):
     """A pool set against the reference pools of records: the pools'
-    records, their point codes and pool_summary."""
-    assert {pid: tuple(pool.to_records()) for pid, pool in pools.pools.items()} == expected
+    serve codes and tours, their point codes and pool_summary."""
+    assert dict(pools.pools) == {pid: reference_serve_pool(recs) for pid, recs in expected.items()}
     first, second = (
         tuple(
             tuple(reference_point_code(rec, server) for rec in expected[select_pool(side, number)])
@@ -834,12 +811,12 @@ def test_build_pools_rebuilds_records_in_file_order(csv_path):
 def test_pool_set_of_records_equals_build_pools_over_their_table():
     records = corpus()
     built = build_pools(RecordTable.from_records(records), "Ann Ace", "Bob Base")
-    given = ServePoolSet(
-        pools={pid: tuple(pool.to_records()) for pid, pool in built.pools.items()},
-        player_a="Ann Ace",
-        player_b="Bob Base",
-        scope=PoolScope.HEAD_TO_HEAD,
-    )
-    assert all(isinstance(pool, RecordTable) for pool in given.pools.values())
-    assert (given.first_codes, given.second_codes) == (built.first_codes, built.second_codes)
-    assert pool_summary(given) == pool_summary(built)
+    partition = reference_build_pools(records, "Ann Ace", "Bob Base")
+    for pools in (partition, {pid: RecordTable.from_records(recs) for pid, recs in partition.items()}):
+        given = ServePoolSet(
+            pools=pools, player_a="Ann Ace", player_b="Bob Base", scope=PoolScope.HEAD_TO_HEAD
+        )
+        assert all(isinstance(pool, ServePool) for pool in given.pools.values())
+        assert dict(given.pools) == dict(built.pools)
+        assert (given.first_codes, given.second_codes) == (built.first_codes, built.second_codes)
+        assert pool_summary(given) == pool_summary(built)

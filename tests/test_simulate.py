@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 from conftest import make_record, serve_mix
 from oracles import (
     game_win_probability,
+    reference_build_pools,
     reference_simulate_match,
     reference_simulate_point,
     reference_summarize,
+    reference_summarize_columns,
 )
 from ufesim import simulate
 from ufesim.cli import main
@@ -316,6 +319,36 @@ def test_summarize_of_results_equals_the_column_path(
     with allow_cpus(2) as forked:
         assert run_simulation(cfg, mixed_pools, TABLE) == expected
     assert len(forked) == 2
+
+
+# numpy's pairwise sum changes form below 8 values, above each multiple of
+# its 128-value block and where a half is cut back to a multiple of 8.
+SUMMARY_LENGTHS = [1, 2, 7, 8, 9, 127, 128, 129, 8192, 8193, 20_011, 32_775]
+
+
+@st.composite
+def summary_columns(draw):
+    """The four columns a replicate block returns: points, games and sets
+    shares in percent, as 100 * won / played, and 0/1 match flags."""
+    n = draw(st.sampled_from(SUMMARY_LENGTHS) | st.integers(1, 400))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    most = draw(st.sampled_from([1, 3, 20, 150]))
+    p_win = draw(st.sampled_from([0.0, 0.03, 0.5, 1.0]))
+
+    def shares():
+        won = [rng.randint(0, most) for _ in range(n)]
+        return array("d", [100.0 * w / (w + rng.randint(1, most)) for w in won])
+
+    wins = array("d", [1.0 if rng.random() < p_win else 0.0 for _ in range(n)])
+    return shares(), shares(), shares(), wins
+
+
+@settings(max_examples=120, deadline=None)
+@given(columns=summary_columns())
+def test_summary_is_numpys_bit_for_bit(columns):
+    """The plain-Python means and SEs equal numpy's over float64 arrays:
+    every field compared with ==."""
+    assert simulate._summarize_columns(columns, "s") == reference_summarize_columns(columns, "s")
 
 
 def test_summarize_hand_checked():
@@ -651,15 +684,22 @@ def _served(server, receiver, serve_number):
     return record()
 
 
+PAIR = ("Ann Ace", "Bob Base")
+
+
 @st.composite
-def random_pools(draw):
-    a, b = "Ann Ace", "Bob Base"
+def random_records(draw):
+    """Records of a few serves of each of Ann Ace and Bob Base's four pools."""
     records = []
-    for server, receiver in ((a, b), (b, a)):
+    for server, receiver in (PAIR, PAIR[::-1]):
         for serve_number in (1, 2):
             records += draw(st.lists(_served(server, receiver, serve_number), min_size=1,
                                      max_size=6))
-    return build_pools(records, a, b)
+    return records
+
+
+def random_pools():
+    return random_records().map(lambda records: build_pools(records, *PAIR))
 
 
 def _return_point_chance(pools, server, x):
@@ -688,7 +728,7 @@ def _break_chance(q, ad):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    pools=random_pools(),
+    records=random_records(),
     x=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     policy=st.sampled_from(FIRST_SERVER_POLICIES),
     best_of=st.sampled_from([3, 5]),
@@ -699,11 +739,12 @@ def _break_chance(q, ad):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_simulate_match_walks_the_reference_stream(
-    pools, x, policy, best_of, ad, final_tb, trigger, target, seed
+    records, x, policy, best_of, ad, final_tb, trigger, target, seed
 ):
     """simulate_match against new_match/apply_point fed reference points:
     the same counters and the same draws, tiebreaks and advantage final
     sets included."""
+    pools, reference = build_pools(records, *PAIR), reference_build_pools(records, *PAIR)
     try:
         _check_match_can_end(pools, x)
     except EndlessMatchError:
@@ -722,7 +763,7 @@ def test_simulate_match_walks_the_reference_stream(
     for index in range(2):
         new, ref = CountingRandom(seed + index), CountingRandom(seed + index)
         got = simulate_match(cfg, pools, TABLE, new, replicate_index=index)
-        assert got == reference_simulate_match(cfg, pools, TABLE, ref, replicate_index=index)
+        assert got == reference_simulate_match(cfg, reference, TABLE, ref, replicate_index=index)
         assert new.draws == ref.draws
 
 
@@ -758,17 +799,18 @@ def test_replicate_block_columns_are_simulate_match_columns(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    pools=random_pools(),
+    records=random_records(),
     x=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     server=st.sampled_from(["A", "B"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_simulate_point_walks_the_reference_stream(pools, x, server, seed):
+def test_simulate_point_walks_the_reference_stream(records, x, server, seed):
+    pools, reference = build_pools(records, *PAIR), reference_build_pools(records, *PAIR)
     policy = ReductionPolicy(x=x)
     new, ref = CountingRandom(seed), CountingRandom(seed)
     for _ in range(20):
         got = simulate_point(pools, server, TABLE, policy, new)
-        assert got == reference_simulate_point(pools, server, TABLE, policy, ref)
+        assert got == reference_simulate_point(reference, server, TABLE, policy, ref)
         assert new.draws == ref.draws
 
 
