@@ -1,4 +1,4 @@
-"""Serve-level record types, their CSV serialization and the records cache.
+"""Serve-level record types and their CSV serialization.
 
 A ServeRecord is one serve event in a normalized form: who served, which
 serve it was, how the point ended (terminal touch and kind) and who won.
@@ -25,14 +25,13 @@ players, quoted by csv.writer once per string, its serve and year,
 formatted once per distinct value, and its tour.  ingest makes its
 table first and then writes it so, as save_records does.
 
-load_records reads a records CSV into a table through the records cache
-(sidecar.lookup), keyed on the SHA-256 of the CSV's bytes.  On a miss
-_read_table maps each row's fields straight to column codes (kind and
-role by lookup, numbers by int()), and the sidecar is rewritten from
-the table, with the header and each tour's analytics.tally_records
-tally, made in one pass wherever a sidecar is written; the sidecar
-module keeps that layout and defines the kind and role codes.
-read_records_csv is the same read as ServeRecords, with no sidecar.
+load_records reads a records CSV into a table, with the SHA-256 of the
+CSV's bytes: _read_table maps each row's fields straight to column codes
+(kind and role by lookup, numbers by int()).  It reads no sidecar and
+writes none; the records cache (sidecar.lookup) runs the same read on a
+miss and keeps only the header, the tallies and the serve index of the
+table, and the sidecar module keeps that layout and defines the kind and
+role codes.  read_records_csv is the same read as ServeRecords.
 save_records writes a table's CSV and its sidecar together, as
 RecordsWriter.commit does given the table.  This module is the only one
 that knows the column layout.
@@ -64,7 +63,8 @@ from .sidecar import (
     Role,
     TerminalKind,
     cache_path,
-    lookup,
+    file_identity,
+    file_sha256,
     opponent_role,
     write_sidecar,
 )
@@ -190,7 +190,7 @@ class RecordsWriter:
 
     def __init__(self, path) -> None:
         # open() writes through a symbolic link; so does the replace.  The
-        # sidecar goes where load_records looks for it, beside `path`.
+        # sidecar goes where sidecar.lookup looks for it, beside `path`.
         self.path = Path(os.path.realpath(path))
         self._sidecar = cache_path(path)
         self._digest = hashlib.sha256()
@@ -264,7 +264,7 @@ class RecordsWriter:
 
     def commit(self, table: RecordTable | None = None) -> str:
         """Move the CSV into place and, given the table written, write its
-        sidecar as load_records would; returns the SHA-256 of the CSV.  A
+        sidecar as a cache miss would; returns the SHA-256 of the CSV.  A
         CSV written in place gets no sidecar: its bytes cannot be read back."""
         self._fh.close()
         sha256 = self._digest.hexdigest()
@@ -720,17 +720,18 @@ def load_records(path: str | Path) -> tuple[RecordTable, str]:
     """The records of a CSV written by write_records_csv, as a table, and
     the SHA-256 of the CSV's bytes.
 
-    A sidecar keyed on that digest is read when it is valid.  Otherwise
-    each of the CSV's rows is coded into the table's columns, so errors
-    name file and line, and the sidecar is rewritten if the directory
-    allows (see sidecar.lookup).  A path that is not a regular file (a
-    pipe, a device, a directory) raises CsvFormatError.
+    Each of the CSV's rows is coded into the table's columns, so errors
+    name file and line; the CSV is parsed on every call, and no sidecar
+    is read or written.  A path that is not a regular file (a pipe, a
+    device, a directory) raises CsvFormatError.
     """
-    return lookup(path, "table")
+    file_identity(path)
+    sha256 = file_sha256(path)
+    return _read_table(Path(path)), sha256
 
 
 def save_records(table: RecordTable, path: str | Path) -> str:
-    """Write a table as a records CSV, and its sidecar as load_records
+    """Write a table as a records CSV, and its sidecar as a cache miss
     would; returns the SHA-256 of the CSV's bytes.
 
     The CSV is written as RecordsWriter writes it, and a sidecar that

@@ -1,16 +1,15 @@
 """The records cache: a records CSV's sidecar, its key, its layout and
 its one lookup.
 
-load_records, list-players, stats and simulate each reach a records CSV
-through lookup, which keeps the table read from the CSV in a sidecar
-beside it, `<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the
-CSV's bytes.  The sidecar is a zip (layout 6) of two JSON members, each
-the ASCII text of one JSON object, the serve index, and the ten columns
-of a RecordTable as .npy members, each as np.save writes it.
+list-players, stats and simulate each reach a records CSV through
+lookup, which keeps what they read of the table in a sidecar beside it,
+`<csv name>.ufesim-cache.npz`, keyed on the SHA-256 of the CSV's bytes.
+The sidecar is a zip (layout 7) of three members: two JSON members, each
+the ASCII text of one JSON object, and the serve index.
 `header.json` holds
 - `version`, CACHE_VERSION, so that a sidecar of another layout is a miss;
 - `sha256`, the digest of the CSV the sidecar caches;
-- `matches`, `players` and `tours`, the table's string tables;
+- `players` and `tours`, the table's player and tour names;
 - `counts`, each player's distinct matches over all tours, and
   `tour_counts`, one such list for each entry of `tours`; every count
   list is aligned with `players`, and 0 means no match in that tour.
@@ -32,20 +31,18 @@ its table.
 A sidecar is written only for a table that passed every RecordTable
 check, from a CSV of exactly the bytes its digest names.  So a header of
 this version and digest answers list-players, a tally member stats, and
-a serve index, with the header's string tables, simulate: read_header,
+a serve index, with the header's names, simulate: read_header,
 read_tallies and read_serves read only their members, with zipfile,
-json and array, and never load the columns; read_table reads the header
-the same way and then the columns, from one open archive.  The tallies,
-the header's counts and the serve index are made wherever a sidecar is
-written (summarize), and write_sidecar hands them back, so a miss builds
-them once.
+json and array.  The header, the tallies and the serve index are made
+wherever a sidecar is written (summarize), and write_sidecar hands them
+back, so a miss builds them once.
 
-The codes the columns, the tallies and the serve index hold are defined
-here too: TerminalKind and Role, their column codes, and the serve
-codes.  This module imports no numpy at load: only the functions that
-read or write the columns or build the serve index import it, so
-importing the module costs only the standard library.  It is the only
-one that knows the sidecar's layout.
+The codes the table's columns, the tallies and the serve index hold are
+defined here too: TerminalKind and Role, their column codes, and the
+serve codes.  This module imports no numpy at load: only the functions
+that build the serve index import it, so importing the module costs only
+the standard library.  It is the only one that knows the sidecar's
+layout.
 """
 from __future__ import annotations
 
@@ -115,7 +112,8 @@ SERVER_ERROR = RECEIVER_WINS - 1
 RECEIVER_ERROR = SERVER_ERROR + MAX_TOUCH - 1
 SERVE_CODES = RECEIVER_ERROR + MAX_TOUCH + 1
 
-CACHE_VERSION = 6
+CACHE_VERSION = 7
+# Kept from the np.savez layouts, so that a new sidecar replaces an old one in place.
 CACHE_SUFFIX = ".ufesim-cache.npz"
 _HEADER, _TALLY, _SERVES = "header.json", "tally.json", "serves.bin"
 # Bytes per row of the serve index: a receiver id, a tour id, a code.
@@ -124,7 +122,7 @@ _SERVE_ROW_BYTES = 9
 # stay near 0.5 MB however long the table.
 _INDEX_ROWS = 8192
 
-_STRING_TABLES = ("matches", "players", "tours")
+_STRING_TABLES = ("players", "tours")
 
 # What reading a missing, truncated or otherwise corrupt sidecar can raise.
 _UNREADABLE = (
@@ -160,12 +158,10 @@ class ServeIndex(NamedTuple):
 
 
 class Summary(NamedTuple):
-    """A table and what its sidecar keeps of it beside the columns: the
-    header, the tallies, keyed None for every tour and by each of the
-    table's tours, and the serve index.  Each field names what lookup can
-    read."""
+    """What a table's sidecar keeps of it: the header, the tallies, keyed
+    None for every tour and by each of the table's tours, and the serve
+    index.  Each field names what lookup can read."""
 
-    table: RecordTable
     header: dict
     tallies: dict[str | None, RecordTally]
     serves: ServeIndex
@@ -192,7 +188,7 @@ def file_identity(path: str | Path) -> tuple[int, int, int, int]:
 
 
 def cache_path(records_path: str | Path) -> Path:
-    """Where load_records keeps the sidecar of a records CSV."""
+    """Where lookup keeps the sidecar of a records CSV."""
     path = Path(records_path)
     return path.with_name(path.name + CACHE_SUFFIX)
 
@@ -270,7 +266,7 @@ def summarize(table: RecordTable, sha256: str) -> Summary:
     header.update((name, list(getattr(table, name))) for name in _STRING_TABLES)
     header["counts"] = counts(tallies[None])
     header["tour_counts"] = [counts(tallies[tour]) for tour in table.tours]
-    return Summary(table, header, tallies, serve_index(table))
+    return Summary(header, tallies, serve_index(table))
 
 
 def _naturals(values: object, shape: tuple[int, ...]) -> bool:
@@ -288,14 +284,19 @@ def _strings(values: object) -> bool:
     return type(values) is list and set(map(type, values)) <= {str}
 
 
+def _distinct_strings(values: object) -> bool:
+    return _strings(values) and len(set(values)) == len(values)
+
+
 def _checked(header: object, sha256: str) -> dict | None:
-    """The header if it is of this version and digest and each of its
-    tables and count lists is well formed; else None."""
+    """The header if it is of this version and digest, its player and
+    tour names are distinct strings and each count list is well formed;
+    else None."""
     if not isinstance(header, dict):
         return None
     if header.get("version") != CACHE_VERSION or header.get("sha256") != sha256:
         return None
-    if not all(_strings(header.get(name)) for name in _STRING_TABLES):
+    if not all(_distinct_strings(header.get(name)) for name in _STRING_TABLES):
         return None
     n_players = len(header["players"])
     if not _naturals(header.get("counts"), (n_players,)):
@@ -330,7 +331,7 @@ def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None
     tours, stored = member["tours"], member["tallies"]
     if type(member["max_touch"]) is not int or member["max_touch"] != max_touch:
         return None
-    if not _strings(tours) or len(set(tours)) != len(tours):
+    if not _distinct_strings(tours):
         return None
     if type(stored) is not list or len(stored) != len(tours) + 1:
         return None
@@ -340,7 +341,7 @@ def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None
         if not isinstance(tally, dict) or tally.keys() != names:
             return None
         players, years = tally["players"], tally["years"]
-        if not _strings(players) or len(set(players)) != len(players):
+        if not _distinct_strings(players):
             return None
         if type(years) is not list or not _naturals(years, (len(years),)):
             return None
@@ -383,10 +384,10 @@ def _in_range(values: array, low: int, stop: int) -> bool:
 
 def _checked_serves(member: bytes, header: dict) -> ServeIndex | None:
     """The serve index a serve index member holds, with the header's
-    players, if they are distinct, and tours, if the member is of the
-    header's version and digest and well formed: offsets of one group per
-    player and serve number, from 0 and never falling, that end at the
-    blobs' row count, and every id and code in range; else None."""
+    players and tours, if the member is of the header's version and
+    digest and well formed: offsets of one group per player and serve
+    number, from 0 and never falling, that end at the blobs' row count,
+    and every id and code in range; else None."""
     start = member.index(b"\n") + 1
     meta = json.loads(member[:start].decode("ascii"))
     if not isinstance(meta, dict) or meta.keys() != {"version", "sha256", "offsets"}:
@@ -394,8 +395,6 @@ def _checked_serves(member: bytes, header: dict) -> ServeIndex | None:
     if meta["version"] != CACHE_VERSION or meta["sha256"] != header["sha256"]:
         return None
     players, tours, offsets = tuple(header["players"]), tuple(header["tours"]), meta["offsets"]
-    if len(set(players)) != len(players):
-        return None
     if not _naturals(offsets, (2 * len(players) + 1,)) or offsets[0] != 0:
         return None
     rows = offsets[-1]
@@ -458,31 +457,6 @@ def read_serves(sidecar: Path, sha256: str) -> ServeIndex | None:
         return None
 
 
-def read_table(sidecar: Path, sha256: str) -> RecordTable | None:
-    """The cached table, or None unless the sidecar is readable, of this
-    version, keyed on this digest and passes every check.  The header
-    and the columns are read from one ZipFile, each column with the
-    read_array that pairs with _write_zip's write_array."""
-    from numpy.lib.format import read_array
-
-    from .records import _COLUMNS, RecordTable
-
-    try:
-        with zipfile.ZipFile(sidecar) as archive:
-            header = _checked(_read_json(archive, _HEADER), sha256)
-            if header is None:
-                return None
-            columns = {}
-            for name, _ in _COLUMNS:
-                with archive.open(name + ".npy") as member:
-                    columns[name] = read_array(member, allow_pickle=False)
-            return RecordTable(
-                **columns, **{name: tuple(header[name]) for name in _STRING_TABLES}
-            )
-    except _UNREADABLE:
-        return None
-
-
 def players_of(header: Mapping, tour: str | None) -> dict[str, int]:
     """Each player's distinct matches in one tour (every tour when tour
     is None), from a header; a player with none is left out."""
@@ -510,16 +484,12 @@ def _dumps(value: object, depth: int = 3) -> str:
 
 def _write_zip(fh: IO[bytes], summary: Summary) -> None:
     """Write the sidecar of a summary's table to fh: the header, tally and
-    serve index members, then each column as np.savez writes it.
+    serve index members.
 
     Each JSON member is ASCII, with every other character escaped, so
     every name is kept as it is.  Each member is opened by name, which
-    dates it 1980-01-01 as np.savez dates its members: the bytes depend
-    only on the table, never on the clock."""
-    from numpy.lib.format import write_array
-
-    from .records import _COLUMNS
-
+    dates it 1980-01-01: the bytes depend only on the table, never on
+    the clock."""
     tallies, names = list(summary.tallies.values()), _tally_fields()
     tally = {
         "version": CACHE_VERSION,
@@ -540,9 +510,6 @@ def _write_zip(fh: IO[bytes], summary: Summary) -> None:
             out.write(_little_endian(serves.receivers))
             out.write(_little_endian(serves.tour_ids))
             out.write(serves.codes)
-        for name, _ in _COLUMNS:
-            with archive.open(name + ".npy", "w", force_zip64=True) as out:
-                write_array(out, getattr(summary.table, name), allow_pickle=False)
 
 
 def write_sidecar(sidecar: Path, table: RecordTable, sha256: str, like: Path) -> Summary:
@@ -565,24 +532,20 @@ def write_sidecar(sidecar: Path, table: RecordTable, sha256: str, like: Path) ->
     return summary
 
 
-_READERS = {
-    "table": read_table, "header": read_header, "tallies": read_tallies, "serves": read_serves
-}
+_READERS = {"header": read_header, "tallies": read_tallies, "serves": read_serves}
 
 
 def lookup(path: str | Path, member: str) -> tuple[object, str]:
-    """One field of a records CSV's Summary ("table", "header",
-    "tallies" or "serves"), and the SHA-256 of the CSV's bytes, hashed
-    once.
+    """One field of a records CSV's Summary ("header", "tallies" or
+    "serves"), and the SHA-256 of the CSV's bytes, hashed once.
 
     The file's identity is taken before the hash, and a sidecar keyed on
     that digest answers when its member is valid.  Otherwise the CSV is
     parsed once, so errors name file and line, and the answer is made
     from that table: the sidecar is rewritten if the directory allows,
     unless the CSV changed while it was read, when it is only
-    summarized.  records is imported only then, so a hit on the header,
-    the tallies or the serve index loads no numpy.  A path that is not a
-    regular file raises CsvFormatError.
+    summarized.  records is imported only then, so a hit loads no
+    numpy.  A path that is not a regular file raises CsvFormatError.
     """
     path = Path(path)
     before = file_identity(path)

@@ -132,16 +132,13 @@ class Blob(bytes):
 
 def read_members(sidecar: bytes) -> dict:
     """A sidecar's members, keyed by name less the extension: each .json
-    member as its JSON value, each .npy member as a writable array and
-    each .bin member as a Blob."""
+    member as its JSON value and each .bin member as a Blob."""
     members = {}
     with zipfile.ZipFile(io.BytesIO(sidecar)) as archive:
         for name in archive.namelist():
             stem, _, extension = name.rpartition(".")
             with archive.open(name) as fh:
-                if extension == "npy":
-                    members[stem] = np.lib.format.read_array(fh, allow_pickle=False)
-                elif extension == "bin":
+                if extension == "bin":
                     members[stem] = Blob(fh.read())
                 else:
                     members[stem] = json.loads(fh.read())

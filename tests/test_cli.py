@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Blob, make_record, read_members, write_members
+from conftest import Blob, make_record, read_members, sidecar_bytes, write_members
 from oracles import reference_ingest_files, reference_write_records_csv
 from ufesim import analytics as analytics_module
 from ufesim import cli
@@ -162,8 +162,8 @@ def test_first_command_after_ingest_reads_its_sidecar(command, tmp_path, monkeyp
         "simulate": simulate_args(out),
     }[command]
     assert main(argv) == 0
-    table, sha256 = records_module.load_records(out)
     monkeypatch.undo()
+    table, sha256 = records_module.load_records(out)
     assert sha256 == digest and table.to_records() == read_records_csv(out)
 
 
@@ -176,8 +176,9 @@ def test_ingest_replaces_a_stale_sidecar(tmp_path, capsys):
     stale = cache_path(out).read_bytes()
     assert main(["ingest", str(FIXTURE), "-o", str(out)]) == 0
     assert cache_path(out).read_bytes() != stale
-    table = sidecar_module.read_table(cache_path(out), file_sha256(out))
-    assert table.to_records() == read_records_csv(out) and len(table) == 17
+    table, sha256 = records_module.load_records(out)
+    assert len(table) == 17
+    assert cache_path(out).read_bytes() == sidecar_bytes(table, sha256)
 
 
 def test_ingest_with_an_unwritable_sidecar_still_succeeds(tmp_path, capsys):
@@ -733,7 +734,8 @@ def test_corrupt_or_stale_sidecar_changes_no_output(records_csv, tmp_path, monke
     write_records_csv([make_record()], other)
     assert main(["list-players", "--records", str(other)]) == 0
     capsys.readouterr()
-    counts = read_members(good)["header"]["counts"]
+    header = read_members(good)["header"]
+    counts, names, tours = header["counts"], header["players"], header["tours"]
     malformed = [
         dict(version=2, counts=None, tour_counts=None),  # the layout before the counts
         dict(counts=counts[:-1]),
@@ -745,6 +747,8 @@ def test_corrupt_or_stale_sidecar_changes_no_output(records_csv, tmp_path, monke
         dict(tour_counts=[]),
         dict(tour_counts=[counts[:-1]]),
         dict(tour_counts={"ATP": counts}),
+        dict(players=[names[0], *names[:-1]]),  # a repeated player
+        dict(tours=[tours[0], *tours[:-1]]),  # a repeated tour
     ]
     for damaged in (
         b"not a zip",
@@ -968,12 +972,27 @@ def test_simulate_hit_and_miss_print_and_write_the_same_bytes(
         assert sidecar.read_bytes() == good
 
 
-def _layout_4(sidecar: bytes) -> bytes:
-    """The sidecar as layout 4 wrote it: np.savez of the header and the
-    tally member, each a uint8 array of its ASCII JSON, then the columns;
-    it had no serve index."""
+def _layout_6(sidecar: bytes, table: RecordTable) -> dict:
+    """The members of the sidecar as layout 6 wrote it, for this table:
+    each member of version 6, the header with the match names, and then
+    the ten record columns, each as np.save writes it."""
+    members = read_members(sidecar)
+    header = members["header"]
+    members["header"] = {"version": 6, "sha256": header["sha256"], "matches": list(table.matches),
+                         **{key: header[key] for key in ("players", "tours", "counts",
+                                                         "tour_counts")}}
+    members["tally"]["version"] = 6
+    members["serves"] = _set_meta(version=6)(members["serves"])
+    members.update((name, getattr(table, name)) for name, _ in records_module._COLUMNS)
+    return members
+
+
+def _layout_4(members: dict) -> bytes:
+    """The sidecar as layout 4 wrote it, from layout 6's members: np.savez
+    of the header and the tally member, each a uint8 array of its ASCII
+    JSON, then the columns; it had no serve index."""
     arrays = {}
-    for name, value in read_members(sidecar).items():
+    for name, value in members.items():
         if isinstance(value, Blob):
             continue
         if not isinstance(value, np.ndarray):
@@ -987,9 +1006,11 @@ def _layout_4(sidecar: bytes) -> bytes:
 @pytest.mark.parametrize("command", ["list-players", "stats", "simulate"])
 def test_a_layout_4_sidecar_is_a_miss_and_is_replaced(command, records_csv, tmp_path,
                                                       monkeypatch, capsys):
+    # Layouts 4 and 6 held the record columns: each is a miss, which
+    # parses the CSV once and rewrites the sidecar ingest wrote.
     sidecar = cache_path(records_csv)
     good = sidecar.read_bytes()
-    sidecar.write_bytes(_layout_4(good))
+    layout_6 = _layout_6(good, records_module.load_records(records_csv)[0])
     read = []
     read_table = records_module._read_table
 
@@ -1003,9 +1024,12 @@ def test_a_layout_4_sidecar_is_a_miss_and_is_replaced(command, records_csv, tmp_
         "stats": ["stats", "--records", str(records_csv), "--out-dir", str(tmp_path / "s")],
         "simulate": simulate_args(records_csv),
     }[command]
-    assert main(argv) == 0
-    assert read == [records_csv]
-    assert sidecar.read_bytes() == good
+    for old in (_layout_4(layout_6), write_members(layout_6)):
+        sidecar.write_bytes(old)
+        read.clear()
+        assert main(argv) == 0
+        assert read == [records_csv]
+        assert sidecar.read_bytes() == good
 
 
 def test_stale_sidecar_keeps_csv_errors(records_csv, capsys):

@@ -48,7 +48,7 @@ from ufesim.records import (
     load_records,
     save_records,
 )
-from ufesim.sidecar import file_sha256
+from ufesim.sidecar import file_sha256, lookup
 
 FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 FIRST = "20190705-M-Wimbledon-F-Alpha_One-Beta_Two"  # the fixture's first match
@@ -715,9 +715,10 @@ def test_streaming_pass_matches_the_staged_pipeline(files, read, allow_cpus):
 @settings(max_examples=150, deadline=None)
 @given(files=corpora())
 def test_every_builder_matches_the_reference_from_records(files):
-    # from_records and a cache miss build through a TableBuilder, and
-    # ingest_table through RecordTable.from_points; each must give the
-    # columns, string tables and sidecar of the column-by-column reference.
+    # from_records and load_records (a cache miss's read) build through a
+    # TableBuilder, and ingest_table through RecordTable.from_points; each
+    # must give the columns, string tables and sidecar of the
+    # column-by-column reference, as must a cache miss.
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, data in enumerate(files):
@@ -733,12 +734,14 @@ def test_every_builder_matches_the_reference_from_records(files):
         sha256 = file_sha256(csv_path)
         expected = reference_from_records(records)
         want = sidecar_bytes(expected, sha256)
+        assert lookup(csv_path, "header")[1] == sha256
+        assert cache_path(csv_path).read_bytes() == want
         missed, missed_sha = load_records(csv_path)
-        assert missed_sha == sha256 and cache_path(csv_path).read_bytes() == want
+        assert missed_sha == sha256
         built = {
             "from_records": RecordTable.from_records(records),
             "ingest_table": ingest_table(paths)[0],
-            "cache miss": missed,
+            "load_records": missed,
         }
         for name, table in built.items():
             assert_same_table(table, expected)
