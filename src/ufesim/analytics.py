@@ -19,7 +19,6 @@ only inside tally_records.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
@@ -50,8 +49,7 @@ def touch_exposure(t_star: int) -> TouchExposure:
     return TouchExposure((t_star + 1) // 2, t_star // 2)
 
 
-@dataclass(frozen=True, slots=True)
-class PlayerUfeProfile:
+class PlayerUfeProfile(NamedTuple):
     player_id: str
     matches_played: int
     ball_contacts: int
@@ -71,8 +69,7 @@ def _column_sums(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     return [sum(column) for column in zip(*rows)] if rows else [0] * width
 
 
-@dataclass(frozen=True)
-class RecordTally:
+class RecordTally(NamedTuple):
     """Per-player integer counts; every statistic is read off them.
 
     Item i of each list belongs to players[i].  served[i][t] and

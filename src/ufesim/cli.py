@@ -32,10 +32,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -64,8 +63,7 @@ TOURS = ("ATP", "WTA")
 DATA_DIR_ENV = "UFESIM_DATA_DIR"
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Everything needed to reproduce one command's outputs."""
 
     command: str
@@ -76,7 +74,7 @@ class RunManifest:
     created: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def build_manifest(

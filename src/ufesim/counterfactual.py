@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import TableFormatError, TouchRangeError
 from .sidecar import MAX_TOUCH
@@ -34,30 +33,42 @@ _DEFAULT_PROBS: Mapping[int, float] = MappingProxyType(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TouchWinTable:
+class _TouchWinTable(NamedTuple):
+    prob_by_touch: Mapping[int, float]
+    by_touch: tuple[float | None, ...]
+
+
+class TouchWinTable(_TouchWinTable):
     """Map touch -> P(the error's committer wins the point absent the UFE).
 
     by_touch holds the same probabilities in a tuple indexed by touch
     (None below MIN_TOUCH), so a lookup is one index at
-    min(t, MAX_TOUCH).
+    min(t, MAX_TOUCH).  It is derived: the constructor, _make and
+    _replace take prob_by_touch and work it out.
     """
 
-    prob_by_touch: Mapping[int, float]
-    by_touch: tuple[float | None, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        touches = sorted(self.prob_by_touch)
+    def __new__(cls, prob_by_touch: Mapping[int, float]) -> TouchWinTable:
+        touches = sorted(prob_by_touch)
         if touches != list(range(MIN_TOUCH, MAX_TOUCH + 1)):
             raise TableFormatError(
                 f"table must cover touches {MIN_TOUCH}..{MAX_TOUCH} exactly, got {touches}"
             )
-        for t, p in self.prob_by_touch.items():
+        for t, p in prob_by_touch.items():
             if not 0.0 < p < 1.0:
                 raise TableFormatError(f"probability at touch {t} must be in (0,1), got {p}")
-        object.__setattr__(self, "prob_by_touch", MappingProxyType(dict(self.prob_by_touch)))
-        by_touch = tuple(self.prob_by_touch.get(t) for t in range(MAX_TOUCH + 1))
-        object.__setattr__(self, "by_touch", by_touch)
+        probs = MappingProxyType(dict(prob_by_touch))
+        return super().__new__(cls, probs, tuple(map(probs.get, range(MAX_TOUCH + 1))))
+
+    @classmethod
+    def _make(cls, values) -> TouchWinTable:
+        # Through the checks, as _replace calls it; by_touch is worked out again.
+        prob_by_touch, _ = values
+        return cls(prob_by_touch)
+
+    def __getnewargs__(self) -> tuple:
+        return (dict(self.prob_by_touch),)
 
     def lookup(self, t: int) -> float:
         if t < MIN_TOUCH:
@@ -83,15 +94,24 @@ def resolve_removed_ufe(table: TouchWinTable, t: int, rng: random.Random) -> str
     return "A" if rng.random() < p else "B"
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionPolicy:
-    """Remove each of A's sampled unforced errors with probability x."""
-
+class _ReductionPolicy(NamedTuple):
     x: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"x must be within [0,1], got {self.x}")
+
+class ReductionPolicy(_ReductionPolicy):
+    """Remove each of A's sampled unforced errors with probability x."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float) -> ReductionPolicy:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"x must be within [0,1], got {x}")
+        return super().__new__(cls, x)
+
+    @classmethod
+    def _make(cls, values) -> ReductionPolicy:
+        # Through the checks, as _replace calls it; the tuple's own skips them.
+        return cls(*values)
 
 
 HISTORIC = ReductionPolicy(x=0.0)

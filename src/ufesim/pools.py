@@ -27,11 +27,10 @@ same way.  This module imports neither numpy nor records at load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyPoolError
 from .sidecar import (
@@ -98,16 +97,26 @@ def _point_code_table(server: int) -> tuple[int, ...]:
 _POINT_CODES = (_point_code_table(0), _point_code_table(1))
 
 
-@dataclass(frozen=True, slots=True)
-class ServePool:
-    """One pool: the serve code of each of its serves, in the order they
-    are drawn from, and the tours those serves name."""
-
+class _ServePool(NamedTuple):
     codes: bytes
     tours: frozenset[str]
 
+
+class ServePool(_ServePool):
+    """One pool: the serve code of each of its serves, in the order they
+    are drawn from, and the tours those serves name.  Its len() is its
+    number of serves."""
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self.codes)
+
+    @classmethod
+    def _make(cls, values) -> ServePool:
+        # The tuple's own _make, which _replace calls, checks the field
+        # count with len().
+        return cls(*values)
 
 
 def _as_pool(pool: ServePool | RecordTable | Iterable[ServeRecord]) -> ServePool:
@@ -123,41 +132,54 @@ def _as_pool(pool: ServePool | RecordTable | Iterable[ServeRecord]) -> ServePool
     return ServePool(serve_codes(table).tobytes(), frozenset(table.tours))
 
 
-@dataclass(frozen=True, slots=True)
-class ServePoolSet:
-    """The four pools of one pairing and their point codes.  A pool may
-    be given as a ServePool, a RecordTable or any iterable of
-    ServeRecords."""
-
+class _ServePoolSet(NamedTuple):
     pools: Mapping[PoolId, ServePool]
     player_a: str
     player_b: str
     scope: PoolScope
-    first_codes: tuple[tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    second_codes: tuple[tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    first_codes: tuple[tuple[int, ...], tuple[int, ...]]
+    second_codes: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        pools = {}
+
+class ServePoolSet(_ServePoolSet):
+    """The four pools of one pairing and their point codes.  A pool may
+    be given as a ServePool, a RecordTable or any iterable of
+    ServeRecords.  The codes are derived: the constructor, _make and
+    _replace take the first four fields and compile them."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, pools: Mapping[PoolId, ServePool], player_a: str, player_b: str, scope: PoolScope
+    ) -> ServePoolSet:
+        own = {}
         for pid in PoolId:
-            if pid not in self.pools:
+            if pid not in pools:
                 raise EmptyPoolError(pid.value, "pool missing entirely")
-            pools[pid] = _as_pool(self.pools[pid])
-            if not pools[pid]:
+            own[pid] = _as_pool(pools[pid])
+            if not own[pid]:
                 raise EmptyPoolError(pid.value, "pool is empty")
-        # Read-only, so the codes below cannot go stale.
-        object.__setattr__(self, "pools", MappingProxyType(pools))
-        for name, serve_number in (("first_codes", 1), ("second_codes", 2)):
-            sides = (pools[select_pool(side, serve_number)] for side in "AB")
-            codes = tuple(
-                tuple(map(table.__getitem__, pool.codes)) for table, pool in zip(_POINT_CODES, sides)
+        first_codes, second_codes = (
+            tuple(
+                tuple(map(table.__getitem__, own[select_pool(side, serve_number)].codes))
+                for table, side in zip(_POINT_CODES, "AB")
             )
-            object.__setattr__(self, name, codes)
-        if FAULT in self.second_codes[0] or FAULT in self.second_codes[1]:
+            for serve_number in (1, 2)
+        )
+        if FAULT in second_codes[0] or FAULT in second_codes[1]:
             raise ValueError("a second-serve pool cannot hold a first-serve fault")
+        # Read-only, so the codes cannot go stale.
+        own = MappingProxyType(own)
+        return super().__new__(cls, own, player_a, player_b, scope, first_codes, second_codes)
+
+    @classmethod
+    def _make(cls, values) -> ServePoolSet:
+        # Through the checks, as _replace calls it; the codes are compiled again.
+        pools, player_a, player_b, scope, _, _ = values
+        return cls(pools, player_a, player_b, scope)
+
+    def __getnewargs__(self) -> tuple:
+        return dict(self.pools), self.player_a, self.player_b, self.scope
 
     def size(self, pool_id: PoolId) -> int:
         return len(self.pools[pool_id])

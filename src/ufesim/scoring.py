@@ -9,7 +9,8 @@ who won each point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import wraps
+from typing import Iterable, NamedTuple
 
 from .errors import MatchOverError
 
@@ -20,54 +21,91 @@ def other_player(player: str) -> str:
     return "B" if player == "A" else "A"
 
 
-@dataclass(frozen=True, slots=True)
-class MatchFormat:
-    """Rules of one match.
-
-    Defaults model a grand-slam style best-of-5 with ad scoring and a
-    7-point tiebreak at 6-6 in every set, the final set included.
-    """
-
+class _MatchFormat(NamedTuple):
     best_of: int = 5
     ad_scoring: bool = True
     tiebreak_trigger_games: int = 6
     tiebreak_target_points: int = 7
     final_set_tiebreak: bool = True
 
-    def __post_init__(self) -> None:
-        if self.best_of not in (3, 5):
-            raise ValueError(f"best_of must be 3 or 5, got {self.best_of}")
-        if self.tiebreak_trigger_games < 1:
+
+class MatchFormat(_MatchFormat):
+    """Rules of one match.
+
+    Defaults model a grand-slam style best-of-5 with ad scoring and a
+    7-point tiebreak at 6-6 in every set, the final set included.
+    """
+
+    __slots__ = ()
+
+    @wraps(_MatchFormat.__new__)  # the fields' signature and defaults
+    def __new__(cls, *args, **kwargs) -> MatchFormat:
+        fmt = super().__new__(cls, *args, **kwargs)
+        if fmt.best_of not in (3, 5):
+            raise ValueError(f"best_of must be 3 or 5, got {fmt.best_of}")
+        if fmt.tiebreak_trigger_games < 1:
             raise ValueError("tiebreak_trigger_games must be positive")
-        if self.tiebreak_target_points < 7:
+        if fmt.tiebreak_target_points < 7:
             raise ValueError("tiebreak_target_points must be at least 7")
+        return fmt
+
+    @classmethod
+    def _make(cls, values) -> MatchFormat:
+        # Through the checks, as _replace calls it; the tuple's own skips them.
+        return cls(*values)
 
     @property
     def sets_to_win(self) -> int:
         return self.best_of // 2 + 1
 
 
-@dataclass(slots=True)
 class MatchScore:
     """Mutable score of one match in progress.
 
     Index 0 is player A, index 1 is player B in every pair below.
-    points_in_game holds tiebreak points while in_tiebreak is set.
+    points_in_game holds tiebreak points while in_tiebreak is set.  Each
+    list is a new list of the values given.
     """
 
-    format: MatchFormat
-    points_in_game: list[int] = field(default_factory=lambda: [0, 0])
-    games_in_set: list[int] = field(default_factory=lambda: [0, 0])
-    sets_won: list[int] = field(default_factory=lambda: [0, 0])
-    completed_set_scores: list[tuple[int, int]] = field(default_factory=list)
-    current_server: str = "A"
-    in_tiebreak: bool = False
-    match_over: bool = False
-    match_winner: str | None = None
-    cumulative_points_won: list[int] = field(default_factory=lambda: [0, 0])
-    cumulative_games_won: list[int] = field(default_factory=lambda: [0, 0])
-    tiebreak_first_server: str | None = None
-    tiebreak_points_played: int = 0
+    __slots__ = (
+        "format", "points_in_game", "games_in_set", "sets_won", "completed_set_scores",
+        "current_server", "in_tiebreak", "match_over", "match_winner", "cumulative_points_won",
+        "cumulative_games_won", "tiebreak_first_server", "tiebreak_points_played",
+    )
+
+    def __init__(
+        self,
+        format: MatchFormat,
+        points_in_game: Iterable[int] = (0, 0),
+        games_in_set: Iterable[int] = (0, 0),
+        sets_won: Iterable[int] = (0, 0),
+        completed_set_scores: Iterable[tuple[int, int]] = (),
+        current_server: str = "A",
+        in_tiebreak: bool = False,
+        match_over: bool = False,
+        match_winner: str | None = None,
+        cumulative_points_won: Iterable[int] = (0, 0),
+        cumulative_games_won: Iterable[int] = (0, 0),
+        tiebreak_first_server: str | None = None,
+        tiebreak_points_played: int = 0,
+    ) -> None:
+        self.format = format
+        self.points_in_game = list(points_in_game)
+        self.games_in_set = list(games_in_set)
+        self.sets_won = list(sets_won)
+        self.completed_set_scores = list(completed_set_scores)
+        self.current_server = current_server
+        self.in_tiebreak = in_tiebreak
+        self.match_over = match_over
+        self.match_winner = match_winner
+        self.cumulative_points_won = list(cumulative_points_won)
+        self.cumulative_games_won = list(cumulative_games_won)
+        self.tiebreak_first_server = tiebreak_first_server
+        self.tiebreak_points_played = tiebreak_points_played
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def new_match(fmt: MatchFormat, initial_server: str = "A") -> MatchScore:

@@ -306,16 +306,6 @@ def _checked(header: object, sha256: str) -> dict | None:
     return header
 
 
-def _tally_fields() -> list[str]:
-    """A stored tally's fields: RecordTally's in the order it declares
-    them, besides max_touch, which the tally member holds once."""
-    from dataclasses import fields
-
-    from .analytics import RecordTally
-
-    return [field.name for field in fields(RecordTally) if field.name != "max_touch"]
-
-
 def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None:
     """The tallies a tally member holds, keyed as Summary keys them, if
     the member is of this version, digest and max_touch and each tally is
@@ -335,10 +325,11 @@ def _checked_tallies(member: object, sha256: str, max_touch: int) -> dict | None
         return None
     if type(stored) is not list or len(stored) != len(tours) + 1:
         return None
-    width, names = max_touch + 1, set(_tally_fields())
-    tallies = {}
+    width, tallies = max_touch + 1, {}
     for tour, tally in zip((None, *tours), stored):
-        if not isinstance(tally, dict) or tally.keys() != names:
+        # A missing field raises KeyError below, and one RecordTally does
+        # not take (max_touch among them) TypeError: read_tallies misses.
+        if not isinstance(tally, dict):
             return None
         players, years = tally["players"], tally["years"]
         if not _distinct_strings(players):
@@ -490,13 +481,15 @@ def _write_zip(fh: IO[bytes], summary: Summary) -> None:
     every name is kept as it is.  Each member is opened by name, which
     dates it 1980-01-01: the bytes depend only on the table, never on
     the clock."""
-    tallies, names = list(summary.tallies.values()), _tally_fields()
+    tallies = list(summary.tallies.values())
     tally = {
         "version": CACHE_VERSION,
         "sha256": summary.header["sha256"],
         "max_touch": tallies[0].max_touch,
         "tours": [tour for tour in summary.tallies if tour is not None],
-        "tallies": [{name: getattr(t, name) for name in names} for t in tallies],
+        # RecordTally's fields in the order it declares them, besides
+        # max_touch, which the member holds once.
+        "tallies": [{k: v for k, v in t._asdict().items() if k != "max_touch"} for t in tallies],
     }
     serves = summary.serves
     meta = {"version": CACHE_VERSION, "sha256": summary.header["sha256"],

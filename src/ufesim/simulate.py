@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import reduce, wraps
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -94,15 +93,7 @@ def parse_scenario(token: str) -> float:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationConfig:
-    """Everything one run needs besides the pools and the table.
-
-    reduction_x canonicalizes the scenario: 0 is the historic replay,
-    1 removes every sampled unforced error by A, values between are the
-    partial-reduction what-ifs.
-    """
-
+class _SimulationConfig(NamedTuple):
     n_matches: int = 3000
     seed: int = 20177
     reduction_x: float = 0.0
@@ -110,16 +101,35 @@ class SimulationConfig:
     first_server_policy: str = "alternate"
     pool_scope: PoolScope = PoolScope.HEAD_TO_HEAD
 
-    def __post_init__(self) -> None:
-        if self.n_matches < 1:
+
+class SimulationConfig(_SimulationConfig):
+    """Everything one run needs besides the pools and the table.
+
+    reduction_x canonicalizes the scenario: 0 is the historic replay,
+    1 removes every sampled unforced error by A, values between are the
+    partial-reduction what-ifs.
+    """
+
+    __slots__ = ()
+
+    @wraps(_SimulationConfig.__new__)  # the fields' signature and defaults
+    def __new__(cls, *args, **kwargs) -> SimulationConfig:
+        config = super().__new__(cls, *args, **kwargs)
+        if config.n_matches < 1:
             raise ValueError("n_matches must be positive")
-        if not 0.0 <= self.reduction_x <= 1.0:
-            raise ValueError(f"reduction_x must be in [0,1], got {self.reduction_x}")
-        if self.first_server_policy not in FIRST_SERVER_POLICIES:
+        if not 0.0 <= config.reduction_x <= 1.0:
+            raise ValueError(f"reduction_x must be in [0,1], got {config.reduction_x}")
+        if config.first_server_policy not in FIRST_SERVER_POLICIES:
             raise ValueError(
                 f"first_server_policy must be one of {FIRST_SERVER_POLICIES}, "
-                f"got {self.first_server_policy!r}"
+                f"got {config.first_server_policy!r}"
             )
+        return config
+
+    @classmethod
+    def _make(cls, values) -> SimulationConfig:
+        # Through the checks, as _replace calls it; the tuple's own skips them.
+        return cls(*values)
 
     @property
     def scenario(self) -> str:
@@ -133,8 +143,7 @@ class PointOutcome(NamedTuple):
     ufe_removed: bool
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     points_won: tuple[int, int]
     games_won: tuple[int, int]
     sets_won: tuple[int, int]
@@ -144,8 +153,7 @@ class MatchResult:
     ufes_removed: int
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationSummary:
+class SimulationSummary(NamedTuple):
     scenario: str
     n_matches: int
     pct_points_won_a: float
@@ -158,7 +166,7 @@ class SimulationSummary:
     se_matches: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def simulate_point(
@@ -558,8 +566,7 @@ def run_simulation(
     return _summarize_columns(columns, config.scenario)
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioDelta:
+class ScenarioDelta(NamedTuple):
     """Metric differences of one scenario against a baseline.
 
     SEs combine the two runs' standard errors in quadrature, which would
@@ -583,11 +590,10 @@ class ScenarioDelta:
     se_matches: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioComparison:
+class ScenarioComparison(NamedTuple):
     summaries: tuple[SimulationSummary, ...]
     deltas: tuple[ScenarioDelta, ...]
 

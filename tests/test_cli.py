@@ -791,6 +791,7 @@ def _repeat_tour(member: dict) -> None:
 MALFORMED_TALLIES = {
     "missing-field": lambda m: _first(m).pop("ufes"),
     "extra-field": lambda m: _first(m).__setitem__("max_touch", m["max_touch"]),
+    "unknown-field": lambda m: _first(m).__setitem__("rallies", _first(m)["matches"]),
     "repeated-player": lambda m: _first(m)["players"].__setitem__(1, _first(m)["players"][0]),
     "years-out-of-order": lambda m: _add_year(m, 0, _first(m)["years"][-1] + 1),
     "repeated-year": lambda m: _add_year(m, len(_first(m)["years"]), _first(m)["years"][-1]),
@@ -1078,6 +1079,14 @@ def test_manifest_takes_a_precomputed_digest(records_csv, monkeypatch):
         "stats", {"k": 5}, dataset_sha256=file_sha256(records_csv)
     )
     assert json.dumps(by_path.to_dict(), indent=2) == json.dumps(by_digest.to_dict(), indent=2)
+    assert list(by_path.to_dict().items()) == list({
+        "command": "stats",
+        "parameters": {"k": 5},
+        "seed": None,
+        "dataset_sha256": file_sha256(records_csv),
+        "tool_version": cli.__version__,
+        "created": "2024-01-02T03:04:05+00:00",
+    }.items())
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])

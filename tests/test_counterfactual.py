@@ -1,7 +1,9 @@
 """The touch-win table, its clamp, and the removal policy."""
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -71,6 +73,20 @@ def test_probabilities_strictly_inside_unit_interval(bad):
     values[5] = bad
     with pytest.raises(TableFormatError):
         TouchWinTable(prob_by_touch=values)
+    # _replace and _make build through the same checks.
+    with pytest.raises(TableFormatError):
+        default_table()._replace(prob_by_touch=values)
+    with pytest.raises(TableFormatError):
+        TouchWinTable._make([values, default_table().by_touch])
+
+
+def test_table_copies_and_replacements_rework_by_touch():
+    table = default_table()
+    for same in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert same == table and type(same) is TouchWinTable
+    changed = table._replace(prob_by_touch={**EXPECTED, 10: 0.6})
+    assert changed.by_touch[10] == changed.lookup(12) == 0.6
+    assert TouchWinTable._make(changed) == changed
 
 
 def test_resolve_removed_ufe_frequency():
@@ -113,6 +129,10 @@ def test_policy_rejects_out_of_range():
         ReductionPolicy(x=-0.01)
     with pytest.raises(ValueError):
         ReductionPolicy(x=1.01)
+    with pytest.raises(ValueError, match="within"):
+        HISTORIC._replace(x=1.01)
+    with pytest.raises(ValueError, match="within"):
+        ReductionPolicy._make([-0.01])
 
 
 def test_load_table_round_trip(tmp_path):

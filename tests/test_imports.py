@@ -20,7 +20,8 @@ FIXTURE = Path(__file__).parent / "data" / "points_sample.csv"
 CLI = {"ufesim", "ufesim.cli", "ufesim.errors"}
 
 # Runs main(argv) in a fresh interpreter; the last stdout line reports its
-# exit code and the ufesim modules it imported.
+# exit code, the ufesim modules it imported and whether it imported numpy,
+# dataclasses and inspect.
 PROBE = """\
 import json, sys
 from ufesim.cli import main
@@ -32,6 +33,8 @@ print(json.dumps({
     "code": code,
     "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "ufesim"),
     "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "inspect": "inspect" in sys.modules,
 }))
 """
 
@@ -114,6 +117,11 @@ def test_each_command_imports_only_what_it_runs(
     assert report["code"] == exit_code
     assert set(report["modules"]) == CLI | {f"ufesim.{m}" for m in loaded}
     assert report["numpy"] == numpy
+    # What loads no numpy (a usage error, --version and every hit) loads
+    # no dataclasses, nor the inspect it imports: the records on those
+    # paths are NamedTuples.  ingest and a miss load records, which may.
+    if not numpy:
+        assert not report["dataclasses"] and not report["inspect"]
 
 
 def test_notation_imports_no_numpy():

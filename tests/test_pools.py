@@ -1,6 +1,9 @@
 """Pool construction and the pool map."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from conftest import make_record, serve_mix
@@ -126,6 +129,9 @@ def test_pool_summary_counts(mixed_pools):
     summary = pool_summary(mixed_pools)
     a_first = summary["pools"]["A_first"]
     assert a_first["size"] == 25
+    pool = mixed_pools.pools[PoolId.A_FIRST]
+    assert len(pool) == len(pool.codes) == 25
+    assert len(pool._replace(codes=pool.codes[:3])) == 3
     assert a_first["first_serve_faults"] == 6
     assert a_first["unforced_errors"] == 5
     assert summary["scope"] == "head_to_head"
@@ -160,6 +166,11 @@ def test_pool_set_rejects_empty_and_faulty_second_pools(mixed_pools):
     faulty[PoolId.A_SECOND] = mixed_pools.pools[PoolId.A_FIRST]
     with pytest.raises(ValueError, match="first-serve fault"):
         ServePoolSet(faulty, "Ann Ace", "Bob Base", PoolScope.HEAD_TO_HEAD)
+    # _replace and _make build through the same checks.
+    with pytest.raises(EmptyPoolError, match="B_second"):
+        mixed_pools._replace(pools=empty)
+    with pytest.raises(ValueError, match="first-serve fault"):
+        ServePoolSet._make([faulty, "Ann Ace", "Bob Base", PoolScope.HEAD_TO_HEAD, (), ()])
 
 
 def test_pool_set_keeps_its_own_read_only_pools(mixed_pools):
@@ -169,3 +180,5 @@ def test_pool_set_keeps_its_own_read_only_pools(mixed_pools):
     assert pools.pools[PoolId.A_FIRST] == mixed_pools.pools[PoolId.A_FIRST]
     with pytest.raises(TypeError):
         pools.pools[PoolId.A_FIRST] = ()
+    for same in (copy.deepcopy(pools), pickle.loads(pickle.dumps(pools))):
+        assert same == pools and type(same.pools) is type(pools.pools)

@@ -41,6 +41,33 @@ def test_new_match_is_zeroed():
     assert not score.match_over
     assert score.points_in_game == [0, 0]
     assert score.sets_won == [0, 0]
+    assert repr(new_match(MatchFormat(best_of=3), "B")) == (
+        "MatchScore(format=MatchFormat(best_of=3, ad_scoring=True, tiebreak_trigger_games=6, "
+        "tiebreak_target_points=7, final_set_tiebreak=True), points_in_game=[0, 0], "
+        "games_in_set=[0, 0], sets_won=[0, 0], completed_set_scores=[], current_server='B', "
+        "in_tiebreak=False, match_over=False, match_winner=None, cumulative_points_won=[0, 0], "
+        "cumulative_games_won=[0, 0], tiebreak_first_server=None, tiebreak_points_played=0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"best_of": 4}, "best_of must be 3 or 5, got 4"),
+        ({"tiebreak_trigger_games": 0}, "tiebreak_trigger_games must be positive"),
+        ({"tiebreak_target_points": 6}, "tiebreak_target_points must be at least 7"),
+    ],
+)
+def test_match_format_checks_every_construction(bad, message):
+    # A NamedTuple's _make, and so _replace, skips a subclass __new__
+    # unless the class builds through it.
+    for build in (
+        lambda: MatchFormat(**bad),
+        lambda: DEFAULT._replace(**bad),
+        lambda: MatchFormat._make({**DEFAULT._asdict(), **bad}.values()),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_four_straight_points_win_a_game_and_flip_serve():

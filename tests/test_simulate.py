@@ -1,12 +1,14 @@
 """Simulator behavior: point mechanics, replicates, summaries."""
 from __future__ import annotations
 
+import copy
 import errno
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -38,7 +40,9 @@ from ufesim.rng import derive_seed, replicate_stream
 from ufesim.scoring import MatchFormat
 from ufesim.simulate import (
     FIRST_SERVER_POLICIES,
+    ScenarioDelta,
     SimulationConfig,
+    SimulationSummary,
     _check_match_can_end,
     binomial_se_pct,
     compare_scenarios,
@@ -192,6 +196,69 @@ def test_scenario_labels():
     assert SimulationConfig(reduction_x=0.0).scenario == "historic"
     assert SimulationConfig(reduction_x=1.0).scenario == "eliminate"
     assert SimulationConfig(reduction_x=0.1).scenario == "reduce(0.1)"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"n_matches": 0}, "n_matches must be positive"),
+        ({"reduction_x": 1.5}, r"reduction_x must be in \[0,1\], got 1.5"),
+        ({"first_server_policy": "coin"}, "first_server_policy must be one of"),
+    ],
+)
+def test_simulation_config_checks_every_construction(bad, message):
+    # A NamedTuple's _make, and so _replace, skips a subclass __new__
+    # unless the class builds through it.
+    config = SimulationConfig()
+    for build in (
+        lambda: SimulationConfig(**bad),
+        lambda: config._replace(**bad),
+        lambda: SimulationConfig._make({**config._asdict(), **bad}.values()),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+SUMMARY = SimulationSummary("reduce(0.5)", 40, 51.5, 53.25, 60.0, 62.5, 0.5, 1.25, 2.0, 7.5)
+DELTA = ScenarioDelta("historic", "reduce(0.5)", 1.5, 3.25, 10.0, 12.5, 0.75, 1.5, 3.0, 10.25)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [SimulationConfig(n_matches=7, seed=3, format=MatchFormat(best_of=3)), MatchFormat(), SUMMARY],
+    ids=["SimulationConfig", "MatchFormat", "SimulationSummary"],
+)
+def test_records_survive_pickle_and_deepcopy(record):
+    for same in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert same == record
+        assert type(same) is type(record)
+
+
+def test_to_dict_keys_in_order():
+    assert list(SUMMARY.to_dict().items()) == list({
+        "scenario": "reduce(0.5)",
+        "n_matches": 40,
+        "pct_points_won_a": 51.5,
+        "pct_games_won_a": 53.25,
+        "pct_sets_won_a": 60.0,
+        "pct_matches_won_a": 62.5,
+        "se_points": 0.5,
+        "se_games": 1.25,
+        "se_sets": 2.0,
+        "se_matches": 7.5,
+    }.items())
+    assert list(DELTA.to_dict().items()) == list({
+        "baseline": "historic",
+        "variant": "reduce(0.5)",
+        "d_points": 1.5,
+        "d_games": 3.25,
+        "d_sets": 10.0,
+        "d_matches": 12.5,
+        "se_points": 0.75,
+        "se_games": 1.5,
+        "se_sets": 3.0,
+        "se_matches": 10.25,
+    }.items())
 
 
 def test_first_server_policies():
